@@ -478,10 +478,12 @@ def scen_infdihedral_p_properties(ns):
 
 
 def scen_infdihedral_j(ns):
+    qs = _q_list(ns)
+    for q in qs:  # reject a bad q before any ball is built or cached
+        asymptotic._sqrt_fraction(q)
     hb, params, checks = _ball_scenario(ns, coxeter.infinite_dihedral, 24)
     jr = asymptotic.JRing(hb)
     samples = ns.samples if ns.samples is not None else 50
-    qs = _q_list(ns)
     params.update({"samples": samples, "seed": ns.seed,
                    "q": [str(q) for q in qs]})
 

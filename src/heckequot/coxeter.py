@@ -12,9 +12,11 @@ Length comes from the standard alcove-walk count: for each positive root
                    |<lam, alpha> - 1|  if u^-1(alpha) < 0
 
 which the tests cross-validate against breadth-first search in the Cayley
-graph.  Elements of length zero form the subgroup Omega; for each family
-the Omega coset of an element is read off from its translation part, and
-a stored length-zero representative realizes each coset.
+graph.  The flags "u^-1(alpha) < 0" are stored once per finite Weyl
+element, so a length costs one pairing per positive root.  Elements of
+length zero form the subgroup Omega, cyclic for every family here; the
+Omega coset of an element is read off from its translation part, and the
+length-zero element of a coset is a power of the family's basic shift.
 
 Supported families:
 
@@ -177,10 +179,14 @@ class GroupPresentation:
     omega_count: int | None  # None means infinite cyclic
     _coset_of: Callable[[Vector], int] = field(repr=False)
     _normalize: Callable[[Vector], Vector] = field(repr=False)
+    # (translation, finite part) of a length-zero generator of Omega;
+    # None when Omega is trivial
+    _omega_shift: tuple[Vector, int] | None = field(default=None, repr=False)
     _omega_reps: dict[int, GroupElement] = field(default_factory=dict, repr=False)
     _wf_table: list[list[int]] = field(default_factory=list, repr=False)
     _wf_inv: list[int] = field(default_factory=list, repr=False)
-    _neg_roots: set[Vector] = field(default_factory=set, repr=False)
+    # _inv_flags[fin][k] is 1 when u^-1 sends the k-th positive root negative
+    _inv_flags: list[tuple[int, ...]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         n = len(self.wf_elems)
@@ -194,9 +200,12 @@ class GroupPresentation:
                 if self._wf_table[i][j] == 0:
                     self._wf_inv[i] = j
                     break
-        self._neg_roots = {vec_neg(a) for a in self.pos_roots}
-        if set(self.pos_roots) & self._neg_roots:
+        neg_roots = {vec_neg(a) for a in self.pos_roots}
+        if set(self.pos_roots) & neg_roots:
             raise CoxeterError("root list is not a positive system")
+        # u^-1(alpha) as a covector is alpha composed with u
+        self._inv_flags = [tuple(int(vec_mat(alpha, u) in neg_roots) for alpha in self.pos_roots)
+                           for u in self.wf_elems]
 
     # ---- basic structure -------------------------------------------------
     @property
@@ -240,17 +249,8 @@ class GroupPresentation:
         return GroupElement(self, trans, ui)
 
     def length_of(self, trans: Vector, fin: int) -> int:
-        u = self.wf_elems[fin]
-        total = 0
-        for alpha in self.pos_roots:
-            pairing = dot(trans, alpha)
-            # u^-1(alpha) as a covector is alpha composed with u
-            back = vec_mat(alpha, u)
-            if back in self._neg_roots:
-                total += abs(pairing - 1)
-            else:
-                total += abs(pairing)
-        return total
+        return sum(abs(dot(trans, alpha) - neg)
+                   for alpha, neg in zip(self.pos_roots, self._inv_flags[fin]))
 
     # ---- Omega -----------------------------------------------------------
     def omega_index(self, x: GroupElement) -> int:
@@ -264,34 +264,17 @@ class GroupPresentation:
         return rep
 
     def _find_omega_rep(self, coset: int) -> GroupElement:
-        if self.omega_count is None:
-            # infinite cyclic Omega: powers of the basic shift
-            base = self._omega_reps.get(1)
-            if base is None:
-                base = self._search_omega_rep(1)
-                self._omega_reps[1] = base
-            out = self.identity()
+        """The length-zero element of an Omega coset: the coset-th power of
+        the basic shift (each coset holds exactly one such element)."""
+        out = self.identity()
+        if self._omega_shift is not None:
+            base = GroupElement(self, *self._omega_shift)
             step = base if coset >= 0 else self.inverse(base)
             for _ in range(abs(coset)):
                 out = self.multiply(out, step)
-            if out.length != 0 or self.omega_index(out) != coset:
-                raise CoxeterError("failed to build length-zero representative")
-            return out
-        return self._search_omega_rep(coset)
-
-    def _search_omega_rep(self, coset: int) -> GroupElement:
-        box = range(-2, 3)
-        candidates = []
-        for fin in range(len(self.wf_elems)):
-            for trans in _lattice_box(box, self.rank):
-                t = self._normalize(trans)
-                if self._coset_of(t) != coset:
-                    continue
-                if self.length_of(t, fin) == 0:
-                    candidates.append(GroupElement(self, t, fin))
-        if not candidates:
-            raise CoxeterError(f"no length-zero element found for Omega coset {coset}")
-        return min(candidates, key=lambda e: (e.trans, e.fin))
+        if out.length != 0 or self.omega_index(out) != coset:
+            raise CoxeterError(f"no length-zero element for Omega coset {coset}")
+        return out
 
     def omega_elements(self) -> list[GroupElement]:
         if self.omega_count is None:
@@ -365,7 +348,7 @@ class GroupPresentation:
             for x in shells[k - 1]:
                 for s in gens:
                     y = self.multiply(x, s)
-                    if y.length == k and y not in seen:
+                    if y not in seen and y.length == k:
                         seen[y] = k
                         nxt[y] = True
             shells.append(sorted(nxt, key=GroupElement.key))
@@ -373,15 +356,6 @@ class GroupPresentation:
         for sh in shells:
             elements.extend(sh)
         return Ball(self, radius, elements)
-
-
-def _lattice_box(rng, rank: int):
-    if rank == 0:
-        yield ()
-        return
-    for rest in _lattice_box(rng, rank - 1):
-        for x in rng:
-            yield (x,) + rest
 
 
 @dataclass
@@ -410,11 +384,15 @@ class Ball:
 
 
 # ------------------------------------------------------------- text format
-def dump_element(x: GroupElement) -> str:
-    word, omega = x.pres.reduced_word(x)
-    w = ".".join(word) if word else "e"
+def dump_element(x: GroupElement, word: tuple[list[str], int] | None = None) -> str:
+    """One text line for x; `word` may give its left-greedy reduced word as
+    (generator names, Omega index) when the caller already has it."""
+    if word is None:
+        names, omega = x.pres.reduced_word(x)
+        word = names, omega.omega_index()
+    w = ".".join(word[0]) if word[0] else "e"
     return (
-        f"word={w} omega=w{omega.omega_index()} len={x.length} "
+        f"word={w} omega=w{word[1]} len={x.length} "
         f"trans=({','.join(map(str, x.trans))}) fin=f{x.fin}"
     )
 
@@ -492,6 +470,8 @@ def extended_affine_b2() -> GroupPresentation:
         omega_count=2,
         _coset_of=lambda t: (t[0] + t[1]) % 2,
         _normalize=lambda t: t,
+        # t_{e1} times the reflection in e1: swaps s0 and s1
+        _omega_shift=((1, 0), index[((-1, 0), (0, 1))]),
     )
     return pres
 
@@ -519,6 +499,12 @@ def _type_a_data(n: int):
     s_theta = _perm_matrix(theta_perm)
     theta_cov = tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
     return elems, index, pos, adj_gens, s_theta, theta_cov
+
+
+def _type_a_shift(n: int, index) -> tuple[Vector, int]:
+    """The basic shift t_{e1} * (n-cycle): length zero, Omega coset 1."""
+    cyc = _perm_matrix([(i + 1) % n for i in range(n)])
+    return tuple(1 if k == 0 else 0 for k in range(n)), index[cyc]
 
 
 def extended_affine_gl(n: int) -> GroupPresentation:
@@ -553,13 +539,8 @@ def extended_affine_gl(n: int) -> GroupPresentation:
         omega_count=None,
         _coset_of=lambda t: sum(t),
         _normalize=lambda t: t,
+        _omega_shift=_type_a_shift(n, index),
     )
-    # the basic shift t_{e1} * (n-cycle), length zero, coset 1
-    cyc = _perm_matrix([(i + 1) % n for i in range(n)])
-    shift = GroupElement(pres, tuple(1 if k == 0 else 0 for k in range(n)), index[cyc])
-    if shift.length != 0:
-        raise CoxeterError("GL shift should have length zero")
-    pres._omega_reps[1] = shift
     return pres
 
 
@@ -603,6 +584,7 @@ def extended_affine_pgl(n: int) -> GroupPresentation:
         omega_count=n,
         _coset_of=lambda t: sum(t) % n,
         _normalize=normalize,
+        _omega_shift=_type_a_shift(n, index),
     )
     return pres
 

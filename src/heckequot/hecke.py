@@ -24,12 +24,19 @@ canonical basis elements are streamed pair by pair (one row of the table
 lives in memory at a time) along right reduced words, using the expansion
 of each c_z c_s, which in the equal-parameter case is read off from the
 mu-coefficients of the p-polynomials.
+
+Group arithmetic is done once per ball: integer tables over ball indices
+(the ball's own key order) hold lengths, inverses, right multiplication
+by each generator, the (W' index, Omega index) pair of each element and
+Omega translation, in the manner of du Cloux's Coxeter programs.  Every
+inner loop, the T-basis included, runs on these indices; group elements
+appear only at the public methods.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .coxeter import Ball, GroupElement, GroupPresentation, dump_element
 from .laurent import LaurentPoly
@@ -202,28 +209,45 @@ class HeckeBall:
         if len(self.weights) != ngen or any(w < 1 for w in self.weights):
             raise HeckeError("need one positive weight per generator")
         self.equal_parameters = len(set(self.weights)) == 1 and self.weights[0] == 1
-
-        # W' part of the ball, sorted by (length, key); index 0 is the identity
-        self.wp: list[GroupElement] = [e for e in self.ball if e.omega_index() == 0]
-        self.wp_index: dict[GroupElement, int] = {e: i for i, e in enumerate(self.wp)}
-        self.wp_len = [e.length for e in self.wp]
-        self.wp_inv = [self.wp_index[e.inverse()] for e in self.wp]
         self.gens = pres.generators()
         self.omega_elems = pres.omega_elements()
         self.n_pos_roots = pres.num_positive_roots
 
+        # W' part of the ball, sorted by (length, key); index 0 is the identity
+        elems, index = self.ball.elements, self.ball.index
+        self.wp: list[GroupElement] = [e for e in elems if e.omega_index() == 0]
+        self.wp_index: dict[GroupElement, int] = {e: i for i, e in enumerate(self.wp)}
+        self.wp_len = [e.length for e in self.wp]
+
+        # integer tables over ball indices; -1 marks a product outside the ball
+        nom = self._nom = len(self.omega_elems)
+        self._len = array("i", (e.length for e in elems))
+        self._inv = array("i", (index[e.inverse()] for e in elems))
+        self._rm = array("i", (index.get(pres.multiply(e, g), -1)
+                               for e in elems for g in self.gens))
+        self._omi = array("i", (e.omega_index() for e in elems))
+        om_inv = [om.inverse() for om in self.omega_elems]
+        self._wpi = array("i", (self.wp_index[pres.multiply(e, om_inv[k]) if k else e]
+                                for e, k in zip(elems, self._omi)))
+        # _rom[j * nom + k] is the ball index of wp[j] * omega_k; a list, so
+        # that the cell graph's edge sets share its int objects
+        self._rom = [0] * len(elems)
+        for i, (j, k) in enumerate(zip(self._wpi, self._omi)):
+            self._rom[j * nom + k] = i
+        self._om_mul = [[pres.omega_index(pres.multiply(a, b)) for b in self.omega_elems]
+                        for a in self.omega_elems]
+        self._om_inv = [row.index(0) for row in self._om_mul]
+        self._omconj = [[pres.omega_conj_generator(om, s) for s in range(ngen)]
+                        for om in self.omega_elems]
+        wball = self._rom[::nom]  # ball index of each W' element
+        self.wp_inv = [self._wpi[self._inv[b]] for b in wball]
+        # right multiplication by generators inside W', on W' indices
+        self._wrm = array("i", (-1 if b < 0 else self._wpi[b]
+                                for i in wball for b in self._rm[i * ngen:(i + 1) * ngen]))
+
         # parent[i] = (j, s) with wp[i] = wp[j] * gen[s], length down by one
-        self.parent: list[tuple[int, int] | None] = [None] * len(self.wp)
-        for i, x in enumerate(self.wp):
-            if x.length == 0:
-                continue
-            for s, g in enumerate(self.gens):
-                y = pres.multiply(x, g)
-                if y.length == x.length - 1:
-                    self.parent[i] = (self.wp_index[y], s)
-                    break
-            if self.parent[i] is None:  # pragma: no cover
-                raise HeckeError("no right descent found inside W'")
+        self.parent: list[tuple[int, int] | None] = [None] + [
+            (self._wpi[j], s) for j, s in map(self._right_descent, wball[1:])]
 
         self._p: list[dict[int, RawPoly]] = []
         self._compute_kl_table()
@@ -235,6 +259,46 @@ class HeckeBall:
         self._h_for_dist: dict[tuple[int, int], dict[int, RawPoly]] = {}
         self._dist_idx: list[int] | None = None
         self._cells: CellPartition | None = None
+        self._daggers: dict[int, dict[int, RawPoly]] = {}
+        self._nhats: dict[int, int] = {}
+
+    # ---------------- index kernel ---------------------------------------
+    def _idx(self, x: GroupElement) -> int:
+        i = self.ball.index.get(x)
+        if i is None:
+            raise BallOverflowError("element outside ball")
+        return i
+
+    def _right_omega(self, i: int, k: int) -> int:
+        """Ball index of ball[i] * omega_k."""
+        return self._rom[self._wpi[i] * self._nom + self._om_mul[self._omi[i]][k]]
+
+    def _left_omega(self, i: int, k: int) -> int:
+        """Ball index of omega_k * ball[i] = (ball[i]^-1 omega_k^-1)^-1."""
+        inv = self._inv
+        return inv[self._right_omega(inv[i], self._om_inv[k])]
+
+    def _right_descent(self, i: int) -> tuple[int, int] | None:
+        """(ball index of x s, s) for the first s with l(x s) < l(x), x = ball[i]."""
+        ngen, ln = len(self.gens), self._len
+        for s, j in enumerate(self._rm[i * ngen:(i + 1) * ngen]):
+            if j >= 0 and ln[j] < ln[i]:
+                return j, s
+        return None
+
+    def _word(self, i: int) -> tuple[list[int], int]:
+        """Left-greedy reduced word (s_1, ..., s_m) of x = ball[i], as in
+        GroupPresentation.reduced_word, and the k with x = s_1 ... s_m omega_k."""
+        word, ngen, inv, rm, ln = [], len(self.gens), self._inv, self._rm, self._len
+        while ln[i]:
+            for s in range(ngen):
+                # s * x = (x^-1 s)^-1; outside the ball it is longer than x
+                j = rm[inv[i] * ngen + s]
+                if j >= 0 and ln[j] < ln[i]:
+                    word.append(s)
+                    i = inv[j]
+                    break
+        return word, self._omi[i]
 
     # ---------------- Kazhdan-Lusztig recursion -------------------------
     def _compute_kl_table(self) -> None:
@@ -278,26 +342,20 @@ class HeckeBall:
         With skip_missing the unique top term that may fall outside the
         ball (wp[j] * s, ascending) is silently dropped."""
         L = self.weights[s]
-        g = self.gens[s]
+        ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
         E: dict[int, RawPoly] = {}
         for yi, p in self._p[j].items():
-            y = self.wp[yi]
-            ys = self.pres.multiply(y, g)
-            ysi = self.wp_index.get(ys)
-            if ys.length > y.length:
-                if ysi is not None:
-                    acc = E.setdefault(ysi, {})
-                    _acc_scaled(acc, p, 1)
+            ysi = wrm[yi * ngen + s]
+            if ysi < 0 or wl[ysi] > wl[yi]:
+                if ysi >= 0:
+                    _acc_scaled(E.setdefault(ysi, {}), p, 1)
                 elif not skip_missing:
                     raise BallOverflowError("seed product left the ball")
-                acc2 = E.setdefault(yi, {})
-                _acc_mul(acc2, p, {-L: 1})
+                _acc_mul(E.setdefault(yi, {}), p, {-L: 1})
             else:
-                acc = E.setdefault(ysi, {})
-                _acc_scaled(acc, p, 1)
-                acc2 = E.setdefault(yi, {})
+                _acc_scaled(E.setdefault(ysi, {}), p, 1)
                 # T_y T_s = T_{ys} + (v_s - v_s^-1) T_y; plus v_s^-1 T_y
-                _acc_mul(acc2, p, {L: 1})
+                _acc_mul(E.setdefault(yi, {}), p, {L: 1})
         return {k: v for k, v in E.items() if v}
 
     # ---------------- p-polynomial access --------------------------------
@@ -305,23 +363,20 @@ class HeckeBall:
         """p_{y,z} for ball elements, Omega rule included."""
         if y.omega_index() != z.omega_index():
             return LaurentPoly.zero()
-        om_inv = z.omega_part().inverse()
-        yi = self.wp_index.get(self.pres.multiply(y, om_inv))
-        zi = self.wp_index.get(self.pres.multiply(z, om_inv))
-        if yi is None or zi is None:
-            raise BallOverflowError("element outside ball")
+        yi, _ = self._wp_coset(y)
+        zi, _ = self._wp_coset(z)
         return LaurentPoly(self._p[zi].get(yi, {}))
+
+    def _kl_terms(self, i: int):
+        """(ball index of y, p_{y,z}) over the T-expansion of c_z, z = ball[i]."""
+        k, nom, rom = self._omi[i], self._nom, self._rom
+        for yi, p in self._p[self._wpi[i]].items():
+            yield rom[yi * nom + k], p
 
     def kl_element(self, z: GroupElement) -> HeckeElement:
         """Canonical basis element c_z in the T-basis."""
-        om = z.omega_part()
-        zi = self.wp_index.get(self.pres.multiply(z, om.inverse()))
-        if zi is None:
-            raise BallOverflowError("element outside ball")
-        terms = {}
-        for yi, p in self._p[zi].items():
-            terms[self.pres.multiply(self.wp[yi], om)] = LaurentPoly(p)
-        return HeckeElement("T", terms)
+        elems = self.ball.elements
+        return HeckeElement("T", {elems[y]: LaurentPoly(p) for y, p in self._kl_terms(self._idx(z))})
 
     def mu(self, y: GroupElement, z: GroupElement) -> int:
         """Coefficient of v^-1 in p_{y,z} (equal parameters)."""
@@ -340,22 +395,18 @@ class HeckeBall:
             self._cs[s] = tbl
             return tbl
         L = self.weights[s]
-        g = self.gens[s]
+        ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
         tbl: list[dict[int, object]] = []
-        for zi, z in enumerate(self.wp):
-            zs = self.pres.multiply(z, g)
+        for zi in range(len(self.wp)):
+            zs = wrm[zi * ngen + s]
             row: dict[int, object] = {}
-            if zs.length < z.length:
+            if zs >= 0 and wl[zs] < wl[zi]:
                 row[zi] = {L: 1, -L: 1}
             else:
-                tgt = self.wp_index.get(zs)
-                if tgt is None:
-                    row[-1] = 1  # overflow marker: c_{zs} outside the ball
-                else:
-                    row[tgt] = 1
+                row[zs] = 1  # zs is the overflow marker -1 when c_{zs} is outside
                 for yi, p in self._p[zi].items():
                     m = p.get(-1, 0)
-                    if m and self.pres.multiply(self.wp[yi], g).length < self.wp_len[yi]:
+                    if m and 0 <= (ys := wrm[yi * ngen + s]) and wl[ys] < wl[yi]:
                         row[yi] = m
             tbl.append(row)
         self._cs[s] = tbl
@@ -369,17 +420,18 @@ class HeckeBall:
         key -1) still carry their lower terms."""
         tbl: list[dict[int, object]] = []
         L = self.weights[s]
-        for zi, z in enumerate(self.wp):
-            zs = self.pres.multiply(z, self.gens[s])
-            if zs.length < z.length:
+        ngen, wl = len(self.gens), self.wp_len
+        for zi in range(len(self.wp)):
+            zs = self._wrm[zi * ngen + s]
+            if zs >= 0 and wl[zs] < wl[zi]:
                 tbl.append({zi: {L: 1, -L: 1}})
                 continue
             row: dict[int, object] = {}
-            if zs not in self.wp_index:
+            if zs < 0:
                 row[-1] = 1
             E = self._seed_product(zi, s, skip_missing=True)
-            for Lv in range(max((self.wp_len[k] for k in E), default=0), -1, -1):
-                for yi in [k for k in E if self.wp_len[k] == Lv]:
+            for Lv in range(max((wl[k] for k in E), default=0), -1, -1):
+                for yi in [k for k in E if wl[k] == Lv]:
                     pi = _nonneg_sym(E[yi])
                     if not pi:
                         continue
@@ -393,74 +445,68 @@ class HeckeBall:
         return tbl
 
     # ---------------- T-basis products -----------------------------------
-    def _t_mul_gen(self, terms: dict[GroupElement, LaurentPoly], s: int):
+    # Inside, a T-basis element is a dict ball index -> RawPoly.
+    def _to_idx(self, a: HeckeElement) -> dict[int, RawPoly]:
+        return {self._idx(w): dict(p.c) for w, p in a.terms.items()}
+
+    def _from_idx(self, basis: str, terms: dict[int, RawPoly]) -> HeckeElement:
+        elems = self.ball.elements
+        return HeckeElement(basis, {elems[i]: LaurentPoly._raw(p) for i, p in terms.items() if p})
+
+    def _t_mul_gen(self, terms: dict[int, RawPoly], s: int) -> dict[int, RawPoly]:
         """Right-multiply a T-basis element by T_s."""
         L = self.weights[s]
-        g = self.gens[s]
-        xi = LaurentPoly({L: 1, -L: -1})
-        out: dict[GroupElement, LaurentPoly] = {}
+        xi = {L: 1, -L: -1}
+        ngen, rm, ln = len(self.gens), self._rm, self._len
+        out: dict[int, RawPoly] = {}
         for w, p in terms.items():
-            ws = self.pres.multiply(w, g)
-            if ws not in self.ball.index:
+            ws = rm[w * ngen + s]
+            if ws < 0:
                 raise BallOverflowError("T-basis product left the ball")
-            if ws.length > w.length:
-                q = out.get(ws)
-                out[ws] = p if q is None else q + p
-            else:
-                q = out.get(ws)
-                out[ws] = p if q is None else q + p
-                q2 = out.get(w)
-                r = p * xi
-                out[w] = r if q2 is None else q2 + r
+            _acc_scaled(out.setdefault(ws, {}), p, 1)
+            if ln[ws] < ln[w]:
+                _acc_mul(out.setdefault(w, {}), p, xi)
         return {w: p for w, p in out.items() if p}
 
-    def _t_mul_omega(self, terms, om: GroupElement):
-        return {self.pres.multiply(w, om): p for w, p in terms.items()}
+    def _t_mul_omega(self, terms: dict[int, RawPoly], k: int) -> dict[int, RawPoly]:
+        """Right-multiply a T-basis element by T_omega_k."""
+        return {self._right_omega(w, k): p for w, p in terms.items()}
 
     def mul_T(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         """Product in the T-basis.  Errors if the support leaves the ball."""
         if a.basis != "T" or b.basis != "T":
             raise HeckeError("mul_T needs T-basis operands")
-        out: dict[GroupElement, LaurentPoly] = {}
+        left = self._to_idx(a)
+        out: dict[int, RawPoly] = {}
         for w, q in b.terms.items():
-            word, om = self.pres.reduced_word(w)
-            cur = {x: p for x, p in a.terms.items()}
-            for nm in word:
-                cur = self._t_mul_gen(cur, self.pres.gen_names.index(nm))
-            if not om.is_identity():
+            word, om = self._word(self._idx(w))
+            cur = left
+            for s in word:
+                cur = self._t_mul_gen(cur, s)
+            if om:
                 cur = self._t_mul_omega(cur, om)
             for x, p in cur.items():
-                r = p * q
-                old = out.get(x)
-                s = r if old is None else old + r
-                if s:
-                    out[x] = s
-                elif x in out:
-                    del out[x]
-        return HeckeElement("T", out)
+                _acc_mul(out.setdefault(x, {}), p, q.c)
+        return self._from_idx("T", out)
 
     def t_to_c(self, a: HeckeElement) -> HeckeElement:
         """Rewrite a T-basis element in the canonical basis."""
         if a.basis != "T":
             raise HeckeError("t_to_c needs a T-basis operand")
-        rem = dict(a.terms)
-        out: dict[GroupElement, LaurentPoly] = {}
+        rem = self._to_idx(a)
+        out: dict[int, RawPoly] = {}
         while rem:
-            w = max(rem, key=GroupElement.key)
+            # ball indices follow the key order, so this is a longest term
+            w = max(rem)
             coeff = rem.pop(w)
-            if not coeff:
-                continue
             out[w] = coeff
-            cw = self.kl_element(w)
-            for y, p in cw.terms.items():
-                if y == w:
-                    continue
-                q = rem.get(y, LaurentPoly.zero()) - coeff * p
-                if q:
-                    rem[y] = q
-                elif y in rem:
-                    del rem[y]
-        return HeckeElement("c", out)
+            for y, p in self._kl_terms(w):
+                if y != w:
+                    acc = rem.setdefault(y, {})
+                    _acc_mul(acc, coeff, {e: -c for e, c in p.items()})
+                    if not acc:
+                        del rem[y]
+        return self._from_idx("c", out)
 
     def c_to_t(self, a: HeckeElement) -> HeckeElement:
         if a.basis != "c":
@@ -476,32 +522,29 @@ class HeckeBall:
         which has the same structure constants."""
         if a.basis != "T":
             raise HeckeError("dagger needs a T-basis operand")
-        out: dict[GroupElement, LaurentPoly] = {}
+        out: dict[int, RawPoly] = {}
         for w, p in a.terms.items():
-            word, om = self.pres.reduced_word(w)
-            cur: dict[GroupElement, LaurentPoly] = {self.pres.identity(): p}
-            for nm in word:
-                s = self.pres.gen_names.index(nm)
-                xi = LaurentPoly({self.weights[s]: 1, -self.weights[s]: -1})
-                step = self._t_mul_gen(cur, s)
-                nxt: dict[GroupElement, LaurentPoly] = {}
-                for w2, q in step.items():
-                    nxt[w2] = -q
-                for w2, q in cur.items():
-                    r = q * xi
-                    old = nxt.get(w2)
-                    nxt[w2] = r if old is None else old + r
-                cur = {w2: q for w2, q in nxt.items() if q}
-            if not om.is_identity():
-                cur = self._t_mul_omega(cur, om)
-            for x, q in cur.items():
-                old = out.get(x)
-                s2 = q if old is None else old + q
-                if s2:
-                    out[x] = s2
-                elif x in out:
-                    del out[x]
-        return HeckeElement("T", out)
+            for x, q in self._dagger_T(self._idx(w)).items():
+                _acc_mul(out.setdefault(x, {}), q, p.c)
+        return self._from_idx("T", out)
+
+    def _dagger_T(self, i: int) -> dict[int, RawPoly]:
+        """dagger(T_x) for x = ball[i], memoized along right descents:
+        dagger(T_{ys}) = dagger(T_y) (-T_s + xi_s), dagger(T_omega) = T_omega."""
+        d = self._daggers.get(i)
+        if d is None:
+            step = self._right_descent(i)
+            if step is None:
+                d = {i: {0: 1}}
+            else:
+                prev, s = self._dagger_T(step[0]), step[1]
+                L = self.weights[s]
+                d = {x: {e: -c for e, c in q.items()} for x, q in self._t_mul_gen(prev, s).items()}
+                for x, q in prev.items():
+                    _acc_mul(d.setdefault(x, {}), q, {L: 1, -L: -1})
+                d = {x: q for x, q in d.items() if q}
+            self._daggers[i] = d
+        return d
 
     # ---------------- structure constants --------------------------------
     def h_constants(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, LaurentPoly]:
@@ -594,12 +637,14 @@ class HeckeBall:
         self._a_values = values
         self._a_cert = certs
 
-    def _wp_coset(self, x: GroupElement) -> tuple[int, GroupElement]:
-        om = x.omega_part()
-        xi = self.wp_index.get(self.pres.multiply(x, om.inverse()))
-        if xi is None:
-            raise BallOverflowError("element outside ball")
-        return xi, om
+    def _wp_coset(self, x: GroupElement) -> tuple[int, int]:
+        """(W' index, Omega index) of a ball element x = wp[i] omega_k."""
+        i = self._idx(x)
+        return self._wpi[i], self._omi[i]
+
+    def _conj(self, j: int, k: int) -> int:
+        """W' index of omega_k wp[j] omega_k^-1, the W' part of omega_k wp[j]."""
+        return self._wpi[self._left_omega(self._rom[j * self._nom], k)]
 
     def a_function(self, z: GroupElement) -> tuple[int, bool]:
         """(a(z), certified).  Omega translation leaves a unchanged."""
@@ -611,7 +656,7 @@ class HeckeBall:
         """(Delta(z), n_z): the leading term of p_{1,z} is n_z v^{-Delta(z)},
         every other term a strictly larger power of v^-1."""
         zi, om = self._wp_coset(z)
-        if not om.is_identity():
+        if om:
             raise HeckeError("Delta is defined on the W' part only")
         p = self._p[zi].get(0)
         if not p:
@@ -674,12 +719,9 @@ class HeckeBall:
         xi, omx = self._wp_coset(x)
         yi, omy = self._wp_coset(y)
         zi, omz = self._wp_coset(z)
-        if self.pres.multiply(omx, omy) != omz:
+        if self._om_mul[omx][omy] != omz:
             return 0
-        ytld = self.pres.multiply(self.pres.multiply(omx, self.wp[yi]), omx.inverse())
-        yti = self.wp_index.get(ytld)
-        if yti is None:
-            raise BallOverflowError("conjugated element outside ball")
+        yti = self._conj(yi, omx)
         for idx in (xi, yti, zi):
             if not self._a_cert[idx]:
                 raise UncertifiedError("gamma needs certified a-values")
@@ -693,10 +735,7 @@ class HeckeBall:
         self._ensure_gamma()
         xi, omx = self._wp_coset(x)
         yi, omy = self._wp_coset(y)
-        ytld = self.pres.multiply(self.pres.multiply(omx, self.wp[yi]), omx.inverse())
-        yti = self.wp_index.get(ytld)
-        if yti is None:
-            raise BallOverflowError("conjugated element outside ball")
+        yti = self._conj(yi, omx)
         if not (self._a_cert[xi] and self._a_cert[yti]):
             raise UncertifiedError("operands must have certified a-values")
         pair = self._gamma.get((xi, yti))
@@ -704,28 +743,21 @@ class HeckeBall:
             raise BallOverflowError("pair exceeds the exact-product budget")
         if (xi, yti) in self._gamma_tainted:
             raise UncertifiedError("product support touches uncertified elements")
-        om = self.pres.multiply(omx, omy)
-        out = {}
-        for zi, g in pair.items():
-            out[self.pres.multiply(self.wp[zi], om)] = g
-        return out
+        om, nom, elems = self._om_mul[omx][omy], self._nom, self.ball.elements
+        return {elems[self._rom[zi * nom + om]]: g for zi, g in pair.items()}
 
     def h_to_distinguished(self, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
         """h_{x,d,.} for a distinguished involution d (W' data)."""
         self._ensure_gamma()
         xi, omx = self._wp_coset(x)
         di, omd = self._wp_coset(d)
-        if not omd.is_identity():
+        if omd:
             raise HeckeError("distinguished involutions lie in W'")
-        dtld = self.pres.multiply(self.pres.multiply(omx, self.wp[di]), omx.inverse())
-        dti = self.wp_index.get(dtld)
-        row = self._h_for_dist.get((xi, dti))
+        row = self._h_for_dist.get((xi, self._conj(di, omx)))
         if row is None:
             raise BallOverflowError("pair exceeds the exact-product budget")
-        out = {}
-        for zi, h in row.items():
-            out[self.pres.multiply(self.wp[zi], omx)] = LaurentPoly(h)
-        return out
+        nom, elems = self._nom, self.ball.elements
+        return {elems[self._rom[zi * nom + omx]]: LaurentPoly(h) for zi, h in row.items()}
 
     def gamma_lines(self) -> list[str]:
         """The stored gamma table as sorted lines "x y z gamma".
@@ -755,7 +787,11 @@ class HeckeBall:
                 f"radius={self.radius} weights={w} elements={len(self.wp)}")
 
     def element_lines(self) -> list[str]:
-        return [f"E {i} {dump_element(x)}" for i, x in enumerate(self.wp)]
+        names, out = self.pres.gen_names, []
+        for i, x in enumerate(self.wp):
+            word, om = self._word(self._rom[i * self._nom])
+            out.append(f"E {i} {dump_element(x, ([names[s] for s in word], om))}")
+        return out
 
     def p_lines(self) -> list[str]:
         out = []
@@ -801,52 +837,37 @@ class HeckeBall:
         if self._cells is not None:
             return
         self._ensure_a_data()
-        elems = list(self.ball)
-        idx = self.ball.index
-        n = len(elems)
+        elems = self.ball.elements
+        n, nom, rom, wp_inv = len(elems), self._nom, self._rom, self.wp_inv
         left_edges: list[set[int]] = [set() for _ in range(n)]
         right_edges: list[set[int]] = [set() for _ in range(n)]
         tbls = [self._cs_table(s) for s in range(len(self.gens))]
 
-        for i, y in enumerate(elems):
-            yi, om = self._wp_coset(y)
+        for i in range(n):
+            yi, om = self._wpi[i], self._omi[i]
             # left edges: support of c_s c_y = iota(c_{y^-1} c_s) translated
-            yinv = self.wp_inv[yi]
-            for s in range(len(self.gens)):
-                for wi, _A in tbls[s][yinv].items():
-                    if wi < 0:
-                        continue
-                    x = self.pres.multiply(self.wp[self.wp_inv[wi]], om)
-                    left_edges[i].add(idx[x])
+            for tbl in tbls:
+                left_edges[i].update(rom[wp_inv[wi] * nom + om]
+                                     for wi in tbl[wp_inv[yi]] if wi >= 0)
             # right edges: c_y c_s = c_{y'} c_{omega s omega^-1} T_omega
-            for s in range(len(self.gens)):
-                s2 = self.pres.omega_conj_generator(om, s)
-                for wi, _A in tbls[s2][yi].items():
-                    if wi < 0:
-                        continue
-                    x = self.pres.multiply(self.wp[wi], om)
-                    right_edges[i].add(idx[x])
+            for s2 in self._omconj[om]:
+                right_edges[i].update(rom[wi * nom + om] for wi in tbls[s2][yi] if wi >= 0)
             # Omega translations are invertible, so they link both ways
-            for omg in self.omega_elems:
-                if omg.is_identity():
-                    continue
-                j = idx.get(self.pres.multiply(omg, y))
-                if j is not None:
-                    left_edges[i].add(j)
-                    left_edges[j].add(i)
-                j = idx.get(self.pres.multiply(y, omg))
-                if j is not None:
-                    right_edges[i].add(j)
-                    right_edges[j].add(i)
+            for k in range(1, nom):
+                j = self._left_omega(i, k)
+                left_edges[i].add(j)
+                left_edges[j].add(i)
+                j = self._right_omega(i, k)
+                right_edges[i].add(j)
+                right_edges[j].add(i)
 
-        def sccs(adj: list[set[int]]) -> tuple[list[list[int]], list[int]]:
+        def sccs(adj: list[set[int]]) -> list[list[int]]:
             # iterative Tarjan
             index_counter = [0]
             stack: list[int] = []
             lowlink = [-1] * n
             number = [-1] * n
             on_stack = [False] * n
-            comp_id = [-1] * n
             comps: list[list[int]] = []
             for root in range(n):
                 if number[root] != -1:
@@ -881,47 +902,29 @@ class HeckeBall:
                         while True:
                             w = stack.pop()
                             on_stack[w] = False
-                            comp_id[w] = len(comps)
                             comp.append(w)
                             if w == v:
                                 break
                         comps.append(comp)
-            return comps, comp_id
+            return comps
 
-        lcomp, lid = sccs(left_edges)
-        rcomp, rid = sccs(right_edges)
+        def ordered(adj: list[set[int]]) -> tuple[list[list[int]], dict[GroupElement, int]]:
+            # cells sorted by key, which is ball index order
+            comps = sorted(sorted(c) for c in sccs(adj))
+            return comps, {elems[i]: k for k, c in enumerate(comps) for i in c}
+
+        lcomp, lid = ordered(left_edges)
+        rcomp, rid = ordered(right_edges)
         both = [left_edges[i] | right_edges[i] for i in range(n)]
-        tcomp, tid = sccs(both)
-
-        def order_comp(comps):
-            return sorted(
-                (sorted(c, key=lambda i: elems[i].key()) for c in comps),
-                key=lambda c: elems[c[0]].key(),
-            )
-
-        lcomp_o = order_comp(lcomp)
-        rcomp_o = order_comp(rcomp)
-        tcomp_o = order_comp(tcomp)
-        lid2 = {}
-        for k, c in enumerate(lcomp_o):
-            for i in c:
-                lid2[elems[i]] = k
-        rid2 = {}
-        for k, c in enumerate(rcomp_o):
-            for i in c:
-                rid2[elems[i]] = k
-        tid2 = {}
-        for k, c in enumerate(tcomp_o):
-            for i in c:
-                tid2[elems[i]] = k
+        tcomp, tid = ordered(both)
 
         records = []
-        for c in tcomp_o:
+        for c in tcomp:
             cert_elems = []
             cert_avals = set()
             all_cert = True
             for i in c:
-                zi, _ = self._wp_coset(elems[i])
+                zi = self._wpi[i]
                 if self._a_cert[zi]:
                     cert_elems.append(elems[i])
                     cert_avals.add(self._a_values[zi])
@@ -938,9 +941,10 @@ class HeckeBall:
 
         # two-sided preorder on cells, transitively closed
         pairs: set[tuple[int, int]] = set()
+        cell_of = [tid[e] for e in elems]
         for i in range(n):
             for j in both[i]:  # j <=_LR i
-                pairs.add((tid2[elems[j]], tid2[elems[i]]))
+                pairs.add((cell_of[j], cell_of[i]))
         changed = True
         while changed:
             changed = False
@@ -952,11 +956,11 @@ class HeckeBall:
 
         self._cells = CellPartition(
             two_sided=records,
-            left=[[elems[i] for i in c] for c in lcomp_o],
-            right=[[elems[i] for i in c] for c in rcomp_o],
-            left_id=lid2,
-            right_id=rid2,
-            two_sided_id=tid2,
+            left=[[elems[i] for i in c] for c in lcomp],
+            right=[[elems[i] for i in c] for c in rcomp],
+            left_id=lid,
+            right_id=rid,
+            two_sided_id=tid,
             lr_order_pairs=pairs,
         )
 
@@ -968,16 +972,17 @@ class HeckeBall:
         """n_d for the unique distinguished involution d in the left cell
         of z^-1."""
         self._ensure_cells()
-        dinv = self.distinguished_involutions()
-        target = self._cells.left_id.get(z.inverse())
-        if target is None:
-            raise BallOverflowError("element outside ball")
-        hits = [(d, nd) for d, nd in dinv if self._cells.left_id.get(d) == target]
-        if len(hits) != 1:
-            raise UncertifiedError(
-                f"expected one distinguished involution in the left cell, found {len(hits)}"
-            )
-        return hits[0][1]
+        i = self._idx(z)
+        if i not in self._nhats:
+            lid = self._cells.left_id
+            target = lid[self.ball.elements[self._inv[i]]]
+            hits = [nd for d, nd in self.distinguished_involutions() if lid[d] == target]
+            if len(hits) != 1:
+                raise UncertifiedError(
+                    f"expected one distinguished involution in the left cell, found {len(hits)}"
+                )
+            self._nhats[i] = hits[0]
+        return self._nhats[i]
 
     # ---------------- Lusztig properties ---------------------------------
     def check_properties(self) -> list[PropertyCheck]:

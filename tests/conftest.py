@@ -2,7 +2,8 @@
 
 Each acceptance test wraps its body in `criterion(...)`, which times the
 work, enforces the runtime budget, and records a single PASS/FAIL line
-that is echoed at the end of the pytest run.
+that is echoed at the end of the pytest run.  Every test runs with its
+own default cache directory.
 """
 
 import time
@@ -40,6 +41,13 @@ class _Scope:
 @pytest.fixture
 def criterion():
     return _Scope
+
+
+@pytest.fixture(autouse=True)
+def _private_cache(tmp_path_factory, monkeypatch):
+    """Point the default cache at a fresh directory, so no test can write
+    to the user's ~/.cache/heckequot."""
+    monkeypatch.setenv("HECKEQUOT_CACHE", str(tmp_path_factory.mktemp("heckequot-cache")))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -48,10 +48,18 @@ def test_usage_exit_three():
         assert err != ""
 
 
-def test_non_square_q_is_usage_error():
-    rc, _, err = run(["run", "infdihedral-J", "--radius", "12", "--q", "3"])
+def test_non_square_q_is_usage_error(tmp_path):
+    rc, _, err = run(["run", "infdihedral-J", "--radius", "12", "--q", "3",
+                      "--cache-dir", str(tmp_path)])
     assert rc == 3
     assert "square" in err
+
+
+def test_bad_q_is_rejected_before_the_ball_is_cached(tmp_path):
+    rc, _, err = run(["run", "infdihedral-J", "--q", "3", "--cache-dir", str(tmp_path)])
+    assert rc == 3
+    assert "square" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- report formats ----------------------------------------------------------
@@ -141,6 +149,17 @@ def test_infdihedral_cells_scenario(tmp_path):
     assert byid["closed-form"]["witness"]["checked"] == 21
     assert byid["closed-form"]["witness"]["failures"] == []
     assert byid["cells"]["witness"]["sizes_and_a"] == [[1, 0], [20, 1]]
+
+
+@pytest.mark.parametrize("scenario", ["so5-cells", "so5-extquot", "so5-jc1", "gl-match"])
+def test_scenario_passes_at_defaults(scenario, tmp_path):
+    rc, out, _ = run(["run", scenario, "--cache-dir", str(tmp_path), "--format", "records"])
+    assert rc == 0
+    lines = [json.loads(ln) for ln in out.splitlines()]
+    checks = [ln for ln in lines if ln["record"] == "check"]
+    assert checks
+    assert {c["verdict"] for c in checks} <= {"pass", "info"}, checks
+    assert lines[-1]["exit"] == 0
 
 
 # ---- cache ------------------------------------------------------------------
