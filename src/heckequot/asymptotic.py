@@ -39,7 +39,7 @@ from .hecke import (
     HeckeError,
     UncertifiedError,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, sparse_add
 
 
 @dataclass
@@ -56,14 +56,7 @@ class JElement:
         return isinstance(other, JElement) and self.coeffs == other.coeffs
 
     def __add__(self, other: "JElement") -> "JElement":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return JElement(out)
+        return JElement(sparse_add(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "JElement") -> "JElement":
         return self + other.scaled(-1)
@@ -127,14 +120,7 @@ class GradedClass:
     def __add__(self, other: "GradedClass") -> "GradedClass":
         if self.grade != other.grade:
             raise HeckeError("grade mismatch in graded addition")
-        out = dict(self.coords)
-        for w, c in other.coords.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return GradedClass(self.grade, out)
+        return GradedClass(self.grade, sparse_add(dict(self.coords), other.coords))
 
     def scaled(self, c) -> "GradedClass":
         return GradedClass(self.grade, {w: q * c for w, q in self.coords.items()})
@@ -285,15 +271,8 @@ class JRing:
                     "phi needs the full row of products against distinguished involutions"
                 )
             ad = hb.a_function(d)[0]
-            for z, h in hb.h_to_distinguished(x, d).items():
-                if hb.a_function(z)[0] != ad:
-                    continue
-                term = h * hb.nhat(z)
-                s = out.get(z, LaurentPoly.zero()) + term
-                if s:
-                    out[z] = s
-                elif z in out:
-                    del out[z]
+            sparse_add(out, {z: h * hb.nhat(z) for z, h in hb.h_to_distinguished(x, d).items()
+                             if hb.a_function(z)[0] == ad})
         return JElement(out)
 
     def cdag_coords(self, h: HeckeElement) -> HeckeElement:
@@ -334,19 +313,6 @@ class JRing:
         return JElement(out)
 
     # ---------------- cell modules -----------------------------------------
-    def graded_class(self, i: int, coords: dict[GroupElement, object]) -> GradedClass:
-        """Build a grade-i class, insisting every index sits at that grade."""
-        hb = self.hb
-        for w in coords:
-            val, cert = hb.a_function(w)
-            if not cert:
-                raise UncertifiedError(f"a({w.key_str()}) is not certified")
-            if val != i:
-                raise HeckeError(
-                    f"grade mismatch: a({w.key_str()}) = {val}, class lives at {i}"
-                )
-        return GradedClass(i, coords)
-
     def star_action(self, a, f: GradedClass, side: str = "left") -> GradedClass:
         """The J-bimodule action on a graded class.
 
@@ -445,14 +411,6 @@ class JRing:
         return lhs == rhs
 
     # ---------------- center -----------------------------------------------
-    def commutes_with(self, c: JElement, xs: list[JElement]) -> list:
-        """Elements of xs that fail to commute with c (empty means pass)."""
-        bad = []
-        for x in xs:
-            if self.j_mul(c, x) != self.j_mul(x, c):
-                bad.append(x)
-        return bad
-
     def center_commutation_check(self, z_central: HeckeElement, q=1) -> dict:
         """Verify the image of a central element is central in J.
 

@@ -1,7 +1,6 @@
-"""Scenario runner and cache manager.
+"""Scenario runner.
 
     heckequot run <scenario> [flags]     run one named verification scenario
-    heckequot cache list|clear|verify    manage the on-disk table cache
     heckequot scenarios                  print the catalog
 
 A report depends only on the scenario name, its parameters and the seed,
@@ -16,10 +15,8 @@ than confirms), 3 usage or parameter error.
 
 The cache directory defaults to ~/.cache/heckequot, overridden by
 --cache-dir or the HECKEQUOT_CACHE environment variable.  Ball scenarios
-write their tables there on first run; later runs require the stored
-bytes to match recomputation exactly.  "cache verify" additionally
-recomputes a sample of stored structure constants through an independent
-code path and compares bit for bit.
+write their KL table (elements and p-polynomials) there on first run;
+later runs require the stored bytes to match recomputation exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import argparse
 import json
 import os
 import random
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,13 +32,7 @@ from pathlib import Path
 
 from . import asymptotic, coxeter, crossprod, duality, extquot
 from .coxeter import CoxeterError, GroupElement
-from .hecke import (
-    CACHE_SCHEMA,
-    BallOverflowError,
-    HeckeBall,
-    HeckeError,
-    UncertifiedError,
-)
+from .hecke import BallOverflowError, HeckeBall, HeckeError, UncertifiedError
 from .laurent import LaurentPoly
 
 REPORT_SCHEMA = "heckequot-report/1"
@@ -136,10 +126,6 @@ def _tally(name: str, claim: str, checked: int, skipped: int,
 
 # ---------------- cache layer ---------------------------------------------------
 
-class CacheError(Exception):
-    pass
-
-
 def cache_directory(override: str | None = None) -> Path:
     if override:
         return Path(override)
@@ -159,56 +145,14 @@ def _slug(family: str) -> str:
     return "".join(out)
 
 
-def cache_filename(family: str, radius: int, weights) -> str:
-    w = "-".join(str(x) for x in weights)
-    return f"{_slug(family)}_r{radius}_w{w}.txt"
-
-
-_HEADER_RE = re.compile(
-    r"^# (?P<schema>\S+) family=(?P<family>\S+) radius=(?P<radius>\d+) "
-    r"weights=(?P<weights>[\d,]+) elements=(?P<elements>\d+)$"
-)
-
-
-def parse_cache_header(line: str) -> dict:
-    m = _HEADER_RE.match(line)
-    if not m:
-        raise CacheError(f"bad cache header: {line!r}")
-    return {
-        "schema": m.group("schema"),
-        "family": m.group("family"),
-        "radius": int(m.group("radius")),
-        "weights": tuple(int(t) for t in m.group("weights").split(",")),
-        "elements": int(m.group("elements")),
-    }
-
-
-_FAMILY_A_RE = re.compile(r"^ExtendedAffineA(?P<prime>')?\((?P<n>\d+)\)$")
-
-
-def presentation_for(family: str) -> coxeter.GroupPresentation:
-    if family == "InfiniteDihedral":
-        return coxeter.infinite_dihedral()
-    if family == "ExtendedAffineB2":
-        return coxeter.extended_affine_b2()
-    m = _FAMILY_A_RE.match(family)
-    if m:
-        n = int(m.group("n"))
-        if m.group("prime"):
-            return coxeter.extended_affine_pgl(n)
-        return coxeter.extended_affine_gl(n)
-    if family == "FiniteB2":
-        return coxeter.finite_b2()
-    m = re.match(r"^FiniteA\((\d+)\)$", family)
-    if m:
-        return coxeter.finite_a(int(m.group(1)))
-    raise CacheError(f"unknown family in cache file: {family!r}")
+def cache_filename(family: str, radius: int) -> str:
+    return f"{_slug(family)}_r{radius}.txt"
 
 
 def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
-    """Write the ball's tables, or compare against what is already there.
+    """Write the ball's KL table, or compare against what is already there.
     Returns (path, "written" | "hit" | "mismatch")."""
-    path = directory / cache_filename(hb.pres.family, hb.radius, hb.weights)
+    path = directory / cache_filename(hb.pres.family, hb.radius)
     text = "\n".join(hb.cache_lines()) + "\n"
     if path.exists():
         status = "hit" if path.read_text() == text else "mismatch"
@@ -216,89 +160,6 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
     directory.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path, "written"
-
-
-def cache_entries(directory: Path) -> list[dict]:
-    out = []
-    for path in sorted(directory.glob("*.txt")):
-        text = path.read_text()
-        lines = text.splitlines()
-        try:
-            head = parse_cache_header(lines[0]) if lines else {}
-        except CacheError:
-            head = {}
-        kinds = {"E": 0, "P": 0, "H": 0}
-        for ln in lines[1:]:
-            k = ln[:1]
-            if k in kinds:
-                kinds[k] += 1
-        out.append({"file": path.name, "bytes": len(text), **head,
-                    "e_lines": kinds["E"], "p_lines": kinds["P"],
-                    "h_lines": kinds["H"]})
-    return out
-
-
-def cache_clear(directory: Path) -> int:
-    n = 0
-    if directory.is_dir():
-        for path in sorted(directory.glob("*.txt")):
-            path.unlink()
-            n += 1
-    return n
-
-
-def cache_verify(directory: Path, fraction: float = 0.05,
-                 seed: int = 0) -> list[Check]:
-    """Structural check of every cache file plus a sampled bit-exact
-    recomputation of its h-constants along the independent product
-    route."""
-    checks: list[Check] = []
-    files = sorted(directory.glob("*.txt")) if directory.is_dir() else []
-    if not files:
-        checks.append(Check("empty", "no cache files to verify", "info",
-                            {"directory": str(directory)}))
-        return checks
-    for path in files:
-        lines = path.read_text().splitlines()
-        try:
-            head = parse_cache_header(lines[0])
-            if head["schema"] != CACHE_SCHEMA:
-                raise CacheError(f"unknown schema {head['schema']}")
-            pres = presentation_for(head["family"])
-            hb = HeckeBall(pres, head["radius"], weights=list(head["weights"]))
-        except (CacheError, CoxeterError, HeckeError) as exc:
-            checks.append(Check(path.name, "cache file parses and rebuilds",
-                                "fail", str(exc)))
-            continue
-        stored_e = [ln for ln in lines[1:] if ln.startswith("E ")]
-        stored_p = [ln for ln in lines[1:] if ln.startswith("P ")]
-        stored_h = [ln for ln in lines[1:] if ln.startswith("H ")]
-        problems = []
-        if stored_e != hb.element_lines():
-            problems.append("element lines differ")
-        if stored_p != hb.p_lines():
-            problems.append("basis polynomial lines differ")
-        rows: dict[tuple[int, int], list[str]] = {}
-        for ln in stored_h:
-            xi, yi = ln.split(" ", 3)[1:3]
-            rows.setdefault((int(xi), int(yi)), []).append(ln)
-        keys = sorted(rows)
-        take = max(1, round(fraction * len(keys)))
-        sample = random.Random(seed).sample(keys, min(take, len(keys)))
-        mismatched = 0
-        for xi, yi in sorted(sample):
-            if hb.h_row_lines(xi, yi) != rows[(xi, yi)]:
-                mismatched += 1
-        if mismatched:
-            problems.append(f"{mismatched} recomputed h-rows differ")
-        checks.append(Check(
-            path.name,
-            "stored tables match recomputation (full E/P, sampled H rows "
-            "through the independent product route)",
-            "pass" if not problems else "fail",
-            {"sampled_pairs": len(sample), "stored_pairs": len(keys),
-             "problems": problems}))
-    return checks
 
 
 # ---------------- scenario helpers ----------------------------------------------
@@ -310,9 +171,9 @@ def _ball_scenario(ns, factory, default_radius: int):
     path, status = cache_store(hb, cache_directory(ns.cache_dir))
     if status == "mismatch":
         checks.append(Check(
-            "cache", "cached tables are byte-identical to recomputation",
+            "cache", "the cached KL table is byte-identical to recomputation",
             "fail", {"file": path.name,
-                     "hint": "stale or corrupt; run `heckequot cache clear`"}))
+                     "hint": f"stale or corrupt; delete {path} and run again"}))
     params = {"radius": radius, "margin": ns.margin}
     return hb, params, checks
 
@@ -894,16 +755,6 @@ def build_parser() -> _Parser:
     run.add_argument("--torsions", default=None,
                      help="one torsion number per block, e.g. 1,2")
 
-    cache = sub.add_parser("cache", help="manage the table cache")
-    cache.add_argument("action", choices=("list", "clear", "verify"))
-    cache.add_argument("--cache-dir", default=None)
-    cache.add_argument("--seed", type=int, default=0)
-    cache.add_argument("--samples", type=int, default=None,
-                       help="override the 5 percent verification sample: "
-                            "percentage of h-rows to recompute")
-    cache.add_argument("--format", choices=("table", "records"),
-                       default="table")
-
     sub.add_parser("scenarios", help="list the scenario catalog")
     return p
 
@@ -915,32 +766,6 @@ def cmd_run(ns, out) -> int:
     return emit_report(ns.scenario, params, checks, ns.format, out)
 
 
-def cmd_cache(ns, out) -> int:
-    directory = cache_directory(ns.cache_dir)
-    if ns.action == "list":
-        entries = cache_entries(directory)
-        checks = [Check(e["file"], "cached ball tables", "info",
-                        {k: v for k, v in e.items() if k != "file"})
-                  for e in entries]
-        if not checks:
-            checks = [Check("empty", "no cache files", "info",
-                            {"directory": str(directory)})]
-        return emit_report("cache-list", {"directory": str(directory)},
-                           checks, ns.format, out)
-    if ns.action == "clear":
-        n = cache_clear(directory)
-        checks = [Check("clear", "cache files removed", "info",
-                        {"removed": n, "directory": str(directory)})]
-        return emit_report("cache-clear", {"directory": str(directory)},
-                           checks, ns.format, out)
-    fraction = (ns.samples / 100.0) if ns.samples is not None else 0.05
-    checks = cache_verify(directory, fraction=fraction, seed=ns.seed)
-    return emit_report("cache-verify",
-                       {"directory": str(directory), "fraction": fraction,
-                        "seed": ns.seed},
-                       checks, ns.format, out)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -950,14 +775,12 @@ def main(argv=None) -> int:
             for name in sorted(SCENARIOS):
                 print(f"{name:<{width}}  {SCENARIOS[name][1]}")
             return EXIT_PASS
-        if ns.command == "cache":
-            return cmd_cache(ns, sys.stdout)
         return cmd_run(ns, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ZeroDivisionError, CoxeterError, HeckeError,
-            CacheError, extquot.ExtQuotError, crossprod.CrossProdError,
+            extquot.ExtQuotError, crossprod.CrossProdError,
             duality.DualityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

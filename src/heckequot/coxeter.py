@@ -498,7 +498,13 @@ def _type_a_data(n: int):
     theta_perm[0], theta_perm[-1] = theta_perm[-1], theta_perm[0]
     s_theta = _perm_matrix(theta_perm)
     theta_cov = tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
-    return elems, index, pos, adj_gens, s_theta, theta_cov
+    # Coxeter matrix of the affine diagram: a cycle on s1, ..., s_{n-1} and
+    # the affine node (index n - 1); for n = 2 the two nodes bound no braid
+    m: dict[tuple[int, int], int | None] = {(i, j): 2 for i in range(n) for j in range(i + 1, n)}
+    for i in range(n - 1):
+        m[(i, i + 1)] = 3
+    m[(0, n - 1)] = None if n == 2 else 3
+    return elems, index, pos, adj_gens, s_theta, theta_cov, m
 
 
 def _type_a_shift(n: int, index) -> tuple[Vector, int]:
@@ -512,21 +518,10 @@ def extended_affine_gl(n: int) -> GroupPresentation:
     cyclic (the basic shift), so balls are refused for this family."""
     if n < 2:
         raise UnsupportedFamily("need n >= 2")
-    elems, index, pos, adj_gens, s_theta, theta_cov = _type_a_data(n)
+    elems, index, pos, adj_gens, s_theta, theta_cov, m = _type_a_data(n)
     gen_specs = [((0,) * n, index[g]) for g in adj_gens]
     gen_specs.append((theta_cov, index[s_theta]))
     names = [f"s{i}" for i in range(1, n)] + ["s0"]
-    m: dict[tuple[int, int], int | None] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[(i, j)] = 2
-    if n == 2:
-        m[(0, 1)] = None
-    else:
-        for i in range(n - 2):
-            m[(i, i + 1)] = 3
-        m[(0, n - 1)] = 3
-        m[(n - 2, n - 1)] = 3
     pres = GroupPresentation(
         family=f"ExtendedAffineA({n})",
         rank=n,
@@ -550,7 +545,7 @@ def extended_affine_pgl(n: int) -> GroupPresentation:
     [0, n); root pairings do not see the normalization."""
     if n < 2:
         raise UnsupportedFamily("need n >= 2")
-    elems, index, pos, adj_gens, s_theta, theta_cov = _type_a_data(n)
+    elems, index, pos, adj_gens, s_theta, theta_cov, m = _type_a_data(n)
 
     def normalize(t: Vector) -> Vector:
         c = sum(t) // n
@@ -561,17 +556,6 @@ def extended_affine_pgl(n: int) -> GroupPresentation:
     gen_specs = [((0,) * n, index[g]) for g in adj_gens]
     gen_specs.append((normalize(theta_cov), index[s_theta]))
     names = [f"s{i}" for i in range(1, n)] + [f"s{n}"]
-    m: dict[tuple[int, int], int | None] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[(i, j)] = 2
-    if n == 2:
-        m[(0, 1)] = None
-    else:
-        for i in range(n - 2):
-            m[(i, i + 1)] = 3
-        m[(0, n - 1)] = 3
-        m[(n - 2, n - 1)] = 3
     pres = GroupPresentation(
         family=f"ExtendedAffineA'({n})",
         rank=n,
@@ -592,7 +576,7 @@ def extended_affine_pgl(n: int) -> GroupPresentation:
 def finite_a(n: int) -> GroupPresentation:
     """Finite Weyl group of type A(n) = S_{n+1}; no affine generator."""
     N = n + 1
-    elems, index, pos, adj_gens, _, _ = _type_a_data(N)
+    elems, index, pos, adj_gens, _, _, m = _type_a_data(N)
     pres = GroupPresentation(
         family=f"FiniteA({n})",
         rank=N,
@@ -601,9 +585,8 @@ def finite_a(n: int) -> GroupPresentation:
         pos_roots=pos,
         gen_specs=[((0,) * N, index[g]) for g in adj_gens],
         gen_names=[f"s{i}" for i in range(1, N)],
-        coxeter_m={
-            (i, j): (3 if j == i + 1 else 2) for i in range(N - 1) for j in range(i + 1, N - 1)
-        },
+        # the affine matrix without its affine node
+        coxeter_m={ij: mij for ij, mij in m.items() if ij[1] < N - 1},
         omega_count=1,
         _coset_of=lambda t: 0,
         _normalize=lambda t: t,
@@ -629,12 +612,3 @@ def finite_b2() -> GroupPresentation:
         _normalize=lambda t: t,
     )
 
-
-FAMILIES: dict[str, Callable[..., GroupPresentation]] = {
-    "InfiniteDihedral": infinite_dihedral,
-    "ExtendedAffineA": extended_affine_gl,
-    "ExtendedAffineA'": extended_affine_pgl,
-    "ExtendedAffineB2": extended_affine_b2,
-    "FiniteA": finite_a,
-    "FiniteB2": finite_b2,
-}

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import laurent
 from .laurent import LaurentPoly
-from .extquot import Descriptor, LineModInversion, Point
+from .extquot import Descriptor, LineModInversion, Point, matrix_rank, row_reduce
 
 
 class CrossProdError(Exception):
@@ -90,10 +90,6 @@ def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
         (a[1][0] * b[0][0] + a[1][1] * b[1][0],
          a[1][0] * b[0][1] + a[1][1] * b[1][1]),
     )
-
-
-def mat2_add(a: Mat2, b: Mat2) -> Mat2:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def matrix_realization(x: CrossedElement) -> Mat2:
@@ -183,18 +179,6 @@ def check_injectivity(window: int = 8) -> bool:
                 return False
             seen.add(key)
     return True
-
-
-def crossed_eval_dim(z) -> int:
-    """Dimension of the evaluated image of the realization at the class
-    {z, 1/z}: four away from the self-inverse points, two at them."""
-    z = Fraction(z)
-    rows = []
-    for k in range(-2, 3):
-        for x in (crossed_t(k), CrossedElement(LaurentPoly.zero(), LaurentPoly._raw({k: 1}))):
-            m = matrix_realization(x)
-            rows.append([e.evaluate(z) for row in m for e in row])
-    return _rank(rows)
 
 
 # ---------------- class-function pairs ---------------------------------------
@@ -344,12 +328,6 @@ def _mul_entry(x: ConstrainedMatrix4, y: ConstrainedMatrix4, i: int, j: int):
     return l_acc
 
 
-def cm4_zero() -> ConstrainedMatrix4:
-    z = LaurentPoly.zero()
-    return ConstrainedMatrix4(rf_zero(), rf_zero(), rf_zero(), rf_zero(),
-                              z, z, z, z, z, z)
-
-
 def cm4_one() -> ConstrainedMatrix4:
     z = LaurentPoly.zero()
     return ConstrainedMatrix4(rf_one(), rf_zero(), rf_zero(), rf_one(),
@@ -415,25 +393,6 @@ def check_cm4_associativity(triples: int = 50, max_deg: int = 4, seed: int = 0) 
 
 # ---------------- exact module censuses --------------------------------------
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    work = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        scale = work[rank][col]
-        work[rank] = [x / scale for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
 def _spanning_set(window: int = 2) -> list[ConstrainedMatrix4]:
     elems = []
     for f in _FIELDS:
@@ -474,11 +433,11 @@ def _eval_reflection(x: ConstrainedMatrix4) -> list[list[Fraction]]:
 
 def _invariant(mats: list[list[list[Fraction]]], basis: list[list[Fraction]]) -> bool:
     space = [row[:] for row in basis]
-    dim = _rank(space)
+    dim = matrix_rank(space)
     for m in mats:
         for v in basis:
             img = [sum(m[i][k] * v[k] for k in range(4)) for i in range(4)]
-            if _rank(space + [img]) > dim:
+            if matrix_rank(space + [img]) > dim:
                 return False
     return True
 
@@ -492,28 +451,14 @@ def _restricted_rank(mats, basis) -> int:
             img = [sum(m[i][k] * v[k] for k in range(4)) for i in range(4)]
             op.append(_coords(img, basis))
         rows.append([x for col in op for x in col])
-    return _rank(rows)
+    return matrix_rank(rows)
 
 
 def _coords(vec: list[Fraction], basis: list[list[Fraction]]) -> list[Fraction]:
-    work = [[basis[j][i] for j in range(len(basis))] + [vec[i]] for i in range(4)]
     n = len(basis)
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, 4) if work[r][col]), None)
-        if piv is None:
-            raise CrossProdError("vector leaves the subspace")
-        work[rank], work[piv] = work[piv], work[rank]
-        scale = work[rank][col]
-        work[rank] = [x / scale for x in work[rank]]
-        for r in range(4):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    for r in range(rank, 4):
-        if work[r][n]:
-            raise CrossProdError("vector leaves the subspace")
+    work, pivots = row_reduce([[b[i] for b in basis] + [vec[i]] for i in range(4)], n)
+    if len(pivots) < n or any(row[n] for row in work[n:]):
+        raise CrossProdError("vector leaves the subspace")
     return [work[i][n] for i in range(n)]
 
 
@@ -532,7 +477,7 @@ def evaluate_module(z) -> dict:
     z = Fraction(z)
     mats = [_eval_matrix(x, z) for x in _spanning_set()]
     flat = [[m[i][j] for i in range(4) for j in range(4)] for m in mats]
-    dim = _rank(flat)
+    dim = matrix_rank(flat)
     if z * z != 1:
         if dim != 16:
             raise CrossProdError(f"expected the full algebra at {z}, got {dim}")
@@ -559,7 +504,7 @@ def evaluate_reflection_class() -> dict:
     class-function slots survive: one two dimensional simple module."""
     mats = [_eval_reflection(x) for x in _spanning_set()]
     flat = [[m[i][j] for i in range(4) for j in range(4)] for m in mats]
-    dim = _rank(flat)
+    dim = matrix_rank(flat)
     if dim != 4:
         raise CrossProdError(f"expected a two-by-two block, got dimension {dim}")
     return {"point": "reflection", "algebra_dim": 4, "dims": [2], "split": None}
@@ -579,7 +524,7 @@ def bottom_block_dim(z) -> int:
                 m.entry(3, 3).evaluate(z), m.entry(3, 4).evaluate(z),
                 m.entry(4, 3).evaluate(z), m.entry(4, 4).evaluate(z),
             ])
-    return _rank(rows)
+    return matrix_rank(rows)
 
 
 def prim_census() -> list[Descriptor]:

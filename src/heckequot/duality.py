@@ -75,9 +75,8 @@ def dual_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
 
 def _distinct_with_mults(mu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Distinct parts (decreasing) and their multiplicities."""
-    weights = sorted(set(mu), reverse=True)
-    mults = tuple(sum(1 for p in mu if p == w) for w in weights)
-    return tuple(weights), mults
+    parts = sorted(set(mu), reverse=True)
+    return tuple(parts), tuple(sum(1 for p in mu if p == w) for w in parts)
 
 
 # ---------------- reductive descriptors ----------------------------------------
@@ -95,14 +94,15 @@ class GLProduct:
 
 @dataclass(frozen=True)
 class GLProductInSL:
-    """The same product cut down by det(g_1)^w_1 ... det(g_k)^w_k = 1."""
+    """The same product cut down by det(g_1)^w_1 ... det(g_k)^w_k = 1,
+    with the exponents w_i in `powers`."""
 
     parts: tuple[int, ...]
-    weights: tuple[int, ...]
+    powers: tuple[int, ...]
 
     def __str__(self) -> str:
         inner = "x".join(f"GL({p})" for p in self.parts)
-        w = ",".join(str(w) for w in self.weights)
+        w = ",".join(str(w) for w in self.powers)
         return f"({inner})_det[{w}]"
 
 
@@ -142,7 +142,7 @@ ReductiveDescriptor = (
 
 def component_group_order(rd: ReductiveDescriptor) -> int:
     if isinstance(rd, GLProductInSL):
-        return gcd(*rd.weights)
+        return gcd(*rd.powers)
     if isinstance(rd, FiniteCyclic):
         return rd.n
     if isinstance(rd, (TwoGroupTimesSL2, TwoGroupSemidirectGm)):
@@ -174,38 +174,15 @@ def centralizer_reductive(family: str, key) -> ReductiveDescriptor:
     lam = tuple(key)
     n = sum(lam)
     mu = dual_partition(lam)
-    weights, mults = _distinct_with_mults(mu)
+    powers, mults = _distinct_with_mults(mu)
     if family == "gl":
         return GLProduct(mults)
     if family == "pgl":
         if lam == (1,) * n:
             # regular case: the centralizer is exactly the center
             return FiniteCyclic(n)
-        return GLProductInSL(mults, weights)
+        return GLProductInSL(mults, powers)
     raise DualityError(f"unknown family {family!r}")
-
-
-@dataclass
-class DualGroupDatum:
-    family: str
-    label: str
-    cells: list[tuple[str, ReductiveDescriptor]]
-
-
-def gl_dual_datum(n: int) -> DualGroupDatum:
-    cells = [(f"lambda={lam}", centralizer_reductive("gl", lam))
-             for lam in partitions(n)]
-    return DualGroupDatum("gl", f"GL({n})", cells)
-
-
-def pgl_dual_datum(n: int) -> DualGroupDatum:
-    cells = [(f"lambda={lam}", centralizer_reductive("pgl", lam))
-             for lam in partitions(n)]
-    return DualGroupDatum("pgl", f"PGL({n})", cells)
-
-
-def so5_dual_datum() -> DualGroupDatum:
-    return DualGroupDatum("so5", "SO(5)", list(SO5_CATALOG))
 
 
 # ---------------- representation ring censuses ---------------------------------
@@ -234,10 +211,10 @@ def rep_ring_descriptor(rd: ReductiveDescriptor) -> list[Descriptor]:
     if isinstance(rd, SpFull):
         return [TorusModGroup(rd.rank, "W(B2)")]
     if isinstance(rd, GLProductInSL):
-        g = gcd(*rd.weights)
+        g = gcd(*rd.powers)
         rank = sum(rd.parts) - 1
         if rank == 0:
-            return [Point() for _ in range(rd.weights[0])]
+            return [Point() for _ in range(rd.powers[0])]
         if g > 1:
             raise DisconnectedCentralizer(g)
         if rd.parts == (sum(rd.parts),):
@@ -255,14 +232,6 @@ def rep_ring_descriptor(rd: ReductiveDescriptor) -> list[Descriptor]:
 
 def _multiset(ds: list[Descriptor]) -> Counter:
     return Counter(ds)
-
-
-def _census_rows(ds: list[Descriptor]) -> list[tuple[int, str, int]]:
-    counts: dict[tuple[int, str], int] = {}
-    for d in ds:
-        key = (d.dim, str(d))
-        counts[key] = counts.get(key, 0) + 1
-    return [(d, s, n) for (d, s), n in sorted(counts.items())]
 
 
 # ---------------- the matcher ---------------------------------------------------
@@ -320,7 +289,7 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
         rec = _compare("whole algebra", dual, quot)
         return MatchReport(tag, [rec],
                            "PASS" if rec.verdict == "pass" else "FAIL",
-                           _census_rows(dual), _census_rows(quot))
+                           census(dual), census(quot))
 
     if tag == "so5":
         comps = extended_quotient(so5_weyl_on_torus())
@@ -337,7 +306,7 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
             "total", dual, quot, "pass" if agree else "fail",
             "4 cells against 5 classes: only the totals are compared"))
         return MatchReport(tag, records, "PASS" if agree else "FAIL",
-                           _census_rows(dual), _census_rows(quot),
+                           census(dual), census(quot),
                            note="cell count 4, class count 5")
 
     if tag not in ("gl", "pgl"):
@@ -389,7 +358,7 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
     else:
         verdict = "FAIL"
     return MatchReport(tag if n is None else f"{tag}({n})", records, verdict,
-                       _census_rows(dual_all), _census_rows(quot_all))
+                       census(dual_all), census(quot_all))
 
 
 # ---------------- whole-group checks and parameter points ----------------------

@@ -116,29 +116,46 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return u, d, v
 
 
+# ---------------- rational linear algebra -----------------------------------
+
+def row_reduce(rows, ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over the rationals: the reduced rows and
+    the pivot column of each leading row, with pivots sought only among
+    the first ncols columns (all of them by default)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        scale = work[r][col]
+        work[r] = [x / scale for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                c = work[i][col]
+                work[i] = [x - c * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def matrix_rank(rows) -> int:
+    return len(row_reduce(rows)[1])
+
+
 def mat_inverse_unimodular(v: Matrix) -> Matrix:
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(v)
-    work = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-            for i, row in enumerate(v)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ExtQuotError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-    out = []
-    for row in work:
-        tail = row[n:]
-        if any(x.denominator != 1 for x in tail):
-            raise ExtQuotError("matrix is not unimodular")
-        out.append([int(x) for x in tail])
-    return out
+    work, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(v)], n)
+    if len(pivots) < n:
+        raise ExtQuotError("matrix is singular")
+    if any(x.denominator != 1 for row in work for x in row[n:]):
+        raise ExtQuotError("matrix is not unimodular")
+    return [[int(x) for x in row[n:]] for row in work]
 
 
 def _frac_vec(m: Matrix, q: tuple[Fraction, ...]) -> list[Fraction]:
@@ -257,11 +274,13 @@ class ExtQuotComponent:
         return f"[{self.class_tag}] dim={self.dim} {self.descriptor}"
 
 
-def census(components: list[ExtQuotComponent]) -> list[tuple[int, str, int]]:
-    """Sorted (dim, descriptor text, multiplicity) rows."""
+def census(items: list) -> list[tuple[int, str, int]]:
+    """Sorted (dim, descriptor text, multiplicity) rows over components or
+    bare descriptors."""
     counts: dict[tuple[int, str], int] = {}
-    for c in components:
-        key = (c.dim, str(c.descriptor))
+    for c in items:
+        d = c.descriptor if isinstance(c, ExtQuotComponent) else c
+        key = (d.dim, str(d))
         counts[key] = counts.get(key, 0) + 1
     return [(d, s, n) for (d, s), n in sorted(counts.items())]
 

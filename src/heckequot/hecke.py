@@ -1,10 +1,11 @@
 """Iwahori-Hecke algebras with their canonical bases, over Z[v, v^-1].
 
 Conventions, for a ball of radius R in an extended affine Weyl group
-W = W' . Omega with weight function L (equal parameters by default):
+W = W' . Omega with equal parameters (the setting of Lusztig's cells in
+affine Weyl groups, where a-values and cells are defined):
 
 * T-basis: T_x T_y = T_{xy} when lengths add; quadratic relation
-  (T_s - v_s)(T_s + v_s^-1) = 0 with v_s = v^{L(s)}.
+  (T_s - v)(T_s + v^-1) = 0.
 * canonical basis: c_z = sum_y p_{y,z} T_y with p_{z,z} = 1, the lower
   coefficients in strictly negative degrees, the whole element fixed by
   the bar involution, and p_{y omega, z omega'} = p_{y,z} if omega=omega'
@@ -22,8 +23,8 @@ conjugation by Omega are length-preserving symmetries, so the p-, h- and
 gamma-tables are stored on W' only and extended on demand.  Products of
 canonical basis elements are streamed pair by pair (one row of the table
 lives in memory at a time) along right reduced words, using the expansion
-of each c_z c_s, which in the equal-parameter case is read off from the
-mu-coefficients of the p-polynomials.
+of each c_z c_s, which is read off from the mu-coefficients of the
+p-polynomials.
 
 Group arithmetic is done once per ball: integer tables over ball indices
 (the ball's own key order) hold lengths, inverses, right multiplication
@@ -36,14 +37,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .coxeter import Ball, GroupElement, GroupPresentation, dump_element
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, acc_mul, acc_scaled, nonneg_sym, sparse_add
 
 RawPoly = dict  # exponent -> int coefficient, no zeros
+XI = {1: 1, -1: -1}  # v - v^-1
 
-CACHE_SCHEMA = "heckequot-ball/1"
+CACHE_SCHEMA = "heckequot-ball/2"
 
 
 class HeckeError(Exception):
@@ -56,43 +58,6 @@ class BallOverflowError(HeckeError):
 
 class UncertifiedError(HeckeError):
     pass
-
-
-# ------------------------------------------------------------ raw poly ops
-def _acc_scaled(acc: RawPoly, p: RawPoly, c) -> None:
-    """acc += c * p for a scalar c."""
-    if not c:
-        return
-    for e, a in p.items():
-        s = acc.get(e, 0) + a * c
-        if s:
-            acc[e] = s
-        elif e in acc:
-            del acc[e]
-
-
-def _acc_mul(acc: RawPoly, p: RawPoly, q: RawPoly) -> None:
-    """acc += p * q."""
-    for e1, a1 in p.items():
-        for e2, a2 in q.items():
-            e = e1 + e2
-            s = acc.get(e, 0) + a1 * a2
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-
-
-def _nonneg_sym(p: RawPoly) -> RawPoly:
-    """Bar-invariant polynomial matching p in all degrees >= 0."""
-    out: RawPoly = {}
-    for e, a in p.items():
-        if e > 0:
-            out[e] = a
-            out[-e] = a
-        elif e == 0:
-            out[0] = a
-    return out
 
 
 # --------------------------------------------------------------- elements
@@ -119,15 +84,7 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.basis != other.basis:
             raise HeckeError("cannot add elements in different bases")
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            q = out.get(w)
-            s = p if q is None else q + p
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return HeckeElement(self.basis, out)
+        return HeckeElement(self.basis, sparse_add(dict(self.terms), other.terms))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scaled(LaurentPoly.const(-1))
@@ -193,22 +150,12 @@ class HeckeBall:
     group: p-polynomials, generator products, a-function with
     certification, gamma constants, distinguished involutions, cells."""
 
-    def __init__(
-        self,
-        pres: GroupPresentation,
-        radius: int,
-        weights: Sequence[int] | None = None,
-        margin: int = 3,
-    ):
+    def __init__(self, pres: GroupPresentation, radius: int, margin: int = 3):
         self.pres = pres
         self.radius = radius
         self.margin = margin
         self.ball: Ball = pres.ball(radius)
         ngen = len(pres.gen_specs)
-        self.weights = list(weights) if weights is not None else [1] * ngen
-        if len(self.weights) != ngen or any(w < 1 for w in self.weights):
-            raise HeckeError("need one positive weight per generator")
-        self.equal_parameters = len(set(self.weights)) == 1 and self.weights[0] == 1
         self.gens = pres.generators()
         self.omega_elems = pres.omega_elements()
         self.n_pos_roots = pres.num_positive_roots
@@ -317,45 +264,29 @@ class HeckeBall:
             j, s = self.parent[zi]
             E = self._seed_product(j, s)
             # fix violations strictly by decreasing length
-            for L in range(self.wp_len[zi] - 1, -1, -1):
-                for yi in [k for k in E if self.wp_len[k] == L]:
-                    pi = _nonneg_sym(E[yi])
+            for length in range(self.wp_len[zi] - 1, -1, -1):
+                for yi in [k for k in E if self.wp_len[k] == length]:
+                    pi = nonneg_sym(E[yi])
                     if not pi:
                         continue
+                    neg = {e: -a for e, a in pi.items()}
                     for k, q in self._p[yi].items():
-                        acc = E.setdefault(k, {})
-                        for e1, a1 in pi.items():
-                            for e2, a2 in q.items():
-                                e = e1 + e2
-                                v = acc.get(e, 0) - a1 * a2
-                                if v:
-                                    acc[e] = v
-                                elif e in acc:
-                                    del acc[e]
-                        if not acc:
+                        if not acc_mul(E.setdefault(k, {}), neg, q):
                             del E[k]
             self._p[zi] = {k: v for k, v in E.items() if v}
 
-    def _seed_product(self, j: int, s: int, skip_missing: bool = False) -> dict[int, RawPoly]:
-        """c_{wp[j]} * (T_s + v_s^-1) in T-coordinates over W' indices.
-
-        With skip_missing the unique top term that may fall outside the
-        ball (wp[j] * s, ascending) is silently dropped."""
-        L = self.weights[s]
+    def _seed_product(self, j: int, s: int) -> dict[int, RawPoly]:
+        """c_{wp[j]} * (T_s + v^-1) in T-coordinates over W' indices."""
         ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
         E: dict[int, RawPoly] = {}
         for yi, p in self._p[j].items():
             ysi = wrm[yi * ngen + s]
-            if ysi < 0 or wl[ysi] > wl[yi]:
-                if ysi >= 0:
-                    _acc_scaled(E.setdefault(ysi, {}), p, 1)
-                elif not skip_missing:
-                    raise BallOverflowError("seed product left the ball")
-                _acc_mul(E.setdefault(yi, {}), p, {-L: 1})
-            else:
-                _acc_scaled(E.setdefault(ysi, {}), p, 1)
-                # T_y T_s = T_{ys} + (v_s - v_s^-1) T_y; plus v_s^-1 T_y
-                _acc_mul(E.setdefault(yi, {}), p, {L: 1})
+            if ysi < 0:
+                raise BallOverflowError("seed product left the ball")
+            acc_scaled(E.setdefault(ysi, {}), p, 1)
+            # ascending: v^-1 T_y; descending: T_y T_s = T_{ys} + (v - v^-1) T_y,
+            # plus v^-1 T_y
+            acc_mul(E.setdefault(yi, {}), p, {-1 if wl[ysi] > wl[yi] else 1: 1})
         return {k: v for k, v in E.items() if v}
 
     # ---------------- p-polynomial access --------------------------------
@@ -379,7 +310,7 @@ class HeckeBall:
         return HeckeElement("T", {elems[y]: LaurentPoly(p) for y, p in self._kl_terms(self._idx(z))})
 
     def mu(self, y: GroupElement, z: GroupElement) -> int:
-        """Coefficient of v^-1 in p_{y,z} (equal parameters)."""
+        """Coefficient of v^-1 in p_{y,z}."""
         return self.p_poly(y, z).coeff(-1)
 
     # ---------------- generator products ---------------------------------
@@ -390,18 +321,13 @@ class HeckeBall:
         (the top term c_{zs} falls outside); they carry the marker key -1."""
         if self._cs[s] is not None:
             return self._cs[s]
-        if not self.equal_parameters:
-            tbl = self._cs_table_general(s)
-            self._cs[s] = tbl
-            return tbl
-        L = self.weights[s]
         ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
         tbl: list[dict[int, object]] = []
         for zi in range(len(self.wp)):
             zs = wrm[zi * ngen + s]
             row: dict[int, object] = {}
             if zs >= 0 and wl[zs] < wl[zi]:
-                row[zi] = {L: 1, -L: 1}
+                row[zi] = {1: 1, -1: 1}
             else:
                 row[zs] = 1  # zs is the overflow marker -1 when c_{zs} is outside
                 for yi, p in self._p[zi].items():
@@ -410,38 +336,6 @@ class HeckeBall:
                         row[yi] = m
             tbl.append(row)
         self._cs[s] = tbl
-        return tbl
-
-    def _cs_table_general(self, s: int) -> list[dict[int, object]]:
-        """Expansion of c_z c_s without the mu shortcut, valid for any
-        weights.  The correction coefficients are recovered level by level
-        as the bar-symmetric parts, exactly as in the canonical-basis
-        recursion, so boundary rows (top term outside the ball, marker
-        key -1) still carry their lower terms."""
-        tbl: list[dict[int, object]] = []
-        L = self.weights[s]
-        ngen, wl = len(self.gens), self.wp_len
-        for zi in range(len(self.wp)):
-            zs = self._wrm[zi * ngen + s]
-            if zs >= 0 and wl[zs] < wl[zi]:
-                tbl.append({zi: {L: 1, -L: 1}})
-                continue
-            row: dict[int, object] = {}
-            if zs < 0:
-                row[-1] = 1
-            E = self._seed_product(zi, s, skip_missing=True)
-            for Lv in range(max((wl[k] for k in E), default=0), -1, -1):
-                for yi in [k for k in E if wl[k] == Lv]:
-                    pi = _nonneg_sym(E[yi])
-                    if not pi:
-                        continue
-                    row[yi] = pi
-                    for k, q in self._p[yi].items():
-                        acc = E.setdefault(k, {})
-                        _acc_mul(acc, {e: -a for e, a in pi.items()}, q)
-                        if not acc:
-                            del E[k]
-            tbl.append(row)
         return tbl
 
     # ---------------- T-basis products -----------------------------------
@@ -455,17 +349,15 @@ class HeckeBall:
 
     def _t_mul_gen(self, terms: dict[int, RawPoly], s: int) -> dict[int, RawPoly]:
         """Right-multiply a T-basis element by T_s."""
-        L = self.weights[s]
-        xi = {L: 1, -L: -1}
         ngen, rm, ln = len(self.gens), self._rm, self._len
         out: dict[int, RawPoly] = {}
         for w, p in terms.items():
             ws = rm[w * ngen + s]
             if ws < 0:
                 raise BallOverflowError("T-basis product left the ball")
-            _acc_scaled(out.setdefault(ws, {}), p, 1)
+            acc_scaled(out.setdefault(ws, {}), p, 1)
             if ln[ws] < ln[w]:
-                _acc_mul(out.setdefault(w, {}), p, xi)
+                acc_mul(out.setdefault(w, {}), p, XI)
         return {w: p for w, p in out.items() if p}
 
     def _t_mul_omega(self, terms: dict[int, RawPoly], k: int) -> dict[int, RawPoly]:
@@ -486,7 +378,7 @@ class HeckeBall:
             if om:
                 cur = self._t_mul_omega(cur, om)
             for x, p in cur.items():
-                _acc_mul(out.setdefault(x, {}), p, q.c)
+                acc_mul(out.setdefault(x, {}), p, q.c)
         return self._from_idx("T", out)
 
     def t_to_c(self, a: HeckeElement) -> HeckeElement:
@@ -503,7 +395,7 @@ class HeckeBall:
             for y, p in self._kl_terms(w):
                 if y != w:
                     acc = rem.setdefault(y, {})
-                    _acc_mul(acc, coeff, {e: -c for e, c in p.items()})
+                    acc_mul(acc, coeff, {e: -c for e, c in p.items()})
                     if not acc:
                         del rem[y]
         return self._from_idx("c", out)
@@ -525,7 +417,7 @@ class HeckeBall:
         out: dict[int, RawPoly] = {}
         for w, p in a.terms.items():
             for x, q in self._dagger_T(self._idx(w)).items():
-                _acc_mul(out.setdefault(x, {}), q, p.c)
+                acc_mul(out.setdefault(x, {}), q, p.c)
         return self._from_idx("T", out)
 
     def _dagger_T(self, i: int) -> dict[int, RawPoly]:
@@ -538,10 +430,9 @@ class HeckeBall:
                 d = {i: {0: 1}}
             else:
                 prev, s = self._dagger_T(step[0]), step[1]
-                L = self.weights[s]
                 d = {x: {e: -c for e, c in q.items()} for x, q in self._t_mul_gen(prev, s).items()}
                 for x, q in prev.items():
-                    _acc_mul(d.setdefault(x, {}), q, {L: 1, -L: -1})
+                    acc_mul(d.setdefault(x, {}), q, XI)
                 d = {x: q for x, q in d.items() if q}
             self._daggers[i] = d
         return d
@@ -580,18 +471,18 @@ class HeckeBall:
                             raise BallOverflowError("product overflowed the ball")
                         tgt = acc.setdefault(wi, {})
                         if isinstance(A, int):
-                            _acc_scaled(tgt, h, A)
+                            acc_scaled(tgt, h, A)
                         else:
-                            _acc_mul(tgt, h, A)
+                            acc_mul(tgt, h, A)
                 for wi, A in tbl[pi].items():
                     if wi == yi or wi < 0:
                         continue
                     for zi, h in row[wi].items():
                         tgt = acc.setdefault(zi, {})
                         if isinstance(A, int):
-                            _acc_scaled(tgt, h, -A)
+                            acc_scaled(tgt, h, -A)
                         else:
-                            _acc_mul(tgt, {e: -a for e, a in h.items()}, A)
+                            acc_mul(tgt, {e: -a for e, a in h.items()}, A)
                 acc = {zi: p for zi, p in acc.items() if p}
                 row[yi] = acc
                 visit(xi, yi, acc)
@@ -626,12 +517,7 @@ class HeckeBall:
                 by_budget[rho] = run
             val = by_budget[R]
             stable = all(by_budget[r] == val for r in range(R - m, R + 1))
-            cert = (
-                self.equal_parameters
-                and stable
-                and 0 <= val <= self.n_pos_roots
-                and self.wp_len[zi] <= R - 2 * m
-            )
+            cert = stable and 0 <= val <= self.n_pos_roots and self.wp_len[zi] <= R - 2 * m
             values.append(val)
             certs.append(cert)
         self._a_values = values
@@ -759,32 +645,10 @@ class HeckeBall:
         nom, elems = self._nom, self.ball.elements
         return {elems[self._rom[zi * nom + omx]]: LaurentPoly(h) for zi, h in row.items()}
 
-    def gamma_lines(self) -> list[str]:
-        """The stored gamma table as sorted lines "x y z gamma".
-
-        Only decided entries appear: pairs inside the exact-product budget
-        with certified operands and untainted support.  The table lives on
-        the Coxeter part; products involving length-zero parts follow from
-        the translation rule and are not duplicated here."""
-        self._ensure_gamma()
-        lines = []
-        for (xi, yi), row in self._gamma.items():
-            if (xi, yi) in self._gamma_tainted:
-                continue
-            if not (self._a_cert[xi] and self._a_cert[yi]):
-                continue
-            xk = self.wp[xi].key_str()
-            yk = self.wp[yi].key_str()
-            for zi, g in row.items():
-                lines.append((xk, yk, self.wp[zi].key_str(), g))
-        lines.sort()
-        return [f"{x} {y} {z} {g}" for x, y, z, g in lines]
-
     # ---------------- cache line format --------------------------------------
     def cache_header(self) -> str:
-        w = ",".join(str(x) for x in self.weights)
         return (f"# {CACHE_SCHEMA} family={self.pres.family} "
-                f"radius={self.radius} weights={w} elements={len(self.wp)}")
+                f"radius={self.radius} elements={len(self.wp)}")
 
     def element_lines(self) -> list[str]:
         names, out = self.pres.gen_names, []
@@ -801,36 +665,23 @@ class HeckeBall:
                 out.append(f"P {yi} {zi} {poly}")
         return out
 
-    def h_lines(self) -> list[str]:
-        hl: list[tuple[int, int, int, str]] = []
-
-        def visit(xi: int, yi: int, row: dict[int, RawPoly]) -> None:
-            for zi in sorted(row):
-                hl.append((xi, yi, zi, LaurentPoly(row[zi]).to_str()))
-
-        self._stream_products(visit)
-        hl.sort()
-        return [f"H {x} {y} {z} {p}" for x, y, z, p in hl]
-
     def h_row_lines(self, xi: int, yi: int) -> list[str]:
-        """The H lines for one pair, recomputed along the T-basis route
-        (kl_element, mul_T, t_to_c) rather than the streamed c-basis
-        route, so the two can cross-check each other bit for bit."""
+        """Lines "H x y z poly" of the structure constants of one pair,
+        computed along the T-basis route (kl_element, mul_T, t_to_c), which
+        is independent of the streamed c-basis route of _stream_products,
+        so the two can cross-check each other bit for bit."""
         prod = self.h_constants(self.wp[xi], self.wp[yi])
         rows = sorted((self.wp_index[z], p) for z, p in prod.items())
         return [f"H {xi} {yi} {zi} {p.to_str()}" for zi, p in rows]
 
     def cache_lines(self) -> list[str]:
-        """Line-oriented dump of the exact tables.
+        """Line-oriented dump of the KL table.
 
-        One header line, then element lines "E i word=...", one P line
-        per nonzero basis polynomial "P y z poly", and one H line per
-        structure constant "H x y z poly" over every pair within the
-        exact-product budget.  Indices refer to the E lines.  The order
-        and the polynomial text are canonical, so two computations of the
-        same ball dump byte-identical text."""
-        return ([self.cache_header()] + self.element_lines()
-                + self.p_lines() + self.h_lines())
+        One header line, then element lines "E i word=..." and one P line
+        per nonzero basis polynomial "P y z poly"; indices refer to the E
+        lines.  The order and the polynomial text are canonical, so two
+        computations of the same ball dump byte-identical text."""
+        return [self.cache_header()] + self.element_lines() + self.p_lines()
 
     # ---------------- cells -------------------------------------------------
     def _ensure_cells(self) -> None:

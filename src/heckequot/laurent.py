@@ -16,13 +16,63 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
 
 class LaurentError(ValueError):
     pass
+
+
+# ---- raw sparse helpers ----------------------------------------------------
+# A raw polynomial is a dict exponent -> nonzero coefficient; the
+# accumulating helpers work in place, drop the zeros they create and
+# return their first argument.
+def sparse_add(acc: dict, terms: Mapping) -> dict:
+    """acc += terms for any sparse dict whose values form a ring (ints,
+    Fractions, LaurentPolys); a key absent from acc counts as zero."""
+    for k, a in terms.items():
+        s = acc[k] + a if k in acc else a
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def acc_scaled(acc: dict, p: Mapping, c: Scalar) -> dict:
+    """acc += c * p for raw polynomials and a scalar c."""
+    if c:
+        for e, a in p.items():
+            s = acc.get(e, 0) + a * c
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+    return acc
+
+
+def acc_mul(acc: dict, p: Mapping, q: Mapping) -> dict:
+    """acc += p * q for raw polynomials."""
+    for e1, a1 in p.items():
+        for e2, a2 in q.items():
+            e = e1 + e2
+            s = acc.get(e, 0) + a1 * a2
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+    return acc
+
+
+def nonneg_sym(p: Mapping) -> dict:
+    """The bar-invariant raw polynomial matching p in all degrees >= 0."""
+    out = {}
+    for e, a in p.items():
+        if e >= 0:
+            out[e] = out[-e] = a
+    return out
 
 
 class LaurentPoly:
@@ -76,14 +126,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        d = dict(self.c)
-        for e, a in other.c.items():
-            s = d.get(e, 0) + a
-            if s:
-                d[e] = s
-            elif e in d:
-                del d[e]
-        return LaurentPoly._raw(d)
+        return LaurentPoly._raw(sparse_add(dict(self.c), other.c))
 
     __radd__ = __add__
 
@@ -92,14 +135,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        d = dict(self.c)
-        for e, a in other.c.items():
-            s = d.get(e, 0) - a
-            if s:
-                d[e] = s
-            elif e in d:
-                del d[e]
-        return LaurentPoly._raw(d)
+        return LaurentPoly._raw(acc_scaled(dict(self.c), other.c, -1))
 
     def __rsub__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -111,16 +147,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            d: dict[int, Scalar] = {}
-            for e1, a1 in self.c.items():
-                for e2, a2 in other.c.items():
-                    e = e1 + e2
-                    s = d.get(e, 0) + a1 * a2
-                    if s:
-                        d[e] = s
-                    elif e in d:
-                        del d[e]
-            return LaurentPoly._raw(d)
+            return LaurentPoly._raw(acc_mul({}, self.c, other.c))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly._raw({})
@@ -192,14 +219,7 @@ class LaurentPoly:
     def max_nonneg_part(self) -> "LaurentPoly":
         """The unique balanced polynomial with the same coefficients in
         degrees >= 0: used when forcing bar-invariant corrections."""
-        d: dict[int, Scalar] = {}
-        for e, a in self.c.items():
-            if e > 0:
-                d[e] = a
-                d[-e] = a
-            elif e == 0:
-                d[0] = a
-        return LaurentPoly._raw(d)
+        return LaurentPoly._raw(nonneg_sym(self.c))
 
     def evaluate(self, x: Scalar) -> Scalar:
         """Exact evaluation at a nonzero rational point."""

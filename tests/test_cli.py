@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from heckequot import cli
+from heckequot.coxeter import infinite_dihedral
+from heckequot.hecke import HeckeBall
 
 
 def run(args):
@@ -42,6 +44,7 @@ def test_usage_exit_three():
         ["run", "sl2-extquot", "--format", "yaml"],
         [],
         ["cache", "frobnicate"],
+        ["cache", "list"],
     ):
         rc, out, err = run(args)
         assert rc == 3, args
@@ -176,21 +179,14 @@ def test_cache_roundtrip_and_verify(tmp_path):
     rc, _, _ = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
     assert rc == 0
     path = cache_file(tmp_path)
-    assert path.name == "infinitedihedral_r6_w1-1.txt"
-
-    rc, out, _ = run(["cache", "list", "--cache-dir", td, "--format", "records"])
-    assert rc == 0
-    entry = json.loads(out.splitlines()[1])
-    assert entry["witness"]["elements"] == 13
-    assert entry["witness"]["p_lines"] == 85
-    assert entry["witness"]["h_lines"] == 137
-
-    rc, out, _ = run(["cache", "verify", "--cache-dir", td, "--samples", "100"])
-    assert rc == 0
-    assert "verdict: PASS" in out
+    assert path.name == "infinitedihedral_r6.txt"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# heckequot-ball/2 family=InfiniteDihedral radius=6 elements=13"
+    assert [ln[0] for ln in lines[1:]] == ["E"] * 13 + ["P"] * 85
 
     # a second identical run must be a byte-level cache hit, not a rewrite
     before = path.read_bytes()
+    assert cli.cache_store(HeckeBall(infinite_dihedral(), 6), tmp_path) == (path, "hit")
     rc, _, _ = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
     assert rc == 0
     assert path.read_bytes() == before
@@ -201,29 +197,32 @@ def test_cache_detects_corruption(tmp_path):
     run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
     path = cache_file(tmp_path)
     text = path.read_text()
-    target = next(ln for ln in text.splitlines() if ln.startswith("H 1 1 "))
+    target = next(ln for ln in text.splitlines() if ln.startswith("P 1 1 "))
     mangled = target.rsplit(" ", 1)[0] + " v^7"
     path.write_text(text.replace(target, mangled))
 
-    rc, out, _ = run(["cache", "verify", "--cache-dir", td, "--samples", "100"])
+    # a scenario run against the poisoned cache must fail loudly
+    rc, out, _ = run(["run", "infdihedral-P-properties", "--radius", "6",
+                      "--cache-dir", td, "--format", "records"])
     assert rc == 1
-    assert "FAIL" in out
+    checks = {rec["id"]: rec for rec in map(json.loads, out.splitlines())
+              if rec["record"] == "check"}
+    assert checks["cache"]["verdict"] == "fail"
+    assert checks["cache"]["witness"]["file"] == path.name
+    assert str(path) in checks["cache"]["witness"]["hint"]
+    assert "heckequot cache" not in out
 
-    # a scenario run against the poisoned cache must fail loudly too
-    rc, out, _ = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
-    assert rc == 1
-    assert "cache" in out
 
-
-def test_cache_clear(tmp_path):
-    td = str(tmp_path)
-    run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
-    assert len(list(tmp_path.glob("*.txt"))) == 1
-    rc, _, _ = run(["cache", "clear", "--cache-dir", td])
-    assert rc == 0
-    assert list(tmp_path.glob("*.txt")) == []
-    rc, out, _ = run(["cache", "list", "--cache-dir", td])
-    assert rc == 0
+def test_cache_ignores_files_of_the_weighted_format(tmp_path):
+    old = tmp_path / "infinitedihedral_r6_w1-1.txt"
+    old.write_text("# heckequot-ball/1 family=InfiniteDihedral radius=6 "
+                   "weights=1,1 elements=13\nH 0 0 0 v^7\n")
+    rc, out, _ = run(["run", "infdihedral-P-properties", "--radius", "6",
+                      "--cache-dir", str(tmp_path)])
+    assert rc == 0, out
+    assert old.read_text().endswith("H 0 0 0 v^7\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "infinitedihedral_r6.txt", "infinitedihedral_r6_w1-1.txt"]
 
 
 def test_cache_env_variable(tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
-"""The README's library quick start runs as written."""
+"""The README's examples run as written."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from heckequot import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +19,16 @@ def test_readme_python_block_runs():
         for code in blocks:
             exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines()[:2] == ["1 0 True", "20 1 False"]
+
+
+def test_readme_shell_examples_exit_as_documented(tmp_path):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [ln for block in blocks for ln in block.splitlines()
+             if ln.startswith("heckequot run ")]
+    assert len(lines) >= 5
+    for line in lines:
+        command, _, comment = line.partition("#")
+        want = 2 if "exits 2" in comment else 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            got = cli.main(shlex.split(command)[1:] + ["--cache-dir", str(tmp_path)])
+        assert got == want, line
