@@ -189,17 +189,29 @@ class GroupPresentation:
     _inv_flags: list[tuple[int, ...]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
+        # |W|*|S| matrix products: right multiplication by the generators'
+        # finite parts; every other product is a lookup along a BFS tree
+        # from the identity (index 0), where j = jp * s
+        rights = [[self.wf_index[mat_mul(a, self.wf_elems[s])] for a in self.wf_elems]
+                  for s in sorted({f for _, f in self.gen_specs})]
+        order, seen, steps = [0], {0}, []
+        for jp in order:  # order grows while it is read: breadth first
+            for rs in rights:
+                j = rs[jp]
+                if j not in seen:
+                    seen.add(j)
+                    order.append(j)
+                    steps.append((j, jp, rs))
         n = len(self.wf_elems)
-        self._wf_table = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.wf_elems):
-            for j, b in enumerate(self.wf_elems):
-                self._wf_table[i][j] = self.wf_index[mat_mul(a, b)]
-        self._wf_inv = [0] * n
+        if len(seen) != n:
+            raise CoxeterError("the generators' finite parts do not generate the Weyl group")
+        self._wf_table = []
         for i in range(n):
-            for j in range(n):
-                if self._wf_table[i][j] == 0:
-                    self._wf_inv[i] = j
-                    break
+            row = [i] * n
+            for j, jp, rs in steps:
+                row[j] = rs[row[jp]]
+            self._wf_table.append(row)
+        self._wf_inv = [row.index(0) for row in self._wf_table]
         neg_roots = {vec_neg(a) for a in self.pos_roots}
         if set(self.pos_roots) & neg_roots:
             raise CoxeterError("root list is not a positive system")

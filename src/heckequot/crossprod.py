@@ -65,17 +65,17 @@ def crossed_t(k: int = 1) -> CrossedElement:
     return CrossedElement(LaurentPoly._raw({k: 1}), LaurentPoly.zero())
 
 
-def random_crossed(rng: random.Random, max_deg: int) -> CrossedElement:
-    def poly() -> LaurentPoly:
-        return LaurentPoly(
-            {
-                e: Fraction(rng.randint(-3, 3))
-                for e in range(-max_deg, max_deg + 1)
-                if rng.random() < 0.4
-            }
-        )
+def random_poly(rng: random.Random, max_deg: int, bound: int, density: float) -> LaurentPoly:
+    """Integer coefficients in [-bound, bound]: one rng.random() per
+    exponent in [-max_deg, max_deg], then one rng.randint() per kept one."""
+    return LaurentPoly({e: rng.randint(-bound, bound)
+                        for e in range(-max_deg, max_deg + 1)
+                        if rng.random() < density})
 
-    return CrossedElement(poly(), poly())
+
+def random_crossed(rng: random.Random, max_deg: int) -> CrossedElement:
+    return CrossedElement(random_poly(rng, max_deg, 3, 0.4),
+                          random_poly(rng, max_deg, 3, 0.4))
 
 
 # ---------------- two-by-two matrix model ------------------------------------
@@ -355,8 +355,8 @@ def check_psi_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = 0
     for _ in range(pairs):
-        lam1 = Fraction(rng.randint(-4, 4))
-        lam2 = Fraction(rng.randint(-4, 4))
+        lam1 = rng.randint(-4, 4)
+        lam2 = rng.randint(-4, 4)
         x = random_crossed(rng, max_deg)
         y = random_crossed(rng, max_deg)
         lhs = psi_embed(lam1 * lam2, x * y)
@@ -366,26 +366,24 @@ def check_psi_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     return {"checked": pairs, "failures": failures}
 
 
-def check_cm4_associativity(triples: int = 50, max_deg: int = 4, seed: int = 0) -> dict:
-    rng = random.Random(seed)
-
+def random_cm4(rng: random.Random, max_deg: int) -> ConstrainedMatrix4:
     def poly() -> LaurentPoly:
-        return LaurentPoly({e: Fraction(rng.randint(-2, 2))
-                            for e in range(-max_deg, max_deg + 1)
-                            if rng.random() < 0.35})
+        return random_poly(rng, max_deg, 2, 0.35)
 
     def rf() -> RF:
         p = poly()
         return RF(p + p.bar(), Fraction(rng.randint(-3, 3)))
 
-    def elem() -> ConstrainedMatrix4:
-        return ConstrainedMatrix4(rf(), rf(), rf(), rf(),
-                                  poly(), poly(), poly(), poly(),
-                                  poly(), poly())
+    return ConstrainedMatrix4(rf(), rf(), rf(), rf(),
+                              poly(), poly(), poly(), poly(),
+                              poly(), poly())
 
+
+def check_cm4_associativity(triples: int = 50, max_deg: int = 4, seed: int = 0) -> dict:
+    rng = random.Random(seed)
     failures = 0
     for _ in range(triples):
-        a, b, c = elem(), elem(), elem()
+        a, b, c = (random_cm4(rng, max_deg) for _ in range(3))
         if not (((a * b) * c) - (a * (b * c))).is_zero():
             failures += 1
     return {"checked": triples, "failures": failures}

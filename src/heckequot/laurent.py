@@ -4,6 +4,12 @@ Coefficients are Python ints or Fractions; nothing here ever goes through
 floating point.  A polynomial is stored as a dict mapping exponent to a
 nonzero coefficient, so ``3*v^-2 + v`` is ``{-2: 3, 1: 1}``.
 
+Products and `decompose` are integer-first: a coefficient they return is
+an int wherever it is integral, and a Fraction only where halving or
+division needs one.  A product clears each factor's denominators once,
+multiplies the integer numerators and divides each output term by the
+product of the two denominators.
+
 The bar involution negates exponents.  A polynomial is *balanced* when it
 is fixed by bar and *anti-balanced* when bar negates it.  Every polynomial
 splits uniquely as balanced + anti-balanced (the split needs halves, hence
@@ -16,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -73,6 +80,15 @@ def nonneg_sym(p: Mapping) -> dict:
         if e >= 0:
             out[e] = out[-e] = a
     return out
+
+
+def _cleared(c: dict) -> tuple[dict, int]:
+    """(n, d) with n == c * d in ints and d the least common denominator."""
+    dens = [a.denominator for a in c.values() if type(a) is not int]
+    if not dens:
+        return c, 1
+    d = lcm(*dens)
+    return {e: a.numerator * (d // a.denominator) for e, a in c.items()}, d
 
 
 class LaurentPoly:
@@ -147,7 +163,15 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            return LaurentPoly._raw(acc_mul({}, self.c, other.c))
+            p, dp = _cleared(self.c)
+            q, dq = _cleared(other.c)
+            acc = acc_mul({}, p, q)
+            d = dp * dq
+            if d != 1:
+                for e, s in acc.items():
+                    n, r = divmod(s, d)
+                    acc[e] = Fraction(s, d) if r else n
+            return LaurentPoly._raw(acc)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly._raw({})
@@ -191,7 +215,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset((e, Fraction(a)) for e, a in self.c.items()))
+        return hash(frozenset(self.c.items()))
 
     def coeff(self, exp: int) -> Scalar:
         return self.c.get(exp, 0)
@@ -226,10 +250,15 @@ class LaurentPoly:
         x = Fraction(x)
         if x == 0:
             raise LaurentError("cannot evaluate a Laurent polynomial at 0")
-        total = Fraction(0)
-        for e, a in self.c.items():
-            total += Fraction(a) * x**e
-        return total
+        if not self.c:
+            return Fraction(0)
+        c, d = _cleared(self.c)
+        n, m = x.numerator, x.denominator
+        lo, hi = min(c), max(c)
+        # x^e = n^e / m^e, so times n^-lo * m^hi every term is an integer
+        s = sum(a * n ** (e - lo) * m ** (hi - e) for e, a in c.items())
+        return Fraction(s * n ** max(lo, 0) * m ** max(-hi, 0),
+                        d * n ** max(-lo, 0) * m ** max(hi, 0))
 
     # ---- text form -------------------------------------------------------
     def to_str(self, var: str = "v") -> str:
@@ -320,25 +349,28 @@ class BalancedPair:
 
 def decompose(p: LaurentPoly) -> BalancedPair:
     """Split p = balanced + anti-balanced.  Uses exact halves."""
-    half = Fraction(1, 2)
     bal: dict[int, Scalar] = {}
     ant: dict[int, Scalar] = {}
+    c = p.c
     # both mirror exponents need entries even when only one carries a
     # coefficient in p
-    for e in set(p.c) | {-e for e in p.c}:
-        a = Fraction(p.c.get(e, 0))
-        m = Fraction(p.c.get(-e, 0))
-        b = (a + m) * half
-        t = (a - m) * half
+    for e in set(c) | {-e for e in c}:
+        a = c.get(e, 0)
+        m = c.get(-e, 0)
+        b, t = a + m, a - m
         if b:
-            bal[e] = _tighten(b)
+            bal[e] = _half(b)
         if t:
-            ant[e] = _tighten(t)
+            ant[e] = _half(t)
     return BalancedPair(LaurentPoly._raw(bal), LaurentPoly._raw(ant))
 
 
-def _tighten(x: Fraction) -> Scalar:
-    return int(x) if x.denominator == 1 else x
+def _half(x: Scalar) -> Scalar:
+    """x / 2, an int when it is integral."""
+    if type(x) is int and not x & 1:
+        return x >> 1
+    h = Fraction(x, 2)
+    return h.numerator if h.denominator == 1 else h
 
 
 def generator() -> LaurentPoly:
@@ -357,17 +389,14 @@ def divide_by_generator(p: LaurentPoly) -> LaurentPoly:
     if not p.is_antibalanced():
         raise LaurentError("divide_by_generator needs an anti-balanced input")
     # p = sum_{n>0} a_n (t^n - t^-n) and each (t^n - t^-n) / (t - t^-1)
-    # telescopes to t^(n-1) + t^(n-3) + ... + t^(1-n).
+    # telescopes to t^(n-1) + t^(n-3) + ... + t^(1-n), so the quotient's
+    # coefficient at +-e is the sum of a_n over n > e with n - e odd.
     q: dict[int, Scalar] = {}
-    for n, a in p.c.items():
-        if n <= 0:
-            continue
-        for e in range(n - 1, -n, -2):
-            s = q.get(e, 0) + a
-            if s:
-                q[e] = s
-            elif e in q:
-                del q[e]
+    run = [0, 0]
+    for n in range(max(p.c), 0, -1):
+        run[n & 1] += p.c.get(n, 0)
+        if run[n & 1]:
+            q[n - 1] = q[1 - n] = run[n & 1]
     return LaurentPoly._raw(q)
 
 

@@ -6,6 +6,7 @@ representatives.
 """
 
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -231,6 +232,26 @@ def test_finite_b2_order_8():
     assert len(ball) == 8
     assert fb.num_positive_roots == 4
     assert max(x.length for x in ball) == 4
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [extended_affine_b2] + [lambda n=n: extended_affine_pgl(n) for n in range(2, 6)],
+    ids=["B2"] + [f"PGL{n}" for n in range(2, 6)],
+)
+def test_weyl_table_matches_matrix_products(factory):
+    pres = factory()
+    elems, index = pres.wf_elems, pres.wf_index
+    table = [[index[mat_mul(a, b)] for b in elems] for a in elems]
+    assert pres._wf_table == table
+    assert pres._wf_inv == [row.index(0) for row in table]
+
+
+def test_weyl_table_needs_generating_finite_parts():
+    pres = extended_affine_b2()
+    s1 = pres.gen_specs[1]
+    with pytest.raises(CoxeterError, match="generate"):
+        replace(pres, gen_specs=[s1], gen_names=["s1"])
 
 
 # ---- serialization --------------------------------------------------------

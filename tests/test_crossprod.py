@@ -1,11 +1,14 @@
 """Crossed product of the Laurent line by inversion, and its matrix models."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from heckequot import crossprod, laurent
 from heckequot.laurent import LaurentError, LaurentPoly, parse
 from heckequot.crossprod import (
+    ConstrainedMatrix4,
     CrossProdError,
     RF,
     bottom_block_dim,
@@ -27,6 +30,8 @@ from heckequot.crossprod import (
     matrix_realization,
     prim_census,
     psi_embed,
+    random_cm4,
+    random_crossed,
     res,
     rf_one,
     rf_scalar,
@@ -88,6 +93,84 @@ def test_randomized_hom_checks():
     assert check_spectrum_hom(100, 8, 0) == {"checked": 100, "failures": 0}
     assert check_psi_hom(100, 8, 0) == {"checked": 100, "failures": 0}
     assert check_cm4_associativity(50, 4, 0) == {"checked": 50, "failures": 0}
+
+
+def _fraction_poly(rng, max_deg, bound, density):
+    # the samplers as they were, building Fraction coefficients
+    return LaurentPoly({e: Fraction(rng.randint(-bound, bound))
+                        for e in range(-max_deg, max_deg + 1)
+                        if rng.random() < density})
+
+
+def _fraction_cm4(rng, max_deg):
+    def poly():
+        return _fraction_poly(rng, max_deg, 2, 0.35)
+
+    def rf():
+        p = poly()
+        return RF(p + p.bar(), Fraction(rng.randint(-3, 3)))
+
+    return ConstrainedMatrix4(rf(), rf(), rf(), rf(),
+                              poly(), poly(), poly(), poly(), poly(), poly())
+
+
+def _all_int(polys):
+    return all(type(a) is int for p in polys for a in p.c.values())
+
+
+def test_samples_equal_the_fraction_built_ones():
+    # the report prints only checked/failures, so a changed sample would
+    # pass the report's byte check unnoticed
+    for seed in range(16):
+        rng, ref = random.Random(seed), random.Random(seed)
+        x = random_crossed(rng, 8)
+        assert (x.p, x.q) == (_fraction_poly(ref, 8, 3, 0.4), _fraction_poly(ref, 8, 3, 0.4))
+        assert _all_int([x.p, x.q])
+        assert rng.getstate() == ref.getstate()
+        m = random_cm4(rng, 4)
+        assert m == _fraction_cm4(ref, 4)
+        assert _all_int([getattr(m, f).line if f.startswith("rf") else getattr(m, f)
+                         for f in crossprod._FIELDS])
+        assert rng.getstate() == ref.getstate()
+
+
+def test_hom_checks_catch_wrong_maps(monkeypatch):
+    # guards against the checks passing vacuously: each must fail on a
+    # map that is wrong
+    real_spectrum = crossprod.spectrum_map
+
+    def transposed(x):
+        # the sign of the anti-balanced part of q flipped: an
+        # anti-homomorphism, still inside the constrained matrices
+        dp, dq = laurent.decompose(x.p), laurent.decompose(x.q)
+        return ((dp.balanced + dq.balanced, dp.antibalanced - dq.antibalanced),
+                (dp.antibalanced + dq.antibalanced, dp.balanced - dq.balanced))
+
+    def multiplies_lower_left(m):
+        # multiplies the lower left entry by t - 1/t instead of dividing
+        out, at_one, at_minus_one = real_spectrum(m)
+        lower_left = m[1][0] * laurent.generator()
+        return (out[0], (lower_left, out[1][1])), at_one, at_minus_one
+
+    def unbarred_psi(lam, x):
+        z = LaurentPoly.zero()
+        lam = rf_scalar(lam)
+        return ConstrainedMatrix4(lam, rf_zero(), rf_zero(), lam,
+                                  z, z, z, z, x.p, x.q)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(crossprod, "matrix_realization", transposed)
+        assert check_realization_hom(20, 8, 0)["failures"] > 0
+        # the spectrum check tests the straightening on whatever
+        # constrained matrices it is given, so a wrong realization that
+        # stays constrained cannot fail it; a wrong straightening must
+        assert check_spectrum_hom(20, 8, 0)["failures"] == 0
+    with monkeypatch.context() as mp:
+        mp.setattr(crossprod, "spectrum_map", multiplies_lower_left)
+        assert check_spectrum_hom(20, 8, 0)["failures"] > 0
+    with monkeypatch.context() as mp:
+        mp.setattr(crossprod, "psi_embed", unbarred_psi)
+        assert check_psi_hom(20, 8, 0)["failures"] > 0
 
 
 def test_injectivity_window():

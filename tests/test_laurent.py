@@ -34,6 +34,10 @@ def test_zero_strips_and_normalizes():
     assert p == LaurentPoly({1: 2, -1: 2})
     assert not LaurentPoly({5: 0})
     assert LaurentPoly() == ZERO
+    # an integral Fraction and the int it equals give one polynomial
+    assert LaurentPoly({1: 2}) == LaurentPoly({1: Fraction(2)})
+    assert hash(LaurentPoly({1: 2})) == hash(LaurentPoly({1: Fraction(2)}))
+    assert len({LaurentPoly({1: 2}), LaurentPoly({1: Fraction(2)})}) == 1
 
 
 def test_constructors():
@@ -110,6 +114,41 @@ def test_decompose_reassembles_and_splits_correctly(p):
     assert pair.total() == p
     assert pair.balanced.is_balanced()
     assert pair.antibalanced.is_antibalanced()
+
+
+def _naive_product(p, q):
+    out = {}
+    for e1, a1 in p.c.items():
+        for e2, a2 in q.c.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + Fraction(a1) * Fraction(a2)
+    return {e: a for e, a in out.items() if a}
+
+
+def _naive_split(p):
+    bal, ant = {}, {}
+    for e in set(p.c) | {-e for e in p.c}:
+        a, m = Fraction(p.coeff(e)), Fraction(p.coeff(-e))
+        bal[e], ant[e] = (a + m) / 2, (a - m) / 2
+    return ({e: a for e, a in bal.items() if a}, {e: a for e, a in ant.items() if a})
+
+
+def _int_exactly_when_integral(p):
+    return all((type(a) is int) == (Fraction(a).denominator == 1) for a in p.c.values())
+
+
+@given(polys, polys, coeffs.filter(bool))
+def test_product_split_and_value_match_fraction_arithmetic(p, q, x):
+    # the integer-first kernel against plain Fraction arithmetic, on
+    # inputs mixing ints, integral Fractions and proper Fractions
+    assert p.evaluate(x) == sum(Fraction(a) * Fraction(x) ** e for e, a in p.c.items())
+    assert type(p.evaluate(x)) is Fraction
+    prod = p * q
+    assert prod.c == _naive_product(p, q)
+    assert _int_exactly_when_integral(prod)
+    pair = decompose(p)
+    assert (pair.balanced.c, pair.antibalanced.c) == _naive_split(p)
+    assert _int_exactly_when_integral(pair.balanced)
+    assert _int_exactly_when_integral(pair.antibalanced)
 
 
 def test_decompose_one_sided_exponents():
