@@ -24,9 +24,13 @@ acts as a projector-like base point: t_x * f_{a(x)} = nhat_x [x].
 
 All products go through the certified gamma tables and raise
 UncertifiedError or BallOverflowError rather than return wrong answers.
+The checks run their cases through `decide`, which counts a case that
+raises UncertifiedError or BallOverflowError as skipped, never as passed,
+and lets any other error stop the run.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +44,28 @@ from .hecke import (
     UncertifiedError,
 )
 from .laurent import LaurentPoly, sparse_add
+
+# The truncated ball cannot decide a case that raises one of these.
+UNDECIDED = (UncertifiedError, BallOverflowError)
+
+
+def decide(cases, check) -> tuple[int, int, list]:
+    """Run check on each case in order; (checked, skipped, failures).
+
+    A case that raises one of UNDECIDED is skipped, a case whose check
+    returns something false is a failure; any other exception propagates."""
+    checked = skipped = 0
+    failures = []
+    for case in cases:
+        try:
+            ok = check(case)
+        except UNDECIDED:
+            skipped += 1
+            continue
+        checked += 1
+        if not ok:
+            failures.append(case)
+    return checked, skipped, failures
 
 
 @dataclass
@@ -131,12 +157,18 @@ class JRing:
 
     def __init__(self, hb: HeckeBall):
         self.hb = hb
+        self._phi: dict[GroupElement, JElement] = {}
 
     def basis_element(self, w: GroupElement, coeff=1) -> JElement:
         return JElement({w: coeff})
 
     def unit(self) -> JElement:
         return JElement({d: nd for d, nd in self.hb.distinguished_involutions()})
+
+    def is_unit_on(self, u: JElement, w: GroupElement) -> bool:
+        """u t_w = t_w = t_w u."""
+        tw = self.basis_element(w)
+        return self.j_mul(u, tw) == tw and self.j_mul(tw, u) == tw
 
     def j_mul(self, a: JElement, b: JElement) -> JElement:
         """Product in J; raises when any needed gamma row is uncertified
@@ -158,8 +190,6 @@ class JRing:
         t_x t_y = 0 for x, y in different cells, and supported inside the
         common cell otherwise.  Runs over all certified pairs within the
         budget (samples > 0 restricts to a deterministic random sample)."""
-        import random
-
         hb = self.hb
         part = hb.cell_partition()
         cid = part.two_sided_id
@@ -174,29 +204,22 @@ class JRing:
                     continue
                 pairs.append((x, y))
         if samples and samples < len(pairs):
-            rng = random.Random(seed)
-            pairs = rng.sample(pairs, samples)
-        checked = 0
-        cross_zero = 0
-        failures = []
-        for x, y in pairs:
-            try:
-                row = self.hb.gamma_row(x, y)
-            except (UncertifiedError, BallOverflowError):
-                continue
-            checked += 1
-            same = cid[x] == cid[y]
-            for z, g in row.items():
-                if not same:
-                    failures.append((x, y, z, "cross-cell product nonzero"))
-                elif cid[z] != cid[x]:
-                    failures.append((x, y, z, "product left the cell"))
-            if not same and not row:
-                cross_zero += 1
+            pairs = random.Random(seed).sample(pairs, samples)
+
+        def escapes(pair):
+            x, y = pair
+            if cid[x] != cid[y]:
+                return [(x, y, z, "cross-cell product nonzero") for z in hb.gamma_row(x, y)]
+            return [(x, y, z, "product left the cell")
+                    for z in hb.gamma_row(x, y) if cid[z] != cid[x]]
+
+        checked, _, bad = decide(pairs, lambda p: not escapes(p))
+        cross = [(x, y) for x, y in pairs if cid[x] != cid[y]]
+        cross_checked, _, cross_nonzero = decide(cross, lambda p: not hb.gamma_row(*p))
         return {
             "checked": checked,
-            "cross_cell_zero": cross_zero,
-            "failures": failures,
+            "cross_cell_zero": cross_checked - len(cross_nonzero),
+            "failures": [e for p in bad for e in escapes(p)],
         }
 
     def cell_ideal(self, cell: CellRecord, max_pairs: int = 0, seed: int = 0) -> dict:
@@ -208,8 +231,6 @@ class JRing:
         unit law on every basis vector whose products stay certified.
         Pairs that the truncation cannot decide are counted as skipped,
         never as passes."""
-        import random
-
         hb = self.hb
         basis = sorted(cell.certified_elements, key=GroupElement.key)
         cset = set(cell.elements)
@@ -222,37 +243,18 @@ class JRing:
         pairs = [(x, y) for x in basis for y in basis if x.length + y.length <= hb.radius]
         if max_pairs and max_pairs < len(pairs):
             pairs = random.Random(seed).sample(pairs, max_pairs)
-        closed = True
-        escapes = []
-        checked = 0
-        skipped = 0
-        for x, y in pairs:
-            try:
-                row = hb.gamma_row(x, y)
-            except (UncertifiedError, BallOverflowError):
-                skipped += 1
-                continue
-            checked += 1
-            for z in row:
-                if z not in cset:
-                    closed = False
-                    escapes.append((x, y, z))
-        unit_failures = []
-        unit_checked = 0
-        unit_skipped = 0
-        for w in basis:
-            tw = self.basis_element(w)
-            try:
-                if self.j_mul(unit, tw) != tw or self.j_mul(tw, unit) != tw:
-                    unit_failures.append(w)
-                unit_checked += 1
-            except (UncertifiedError, BallOverflowError):
-                unit_skipped += 1
+
+        def escapes(pair):
+            return [(*pair, z) for z in hb.gamma_row(*pair) if z not in cset]
+
+        checked, skipped, bad = decide(pairs, lambda p: not escapes(p))
+        unit_checked, unit_skipped, unit_failures = decide(
+            basis, lambda w: self.is_unit_on(unit, w))
         return {
             "basis": basis,
             "unit": unit,
-            "closed": closed,
-            "escapes": escapes,
+            "closed": not bad,
+            "escapes": [e for p in bad for e in escapes(p)],
             "checked_pairs": checked,
             "skipped_pairs": skipped,
             "unit_checked": unit_checked,
@@ -262,7 +264,9 @@ class JRing:
 
     # ---------------- phi ---------------------------------------------------
     def phi_of_cdagger(self, x: GroupElement) -> JElement:
-        """phi(cdag_x) with Laurent coefficients."""
+        """phi(cdag_x) with Laurent coefficients, computed once per x."""
+        if x in self._phi:
+            return self._phi[x]
         hb = self.hb
         out: dict[GroupElement, LaurentPoly] = {}
         for d, _nd in hb.distinguished_involutions():
@@ -273,7 +277,8 @@ class JRing:
             ad = hb.a_function(d)[0]
             sparse_add(out, {z: h * hb.nhat(z) for z, h in hb.h_to_distinguished(x, d).items()
                              if hb.a_function(z)[0] == ad})
-        return JElement(out)
+        self._phi[x] = JElement(out)
+        return self._phi[x]
 
     def cdag_coords(self, h: HeckeElement) -> HeckeElement:
         """Coordinates of h in the dagger basis: h = sum coords_x cdag_x.
@@ -445,19 +450,13 @@ class JRing:
                     "failures": [],
                 }
         img = self.phi_q(z_central, q)
-        commuted = 0
-        skipped = 0
-        failures = []
-        for x in hb.ball:
-            if not hb.a_function(x)[1]:
-                continue
+
+        def commutes(x):
             tx = self.basis_element(x)
-            try:
-                if self.j_mul(img, tx) != self.j_mul(tx, img):
-                    failures.append(x)
-                commuted += 1
-            except (UncertifiedError, BallOverflowError):
-                skipped += 1
+            return self.j_mul(img, tx) == self.j_mul(tx, img)
+
+        commuted, skipped, failures = decide(
+            [x for x in hb.ball if hb.a_function(x)[1]], commutes)
         return {
             "central": True,
             "witness": None,

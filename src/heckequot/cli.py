@@ -22,6 +22,8 @@ later runs require the stored bytes to match recomputation exactly.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import random
@@ -31,8 +33,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotic, coxeter, crossprod, duality, extquot
+from .asymptotic import decide
 from .coxeter import CoxeterError, GroupElement
-from .hecke import BallOverflowError, HeckeBall, HeckeError, UncertifiedError
+from .hecke import HeckeBall, HeckeError
 from .laurent import LaurentPoly
 
 REPORT_SCHEMA = "heckequot-report/1"
@@ -348,70 +351,31 @@ def scen_infdihedral_j(ns):
     params.update({"samples": samples, "seed": ns.seed,
                    "q": [str(q) for q in qs]})
 
+    certified = [x for x in hb.ball if hb.a_function(x)[1]]
     unit = jr.unit()
-    checked = skipped = 0
-    fails = []
-    for x in hb.ball:
-        if not hb.a_function(x)[1]:
-            continue
-        tx = jr.basis_element(x)
-        try:
-            ok = jr.j_mul(unit, tx) == tx and jr.j_mul(tx, unit) == tx
-        except (UncertifiedError, BallOverflowError):
-            skipped += 1
-            continue
-        checked += 1
-        if not ok:
-            fails.append(x)
     checks.append(_tally(
         "unit",
         "the signed sum over distinguished involutions is a two-sided unit "
-        "on every decidable basis vector", checked, skipped, fails))
+        "on every decidable basis vector",
+        *decide(certified, lambda x: jr.is_unit_on(unit, x))))
 
-    small = [x for x in hb.ball if x.length <= 6 and hb.a_function(x)[1]]
-    checked = skipped = 0
-    fails = []
-    for x in small:
-        tx = jr.basis_element(x)
-        for y in small:
-            ty = jr.basis_element(y)
-            try:
-                xy = jr.j_mul(tx, ty)
-            except (UncertifiedError, BallOverflowError):
-                skipped += len(small)
-                continue
-            for z in small:
-                tz = jr.basis_element(z)
-                try:
-                    if jr.j_mul(xy, tz) != jr.j_mul(tx, jr.j_mul(ty, tz)):
-                        fails.append((x, y, z))
-                except (UncertifiedError, BallOverflowError):
-                    skipped += 1
-                    continue
-                checked += 1
+    small = [x for x in certified if x.length <= 6]
+    t = jr.basis_element
+    pair = functools.cache(lambda x, y: jr.j_mul(t(x), t(y)))
     checks.append(_tally(
         "associativity",
         "the basis product is associative on all certified triples of "
-        "length at most 6", checked, skipped, fails,
+        "length at most 6",
+        *decide(itertools.product(small, repeat=3),
+                lambda c: jr.j_mul(pair(c[0], c[1]), t(c[2]))
+                == jr.j_mul(t(c[0]), pair(c[1], c[2]))),
         {"triple_pool": len(small)}))
 
-    checked = skipped = 0
-    fails = []
-    for x in hb.ball:
-        if not hb.a_function(x)[1]:
-            continue
-        try:
-            ok = jr.base_point_check(x)
-        except (UncertifiedError, BallOverflowError, HeckeError):
-            skipped += 1
-            continue
-        checked += 1
-        if not ok:
-            fails.append(x)
     checks.append(_tally(
         "base-point",
         "acting by t_x on the distinguished base classes reproduces the "
-        "graded image of the dagger basis element", checked, skipped, fails))
+        "graded image of the dagger basis element",
+        *decide(certified, jr.base_point_check)))
 
     rng = random.Random(ns.seed)
     # pairs are drawn so the product support stays inside the certified
@@ -420,26 +384,14 @@ def scen_infdihedral_j(ns):
     pool = [x for x in hb.wp
             if x.length <= interior // 2 and hb.a_function(x)[1]]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(samples)]
+    kl = hb.kl_element
     for q in qs:
-        checked = skipped = 0
-        fails = []
-        for x, y in pairs:
-            try:
-                prod = hb.mul_T(hb.kl_element(x), hb.kl_element(y))
-                lhs = jr.phi_q(prod, q)
-                rhs = jr.j_mul(jr.phi_q(hb.kl_element(x), q),
-                               jr.phi_q(hb.kl_element(y), q))
-            except (UncertifiedError, BallOverflowError):
-                skipped += 1
-                continue
-            checked += 1
-            if lhs != rhs:
-                fails.append((x, y))
         checks.append(_tally(
             f"phi-hom-q={q}",
             "the q-specialized transport to the asymptotic ring is "
             "multiplicative on sampled canonical-basis pairs",
-            checked, skipped, fails))
+            *decide(pairs, lambda p: jr.phi_q(hb.mul_T(kl(p[0]), kl(p[1])), q)
+                    == jr.j_mul(jr.phi_q(kl(p[0]), q), jr.phi_q(kl(p[1]), q)))))
 
     z = asymptotic.bernstein_central_dihedral(hb)
     for q in qs:

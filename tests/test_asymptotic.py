@@ -13,7 +13,13 @@ import pytest
 from heckequot.coxeter import infinite_dihedral
 from heckequot.hecke import BallOverflowError, HeckeBall, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly, parse
-from heckequot.asymptotic import JElement, JRing, bernstein_central_dihedral
+from heckequot.asymptotic import (
+    UNDECIDED,
+    JElement,
+    JRing,
+    bernstein_central_dihedral,
+    decide,
+)
 
 SKIP = (UncertifiedError, BallOverflowError)
 
@@ -26,6 +32,41 @@ def ring():
 
 def certified(hb):
     return [x for x in hb.wp if hb.a_function(x)[1]]
+
+
+# ---- the skip rule ------------------------------------------------------------
+
+
+def test_decide_returns_failures_in_case_order():
+    assert decide([5, 2, 4, 3, 6, 1], lambda n: n < 4) == (6, 0, [5, 4, 6])
+
+
+def test_decide_skips_both_undecided_types():
+    assert set(UNDECIDED) == {UncertifiedError, BallOverflowError}
+
+    def check(n):
+        if n == 1:
+            raise UncertifiedError("uncertified")
+        if n == 3:
+            raise BallOverflowError("outside the ball")
+        return n != 4
+
+    assert decide(range(6), check) == (4, 2, [4])
+
+
+@pytest.mark.parametrize("error", [HeckeError("plain"), ValueError("bug")])
+def test_decide_lets_other_errors_through(error):
+    def check(n):
+        if n == 2:
+            raise error
+        return True
+
+    with pytest.raises(type(error)):
+        decide(range(4), check)
+
+
+def test_decide_on_no_cases():
+    assert decide([], lambda n: False) == (0, 0, [])
 
 
 def test_unit_is_signed_sum_over_distinguished(ring):

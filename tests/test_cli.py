@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from heckequot import cli
+from heckequot.asymptotic import JRing
 from heckequot.coxeter import infinite_dihedral
-from heckequot.hecke import HeckeBall
+from heckequot.hecke import HeckeBall, HeckeError
 
 
 def run(args):
@@ -63,6 +64,17 @@ def test_bad_q_is_rejected_before_the_ball_is_cached(tmp_path):
     assert rc == 3
     assert "square" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_error_that_is_not_undecided_stops_the_run(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise HeckeError("boom")
+
+    monkeypatch.setattr(JRing, "star_action", boom)
+    rc, out, err = run(["run", "infdihedral-J", "--cache-dir", str(tmp_path)])
+    assert rc == 3
+    assert "error: boom" in err
+    assert "base-point" not in out
 
 
 # ---- report formats ----------------------------------------------------------

@@ -11,22 +11,22 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from heckequot import cli
+from heckequot import asymptotic, cli
 from heckequot.coxeter import infinite_dihedral
 from heckequot.hecke import HeckeBall
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def load_targets():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_traced_target_resolves_to_a_callable():
-    targets = load_targets()
+    targets = load_tracing().TARGETS
     assert targets
     for modname, path, _name, _kind in targets:
         owner = importlib.import_module("heckequot." + modname)
@@ -45,3 +45,10 @@ def test_ball_exposes_what_the_tracer_hooks_read(tmp_path):
     assert len(hb._a_cert) == len(hb.wp)
     path, status = cli.cache_store(hb, tmp_path)
     assert status == "written" and path.stat().st_size > 0
+
+
+def test_skips_and_the_decided_ratio_count_the_same_exceptions():
+    # the reports' skip counts and the tracer's asymptotic.decided_ratio
+    # must both treat exactly these exceptions as undecided
+    names = {e.__name__ for e in asymptotic.UNDECIDED}
+    assert names == set(load_tracing().UNDECIDED)

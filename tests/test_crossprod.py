@@ -245,6 +245,17 @@ def test_ramified_points_split_three_plus_one():
         assert out["split"]["restricted_ranks"] == [9, 1]
 
 
+@pytest.mark.parametrize("v1", [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[0, 0, 1, 1]],
+])
+def test_non_invariant_subspace_is_rejected(monkeypatch, v1):
+    monkeypatch.setattr(crossprod, "V1_BASIS", [[Fraction(x) for x in v] for v in v1])
+    for z in (1, -1):
+        with pytest.raises(crossprod.CrossProdError, match="not invariant"):
+            evaluate_module(z)
+
+
 def test_reflection_class_module():
     out = evaluate_reflection_class()
     assert out["dims"] == [2]
