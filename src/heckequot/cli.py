@@ -385,12 +385,13 @@ def scen_infdihedral_j(ns):
             if x.length <= interior // 2 and hb.a_function(x)[1]]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(samples)]
     kl = hb.kl_element
+    prod = functools.cache(lambda x, y: hb.mul_T(kl(x), kl(y)))  # the same for every q
     for q in qs:
         checks.append(_tally(
             f"phi-hom-q={q}",
             "the q-specialized transport to the asymptotic ring is "
             "multiplicative on sampled canonical-basis pairs",
-            *decide(pairs, lambda p: jr.phi_q(hb.mul_T(kl(p[0]), kl(p[1])), q)
+            *decide(pairs, lambda p: jr.phi_q(prod(*p), q)
                     == jr.j_mul(jr.phi_q(kl(p[0]), q), jr.phi_q(kl(p[1]), q)))))
 
     z = asymptotic.bernstein_central_dihedral(hb)

@@ -26,6 +26,12 @@ lives in memory at a time) along right reduced words, using the expansion
 of each c_z c_s, which is read off from the mu-coefficients of the
 p-polynomials.
 
+On W', conjugation g by Omega and the anti-involution T_w -> T_{w^-1} fix
+both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
+h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
+one z per orbit; the stream computes rows for one x per Omega-conjugacy
+orbit with 2 l(x) <= R and delivers the other pairs relabelled.
+
 Group arithmetic is done once per ball: integer tables over ball indices
 (the ball's own key order) hold lengths, inverses, right multiplication
 by each generator, the (W' index, Omega index) pair of each element and
@@ -188,6 +194,10 @@ class HeckeBall:
                         for om in self.omega_elems]
         wball = self._rom[::nom]  # ball index of each W' element
         self.wp_inv = [self._wpi[self._inv[b]] for b in wball]
+        # the symmetries of the tables, as maps on W' indices: conjugation by
+        # omega_k (k = 0 is the identity), then inversion after each of them
+        conj = [[self._conj(j, k) for j in range(len(self.wp))] for k in range(nom)]
+        self._syms = conj + [[self.wp_inv[j] for j in g] for g in conj]
         # right multiplication by generators inside W', on W' indices
         self._wrm = array("i", (-1 if b < 0 else self._wpi[b]
                                 for i in wball for b in self._rm[i * ngen:(i + 1) * ngen]))
@@ -254,26 +264,30 @@ class HeckeBall:
         Seed c_{z1} * c_s for z = z1 s; subtract bar-invariant multiples
         of shorter canonical elements until every off-diagonal coefficient
         sits in strictly negative degrees.  The subtracted coefficients
-        are exactly the generator-product corrections, recorded for reuse."""
-        self._p = [dict() for _ in self.wp]
-        self._p[0] = {0: {0: 1}}
-        order = sorted(range(len(self.wp)), key=lambda i: self.wp_len[i])
-        for zi in order:
-            if self.wp_len[zi] == 0:
+        are exactly the generator-product corrections, recorded for reuse.
+        Only one z per orbit of _syms is computed; the rows of the rest of
+        its orbit share its polynomials, so none may be mutated in place."""
+        p = self._p = [dict() for _ in self.wp]
+        p[0] = {0: {0: 1}}
+        for zi in range(1, len(self.wp)):  # W' is sorted by (length, key)
+            if p[zi]:
                 continue
             j, s = self.parent[zi]
             E = self._seed_product(j, s)
-            # fix violations strictly by decreasing length
-            for length in range(self.wp_len[zi] - 1, -1, -1):
-                for yi in [k for k in E if self.wp_len[k] == length]:
-                    pi = nonneg_sym(E[yi])
-                    if not pi:
-                        continue
-                    neg = {e: -a for e, a in pi.items()}
-                    for k, q in self._p[yi].items():
-                        if not acc_mul(E.setdefault(k, {}), neg, q):
-                            del E[k]
-            self._p[zi] = {k: v for k, v in E.items() if v}
+            # supp E is the Bruhat interval [e, z] and a correction from y
+            # reaches only y and shorter keys: fix them in descending index
+            for yi in sorted(E)[-2::-1]:
+                pi = nonneg_sym(E[yi])
+                if not pi:
+                    continue
+                neg = {e: -a for e, a in pi.items()}
+                for k, q in p[yi].items():
+                    if not acc_mul(E.setdefault(k, {}), neg, q):
+                        del E[k]
+            row = p[zi] = {k: v for k, v in E.items() if v}
+            for g in self._syms:
+                if not p[g[zi]]:
+                    p[g[zi]] = {g[y]: q for y, q in row.items()}
 
     def _seed_product(self, j: int, s: int) -> dict[int, RawPoly]:
         """c_{wp[j]} * (T_s + v^-1) in T-coordinates over W' indices."""
@@ -448,44 +462,54 @@ class HeckeBall:
 
     def _stream_products(self, visit: Callable[[int, int, dict[int, RawPoly]], None]) -> None:
         """Call visit(xi, yi, P) with P = c_x c_y in canonical coordinates
-        for every W' pair with l(x) + l(y) <= radius."""
-        budget = self.radius
-        order = sorted(range(len(self.wp)), key=lambda i: (self.wp_len[i], i))
+        once for every W' pair with l(x) + l(y) <= radius.  A computed row
+        serves its Omega-conjugacy orbit, and a pair with 2 l(y) > radius
+        also serves its inverse mirror (y^-1, x^-1)."""
+        budget, wl, nom, syms, n = self.radius, self.wp_len, self._nom, self._syms, len(self.wp)
         tbls = [self._cs_table(s) for s in range(len(self.gens))]
-        for xi in order:
-            lx = self.wp_len[xi]
+        done: set[int] = set()
+        for xi in range(n):  # W' is sorted by (length, key)
+            lx = wl[xi]
+            if 2 * lx > budget:
+                break
+            if xi in done:
+                continue
+            orbit = {syms[k][xi]: k for k in reversed(range(nom))}  # member -> least k onto it
+            done.update(orbit)
             row: dict[int, dict[int, RawPoly]] = {0: {xi: {0: 1}}}
-            visit(xi, 0, row[0])
-            for yi in order:
-                ly = self.wp_len[yi]
-                if ly == 0:
-                    continue
+            for yi in range(n):
+                ly = wl[yi]
                 if lx + ly > budget:
                     break
-                pi, s = self.parent[yi]
-                tbl = tbls[s]
-                acc: dict[int, RawPoly] = {}
-                for zi, h in row[pi].items():
-                    for wi, A in tbl[zi].items():
-                        if wi < 0:  # pragma: no cover - budget prevents this
-                            raise BallOverflowError("product overflowed the ball")
-                        tgt = acc.setdefault(wi, {})
-                        if isinstance(A, int):
-                            acc_scaled(tgt, h, A)
-                        else:
-                            acc_mul(tgt, h, A)
-                for wi, A in tbl[pi].items():
-                    if wi == yi or wi < 0:
-                        continue
-                    for zi, h in row[wi].items():
-                        tgt = acc.setdefault(zi, {})
-                        if isinstance(A, int):
-                            acc_scaled(tgt, h, -A)
-                        else:
-                            acc_mul(tgt, {e: -a for e, a in h.items()}, A)
-                acc = {zi: p for zi, p in acc.items() if p}
-                row[yi] = acc
-                visit(xi, yi, acc)
+                if yi:
+                    pi, s = self.parent[yi]
+                    tbl = tbls[s]
+                    acc: dict[int, RawPoly] = {}
+                    for zi, h in row[pi].items():
+                        for wi, A in tbl[zi].items():
+                            if wi < 0:  # pragma: no cover - budget prevents this
+                                raise BallOverflowError("product overflowed the ball")
+                            tgt = acc.setdefault(wi, {})
+                            if isinstance(A, int):
+                                acc_scaled(tgt, h, A)
+                            else:
+                                acc_mul(tgt, h, A)
+                    for wi, A in tbl[pi].items():
+                        if wi == yi or wi < 0:
+                            continue
+                        for zi, h in row[wi].items():
+                            tgt = acc.setdefault(zi, {})
+                            if isinstance(A, int):
+                                acc_scaled(tgt, h, -A)
+                            else:
+                                acc_mul(tgt, {e: -a for e, a in h.items()}, A)
+                    row[yi] = {zi: p for zi, p in acc.items() if p}
+                P = row[yi]
+                for k in orbit.values():
+                    g, m = syms[k], syms[nom + k]
+                    visit(g[xi], g[yi], {g[zi]: h for zi, h in P.items()} if k else P)
+                    if 2 * ly > budget:
+                        visit(m[yi], m[xi], {m[zi]: h for zi, h in P.items()})
 
     # ---------------- a-function ------------------------------------------
     def _ensure_a_data(self) -> None:
@@ -658,11 +682,13 @@ class HeckeBall:
         return out
 
     def p_lines(self) -> list[str]:
-        out = []
-        for zi in range(len(self.wp)):
-            for yi in sorted(self._p[zi]):
-                poly = LaurentPoly(self._p[zi][yi]).to_str()
-                out.append(f"P {yi} {zi} {poly}")
+        out, text = [], {}  # each distinct polynomial is formatted once
+        for zi, row in enumerate(self._p):
+            for yi in sorted(row):
+                key = tuple(row[yi].items())
+                if key not in text:
+                    text[key] = LaurentPoly(row[yi]).to_str()
+                out.append(f"P {yi} {zi} {text[key]}")
         return out
 
     def h_row_lines(self, xi: int, yi: int) -> list[str]:

@@ -8,11 +8,12 @@ recomputing every row along an independent multiplication route.
 
 import pytest
 
-from heckequot.coxeter import extended_affine_b2, infinite_dihedral
+from heckequot.coxeter import extended_affine_b2, extended_affine_pgl, infinite_dihedral
 from heckequot.hecke import (
     BallOverflowError,
     CACHE_SCHEMA,
     HeckeBall,
+    HeckeElement,
     UncertifiedError,
 )
 from heckequot.laurent import LaurentPoly, ONE
@@ -59,6 +60,27 @@ def test_unitriangular_with_negative_lower_degrees(b2_12):
                 continue
             assert y.length < z.length
             assert p.degree() <= -1
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(extended_affine_b2, 12), (lambda: extended_affine_pgl(3), 10)],
+    ids=["b2-r12", "pgl3-r10"],
+)
+def test_kl_rows_are_the_canonical_basis(factory, radius):
+    # the defining properties, checked without the recursion on every row,
+    # those filled by relabelling an Omega-conjugate or inverse row included:
+    # c_z = sum_y p_{y,z} T_y is fixed by bar, where bar(T_y) is
+    # (-1)^l(y) dagger(T_y) and bar sends v to v^-1; p_{z,z} = 1 and every
+    # other p_{y,z} lies in v^-1 Z[v^-1]
+    hb = HeckeBall(factory(), radius)
+    assert len(hb.omega_elems) > 1
+    for z in hb.wp:
+        c = hb.kl_element(z)
+        assert c.terms[z] == ONE
+        assert all(p.degree() <= -1 for y, p in c.terms.items() if y != z)
+        signed = {y: p.bar().shifted(0, (-1) ** y.length) for y, p in c.terms.items()}
+        assert hb.dagger(HeckeElement("T", signed)) == c, z
 
 
 def test_p_poly_lookup(dih8):

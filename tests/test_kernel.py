@@ -98,6 +98,8 @@ def test_wprime_tables_match_multiply(hb):
         for k, om in enumerate(hb.omega_elems):
             conj = pres.multiply(pres.multiply(om, x), pres.inverse(om))
             assert hb.wp[hb._conj(j, k)] == conj
+            assert hb.wp[hb._syms[k][j]] == conj
+            assert hb.wp[hb._syms[len(hb.omega_elems) + k][j]] == pres.inverse(conj)
 
 
 def test_omega_tables_match_multiply(hb):
@@ -196,3 +198,40 @@ def test_phi_hom_with_omega(b2_12):
             assert part(lhs, c) == rhs, (x, y, c)
             checked += bool(x.omega_index() or y.omega_index())
     assert checked > 0
+
+
+# ---- the product stream over symmetry orbits ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(extended_affine_b2, 8), (lambda: extended_affine_pgl(3), 6)],
+    ids=["b2-r8", "pgl3-r6"],
+)
+def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius):
+    # rows are computed for the first x of each Omega-conjugacy orbit with
+    # 2 l(x) <= radius; every other pair is delivered by conjugation or as
+    # an inverse mirror, and must equal the T-basis route pair by pair
+    hb = HeckeBall(factory(), radius)
+    pres, wl, n = hb.pres, hb.wp_len, len(hb.wp)
+    rows, visits = {}, []
+
+    def visit(xi, yi, P):
+        visits.append((xi, yi))
+        rows[(xi, yi)] = {zi: dict(h) for zi, h in P.items()}
+
+    hb._stream_products(visit)
+    assert sorted(visits) == [(x, y) for x in range(n) for y in range(n)
+                              if wl[x] + wl[y] <= radius]
+
+    def conj(om, x):
+        return pres.multiply(pres.multiply(om, x), pres.inverse(om))
+
+    first = {min(hb.wp_index[conj(om, x)] for om in hb.omega_elems) for x in hb.wp}
+    conjugated = mirrored = 0
+    for (xi, yi), P in rows.items():
+        prod = hb.h_constants(hb.wp[xi], hb.wp[yi])
+        assert {hb.wp_index[z]: dict(p.c) for z, p in prod.items()} == P, (xi, yi)
+        mirrored += 2 * wl[xi] > radius
+        conjugated += 2 * wl[xi] <= radius and xi not in first
+    assert conjugated and mirrored
