@@ -12,9 +12,10 @@ with Laurent coefficients:
     phi(cdag_x) = sum over d distinguished, a(z) = a(d) of
                   h_{x,d,z} nhat_z t_z
 
-and is an algebra homomorphism.  Specializing v to a rational square
-root of q gives phi_q into J with rational coefficients.  Cell modules
-carry the star action
+and is an algebra homomorphism.  Its images do not depend on q: phi is
+computed once with Laurent coefficients, and `specialize` sends v to a
+rational square root of q, which gives phi_q into J with rational
+coefficients.  Cell modules carry the star action
 
     t_x * [w] = sum over z with a(z) = a(w) of
                 gamma(x, w, z) nhat_w nhat_z [z]
@@ -23,13 +24,18 @@ for which the sum f_i of all distinguished basis vectors at a-value i
 acts as a projector-like base point: t_x * f_{a(x)} = nhat_x [x].
 
 All products go through the certified gamma tables and raise
-UncertifiedError or BallOverflowError rather than return wrong answers.
-The checks run their cases through `decide`, which counts a case that
-raises UncertifiedError or BallOverflowError as skipped, never as passed,
-and lets any other error stop the run.
+UncertifiedError or BallOverflowError rather than return wrong answers,
+with one rule on top: a is constant on two-sided cells and J_c J_c' = 0
+for distinct cells (Lusztig, Cells in affine Weyl groups II, 1987), so
+j_mul gives t_x t_y = 0 when a(x) != a(y) are both certified, even where
+the ball cannot certify the product's support.  The checks run their
+cases through `decide`, which counts a case that raises UncertifiedError
+or BallOverflowError as skipped, never as passed, and lets any other
+error stop the run.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,9 +47,10 @@ from .hecke import (
     HeckeBall,
     HeckeElement,
     HeckeError,
+    RawPoly,
     UncertifiedError,
 )
-from .laurent import LaurentPoly, sparse_add
+from .laurent import LaurentPoly, acc_mul, acc_scaled, sparse_add
 
 # The truncated ball cannot decide a case that raises one of these.
 UNDECIDED = (UncertifiedError, BallOverflowError)
@@ -78,9 +85,6 @@ class JElement:
     def __post_init__(self):
         self.coeffs = {w: c for w, c in self.coeffs.items() if c}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JElement) and self.coeffs == other.coeffs
-
     def __add__(self, other: "JElement") -> "JElement":
         return JElement(sparse_add(dict(self.coeffs), other.coeffs))
 
@@ -100,26 +104,25 @@ class JElement:
         return f"JElement{{{inner}}}"
 
 
+def specialize(a: JElement, q) -> JElement:
+    """Laurent coefficients evaluated at v = sqrt(q); q must be the square
+    of a rational."""
+    r = _sqrt_fraction(q)
+    return JElement({w: p.evaluate(r) for w, p in a.coeffs.items()})
+
+
 def _sqrt_fraction(q) -> Fraction:
     """Exact square root of a rational, or raise."""
     q = Fraction(q)
     if q <= 0:
         raise HeckeError("specialization needs q > 0")
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
         raise HeckeError(
             f"q = {q} is not the square of a rational; the specialization "
             "v -> sqrt(q) would leave exact arithmetic"
         )
     return Fraction(num, den)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 @dataclass
@@ -136,13 +139,6 @@ class GradedClass:
     def __post_init__(self):
         self.coords = {w: c for w, c in self.coords.items() if c}
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedClass)
-            and self.grade == other.grade
-            and self.coords == other.coords
-        )
-
     def __add__(self, other: "GradedClass") -> "GradedClass":
         if self.grade != other.grade:
             raise HeckeError("grade mismatch in graded addition")
@@ -157,7 +153,7 @@ class JRing:
 
     def __init__(self, hb: HeckeBall):
         self.hb = hb
-        self._phi: dict[GroupElement, JElement] = {}
+        self._phi: dict[int, dict[int, RawPoly]] = {}
 
     def basis_element(self, w: GroupElement, coeff=1) -> JElement:
         return JElement({w: coeff})
@@ -171,18 +167,23 @@ class JRing:
         return self.j_mul(u, tw) == tw and self.j_mul(tw, u) == tw
 
     def j_mul(self, a: JElement, b: JElement) -> JElement:
-        """Product in J; raises when any needed gamma row is uncertified
-        or outside the pair budget."""
-        out: dict[GroupElement, object] = {}
+        """Product in J; zero for operands certified at different a-values,
+        otherwise raises when any needed gamma row is uncertified or
+        outside the pair budget."""
+        hb = self.hb
+        hb._ensure_gamma()
+        wpi, aval, acert = hb._wpi, hb._a_values, hb._a_cert
+        ys = [(hb._idx(y), cy) for y, cy in b.coeffs.items()]
+        out: dict[int, object] = {}
         for x, cx in a.coeffs.items():
-            for y, cy in b.coeffs.items():
-                for z, g in self.hb.gamma_row(x, y).items():
-                    s = out.get(z, 0) + cx * cy * g
-                    if s:
-                        out[z] = s
-                    elif z in out:
-                        del out[z]
-        return JElement(out)
+            i = hb._idx(x)
+            for j, cy in ys:
+                # a is constant on two-sided cells, and J_c J_c' = 0
+                if acert[wpi[i]] and acert[wpi[j]] and aval[wpi[i]] != aval[wpi[j]]:
+                    continue
+                sparse_add(out, {z: cx * cy * g for z, g in hb._gamma_row_idx(i, j).items()})
+        elems = hb.ball.elements
+        return JElement({elems[z]: c for z, c in out.items()})
 
     # ---------------- cell ideals -----------------------------------------
     def cell_ideal_check(self, samples: int = 0, seed: int = 0) -> dict:
@@ -193,16 +194,8 @@ class JRing:
         hb = self.hb
         part = hb.cell_partition()
         cid = part.two_sided_id
-        pairs = []
-        for x in hb.ball:
-            if not hb.a_function(x)[1]:
-                continue
-            for y in hb.ball:
-                if x.length + y.length > hb.radius:
-                    continue
-                if not hb.a_function(y)[1]:
-                    continue
-                pairs.append((x, y))
+        cert = [x for x in hb.ball if hb.a_function(x)[1]]
+        pairs = [(x, y) for x in cert for y in cert if x.length + y.length <= hb.radius]
         if samples and samples < len(pairs):
             pairs = random.Random(seed).sample(pairs, samples)
 
@@ -234,12 +227,7 @@ class JRing:
         hb = self.hb
         basis = sorted(cell.certified_elements, key=GroupElement.key)
         cset = set(cell.elements)
-        dist = [
-            (d, nd)
-            for d, nd in hb.distinguished_involutions()
-            if d in cset
-        ]
-        unit = JElement(dict(dist))
+        unit = JElement({d: nd for d, nd in hb.distinguished_involutions() if d in cset})
         pairs = [(x, y) for x in basis for y in basis if x.length + y.length <= hb.radius]
         if max_pairs and max_pairs < len(pairs):
             pairs = random.Random(seed).sample(pairs, max_pairs)
@@ -263,59 +251,58 @@ class JRing:
         }
 
     # ---------------- phi ---------------------------------------------------
-    def phi_of_cdagger(self, x: GroupElement) -> JElement:
-        """phi(cdag_x) with Laurent coefficients, computed once per x."""
-        if x in self._phi:
-            return self._phi[x]
+    def _phi_of_cdagger(self, i: int) -> dict[int, RawPoly]:
+        """phi(cdag_x) for x = ball[i], on ball indices, computed once per x."""
+        if i in self._phi:
+            return self._phi[i]
         hb = self.hb
-        out: dict[GroupElement, LaurentPoly] = {}
+        x = hb.ball.elements[i]
+        out: dict[int, RawPoly] = {}
         for d, _nd in hb.distinguished_involutions():
             if x.length + d.length > hb.radius:
                 raise BallOverflowError(
                     "phi needs the full row of products against distinguished involutions"
                 )
             ad = hb.a_function(d)[0]
-            sparse_add(out, {z: h * hb.nhat(z) for z, h in hb.h_to_distinguished(x, d).items()
-                             if hb.a_function(z)[0] == ad})
-        self._phi[x] = JElement(out)
-        return self._phi[x]
+            for z, h in hb.h_to_distinguished(x, d).items():
+                if hb.a_function(z)[0] == ad:
+                    acc_scaled(out.setdefault(hb._idx(z), {}), h.c, hb.nhat(z))
+        self._phi[i] = {z: p for z, p in out.items() if p}
+        return self._phi[i]
+
+    def _cdag_idx(self, h: HeckeElement) -> dict[int, RawPoly]:
+        """Dagger-basis coordinates of h on ball indices."""
+        hb = self.hb
+        if h.basis == "cdag":
+            return hb._to_idx(h)
+        if h.basis == "T":
+            return hb._t_to_c_idx(hb._dagger_idx(hb._to_idx(h)))
+        raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
 
     def cdag_coords(self, h: HeckeElement) -> HeckeElement:
         """Coordinates of h in the dagger basis: h = sum coords_x cdag_x.
 
         The dagger map is an A-linear algebra involution, so the
         coordinates are obtained by expressing dagger(h) in the c-basis."""
-        if h.basis == "cdag":
-            return h
-        if h.basis == "T":
-            return HeckeElement("cdag", dict(self.hb.t_to_c(self.hb.dagger(h)).terms))
-        raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
+        return self.hb._from_idx("cdag", self._cdag_idx(h))
 
     def cdag_to_t(self, coords: HeckeElement) -> HeckeElement:
         """Expand dagger-basis coordinates into the T-basis."""
-        hb = self.hb
-        out = HeckeElement("T", {})
-        for x, p in coords.terms.items():
-            out = out + hb.dagger(hb.kl_element(x)).scaled(p)
-        return out
+        # dagger is A-linear: sum p_x dagger(c_x) = dagger(sum p_x c_x)
+        return self.hb.dagger(self.hb.c_to_t(HeckeElement("c", coords.terms)))
 
     def phi(self, h: HeckeElement) -> JElement:
         """phi with Laurent coefficients; accepts T- or dagger-basis input."""
-        coords = self.cdag_coords(h)
-        out = JElement({})
-        for x, p in coords.terms.items():
-            out = out + self.phi_of_cdagger(x).scaled(p)
-        return out
+        out: dict[int, RawPoly] = {}
+        for x, p in self._cdag_idx(h).items():
+            for z, q in self._phi_of_cdagger(x).items():
+                acc_mul(out.setdefault(z, {}), q, p)
+        elems = self.hb.ball.elements
+        return JElement({elems[z]: LaurentPoly._raw(q) for z, q in out.items() if q})
 
     def phi_q(self, h: HeckeElement, q) -> JElement:
         """phi followed by v -> sqrt(q); q must be a square of a rational."""
-        r = _sqrt_fraction(q)
-        out = {}
-        for w, p in self.phi(h).coeffs.items():
-            val = p.evaluate(r)
-            if val:
-                out[w] = val
-        return JElement(out)
+        return specialize(self.phi(h), q)
 
     # ---------------- cell modules -----------------------------------------
     def star_action(self, a, f: GradedClass, side: str = "left") -> GradedClass:
@@ -416,54 +403,47 @@ class JRing:
         return lhs == rhs
 
     # ---------------- center -----------------------------------------------
-    def center_commutation_check(self, z_central: HeckeElement, q=1) -> dict:
-        """Verify the image of a central element is central in J.
+    def center_commutation_check(self, z_central: HeckeElement, qs=(1,)) -> list[dict]:
+        """Verify the image of a central element is central in J; one
+        result per q in qs.
 
         First verifies the precondition by commuting z_central with every
         generator and length-zero element inside the ball; a failure is
         reported with its witness and the main check does not run.  Then
-        phi_q(z_central) is commuted against t_x for every certified x
-        whose products the truncation can decide; undecidable x are
-        counted as skipped."""
+        phi(z_central), computed once and specialized at each q, is
+        commuted against t_x for every certified x whose products the
+        truncation can decide; undecidable x are counted as skipped."""
         hb = self.hb
         one = LaurentPoly.one()
         gens = [HeckeElement("T", {g: one}) for g in hb.gens]
         gens += [HeckeElement("T", {om: one}) for om in hb.omega_elems if not om.is_identity()]
+        witness = None
         for g in gens:
             try:
                 diff = hb.mul_T(z_central, g) - hb.mul_T(g, z_central)
             except BallOverflowError:
-                return {
-                    "central": False,
-                    "witness": "ball too small to verify the centrality precondition",
-                    "commuted": 0,
-                    "skipped": 0,
-                    "failures": [],
-                }
+                witness = "ball too small to verify the centrality precondition"
+                break
             if diff.terms:
-                wit = next(iter(g.terms))
-                return {
-                    "central": False,
-                    "witness": f"does not commute with T_[{wit.key_str()}]",
-                    "commuted": 0,
-                    "skipped": 0,
-                    "failures": [],
-                }
-        img = self.phi_q(z_central, q)
+                witness = f"does not commute with T_[{next(iter(g.terms)).key_str()}]"
+                break
+        if witness:
+            return [{"central": False, "witness": witness, "commuted": 0, "skipped": 0,
+                     "failures": []} for _ in qs]
+        img = self.phi(z_central)
+        certified = [x for x in hb.ball if hb.a_function(x)[1]]
+        out = []
+        for q in qs:
+            zq = specialize(img, q)
 
-        def commutes(x):
-            tx = self.basis_element(x)
-            return self.j_mul(img, tx) == self.j_mul(tx, img)
+            def commutes(x):
+                tx = self.basis_element(x)
+                return self.j_mul(zq, tx) == self.j_mul(tx, zq)
 
-        commuted, skipped, failures = decide(
-            [x for x in hb.ball if hb.a_function(x)[1]], commutes)
-        return {
-            "central": True,
-            "witness": None,
-            "commuted": commuted,
-            "skipped": skipped,
-            "failures": failures,
-        }
+            commuted, skipped, failures = decide(certified, commutes)
+            out.append({"central": True, "witness": None, "commuted": commuted,
+                        "skipped": skipped, "failures": failures})
+        return out
 
 
 def bernstein_central_dihedral(hb: HeckeBall) -> HeckeElement:

@@ -157,6 +157,9 @@ class HeckeBall:
     certification, gamma constants, distinguished involutions, cells."""
 
     def __init__(self, pres: GroupPresentation, radius: int, margin: int = 3):
+        if not 0 <= margin <= radius:
+            raise HeckeError(f"the margin must lie in 0..radius, got margin {margin} "
+                             f"at radius {radius}")
         self.pres = pres
         self.radius = radius
         self.margin = margin
@@ -399,7 +402,10 @@ class HeckeBall:
         """Rewrite a T-basis element in the canonical basis."""
         if a.basis != "T":
             raise HeckeError("t_to_c needs a T-basis operand")
-        rem = self._to_idx(a)
+        return self._from_idx("c", self._t_to_c_idx(self._to_idx(a)))
+
+    def _t_to_c_idx(self, rem: dict[int, RawPoly]) -> dict[int, RawPoly]:
+        """t_to_c on ball indices; consumes rem."""
         out: dict[int, RawPoly] = {}
         while rem:
             # ball indices follow the key order, so this is a longest term
@@ -412,7 +418,7 @@ class HeckeBall:
                     acc_mul(acc, coeff, {e: -c for e, c in p.items()})
                     if not acc:
                         del rem[y]
-        return self._from_idx("c", out)
+        return out
 
     def c_to_t(self, a: HeckeElement) -> HeckeElement:
         if a.basis != "c":
@@ -428,11 +434,15 @@ class HeckeBall:
         which has the same structure constants."""
         if a.basis != "T":
             raise HeckeError("dagger needs a T-basis operand")
+        return self._from_idx("T", self._dagger_idx(self._to_idx(a)))
+
+    def _dagger_idx(self, terms: dict[int, RawPoly]) -> dict[int, RawPoly]:
+        """dagger on ball indices."""
         out: dict[int, RawPoly] = {}
-        for w, p in a.terms.items():
-            for x, q in self._dagger_T(self._idx(w)).items():
-                acc_mul(out.setdefault(x, {}), q, p.c)
-        return self._from_idx("T", out)
+        for w, p in terms.items():
+            for x, q in self._dagger_T(w).items():
+                acc_mul(out.setdefault(x, {}), q, p)
+        return out
 
     def _dagger_T(self, i: int) -> dict[int, RawPoly]:
         """dagger(T_x) for x = ball[i], memoized along right descents:
@@ -643,9 +653,13 @@ class HeckeBall:
     def gamma_row(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, int]:
         """All nonzero coefficients of t_x t_y, with certification guards."""
         self._ensure_gamma()
-        xi, omx = self._wp_coset(x)
-        yi, omy = self._wp_coset(y)
-        yti = self._conj(yi, omx)
+        elems = self.ball.elements
+        return {elems[z]: g for z, g in self._gamma_row_idx(self._idx(x), self._idx(y)).items()}
+
+    def _gamma_row_idx(self, i: int, j: int) -> dict[int, int]:
+        """gamma_row on ball indices, after _ensure_gamma."""
+        xi, omx = self._wpi[i], self._omi[i]
+        yti = self._syms[omx][self._wpi[j]]  # the W' part of omega_x y omega_x^-1
         if not (self._a_cert[xi] and self._a_cert[yti]):
             raise UncertifiedError("operands must have certified a-values")
         pair = self._gamma.get((xi, yti))
@@ -653,8 +667,8 @@ class HeckeBall:
             raise BallOverflowError("pair exceeds the exact-product budget")
         if (xi, yti) in self._gamma_tainted:
             raise UncertifiedError("product support touches uncertified elements")
-        om, nom, elems = self._om_mul[omx][omy], self._nom, self.ball.elements
-        return {elems[self._rom[zi * nom + om]]: g for zi, g in pair.items()}
+        om, nom = self._om_mul[omx][self._omi[j]], self._nom
+        return {self._rom[zi * nom + om]: g for zi, g in pair.items()}
 
     def h_to_distinguished(self, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
         """h_{x,d,.} for a distinguished involution d (W' data)."""
@@ -797,24 +811,13 @@ class HeckeBall:
 
         records = []
         for c in tcomp:
-            cert_elems = []
-            cert_avals = set()
-            all_cert = True
-            for i in c:
-                zi = self._wpi[i]
-                if self._a_cert[zi]:
-                    cert_elems.append(elems[i])
-                    cert_avals.add(self._a_values[zi])
-                else:
-                    all_cert = False
-            records.append(
-                CellRecord(
-                    elements=[elems[i] for i in c],
-                    certified_elements=cert_elems,
-                    a_value=cert_avals.pop() if len(cert_avals) == 1 else None,
-                    fully_certified=all_cert and len(cert_avals) == 0,
-                )
-            )
+            cert = [i for i in c if self._a_cert[self._wpi[i]]]
+            avals = {self._a_values[self._wpi[i]] for i in cert}
+            records.append(CellRecord(
+                elements=[elems[i] for i in c],
+                certified_elements=[elems[i] for i in cert],
+                a_value=min(avals) if len(avals) == 1 else None,
+                fully_certified=len(cert) == len(c) and len(avals) == 1))
 
         # two-sided preorder on cells, transitively closed
         pairs: set[tuple[int, int]] = set()

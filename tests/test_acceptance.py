@@ -118,8 +118,7 @@ def test_c03_asymptotic_ring(criterion):
                 assert lhs == rhs, (x, y, q)
 
         z = bernstein_central_dihedral(hb)
-        for q in (1, 4):
-            res = J.center_commutation_check(z, q)
+        for res in J.center_commutation_check(z, (1, 4)):
             assert res["central"] is True
             assert res["failures"] == []
             assert res["commuted"] == 31

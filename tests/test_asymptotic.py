@@ -233,8 +233,7 @@ def test_bernstein_element_terms(ring):
 def test_center_commutation(ring):
     hb, J = ring
     z = bernstein_central_dihedral(hb)
-    for q in (1, 4):
-        res = J.center_commutation_check(z, q)
+    for res in J.center_commutation_check(z, (1, 4)):
         assert res["central"] is True
         assert res["failures"] == []
         assert (res["commuted"], res["skipped"]) == (15, 6)

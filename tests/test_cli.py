@@ -77,6 +77,58 @@ def test_an_error_that_is_not_undecided_stops_the_run(tmp_path, monkeypatch):
     assert "base-point" not in out
 
 
+@pytest.mark.parametrize("args", [
+    ["so5-cells", "--margin", "-1"],
+    ["so5-jc1", "--radius", "0"],
+    ["infdihedral-cells", "--radius", "0"],
+], ids=["negative-margin", "so5-jc1-radius-0", "infdihedral-cells-radius-0"])
+def test_bad_margin_is_rejected_before_the_ball_is_built(args, tmp_path):
+    rc, out, err = run(["run", *args, "--cache-dir", str(tmp_path)])
+    assert rc == 3
+    assert err.startswith("error: the margin must lie in 0..radius")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ball_refuses_a_margin_outside_the_radius():
+    with pytest.raises(HeckeError, match="margin"):
+        HeckeBall(infinite_dihedral(), 2, margin=3)
+    with pytest.raises(HeckeError, match="margin"):
+        HeckeBall(infinite_dihedral(), 2, margin=-1)
+    assert HeckeBall(infinite_dihedral(), 2, margin=2).margin == 2
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_samples_below_one_is_usage_error(samples, tmp_path):
+    rc, out, err = run(["run", "infdihedral-J", "--samples", samples,
+                        "--cache-dir", str(tmp_path)])
+    assert rc == 3
+    assert "usage error" in err and "at least 1" in err
+    assert out == ""
+
+
+def test_samples_default_and_smallest_value_parse():
+    parse = cli.build_parser().parse_args
+    assert parse(["run", "infdihedral-J"]).samples is None
+    assert parse(["run", "infdihedral-J", "--samples", "1"]).samples == 1
+
+
+def test_infdihedral_j_computes_each_phi_image_once(tmp_path, monkeypatch):
+    # phi images are Laurent, so the scenario computes one per distinct
+    # sampled pair (38 at seed 0), one per pool element (at most 17) and one
+    # for the central element, and only specializes them per q; computed
+    # per q and per sample, as before, it made 302 calls
+    calls = []
+    phi = JRing.phi
+    monkeypatch.setattr(JRing, "phi", lambda self, h: calls.append(h) or phi(self, h))
+    rc, out, _ = run(["run", "infdihedral-J", "--seed", "0", "--format", "records",
+                      "--cache-dir", str(tmp_path)])
+    assert rc == 0
+    hom = [json.loads(ln)["witness"] for ln in out.splitlines() if '"phi-hom-q=' in ln]
+    assert [(w["checked"], w["skipped"]) for w in hom] == [(50, 0), (50, 0)]
+    assert 0 < len(calls) <= 38 + 17 + 1
+
+
 # ---- report formats ----------------------------------------------------------
 
 

@@ -52,3 +52,22 @@ def test_skips_and_the_decided_ratio_count_the_same_exceptions():
     # must both treat exactly these exceptions as undecided
     names = {e.__name__ for e in asymptotic.UNDECIDED}
     assert names == set(load_tracing().UNDECIDED)
+
+
+def test_the_trace_sees_the_j_layer(tmp_path):
+    # phi and j_mul must stay the callables that do the J work, so the
+    # per-layer side channel keeps covering it
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["run", "infdihedral-J", "--radius", "12", "--samples", "5",
+                       "--format", "records", "--cache-dir", str(tmp_path)])
+    finally:
+        tracer.remove()
+    assert rc == 0
+    assert tracer.leftovers() == []
+    metrics = tracer.metrics()
+    # at least one sampled pair, one pool element and the central element
+    assert metrics["asymptotic.phi.calls"] >= 3
+    assert metrics["asymptotic.j_mul.calls"] > 0

@@ -9,6 +9,7 @@ search.  The T-basis routines are then exercised on elements with a
 nontrivial Omega part, which the dihedral group does not have.
 """
 
+import contextlib
 import itertools
 
 import pytest
@@ -198,6 +199,33 @@ def test_phi_hom_with_omega(b2_12):
             assert part(lhs, c) == rhs, (x, y, c)
             checked += bool(x.omega_index() or y.omega_index())
     assert checked > 0
+
+
+def test_j_mul_is_zero_across_cells(b2_12):
+    # gamma_row refuses 35 ordered pairs in the support of phi(c_e) as
+    # tainted; a is constant on two-sided cells and J_c J_c' = 0, so j_mul
+    # decides the 20 pairs at different a-values as zero and still refuses
+    # the 15 at equal a-values
+    hb = b2_12
+    J = JRing(hb)
+    a = {x: hb.a_function(x)[0] for x in J.phi(hb.kl_element(hb.pres.identity())).coeffs}
+    tainted = []
+    for x, y in itertools.product(a, repeat=2):
+        with contextlib.suppress(UncertifiedError):
+            hb.gamma_row(x, y)
+            continue
+        tainted.append((x, y))
+    assert len(tainted) == 35
+    cross = [(x, y) for x, y in tainted if a[x] != a[y]]
+    assert sorted({(a[x], a[y]) for x, y in cross}) == [(1, 2), (2, 1), (2, 4), (4, 2)]
+    assert len(cross) == 20
+    for x, y in cross:
+        assert J.j_mul(J.basis_element(x), J.basis_element(y)) == JElement({})
+    same = [(x, y) for x, y in tainted if a[x] == a[y]]
+    assert sorted(a[x] for x, _ in same) == [2] * 13 + [4] * 2
+    for x, y in same:
+        with pytest.raises(UncertifiedError):
+            J.j_mul(J.basis_element(x), J.basis_element(y))
 
 
 # ---- the product stream over symmetry orbits ---------------------------------
