@@ -171,15 +171,15 @@ class JRing:
         otherwise raises when any needed gamma row is uncertified or
         outside the pair budget."""
         hb = self.hb
-        hb._ensure_gamma()
-        wpi, aval, acert = hb._wpi, hb._a_values, hb._a_cert
         ys = [(hb._idx(y), cy) for y, cy in b.coeffs.items()]
+        ys = [(j, hb._certified_a(j), cy) for j, cy in ys]
         out: dict[int, object] = {}
         for x, cx in a.coeffs.items():
             i = hb._idx(x)
-            for j, cy in ys:
+            ai = hb._certified_a(i)
+            for j, aj, cy in ys:
                 # a is constant on two-sided cells, and J_c J_c' = 0
-                if acert[wpi[i]] and acert[wpi[j]] and aval[wpi[i]] != aval[wpi[j]]:
+                if ai is not None and aj is not None and ai != aj:
                     continue
                 sparse_add(out, {z: cx * cy * g for z, g in hb._gamma_row_idx(i, j).items()})
         elems = hb.ball.elements
@@ -194,8 +194,16 @@ class JRing:
         hb = self.hb
         part = hb.cell_partition()
         cid = part.two_sided_id
-        cert = [x for x in hb.ball if hb.a_function(x)[1]]
-        pairs = [(x, y) for x in cert for y in cert if x.length + y.length <= hb.radius]
+        pairs = []
+        for x in hb.ball:
+            if not hb.a_function(x)[1]:
+                continue
+            for y in hb.ball:
+                if x.length + y.length > hb.radius:
+                    continue
+                if not hb.a_function(y)[1]:
+                    continue
+                pairs.append((x, y))
         if samples and samples < len(pairs):
             pairs = random.Random(seed).sample(pairs, samples)
 
@@ -227,7 +235,12 @@ class JRing:
         hb = self.hb
         basis = sorted(cell.certified_elements, key=GroupElement.key)
         cset = set(cell.elements)
-        unit = JElement({d: nd for d, nd in hb.distinguished_involutions() if d in cset})
+        dist = [
+            (d, nd)
+            for d, nd in hb.distinguished_involutions()
+            if d in cset
+        ]
+        unit = JElement(dict(dist))
         pairs = [(x, y) for x in basis for y in basis if x.length + y.length <= hb.radius]
         if max_pairs and max_pairs < len(pairs):
             pairs = random.Random(seed).sample(pairs, max_pairs)
@@ -288,8 +301,11 @@ class JRing:
 
     def cdag_to_t(self, coords: HeckeElement) -> HeckeElement:
         """Expand dagger-basis coordinates into the T-basis."""
-        # dagger is A-linear: sum p_x dagger(c_x) = dagger(sum p_x c_x)
-        return self.hb.dagger(self.hb.c_to_t(HeckeElement("c", coords.terms)))
+        hb = self.hb
+        out = HeckeElement("T", {})
+        for x, p in coords.terms.items():
+            out = out + hb.dagger(hb.kl_element(x)).scaled(p)
+        return out
 
     def phi(self, h: HeckeElement) -> JElement:
         """phi with Laurent coefficients; accepts T- or dagger-basis input."""

@@ -442,7 +442,7 @@ class HeckeBall:
         for w, p in terms.items():
             for x, q in self._dagger_T(w).items():
                 acc_mul(out.setdefault(x, {}), q, p)
-        return out
+        return {x: q for x, q in out.items() if q}
 
     def _dagger_T(self, i: int) -> dict[int, RawPoly]:
         """dagger(T_x) for x = ball[i], memoized along right descents:
@@ -572,6 +572,13 @@ class HeckeBall:
         zi, _ = self._wp_coset(z)
         return self._a_values[zi], self._a_cert[zi]
 
+    def _certified_a(self, i: int) -> int | None:
+        """a(ball[i]) if it is certified, else None."""
+        if self._a_values is None:  # a traced stage: enter it only to build
+            self._ensure_a_data()
+        zi = self._wpi[i]
+        return self._a_values[zi] if self._a_cert[zi] else None
+
     def delta_and_sign(self, z: GroupElement) -> tuple[int, int]:
         """(Delta(z), n_z): the leading term of p_{1,z} is n_z v^{-Delta(z)},
         every other term a strictly larger power of v^-1."""
@@ -652,12 +659,13 @@ class HeckeBall:
 
     def gamma_row(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, int]:
         """All nonzero coefficients of t_x t_y, with certification guards."""
-        self._ensure_gamma()
         elems = self.ball.elements
         return {elems[z]: g for z, g in self._gamma_row_idx(self._idx(x), self._idx(y)).items()}
 
     def _gamma_row_idx(self, i: int, j: int) -> dict[int, int]:
-        """gamma_row on ball indices, after _ensure_gamma."""
+        """gamma_row on ball indices."""
+        if self._gamma is None:  # a traced stage: enter it only to build
+            self._ensure_gamma()
         xi, omx = self._wpi[i], self._omi[i]
         yti = self._syms[omx][self._wpi[j]]  # the W' part of omega_x y omega_x^-1
         if not (self._a_cert[xi] and self._a_cert[yti]):
@@ -811,13 +819,24 @@ class HeckeBall:
 
         records = []
         for c in tcomp:
-            cert = [i for i in c if self._a_cert[self._wpi[i]]]
-            avals = {self._a_values[self._wpi[i]] for i in cert}
-            records.append(CellRecord(
-                elements=[elems[i] for i in c],
-                certified_elements=[elems[i] for i in cert],
-                a_value=min(avals) if len(avals) == 1 else None,
-                fully_certified=len(cert) == len(c) and len(avals) == 1))
+            cert_elems = []
+            cert_avals = set()
+            all_cert = True
+            for i in c:
+                zi = self._wpi[i]
+                if self._a_cert[zi]:
+                    cert_elems.append(elems[i])
+                    cert_avals.add(self._a_values[zi])
+                else:
+                    all_cert = False
+            records.append(
+                CellRecord(
+                    elements=[elems[i] for i in c],
+                    certified_elements=cert_elems,
+                    a_value=cert_avals.pop() if len(cert_avals) == 1 else None,
+                    fully_certified=all_cert and len(cert_avals) == 0,
+                )
+            )
 
         # two-sided preorder on cells, transitively closed
         pairs: set[tuple[int, int]] = set()

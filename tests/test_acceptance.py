@@ -118,7 +118,8 @@ def test_c03_asymptotic_ring(criterion):
                 assert lhs == rhs, (x, y, q)
 
         z = bernstein_central_dihedral(hb)
-        for res in J.center_commutation_check(z, (1, 4)):
+        r1, r4 = J.center_commutation_check(z, (1, 4))
+        for res in (r1, r4):
             assert res["central"] is True
             assert res["failures"] == []
             assert res["commuted"] == 31

@@ -21,7 +21,8 @@ from heckequot.coxeter import (
     infinite_dihedral,
     vec_mat,
 )
-from heckequot.hecke import BallOverflowError, HeckeBall, UncertifiedError
+from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, UncertifiedError
+from heckequot.laurent import LaurentPoly
 
 SKIP = (UncertifiedError, BallOverflowError)
 
@@ -171,6 +172,22 @@ def test_dagger_with_omega(b2_12):
         assert hb.dagger(hb.mul_T(a, b)) == hb.mul_T(hb.dagger(a), hb.dagger(b)), (x, y)
         mult += bool(x.omega_index() or y.omega_index())
     assert inv > 0 and mult > 0
+
+
+def test_dagger_kernel_drops_cancelled_terms(b2_12):
+    # dagger(dagger(T_w)) = T_w: every lower term cancels, and the index
+    # kernel must drop it, or phi would look up an image it does not need
+    hb = b2_12
+    J = JRing(hb)
+    cancelled = 0
+    for w in short(hb, 3):
+        h = hb.dagger(HeckeElement("T", {w: LaurentPoly.one()}))
+        assert hb._dagger_idx(hb._to_idx(h)) == {hb._idx(w): {0: 1}}
+        cancelled += len(h.terms) - 1
+        coords = J._cdag_idx(h)
+        assert all(coords.values()), w
+        assert hb._from_idx("cdag", coords) == J.cdag_coords(h)
+    assert cancelled > 0
 
 
 def test_phi_hom_with_omega(b2_12):
