@@ -297,9 +297,11 @@ def scen_infdihedral_cells(ns):
         {"ball": len(hb.ball)}))
 
     part = hb.cell_partition()
-    sizes = sorted((len(c), c.a_value) for c in part.two_sided)
+    # a cell with no certified or with mixed a-values has a_value None
+    sizes = sorted(((len(c), c.a_value) for c in part.two_sided),
+                   key=lambda t: (t[0], -1 if t[1] is None else t[1]))
     ok = (len(part.two_sided) == 2
-          and sorted(c.a_value for c in part.two_sided) == [0, 1])
+          and {c.a_value for c in part.two_sided} == {0, 1})
     checks.append(Check(
         "cells", "the ball splits into exactly two two-sided cells, with "
         "a-values 0 and 1",
@@ -345,7 +347,12 @@ def scen_infdihedral_j(ns):
     qs = _q_list(ns)
     for q in qs:  # reject a bad q before any ball is built or cached
         asymptotic._sqrt_fraction(q)
-    hb, params, checks = _ball_scenario(ns, coxeter.infinite_dihedral, 24)
+    radius = ns.radius if ns.radius is not None else 24
+    if radius < 2 * ns.margin + 1:
+        raise UsageError(f"radius {radius} leaves no certified interior to sample "
+                         f"pairs from at margin {ns.margin}; it must be at least "
+                         f"2*margin + 1 = {2 * ns.margin + 1}")
+    hb, params, checks = _ball_scenario(ns, coxeter.infinite_dihedral, radius)
     jr = asymptotic.JRing(hb)
     samples = ns.samples if ns.samples is not None else 50
     params.update({"samples": samples, "seed": ns.seed,
@@ -416,8 +423,7 @@ def scen_so5_cells(ns):
     hb, params, checks = _ball_scenario(ns, coxeter.extended_affine_b2, 12)
     part = hb.cell_partition()
     cert = part.certified_cells()
-    avals = sorted(c.a_value for c in cert)
-    ok = len(cert) == 4 and avals == [0, 1, 2, 4]
+    ok = len(cert) == 4 and {c.a_value for c in cert} == {0, 1, 2, 4}
     witness = {
         "certified_cells": [
             {"a": c.a_value, "size": len(c),

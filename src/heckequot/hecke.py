@@ -29,8 +29,9 @@ p-polynomials.
 On W', conjugation g by Omega and the anti-involution T_w -> T_{w^-1} fix
 both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
 h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
-one z per orbit; the stream computes rows for one x per Omega-conjugacy
-orbit with 2 l(x) <= R and delivers the other pairs relabelled.
+one z per orbit.  Product rows are computed for one x per Omega-conjugacy
+orbit with 2 l(x) <= R; the a-value pass reads only these, and the stream
+delivers the other pairs relabelled.
 
 Group arithmetic is done once per ball: integer tables over ball indices
 (the ball's own key order) hold lengths, inverses, right multiplication
@@ -41,6 +42,8 @@ appear only at the public methods.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable
@@ -214,6 +217,7 @@ class HeckeBall:
         self._cs: list[list[dict[int, object]] | None] = [None] * ngen
         self._a_values: list[int] | None = None
         self._a_cert: list[bool] | None = None
+        self._a_profile: list[list[int]] | None = None
         self._gamma: dict[tuple[int, int], dict[int, int]] | None = None
         self._gamma_tainted: set[tuple[int, int]] = set()
         self._h_for_dist: dict[tuple[int, int], dict[int, RawPoly]] = {}
@@ -470,13 +474,40 @@ class HeckeBall:
         conv = self.t_to_c(prod)
         return dict(conv.terms)
 
-    def _stream_products(self, visit: Callable[[int, int, dict[int, RawPoly]], None]) -> None:
-        """Call visit(xi, yi, P) with P = c_x c_y in canonical coordinates
-        once for every W' pair with l(x) + l(y) <= radius.  A computed row
-        serves its Omega-conjugacy orbit, and a pair with 2 l(y) > radius
-        also serves its inverse mirror (y^-1, x^-1)."""
-        budget, wl, nom, syms, n = self.radius, self.wp_len, self._nom, self._syms, len(self.wp)
-        tbls = [self._cs_table(s) for s in range(len(self.gens))]
+    def _pack_bits(self) -> int:
+        """Digit width k of the packed rows of _product_rows.  With S the
+        largest L1 norm of a _cs_table row (v + v^-1 counts 2), the
+        recursion keeps sum_z |h_{x,y,z}|_1 <= (2S)^l(y), so every
+        coefficient lies below 2^(k-2) and each digit decodes exactly."""
+        S = max(sum(2 if isinstance(A, dict) else abs(A) for A in row.values())
+                for s in range(len(self.gens)) for row in self._cs_table(s))
+        return ((2 * S) ** self.radius).bit_length() + 2
+
+    def _unpack(self, H: int, k: int) -> RawPoly:
+        """The raw polynomial h packed as H = sum_e c_e B^(e+R+1), B = 2^k."""
+        out, e, half, mask = {}, -self.radius - 1, 1 << (k - 1), (1 << k) - 1
+        while H:
+            c = ((H + half) & mask) - half  # the balanced lowest digit
+            if c:
+                out[e] = c
+            H, e = (H - c) >> k, e + 1
+        return out
+
+    def _product_rows(self):
+        """Yield (xi, yi, P) with P = c_x c_y in canonical coordinates, for
+        the first x of each Omega-conjugacy orbit with 2 l(x) <= radius and
+        every y with l(x) + l(y) <= radius, in that order.  P maps z to
+        h_{x,y,z} packed into one int, sum_e c_e B^(e+R+1) with B = 2^k and
+        k = _pack_bits(): adding rows adds polynomials, and multiplying by
+        v + v^-1 is (h << k) + (h >> k), exact since the exponents of row y
+        stay in -l(y)..l(y).  Then deg h = |H|.bit_length() // k - R - 1."""
+        budget, wl, syms, n = self.radius, self.wp_len, self._syms, len(self.wp)
+        k = self._pack_bits()
+        # per generator and z: None when z s < z (c_z c_s = (v + v^-1) c_z),
+        # else the items of the integer row of c_z c_s
+        tbls = [[None if isinstance(row.get(zi), dict) else tuple(row.items())
+                 for zi, row in enumerate(self._cs_table(s))]
+                for s in range(len(self.gens))]
         done: set[int] = set()
         for xi in range(n):  # W' is sorted by (length, key)
             lx = wl[xi]
@@ -484,76 +515,78 @@ class HeckeBall:
                 break
             if xi in done:
                 continue
-            orbit = {syms[k][xi]: k for k in reversed(range(nom))}  # member -> least k onto it
-            done.update(orbit)
-            row: dict[int, dict[int, RawPoly]] = {0: {xi: {0: 1}}}
-            for yi in range(n):
-                ly = wl[yi]
-                if lx + ly > budget:
+            done.update(g[xi] for g in syms[:self._nom])
+            row: dict[int, dict[int, int]] = {0: {xi: 1 << k * (budget + 1)}}
+            yield xi, 0, row[0]
+            for yi in range(1, n):
+                if lx + wl[yi] > budget:
                     break
-                if yi:
-                    pi, s = self.parent[yi]
-                    tbl = tbls[s]
-                    acc: dict[int, RawPoly] = {}
-                    for zi, h in row[pi].items():
-                        for wi, A in tbl[zi].items():
-                            if wi < 0:  # pragma: no cover - budget prevents this
-                                raise BallOverflowError("product overflowed the ball")
-                            tgt = acc.setdefault(wi, {})
-                            if isinstance(A, int):
-                                acc_scaled(tgt, h, A)
-                            else:
-                                acc_mul(tgt, h, A)
-                    for wi, A in tbl[pi].items():
-                        if wi == yi or wi < 0:
-                            continue
+                pi, s = self.parent[yi]
+                tbl = tbls[s]
+                acc: dict[int, int] = {}
+                get = acc.get
+                for zi, h in row[pi].items():
+                    items = tbl[zi]
+                    if items is None:
+                        acc[zi] = get(zi, 0) + (h << k) + (h >> k)
+                        continue
+                    for wi, A in items:
+                        if wi < 0:  # pragma: no cover - budget prevents this
+                            raise BallOverflowError("product overflowed the ball")
+                        acc[wi] = get(wi, 0) + h * A
+                for wi, A in tbl[pi]:  # z s > z here, so the row is integral
+                    if wi != yi:
                         for zi, h in row[wi].items():
-                            tgt = acc.setdefault(zi, {})
-                            if isinstance(A, int):
-                                acc_scaled(tgt, h, -A)
-                            else:
-                                acc_mul(tgt, {e: -a for e, a in h.items()}, A)
-                    row[yi] = {zi: p for zi, p in acc.items() if p}
-                P = row[yi]
-                for k in orbit.values():
-                    g, m = syms[k], syms[nom + k]
-                    visit(g[xi], g[yi], {g[zi]: h for zi, h in P.items()} if k else P)
-                    if 2 * ly > budget:
-                        visit(m[yi], m[xi], {m[zi]: h for zi, h in P.items()})
+                            acc[zi] = get(zi, 0) - h * A
+                P = row[yi] = {zi: h for zi, h in acc.items() if h}
+                yield xi, yi, P
+
+    def _stream_products(self, visit: Callable[[int, int, dict[int, int]], None]) -> None:
+        """Call visit(xi, yi, P) once for every W' pair with l(x) + l(y) <=
+        radius.  P maps each z to h_{x,y,z} packed into one int as in
+        _product_rows; _unpack(P[z], _pack_bits()) decodes it.  A computed
+        row serves its Omega-conjugacy orbit, and a pair with 2 l(y) >
+        radius also serves its inverse mirror (y^-1, x^-1)."""
+        budget, wl, nom, syms = self.radius, self.wp_len, self._nom, self._syms
+        for xi, yi, P in self._product_rows():
+            if not yi:
+                orbit = {syms[k][xi]: k for k in reversed(range(nom))}  # member -> least k onto it
+            for k in orbit.values():
+                g, m = syms[k], syms[nom + k]
+                visit(g[xi], g[yi], {g[zi]: h for zi, h in P.items()} if k else P)
+                if 2 * wl[yi] > budget:
+                    visit(m[yi], m[xi], {m[zi]: h for zi, h in P.items()})
 
     # ---------------- a-function ------------------------------------------
     def _ensure_a_data(self) -> None:
         if self._a_values is not None:
             return
-        n = len(self.wp)
-        # profile[z] maps pair budget l(x)+l(y) to max degree seen
-        profile: list[dict[int, int]] = [dict() for _ in range(n)]
-
-        def visit(xi: int, yi: int, P: dict[int, RawPoly]) -> None:
-            rho = self.wp_len[xi] + self.wp_len[yi]
-            for zi, h in P.items():
-                d = max(h)
-                prof = profile[zi]
-                if prof.get(rho, -(10**9)) < d:
-                    prof[rho] = d
-
-        self._stream_products(visit)
-        values = []
-        certs = []
-        R, m = self.radius, self.margin
-        for zi in range(n):
-            prof = profile[zi]
-            run = -(10**9)
-            by_budget = {}
-            for rho in range(0, R + 1):
-                if rho in prof and prof[rho] > run:
-                    run = prof[rho]
-                by_budget[rho] = run
+        n, wl, R, m = len(self.wp), self.wp_len, self.radius, self.margin
+        k = self._pack_bits()
+        # rep[z][rho]: the largest |H|.bit_length() over the computed rows
+        # with pair budget l(x) + l(y) = rho, 0 (degree -R-1) if there is none
+        rep = [[0] * (R + 1) for _ in range(n)]
+        for xi, yi, P in self._product_rows():
+            rho = wl[xi] + wl[yi]
+            for zi, H in P.items():
+                d = abs(H).bit_length()
+                if rep[zi][rho] < d:
+                    rep[zi][rho] = d
+        # budgets and degrees are invariant under every symmetry g in _syms,
+        # so every pair is covered once the profile of g(z) contains rep[z]
+        profile = [list(r) for r in rep]
+        for g in self._syms:
+            for zi, r in enumerate(rep):
+                profile[g[zi]] = list(map(max, profile[g[zi]], r))
+        # _a_profile[z][rho]: max deg h_{x,y,z} over pairs of budget rho
+        self._a_profile = [[b // k - R - 1 for b in prof] for prof in profile]
+        values, certs = [], []
+        for zi, prof in enumerate(self._a_profile):
+            by_budget = list(itertools.accumulate(prof, max))
             val = by_budget[R]
-            stable = all(by_budget[r] == val for r in range(R - m, R + 1))
-            cert = stable and 0 <= val <= self.n_pos_roots and self.wp_len[zi] <= R - 2 * m
+            stable = all(b == val for b in by_budget[R - m:])
             values.append(val)
-            certs.append(cert)
+            certs.append(stable and 0 <= val <= self.n_pos_roots and wl[zi] <= R - 2 * m)
         self._a_values = values
         self._a_cert = certs
 
@@ -568,7 +601,8 @@ class HeckeBall:
 
     def a_function(self, z: GroupElement) -> tuple[int, bool]:
         """(a(z), certified).  Omega translation leaves a unchanged."""
-        self._ensure_a_data()
+        if self._a_values is None:  # a traced stage: enter it only to build
+            self._ensure_a_data()
         zi, _ = self._wp_coset(z)
         return self._a_values[zi], self._a_cert[zi]
 
@@ -593,46 +627,34 @@ class HeckeBall:
 
     def distinguished_involutions(self) -> list[tuple[GroupElement, int]]:
         """Certified z in W' with a(z) = Delta(z), paired with n_z."""
-        self._ensure_a_data()
         if self._dist_idx is None:
-            out = []
-            for zi in range(len(self.wp)):
-                if not self._a_cert[zi]:
-                    continue
-                p = self._p[zi].get(0)
-                if not p:
-                    continue
-                if -max(p) == self._a_values[zi]:
-                    out.append(zi)
-            self._dist_idx = out
+            self._ensure_a_data()
+            self._dist_idx = [zi for zi, row in enumerate(self._p) if self._a_cert[zi]
+                              and 0 in row and -max(row[0]) == self._a_values[zi]]
         return [(self.wp[zi], self._p[zi][0][max(self._p[zi][0])]) for zi in self._dist_idx]
 
     # ---------------- gamma table ------------------------------------------
     def _ensure_gamma(self) -> None:
         if self._gamma is not None:
             return
-        self._ensure_a_data()
-        self.distinguished_involutions()
-        dset = set(self._dist_idx)
+        self.distinguished_involutions()  # builds the a-values first
+        dset, k, R = set(self._dist_idx), self._pack_bits(), self.radius
+        certified = {zi for zi, c in enumerate(self._a_cert) if c}
+        unpack = functools.cache(lambda H: self._unpack(H, k))  # few distinct h
+        # deg h_{x,y,z} <= a(z) over the whole budget, so H rounded at digit
+        # p = a(z) + R + 1 is the coefficient of v^a(z), and 0 if deg h < a(z);
+        # the digit below p alone decides the rounding, so cut H there first
+        low, half = [k * (a + R) for a in self._a_values], 1 << (k - 1)
         gamma: dict[tuple[int, int], dict[int, int]] = {}
         hdist: dict[tuple[int, int], dict[int, RawPoly]] = {}
         tainted: set[tuple[int, int]] = set()
 
-        avals = self._a_values
-        acert = self._a_cert
-
-        def visit(xi: int, yi: int, P: dict[int, RawPoly]) -> None:
-            row = {}
-            for zi, h in P.items():
-                if not acert[zi]:
-                    # gamma extraction needs the true a(z); mark the pair
-                    tainted.add((xi, yi))
-                g = h.get(avals[zi], 0)
-                if g:
-                    row[zi] = g
-            gamma[(xi, yi)] = row
+        def visit(xi: int, yi: int, P: dict[int, int]) -> None:
+            if not certified.issuperset(P):
+                tainted.add((xi, yi))  # gamma extraction needs the true a(z)
+            gamma[(xi, yi)] = {zi: g for zi, H in P.items() if (g := ((H >> low[zi]) + half) >> k)}
             if yi in dset:
-                hdist[(xi, yi)] = {zi: dict(h) for zi, h in P.items()}
+                hdist[(xi, yi)] = {zi: unpack(H) for zi, H in P.items()}
 
         self._stream_products(visit)
         self._gamma = gamma
@@ -642,7 +664,8 @@ class HeckeBall:
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement) -> int:
         """Coefficient of t_z in t_x t_y, i.e. the v^{a(z)}-coefficient of
         h_{x,y,z}.  Requires certified a-values throughout."""
-        self._ensure_gamma()
+        if self._gamma is None:  # a traced stage: enter it only to build
+            self._ensure_gamma()
         xi, omx = self._wp_coset(x)
         yi, omy = self._wp_coset(y)
         zi, omz = self._wp_coset(z)
@@ -680,7 +703,8 @@ class HeckeBall:
 
     def h_to_distinguished(self, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
         """h_{x,d,.} for a distinguished involution d (W' data)."""
-        self._ensure_gamma()
+        if self._gamma is None:  # a traced stage: enter it only to build
+            self._ensure_gamma()
         xi, omx = self._wp_coset(x)
         di, omd = self._wp_coset(d)
         if omd:
@@ -864,13 +888,15 @@ class HeckeBall:
         )
 
     def cell_partition(self) -> CellPartition:
-        self._ensure_cells()
+        if self._cells is None:  # a traced stage: enter it only to build
+            self._ensure_cells()
         return self._cells
 
     def nhat(self, z: GroupElement) -> int:
         """n_d for the unique distinguished involution d in the left cell
         of z^-1."""
-        self._ensure_cells()
+        if self._cells is None:  # a traced stage: enter it only to build
+            self._ensure_cells()
         i = self._idx(z)
         if i not in self._nhats:
             lid = self._cells.left_id

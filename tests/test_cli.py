@@ -90,6 +90,25 @@ def test_bad_margin_is_rejected_before_the_ball_is_built(args, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["so5-cells", "--margin", "0", "--radius", "2"],
+    ["so5-cells", "--margin", "0", "--radius", "6"],
+    ["so5-cells", "--margin", "0", "--radius", "10"],
+    ["so5-cells", "--margin", "0"],
+    ["infdihedral-cells", "--radius", "3"],
+    ["infdihedral-cells", "--radius", "6"],
+    ["infdihedral-cells", "--margin", "0"],
+    ["infdihedral-J", "--radius", "3"],
+    ["infdihedral-J", "--radius", "6"],
+    ["infdihedral-J", "--radius", "10", "--margin", "5"],
+])
+def test_uncertified_cells_and_empty_sample_pools_end_in_a_verdict(args, tmp_path):
+    # a cell whose certified a-values are mixed has a_value None, and a
+    # radius below 2*margin + 1 leaves infdihedral-J nothing to sample
+    rc = cli.main(["run", *args, "--format", "records", "--cache-dir", str(tmp_path)])
+    assert isinstance(rc, int) and rc in (1, 3)
+
+
 def test_ball_refuses_a_margin_outside_the_radius():
     with pytest.raises(HeckeError, match="margin"):
         HeckeBall(infinite_dihedral(), 2, margin=3)

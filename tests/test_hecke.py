@@ -138,11 +138,10 @@ def test_h_constants_match_streamed_rows(dih8):
     # two independent routes: per-pair T-basis multiplication vs the
     # streamed c-basis recursion used for cache files
     streamed = {}
+    k = dih8._pack_bits()
 
     def visit(xi, yi, row):
-        streamed[(xi, yi)] = {
-            zi: dict(p) for zi, p in row.items() if any(p.values())
-        }
+        streamed[(xi, yi)] = {zi: dih8._unpack(H, k) for zi, H in row.items()}
 
     dih8._stream_products(visit)
     for (xi, yi), row in streamed.items():
@@ -286,9 +285,10 @@ def test_h_row_lines_cross_check_full(dih8):
     # every streamed row, as text, must match the independent per-pair
     # recomputation along the T-basis route
     rows = {}
+    k = dih8._pack_bits()
 
     def visit(xi, yi, row):
-        rows[(xi, yi)] = [f"H {xi} {yi} {zi} {LaurentPoly(row[zi]).to_str()}"
+        rows[(xi, yi)] = [f"H {xi} {yi} {zi} {LaurentPoly(dih8._unpack(row[zi], k)).to_str()}"
                           for zi in sorted(row)]
 
     dih8._stream_products(visit)

@@ -10,6 +10,7 @@ nontrivial Omega part, which the dihedral group does not have.
 """
 
 import contextlib
+import functools
 import itertools
 
 import pytest
@@ -260,10 +261,11 @@ def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius):
     hb = HeckeBall(factory(), radius)
     pres, wl, n = hb.pres, hb.wp_len, len(hb.wp)
     rows, visits = {}, []
+    k = hb._pack_bits()
 
     def visit(xi, yi, P):
         visits.append((xi, yi))
-        rows[(xi, yi)] = {zi: dict(h) for zi, h in P.items()}
+        rows[(xi, yi)] = {zi: hb._unpack(H, k) for zi, H in P.items()}
 
     hb._stream_products(visit)
     assert sorted(visits) == [(x, y) for x in range(n) for y in range(n)
@@ -280,3 +282,79 @@ def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius):
         mirrored += 2 * wl[xi] > radius
         conjugated += 2 * wl[xi] <= radius and xi not in first
     assert conjugated and mirrored
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 10), (extended_affine_b2, 12),
+     (lambda: extended_affine_pgl(3), 10), (lambda: extended_affine_pgl(4), 9)],
+    ids=["dihedral-r10", "b2-r12", "pgl3-r10", "pgl4-r9"],
+)
+def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
+    # _ensure_a_data reads only the orbit-representative rows and
+    # symmetrises their degree profile; here every pair is visited, each
+    # row decoded and its degree taken as max(h), as the a-function reads
+    hb = HeckeBall(factory(), radius)
+    R, m, wl, k = radius, hb.margin, hb.wp_len, hb._pack_bits()
+    decode = functools.cache(lambda H: hb._unpack(H, k))
+    profile = [dict() for _ in hb.wp]
+    # the a-priori bound behind k: with S the largest L1 norm of a generator
+    # row (v + v^-1 counts 2), sum_z |h_{x,y,z}|_1 <= (2S)^l(y), and the
+    # same for l(x) by the mirror symmetry
+    S = max(sum(2 if isinstance(A, dict) else abs(A) for A in row.values())
+            for s in range(len(hb.gens)) for row in hb._cs_table(s))
+    assert k == ((2 * S) ** R).bit_length() + 2
+
+    def visit(xi, yi, P):
+        rho = wl[xi] + wl[yi]
+        norm = sum(abs(c) for H in P.values() for c in decode(H).values())
+        assert norm <= (2 * S) ** min(wl[xi], wl[yi])
+        for zi, H in P.items():
+            profile[zi][rho] = max(profile[zi].get(rho, -R - 1), max(decode(H)))
+
+    hb._stream_products(visit)
+    hb._ensure_a_data()
+    values, certs = [], []
+    for zi, prof in enumerate(profile):
+        assert {rho: d for rho, d in enumerate(hb._a_profile[zi]) if d > -R - 1} == prof
+        by_budget = list(itertools.accumulate((prof.get(rho, -R - 1) for rho in range(R + 1)), max))
+        values.append(by_budget[R])
+        certs.append(all(b == by_budget[R] for b in by_budget[R - m:])
+                     and 0 <= by_budget[R] <= hb.n_pos_roots and wl[zi] <= R - 2 * m)
+    assert hb._a_values == values
+    assert hb._a_cert == certs
+    assert any(certs) and not all(certs)
+
+
+def _pack(h, k, R):
+    return sum(c << k * (e + R + 1) for e, c in h.items())
+
+
+def test_packed_rows_decode_and_give_degree_and_top_digit():
+    # a packed h is sum_e c_e B^(e+R+1) with B = 2^k and |c_e| < 2^(k-2)
+    hb = HeckeBall(extended_affine_b2(), 8)
+    R, k = hb.radius, hb._pack_bits()
+    big = (1 << (k - 2)) - 1
+    cases = [
+        {-R: 1}, {R: 1}, {-R: -1}, {R: -1}, {-R: big}, {R: -big},
+        {0: -3, 1: 5, -1: -7},
+        {e: big if e % 2 else -big for e in range(-R, R + 1)},
+        {e: -big if e % 3 else big for e in range(-R, R + 1)},
+        {R: -big, -R: big, 0: 1},
+    ]
+    for h in cases:
+        H = _pack(h, k, R)
+        assert hb._unpack(H, k) == h
+        deg = max(h)
+        assert abs(H).bit_length() // k - R - 1 == deg
+        # the digit of v^a rounded as the gamma pass reads it, H cut below
+        # the digit of v^(a-1) first: (H + B^p / 2) >> kp with p = a + R + 1
+        for a in range(deg, R + 1):
+            top = ((H >> k * (a + R)) + (1 << (k - 1))) >> k
+            assert top == (H + (1 << (k * (a + R + 1) - 1))) >> k * (a + R + 1)
+            assert top == (h[deg] if a == deg else 0)
+        # multiplying by v + v^-1 is a shift each way, exact inside -R..R
+        if deg < R and min(h) > -R and max(map(abs, h.values())) <= big // 2:
+            shifted = {e: c for e, c in ((e, h.get(e - 1, 0) + h.get(e + 1, 0))
+                                         for e in range(-R, R + 1)) if c}
+            assert hb._unpack((H << k) + (H >> k), k) == shifted
