@@ -139,11 +139,6 @@ class GradedClass:
     def __post_init__(self):
         self.coords = {w: c for w, c in self.coords.items() if c}
 
-    def __add__(self, other: "GradedClass") -> "GradedClass":
-        if self.grade != other.grade:
-            raise HeckeError("grade mismatch in graded addition")
-        return GradedClass(self.grade, sparse_add(dict(self.coords), other.coords))
-
     def scaled(self, c) -> "GradedClass":
         return GradedClass(self.grade, {w: q * c for w, q in self.coords.items()})
 
@@ -340,14 +335,8 @@ class JRing:
             nw = hb.nhat(w)
             for x, cx in a.coeffs.items():
                 row = hb.gamma_row(x, w) if side == "left" else hb.gamma_row(w, x)
-                for z, g in row.items():
-                    if hb.a_function(z)[0] != f.grade:
-                        continue
-                    s = out.get(z, 0) + cw * cx * g * nw * hb.nhat(z)
-                    if s:
-                        out[z] = s
-                    elif z in out:
-                        del out[z]
+                sparse_add(out, {z: cw * cx * g * nw * hb.nhat(z) for z, g in row.items()
+                                 if hb.a_function(z)[0] == f.grade})
         return GradedClass(f.grade, out)
 
     def base_point(self, i: int) -> GradedClass:

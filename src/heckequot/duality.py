@@ -73,12 +73,6 @@ def dual_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
                  for j in range(1, lam[0] + 1))
 
 
-def _distinct_with_mults(mu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Distinct parts (decreasing) and their multiplicities."""
-    parts = sorted(set(mu), reverse=True)
-    return tuple(parts), tuple(sum(1 for p in mu if p == w) for w in parts)
-
-
 # ---------------- reductive descriptors ----------------------------------------
 
 @dataclass(frozen=True)
@@ -161,28 +155,24 @@ SO5_CATALOG: list[tuple[str, ReductiveDescriptor]] = [
 
 
 def centralizer_reductive(family: str, key) -> ReductiveDescriptor:
-    """Reductive part of the dual-side centralizer attached to a cell.
+    """Reductive part of the dual-side centralizer attached to a cell of
+    a linear family (SO5_CATALOG holds those of so5).
 
-    For the linear families the key is the partition labelling the cell;
-    the centralizer is read off the transpose partition: one general
-    linear factor per distinct part, of size its multiplicity."""
-    if family == "so5":
-        for tag, rd in SO5_CATALOG:
-            if tag == key:
-                return rd
-        raise DualityError(f"unknown cell tag {key!r}")
+    The key is the partition labelling the cell; the centralizer is read
+    off the transpose partition: one general linear factor per distinct
+    part, of size its multiplicity."""
+    if family not in ("gl", "pgl"):
+        raise DualityError(f"unknown family {family!r}")
     lam = tuple(key)
     n = sum(lam)
     mu = dual_partition(lam)
-    powers, mults = _distinct_with_mults(mu)
+    mults = extquot._sym_parts(mu)  # distinct parts taken largest first
     if family == "gl":
         return GLProduct(mults)
-    if family == "pgl":
-        if lam == (1,) * n:
-            # regular case: the centralizer is exactly the center
-            return FiniteCyclic(n)
-        return GLProductInSL(mults, powers)
-    raise DualityError(f"unknown family {family!r}")
+    if lam == (1,) * n:
+        # regular case: the centralizer is exactly the center
+        return FiniteCyclic(n)
+    return GLProductInSL(mults, tuple(sorted(set(mu), reverse=True)))
 
 
 # ---------------- representation ring censuses ---------------------------------
@@ -230,10 +220,6 @@ def rep_ring_descriptor(rd: ReductiveDescriptor) -> list[Descriptor]:
     raise DualityError(f"no census rule for {rd!r}")
 
 
-def _multiset(ds: list[Descriptor]) -> Counter:
-    return Counter(ds)
-
-
 # ---------------- the matcher ---------------------------------------------------
 
 @dataclass
@@ -268,7 +254,7 @@ def _compare(cell: str, dual: list[Descriptor], quot: list[Descriptor]) -> Match
                                "compared by dimension only")
         return MatchRecord(cell, dual, quot, "fail",
                            f"dimensions differ: {dd} vs {qd}")
-    if _multiset(dual) == _multiset(quot):
+    if Counter(dual) == Counter(quot):
         return MatchRecord(cell, dual, quot, "pass")
     return MatchRecord(cell, dual, quot, "fail", "component censuses differ")
 
@@ -301,7 +287,7 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
             dual.extend(ds)
             records.append(MatchRecord(cell, ds, None, "info",
                                        f"centralizer {rd}"))
-        agree = _multiset(dual) == _multiset(quot)
+        agree = Counter(dual) == Counter(quot)
         records.append(MatchRecord(
             "total", dual, quot, "pass" if agree else "fail",
             "4 cells against 5 classes: only the totals are compared"))
@@ -389,7 +375,7 @@ def lowest_cell_check(family: str, n: int | None = None) -> dict:
         "family": family,
         "dual": dual,
         "quotient": quot,
-        "agrees": _multiset(dual) == _multiset(quot),
+        "agrees": Counter(dual) == Counter(quot),
     }
 
 

@@ -311,7 +311,6 @@ class TorusAction:
     group_label: str
     family: str = "generic"
     perms: list[tuple[int, ...]] | None = None
-    ambient_rank: int | None = None
     embed: Matrix | None = None
 
     def __post_init__(self):
@@ -350,19 +349,9 @@ class TorusAction:
         return k
 
     def inverse_of(self, i: int) -> int:
-        got = self._inv.get(i)
-        if got is not None:
-            return got
-        if self.perms is not None:
-            p = self.perms[i]
-            q = [0] * len(p)
-            for a, b in enumerate(p):
-                q[b] = a
-            j = self._perm_to_idx[tuple(q)]
-        else:
-            j = next(k for k in range(len(self)) if self.mult(i, k) == self._id)
-        self._inv[i] = j
-        return j
+        if i not in self._inv:
+            self._inv[i] = next(k for k in range(len(self)) if self.mult(i, k) == self._id)
+        return self._inv[i]
 
     def centralizer(self, i: int) -> list[int]:
         return [g for g in range(len(self)) if self.mult(g, i) == self.mult(i, g)]
@@ -389,8 +378,7 @@ class TorusAction:
                 }
                 seen |= members
                 rep = min(members)
-                cyc = cycle_type(self.perms[rep]) if self.perms else None
-                classes.append(ConjClass(rep, tuple(sorted(members)), self.names[rep], cyc))
+                classes.append(ConjClass(rep, tuple(sorted(members)), self.names[rep]))
         classes.sort(key=lambda c: c.members[0])
         return classes
 
@@ -441,8 +429,7 @@ def so5_weyl_on_torus() -> TorusAction:
 
 
 def _perm_name(p: tuple[int, ...]) -> str:
-    return "".join(str(x + 1) for x in p) if len(p) <= 9 else \
-        "-".join(str(x + 1) for x in p)
+    return "".join(str(x + 1) for x in p)
 
 
 def _perm_matrix_on_exponents(p: tuple[int, ...]) -> Matrix:
@@ -509,7 +496,6 @@ def sl_dual_torus(n: int) -> TorusAction:
         group_label=f"S{n}",
         family="sl-dual",
         perms=perms,
-        ambient_rank=n,
         embed=embed,
     )
 

@@ -101,9 +101,6 @@ class HeckeElement:
     def scaled(self, c: LaurentPoly) -> "HeckeElement":
         return HeckeElement(self.basis, {w: p * c for w, p in self.terms.items()})
 
-    def support(self) -> list[GroupElement]:
-        return sorted(self.terms, key=GroupElement.key)
-
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{w.key_str()}: {p.to_str()}" for w, p in sorted(self.terms.items(), key=lambda kv: kv[0].key())
@@ -137,7 +134,6 @@ class CellPartition:
     left: list[list[GroupElement]]
     right: list[list[GroupElement]]
     left_id: dict[GroupElement, int]
-    right_id: dict[GroupElement, int]
     two_sided_id: dict[GroupElement, int]
     lr_order_pairs: set[tuple[int, int]]  # (i, j) when cell i <=_LR cell j
 
@@ -160,8 +156,8 @@ class HeckeBall:
     certification, gamma constants, distinguished involutions, cells."""
 
     def __init__(self, pres: GroupPresentation, radius: int, margin: int = 3):
-        if not 0 <= margin <= radius:
-            raise HeckeError(f"the margin must lie in 0..radius, got margin {margin} "
+        if not 1 <= margin <= radius:
+            raise HeckeError(f"the margin must lie in 1..radius, got margin {margin} "
                              f"at radius {radius}")
         self.pres = pres
         self.radius = radius
@@ -196,13 +192,12 @@ class HeckeBall:
         self._om_mul = [[pres.omega_index(pres.multiply(a, b)) for b in self.omega_elems]
                         for a in self.omega_elems]
         self._om_inv = [row.index(0) for row in self._om_mul]
-        self._omconj = [[pres.omega_conj_generator(om, s) for s in range(ngen)]
-                        for om in self.omega_elems]
         wball = self._rom[::nom]  # ball index of each W' element
         self.wp_inv = [self._wpi[self._inv[b]] for b in wball]
         # the symmetries of the tables, as maps on W' indices: conjugation by
-        # omega_k (k = 0 is the identity), then inversion after each of them
-        conj = [[self._conj(j, k) for j in range(len(self.wp))] for k in range(nom)]
+        # omega_k (k = 0 is the identity), w -> the W' part of omega_k w, then
+        # inversion after each of them
+        conj = [[self._wpi[self._left_omega(b, k)] for b in wball] for k in range(nom)]
         self._syms = conj + [[self.wp_inv[j] for j in g] for g in conj]
         # right multiplication by generators inside W', on W' indices
         self._wrm = array("i", (-1 if b < 0 else self._wpi[b]
@@ -595,10 +590,6 @@ class HeckeBall:
         i = self._idx(x)
         return self._wpi[i], self._omi[i]
 
-    def _conj(self, j: int, k: int) -> int:
-        """W' index of omega_k wp[j] omega_k^-1, the W' part of omega_k wp[j]."""
-        return self._wpi[self._left_omega(self._rom[j * self._nom], k)]
-
     def a_function(self, z: GroupElement) -> tuple[int, bool]:
         """(a(z), certified).  Omega translation leaves a unchanged."""
         if self._a_values is None:  # a traced stage: enter it only to build
@@ -671,7 +662,7 @@ class HeckeBall:
         zi, omz = self._wp_coset(z)
         if self._om_mul[omx][omy] != omz:
             return 0
-        yti = self._conj(yi, omx)
+        yti = self._syms[omx][yi]  # the W' part of omega_x y omega_x^-1
         for idx in (xi, yti, zi):
             if not self._a_cert[idx]:
                 raise UncertifiedError("gamma needs certified a-values")
@@ -709,7 +700,7 @@ class HeckeBall:
         di, omd = self._wp_coset(d)
         if omd:
             raise HeckeError("distinguished involutions lie in W'")
-        row = self._h_for_dist.get((xi, self._conj(di, omx)))
+        row = self._h_for_dist.get((xi, self._syms[omx][di]))
         if row is None:
             raise BallOverflowError("pair exceeds the exact-product budget")
         nom, elems = self._nom, self.ball.elements
@@ -760,29 +751,27 @@ class HeckeBall:
         if self._cells is not None:
             return
         self._ensure_a_data()
-        elems = self.ball.elements
+        # a list, so that the inverted edge sets share its int objects
+        elems, inv = self.ball.elements, self._inv.tolist()
         n, nom, rom, wp_inv = len(elems), self._nom, self._rom, self.wp_inv
+        # left_edges[i] holds the j with j <=_L i in one step
         left_edges: list[set[int]] = [set() for _ in range(n)]
-        right_edges: list[set[int]] = [set() for _ in range(n)]
         tbls = [self._cs_table(s) for s in range(len(self.gens))]
 
         for i in range(n):
             yi, om = self._wpi[i], self._omi[i]
-            # left edges: support of c_s c_y = iota(c_{y^-1} c_s) translated
+            # support of c_s c_y = iota(c_{y^-1} c_s) translated
             for tbl in tbls:
                 left_edges[i].update(rom[wp_inv[wi] * nom + om]
                                      for wi in tbl[wp_inv[yi]] if wi >= 0)
-            # right edges: c_y c_s = c_{y'} c_{omega s omega^-1} T_omega
-            for s2 in self._omconj[om]:
-                right_edges[i].update(rom[wi * nom + om] for wi in tbls[s2][yi] if wi >= 0)
             # Omega translations are invertible, so they link both ways
             for k in range(1, nom):
                 j = self._left_omega(i, k)
                 left_edges[i].add(j)
                 left_edges[j].add(i)
-                j = self._right_omega(i, k)
-                right_edges[i].add(j)
-                right_edges[j].add(i)
+        # T_w -> T_{w^-1} is an anti-involution, so j <=_R i iff j^-1 <=_L i^-1
+        # (Kazhdan-Lusztig 1979): the right preorder is the left one inverted
+        both = [left_edges[i].union(inv[j] for j in left_edges[inv[i]]) for i in range(n)]
 
         def sccs(adj: list[set[int]]) -> list[list[int]]:
             # iterative Tarjan
@@ -831,15 +820,14 @@ class HeckeBall:
                         comps.append(comp)
             return comps
 
-        def ordered(adj: list[set[int]]) -> tuple[list[list[int]], dict[GroupElement, int]]:
+        def ordered(comps) -> tuple[list[list[int]], dict[GroupElement, int]]:
             # cells sorted by key, which is ball index order
-            comps = sorted(sorted(c) for c in sccs(adj))
+            comps = sorted(sorted(c) for c in comps)
             return comps, {elems[i]: k for k, c in enumerate(comps) for i in c}
 
-        lcomp, lid = ordered(left_edges)
-        rcomp, rid = ordered(right_edges)
-        both = [left_edges[i] | right_edges[i] for i in range(n)]
-        tcomp, tid = ordered(both)
+        lcomp, lid = ordered(sccs(left_edges))
+        tcomp, tid = ordered(sccs(both))
+        rcomp = sorted(sorted(inv[i] for i in c) for c in lcomp)  # the right cells
 
         records = []
         for c in tcomp:
@@ -882,7 +870,6 @@ class HeckeBall:
             left=[[elems[i] for i in c] for c in lcomp],
             right=[[elems[i] for i in c] for c in rcomp],
             left_id=lid,
-            right_id=rid,
             two_sided_id=tid,
             lr_order_pairs=pairs,
         )
@@ -969,6 +956,19 @@ class HeckeBall:
                 bad.append((self.wp[yi], len(hits)))
         checks.append(PropertyCheck("P3", not bad, count, bad[:5]))
 
+        # P4: z' <=_LR z implies a(z') >= a(z), on cells with a defined
+        bad = []
+        count = 0
+        cells = self._cells
+        for i, j in cells.lr_order_pairs:
+            ci, cj = cells.two_sided[i], cells.two_sided[j]
+            if ci.a_value is None or cj.a_value is None:
+                continue
+            count += 1
+            if ci.a_value < cj.a_value:
+                bad.append((i, j, ci.a_value, cj.a_value))
+        checks.append(PropertyCheck("P4", not bad, count, bad[:5]))
+
         # P5: gamma_{y^-1,y,d} = n_d = +-1
         bad = []
         count = 0
@@ -1030,19 +1030,4 @@ class HeckeBall:
                     bad.append((x, y, z))
         checks.append(PropertyCheck("P8", not bad, count, bad[:5]))
 
-        # P4: z' <=_LR z implies a(z') >= a(z), on cells with a defined
-        bad = []
-        count = 0
-        cells = self._cells
-        for i, j in cells.lr_order_pairs:
-            ci, cj = cells.two_sided[i], cells.two_sided[j]
-            if ci.a_value is None or cj.a_value is None:
-                continue
-            count += 1
-            if ci.a_value < cj.a_value:
-                bad.append((i, j, ci.a_value, cj.a_value))
-        checks.append(PropertyCheck("P4", not bad, count, bad[:5]))
-
-        order = {"P1": 0, "P2": 1, "P3": 2, "P4": 3, "P5": 4, "P6": 5, "P7": 6, "P8": 7}
-        checks.sort(key=lambda c: order[c.name])
         return checks

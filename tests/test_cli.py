@@ -1,6 +1,7 @@
 """Command line interface: exit codes, report schema, determinism, cache."""
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -79,13 +80,14 @@ def test_an_error_that_is_not_undecided_stops_the_run(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ["so5-cells", "--margin", "-1"],
+    ["so5-cells", "--margin", "0"],
     ["so5-jc1", "--radius", "0"],
     ["infdihedral-cells", "--radius", "0"],
-], ids=["negative-margin", "so5-jc1-radius-0", "infdihedral-cells-radius-0"])
+], ids=["negative-margin", "zero-margin", "so5-jc1-radius-0", "infdihedral-cells-radius-0"])
 def test_bad_margin_is_rejected_before_the_ball_is_built(args, tmp_path):
     rc, out, err = run(["run", *args, "--cache-dir", str(tmp_path)])
     assert rc == 3
-    assert err.startswith("error: the margin must lie in 0..radius")
+    assert err.startswith("error: the margin must lie in 1..radius")
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -114,6 +116,8 @@ def test_ball_refuses_a_margin_outside_the_radius():
         HeckeBall(infinite_dihedral(), 2, margin=3)
     with pytest.raises(HeckeError, match="margin"):
         HeckeBall(infinite_dihedral(), 2, margin=-1)
+    with pytest.raises(HeckeError, match="margin"):
+        HeckeBall(infinite_dihedral(), 2, margin=0)
     assert HeckeBall(infinite_dihedral(), 2, margin=2).margin == 2
 
 
@@ -246,6 +250,37 @@ def test_scenario_passes_at_defaults(scenario, tmp_path):
     assert checks
     assert {c["verdict"] for c in checks} <= {"pass", "info"}, checks
     assert lines[-1]["exit"] == 0
+
+
+# sha256 of the stdout of `heckequot run <scenario> --format records` at
+# default parameters with a fresh cache.  A change that alters a report on
+# purpose updates this table and says so in CHANGES.md.
+DEFAULT_RECORDS_SHA256 = {
+    "gl-bernstein-point": "a0701fd1abb195809cddc9f211c13ddc18e651d198a31dff8fc48a1e641f3928",
+    "gl-match": "82fafa012992358389e8dd5534f360f17beaf1579b08e762977f5df1ed9f3991",
+    "infdihedral-J": "1b4a486fdb6bcf005f5460ac985f2aa6b182abb625ca7aff21b40635fa057d92",
+    "infdihedral-P-properties": "ed8c6a760f32e33e967171cd2e09b66de5e4c09c8598a76811eb9c7a945b3b63",
+    "infdihedral-cells": "47e1888550ba8939456f3956075c9f60596f327471399194e9151fab85f3f39e",
+    "lowest-cell": "256bdeaf4eddab8de216841ada94a108bc7eceb1f4e8d9bd731acdead9f8691a",
+    "pgl-iwahori": "2b267b81b71597741603124096e9fd9aa84658da07ce24926081c0b757eae9c2",
+    "sl2-crossprod": "47c2a51e0754d9173910b6678514e5edb2fd3bce7ce17ba8827e7da508398c19",
+    "sl2-extquot": "1a94dbfe9204f19a594b5ee4b2de2f6e9ee4e92bbe08e70e7b8b1a8b96343f80",
+    "so5-cells": "471ba7faa459ef1391359489a0ca46513df70fa36dfcb54a1f8a6090c9bddac4",
+    "so5-extquot": "c9c08db06b45bf7ef54fed0d614c85f262e7b4a5cc796b5beaab64b2ef442e7b",
+    "so5-jc1": "35e99faf7da80cae2943e3eedabf78c27ea44f0af4a6a1a163fe114b7351d67e",
+    "so5-match": "93852195c78c53f08b08d8c243c96d7a269fae5a056aae425d391660cbca68b0",
+}
+
+
+def test_every_scenario_has_a_recorded_digest():
+    assert sorted(DEFAULT_RECORDS_SHA256) == sorted(cli.SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", sorted(DEFAULT_RECORDS_SHA256))
+def test_default_records_are_byte_identical_to_the_recorded_ones(scenario, tmp_path):
+    rc, out, _ = run(["run", scenario, "--format", "records", "--cache-dir", str(tmp_path)])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_RECORDS_SHA256[scenario]
 
 
 # ---- cache ------------------------------------------------------------------

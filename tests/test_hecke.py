@@ -231,6 +231,59 @@ def test_b2_cells_frozen(b2_12):
     assert {x.key_str() for x in cp.two_sided[0].elements} == omega
 
 
+def _components(edges):
+    """The strongly connected components of a graph on range(n), as
+    frozensets, and reach[i], the nodes reached from i by one edge or more."""
+    reach = []
+    for out in edges:
+        seen, todo = set(out), list(out)
+        while todo:
+            for j in edges[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    comps = {frozenset({i} | {j for j in r if i in reach[j]}) for i, r in enumerate(reach)}
+    return comps, reach
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 10), (extended_affine_b2, 12), (lambda: extended_affine_pgl(3), 10)],
+    ids=["dihedral-r10", "b2-r12", "pgl3-r10"],
+)
+def test_right_cells_by_inversion_match_the_right_preorder(factory, radius):
+    # the cells read the right preorder off the left one by inversion; here
+    # both are built from the generator tables: c_s c_y = iota(c_{y^-1} c_s),
+    # and c_y c_s = c_{y'} c_{omega s omega^-1} T_omega for y = y' omega,
+    # with Omega translations, from group arithmetic, linking both ways
+    hb = HeckeBall(factory(), radius)
+    pres, elems, index, nom, rom = hb.pres, hb.ball.elements, hb.ball.index, hb._nom, hb._rom
+    tbls = [hb._cs_table(s) for s in range(len(hb.gens))]
+    n, inv = len(elems), [index[e.inverse()] for e in elems]
+    left, right = [set() for _ in elems], [set() for _ in elems]
+    for i, y in enumerate(elems):
+        yi, om = hb._wpi[i], hb._omi[i]
+        for tbl in tbls:
+            left[i].update(rom[hb.wp_inv[wi] * nom + om] for wi in tbl[hb.wp_inv[yi]] if wi >= 0)
+        for s in range(len(hb.gens)):
+            s2 = pres.omega_conj_generator(hb.omega_elems[om], s)
+            right[i].update(rom[wi * nom + om] for wi in tbls[s2][yi] if wi >= 0)
+        for o in hb.omega_elems[1:]:
+            for edges, j in ((left, index[pres.multiply(o, y)]), (right, index[pres.multiply(y, o)])):
+                edges[i].add(j)
+                edges[j].add(i)
+    assert right == [{inv[j] for j in left[inv[i]]} for i in range(n)]
+
+    cp = hb.cell_partition()
+    assert _components(left)[0] == {frozenset(map(index.get, c)) for c in cp.left}
+    assert _components(right)[0] == {frozenset(map(index.get, c)) for c in cp.right}
+    comps, reach = _components([a | b for a, b in zip(left, right)])
+    assert comps == {frozenset(map(index.get, c.elements)) for c in cp.two_sided}
+    cell = [cp.two_sided_id[e] for e in elems]
+    assert {(cell[j], cell[i]) for i in range(n) for j in reach[i]} == cp.lr_order_pairs
+
+
 def test_b2_distinguished_count(b2_12):
     invs = b2_12.distinguished_involutions()
     assert len(invs) == 10

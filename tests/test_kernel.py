@@ -100,7 +100,6 @@ def test_wprime_tables_match_multiply(hb):
             assert hb.wp_len[pj] == hb.wp_len[j] - 1
         for k, om in enumerate(hb.omega_elems):
             conj = pres.multiply(pres.multiply(om, x), pres.inverse(om))
-            assert hb.wp[hb._conj(j, k)] == conj
             assert hb.wp[hb._syms[k][j]] == conj
             assert hb.wp[hb._syms[len(hb.omega_elems) + k][j]] == pres.inverse(conj)
 
@@ -111,9 +110,6 @@ def test_omega_tables_match_multiply(hb):
         for b, ob in enumerate(oms):
             assert oms[hb._om_mul[a][b]] == pres.multiply(oa, ob)
         assert pres.multiply(oa, oms[hb._om_inv[a]]) == pres.identity()
-        for s, g in enumerate(hb.gens):
-            conj = pres.multiply(pres.multiply(oa, g), pres.inverse(oa))
-            assert hb.gens[hb._omconj[a][s]] == conj
 
 
 @pytest.mark.parametrize(
