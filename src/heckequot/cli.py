@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import asymptotic, coxeter, crossprod, duality, extquot
 from .asymptotic import decide
-from .coxeter import CoxeterError, GroupElement
+from .coxeter import CoxeterError
 from .hecke import HeckeBall, HeckeError
 from .laurent import LaurentPoly
 
@@ -68,8 +68,6 @@ def _plain(x):
         return str(x)
     if isinstance(x, LaurentPoly):
         return x.to_str()
-    if isinstance(x, GroupElement):
-        return x.key_str()
     if isinstance(x, dict):
         return {str(_plain(k)): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

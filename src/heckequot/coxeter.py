@@ -32,7 +32,9 @@ scenario that touches GL(n) works on the dual/combinatorial side instead.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -112,11 +114,11 @@ class GroupElement:
 
     __slots__ = ("pres", "trans", "fin", "_len", "_hash")
 
-    def __init__(self, pres: "GroupPresentation", trans: Vector, fin: int):
+    def __init__(self, pres: "GroupPresentation", trans: Vector, fin: int, length: int = -1):
         self.pres = pres
         self.trans = trans
         self.fin = fin
-        self._len = -1
+        self._len = length  # -1 until computed
         self._hash = hash((trans, fin))
 
     def __hash__(self) -> int:
@@ -352,22 +354,30 @@ class GroupPresentation:
             )
         if radius < 0:
             raise CoxeterError("radius must be nonnegative")
-        shells: list[list[GroupElement]] = [sorted(self.omega_elements(), key=GroupElement.key)]
-        seen = {e: 0 for e in shells[0]}
-        gens = self.generators()
+        # x * s = (t + u(t_s), u * f_s): one column per finite part u
+        cols = [[(mat_vec(u, t), row[f]) for t, f in self.gen_specs]
+                for u, row in zip(self.wf_elems, self._wf_table)]
+        ngen, norm = len(self.gen_specs), self._normalize
+        elements = sorted(self.omega_elements(), key=GroupElement.key)
+        rm, start = array("i", [-1]) * (len(elements) * ngen), 0
         for k in range(1, radius + 1):
-            nxt = {}
-            for x in shells[k - 1]:
-                for s in gens:
-                    y = self.multiply(x, s)
-                    if y not in seen and y.length == k:
-                        seen[y] = k
-                        nxt[y] = True
-            shells.append(sorted(nxt, key=GroupElement.key))
-        elements: list[GroupElement] = []
-        for sh in shells:
-            elements.extend(sh)
-        return Ball(self, radius, elements)
+            # a product unknown here is an ascent: every descent of a shorter
+            # element was recorded as the reverse edge of its own ascent
+            shell: dict[tuple, list[int]] = {}
+            for i in range(start, len(elements)):
+                x = elements[i]
+                for s, (c, f) in enumerate(cols[x.fin]):
+                    if rm[i * ngen + s] < 0:
+                        y = (norm(tuple(map(add, x.trans, c))), f)
+                        shell.setdefault(y, []).append(i * ngen + s)
+            start = len(elements)
+            rm.extend([-1] * (len(shell) * ngen))
+            for j, y in enumerate(sorted(shell), start):
+                elements.append(GroupElement(self, *y, k))
+                for edge in shell[y]:  # x * s = y and y * s = x
+                    rm[edge] = j
+                    rm[j * ngen + edge % ngen] = edge // ngen
+        return Ball(self, radius, elements, rm)
 
 
 @dataclass
@@ -378,6 +388,8 @@ class Ball:
     pres: GroupPresentation
     radius: int
     elements: list[GroupElement]
+    # rm[i * ngen + s] is the index of elements[i] * s, -1 outside the ball
+    rm: array
 
     def __post_init__(self):
         self.index = {e: i for i, e in enumerate(self.elements)}

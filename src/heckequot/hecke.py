@@ -33,12 +33,12 @@ one z per orbit.  Product rows are computed for one x per Omega-conjugacy
 orbit with 2 l(x) <= R; the a-value pass reads only these, and the stream
 delivers the other pairs relabelled.
 
-Group arithmetic is done once per ball: integer tables over ball indices
-(the ball's own key order) hold lengths, inverses, right multiplication
-by each generator, the (W' index, Omega index) pair of each element and
-Omega translation, in the manner of du Cloux's Coxeter programs.  Every
-inner loop, the T-basis included, runs on these indices; group elements
-appear only at the public methods.
+Group arithmetic is done once per ball, by the search that builds it and
+its right multiplication table.  Integer tables over ball indices, walked
+from that table, hold lengths, inverses, the (W' index, Omega index) pair
+of each element and Omega translation, as in du Cloux's Coxeter programs.
+Every inner loop, the T-basis included, runs on these indices; group
+elements appear only at the public methods.
 """
 from __future__ import annotations
 
@@ -177,13 +177,25 @@ class HeckeBall:
         # integer tables over ball indices; -1 marks a product outside the ball
         nom = self._nom = len(self.omega_elems)
         self._len = array("i", (e.length for e in elems))
-        self._inv = array("i", (index[e.inverse()] for e in elems))
-        self._rm = array("i", (index.get(pres.multiply(e, g), -1)
-                               for e in elems for g in self.gens))
-        self._omi = array("i", (e.omega_index() for e in elems))
-        om_inv = [om.inverse() for om in self.omega_elems]
-        self._wpi = array("i", (self.wp_index[pres.multiply(e, om_inv[k]) if k else e]
-                                for e, k in zip(elems, self._omi)))
+        self._rm = rm = self.ball.rm
+        self._omi = omi = array("i", (e.omega_index() for e in elems))
+        # sigma[k][s] = omega_k s omega_k^-1, so t omega_k = omega_k sigma[k]^-1(t).
+        # In ball order, x = y s at its first right descent, y in coset k, gives
+        # wb[x] = x omega_k^-1 = (y omega_k^-1) sigma[k][s], as a ball index;
+        # lm[x * ngen + t] = t x = (t y) s, where t y lies in the ball;
+        # inv[x] = s y^-1 = lm[inv[y] * ngen + s].
+        sigma = [list(range(ngen))] + [[pres.omega_conj_generator(om, s) for s in range(ngen)]
+                                       for om in self.omega_elems[1:]]
+        wb = [index[pres.identity()]] * nom
+        inv = [index[e.inverse()] for e in elems[:nom]]
+        lm = [rm[i * ngen + sigma[omi[i]].index(t)] for i in range(nom) for t in range(ngen)]
+        desc = [None] * nom + [self._right_descent(i) for i in range(nom, len(elems))]
+        for j, s in desc[nom:]:
+            wb.append(rm[wb[j] * ngen + sigma[omi[j]][s]])
+            inv.append(lm[inv[j] * ngen + s])
+            lm.extend([rm[lm[j * ngen + t] * ngen + s] for t in range(ngen)])
+        self._inv = array("i", inv)
+        self._wpi = array("i", (self.wp_index[elems[b]] for b in wb))
         # _rom[j * nom + k] is the ball index of wp[j] * omega_k; a list, so
         # that the cell graph's edge sets share its int objects
         self._rom = [0] * len(elems)
@@ -205,7 +217,7 @@ class HeckeBall:
 
         # parent[i] = (j, s) with wp[i] = wp[j] * gen[s], length down by one
         self.parent: list[tuple[int, int] | None] = [None] + [
-            (self._wpi[j], s) for j, s in map(self._right_descent, wball[1:])]
+            (self._wpi[desc[b][0]], desc[b][1]) for b in wball[1:]]
 
         self._p: list[dict[int, RawPoly]] = []
         self._compute_kl_table()

@@ -3,12 +3,22 @@
 Each acceptance test wraps its body in `criterion(...)`, which times the
 work, enforces the runtime budget, and records a single PASS/FAIL line
 that is echoed at the end of the pytest run.  Every test runs with its
-own default cache directory.
+own default cache directory.  Hypothesis keeps its files in a temporary
+directory and saves no examples, so a run writes nothing into the checkout.
 """
 
+import tempfile
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# removed when the interpreter exits
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="heckequot-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
 
 _LINES = []
 

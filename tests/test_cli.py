@@ -111,6 +111,15 @@ def test_uncertified_cells_and_empty_sample_pools_end_in_a_verdict(args, tmp_pat
     assert isinstance(rc, int) and rc in (1, 3)
 
 
+def test_so5_cells_below_the_certified_radius_fails_with_the_hint(tmp_path):
+    rc, out, _ = run(["run", "so5-cells", "--radius", "10", "--format", "records",
+                      "--cache-dir", str(tmp_path)])
+    assert rc == 1
+    cells = next(r for r in map(json.loads, out.splitlines()) if r.get("id") == "cells")
+    assert cells["verdict"] == "fail"
+    assert "raise --radius" in cells["witness"]["hint"]
+
+
 def test_ball_refuses_a_margin_outside_the_radius():
     with pytest.raises(HeckeError, match="margin"):
         HeckeBall(infinite_dihedral(), 2, margin=3)

@@ -12,7 +12,7 @@ import inspect
 from pathlib import Path
 
 from heckequot import asymptotic, cli
-from heckequot.coxeter import infinite_dihedral
+from heckequot.coxeter import GroupPresentation, infinite_dihedral
 from heckequot.hecke import HeckeBall
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -39,8 +39,13 @@ def test_every_traced_target_resolves_to_a_callable():
 def test_ball_exposes_what_the_tracer_hooks_read(tmp_path):
     params = inspect.signature(HeckeBall._stream_products).parameters
     assert list(params) == ["self", "visit"]
+    for name, names in (("multiply", ["self", "x", "y"]),
+                        ("length_of", ["self", "trans", "fin"]),
+                        ("ball", ["self", "radius"])):
+        assert list(inspect.signature(getattr(GroupPresentation, name)).parameters) == names
     hb = HeckeBall(infinite_dihedral(), 6)
     assert isinstance(hb._p, list) and len(hb._p) == len(hb.wp)
+    assert len(hb.ball.rm) == len(hb.ball) * len(hb.gens)
     hb.a_function(hb.pres.identity())
     assert len(hb._a_cert) == len(hb.wp)
     path, status = cli.cache_store(hb, tmp_path)

@@ -108,6 +108,33 @@ def test_ball_sorted_by_length_then_key():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "factory,radius",
+    [
+        (infinite_dihedral, 8),
+        (extended_affine_b2, 8),
+        (lambda: extended_affine_pgl(3), 6),
+        (lambda: extended_affine_pgl(4), 5),
+        (lambda: finite_a(3), 8),
+        (finite_b2, 6),
+    ],
+    ids=["dihedral-r8", "b2-r8", "pgl3-r6", "pgl4-r5", "finite-a3", "finite-b2"],
+)
+def test_ball_right_table_and_shell_lengths_match_group_arithmetic(factory, radius):
+    # the ball's BFS records each product x * s as a table entry, both ways,
+    # and gives each element the length of its shell; check both against
+    # multiply and the alcove-walk length
+    pres = factory()
+    ball = pres.ball(radius)
+    gens = pres.generators()
+    assert len(ball.index) == len(ball)
+    assert len(ball.rm) == len(ball) * len(gens)
+    for i, x in enumerate(ball):
+        assert x.length == pres.length_of(x.trans, x.fin) <= radius
+        for s, g in enumerate(gens):
+            assert ball.rm[i * len(gens) + s] == ball.index.get(pres.multiply(x, g), -1)
+
+
 def test_frozen_ball_sizes():
     assert len(extended_affine_b2().ball(4)) == 56
     assert len(extended_affine_pgl(3).ball(4)) == 93

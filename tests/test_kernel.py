@@ -104,6 +104,27 @@ def test_wprime_tables_match_multiply(hb):
             assert hb.wp[hb._syms[len(hb.omega_elems) + k][j]] == pres.inverse(conj)
 
 
+@pytest.mark.parametrize(
+    "factory,radius",
+    [(extended_affine_b2, 8), (lambda: extended_affine_pgl(4), 5)],
+    ids=["b2-r8", "pgl4-r5"],
+)
+def test_tables_walked_along_the_right_table_match_multiply(factory, radius):
+    # _inv, _wpi and parent are read off the ball's right table, from each
+    # element's first right descent; rebuild them with group arithmetic
+    hb = HeckeBall(factory(), radius)
+    pres, elems = hb.pres, hb.ball.elements
+    om_inv = [pres.inverse(om) for om in hb.omega_elems]
+    for i, x in enumerate(elems):
+        assert elems[hb._inv[i]] == pres.inverse(x)
+        assert hb.wp[hb._wpi[i]] == pres.multiply(x, om_inv[hb._omi[i]])
+    assert hb.parent[0] is None
+    for j, x in enumerate(hb.wp[1:], 1):
+        pj, s = hb.parent[j]
+        assert s == pres.right_descents(x)[0]
+        assert hb.wp[pj] == pres.multiply(x, hb.gens[s])
+
+
 def test_omega_tables_match_multiply(hb):
     pres, oms = hb.pres, hb.omega_elems
     for a, oa in enumerate(oms):
