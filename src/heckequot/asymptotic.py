@@ -181,43 +181,6 @@ class JRing:
         return JElement({elems[z]: c for z, c in out.items()})
 
     # ---------------- cell ideals -----------------------------------------
-    def cell_ideal_check(self, samples: int = 0, seed: int = 0) -> dict:
-        """Verify that products respect the two-sided cell decomposition:
-        t_x t_y = 0 for x, y in different cells, and supported inside the
-        common cell otherwise.  Runs over all certified pairs within the
-        budget (samples > 0 restricts to a deterministic random sample)."""
-        hb = self.hb
-        part = hb.cell_partition()
-        cid = part.two_sided_id
-        pairs = []
-        for x in hb.ball:
-            if not hb.a_function(x)[1]:
-                continue
-            for y in hb.ball:
-                if x.length + y.length > hb.radius:
-                    continue
-                if not hb.a_function(y)[1]:
-                    continue
-                pairs.append((x, y))
-        if samples and samples < len(pairs):
-            pairs = random.Random(seed).sample(pairs, samples)
-
-        def escapes(pair):
-            x, y = pair
-            if cid[x] != cid[y]:
-                return [(x, y, z, "cross-cell product nonzero") for z in hb.gamma_row(x, y)]
-            return [(x, y, z, "product left the cell")
-                    for z in hb.gamma_row(x, y) if cid[z] != cid[x]]
-
-        checked, _, bad = decide(pairs, lambda p: not escapes(p))
-        cross = [(x, y) for x, y in pairs if cid[x] != cid[y]]
-        cross_checked, _, cross_nonzero = decide(cross, lambda p: not hb.gamma_row(*p))
-        return {
-            "checked": checked,
-            "cross_cell_zero": cross_checked - len(cross_nonzero),
-            "failures": [e for p in bad for e in escapes(p)],
-        }
-
     def cell_ideal(self, cell: CellRecord, max_pairs: int = 0, seed: int = 0) -> dict:
         """Basis and unit of the ideal spanned by one two-sided cell.
 

@@ -21,17 +21,12 @@ length-zero element of a coset is a power of the family's basic shift.
 Supported families:
 
 * ``InfiniteDihedral``      rank-1 affine Weyl group of SL(2), trivial Omega
-* ``ExtendedAffineA(n)``    GL(n): full lattice Z^n, Omega infinite cyclic
 * ``ExtendedAffineA'(n)``   PGL(n): lattice Z^n mod (1,..,1), Omega = Z/n
 * ``ExtendedAffineB2``      SO(5): lattice Z^2, Omega = Z/2
 * ``FiniteA(n)``, ``FiniteB2``  finite Weyl groups, no translations
-
-Ball enumeration requires finite Omega and therefore refuses GL(n); every
-scenario that touches GL(n) works on the dual/combinatorial side instead.
 """
 from __future__ import annotations
 
-import re
 from array import array
 from dataclasses import dataclass, field
 from operator import add
@@ -178,7 +173,7 @@ class GroupPresentation:
     gen_specs: list[tuple[Vector, int]]
     gen_names: list[str]
     coxeter_m: dict[tuple[int, int], int | None]
-    omega_count: int | None  # None means infinite cyclic
+    omega_count: int
     _coset_of: Callable[[Vector], int] = field(repr=False)
     _normalize: Callable[[Vector], Vector] = field(repr=False)
     # (translation, finite part) of a length-zero generator of Omega;
@@ -282,19 +277,14 @@ class GroupPresentation:
         the basic shift (each coset holds exactly one such element)."""
         out = self.identity()
         if self._omega_shift is not None:
-            base = GroupElement(self, *self._omega_shift)
-            step = base if coset >= 0 else self.inverse(base)
-            for _ in range(abs(coset)):
+            step = GroupElement(self, *self._omega_shift)
+            for _ in range(coset):
                 out = self.multiply(out, step)
         if out.length != 0 or self.omega_index(out) != coset:
             raise CoxeterError(f"no length-zero element for Omega coset {coset}")
         return out
 
     def omega_elements(self) -> list[GroupElement]:
-        if self.omega_count is None:
-            raise UnsupportedFamily(
-                f"{self.family}: Omega is infinite, enumerate cosets explicitly"
-            )
         return [self.omega_rep(c) for c in range(self.omega_count)]
 
     def omega_conj_generator(self, omega: GroupElement, gen_idx: int) -> int:
@@ -348,10 +338,6 @@ class GroupPresentation:
 
     # ---- balls -------------------------------------------------------------
     def ball(self, radius: int) -> "Ball":
-        if self.omega_count is None:
-            raise UnsupportedFamily(
-                f"{self.family}: ball enumeration needs finite Omega"
-            )
         if radius < 0:
             raise CoxeterError("radius must be nonnegative")
         # x * s = (t + u(t_s), u * f_s): one column per finite part u
@@ -403,9 +389,6 @@ class Ball:
     def __iter__(self):
         return iter(self.elements)
 
-    def dump_lines(self) -> list[str]:
-        return [dump_element(e) for e in self.elements]
-
 
 # ------------------------------------------------------------- text format
 def dump_element(x: GroupElement, word: tuple[list[str], int] | None = None) -> str:
@@ -419,31 +402,6 @@ def dump_element(x: GroupElement, word: tuple[list[str], int] | None = None) -> 
         f"word={w} omega=w{word[1]} len={x.length} "
         f"trans=({','.join(map(str, x.trans))}) fin=f{x.fin}"
     )
-
-
-_LINE_RE = re.compile(
-    r"^word=(?P<word>\S+) omega=w(?P<om>-?\d+) len=(?P<len>\d+) "
-    r"trans=\((?P<trans>[^)]*)\) fin=f(?P<fin>\d+)$"
-)
-
-
-def parse_element(pres: GroupPresentation, line: str) -> GroupElement:
-    m = _LINE_RE.match(line.strip())
-    if not m:
-        raise CoxeterError(f"bad element line: {line!r}")
-    names = [] if m.group("word") == "e" else m.group("word").split(".")
-    x = pres.word_to_element(names)
-    x = pres.multiply(x, pres.omega_rep(int(m.group("om"))))
-    trans = tuple(int(t) for t in m.group("trans").split(",")) if m.group("trans") else ()
-    if x.trans != pres._normalize(trans) or x.fin != int(m.group("fin")) or x.length != int(m.group("len")):
-        raise CoxeterError(f"inconsistent element line: {line!r}")
-    return x
-
-
-def element_from_key(pres: GroupPresentation, key: str) -> GroupElement:
-    ts, fs = key.split(";")
-    trans = tuple(int(x) for x in ts.split(",")) if ts else ()
-    return pres.element(trans, int(fs))
 
 
 # ---------------------------------------------------------------- catalog
@@ -535,32 +493,6 @@ def _type_a_shift(n: int, index) -> tuple[Vector, int]:
     """The basic shift t_{e1} * (n-cycle): length zero, Omega coset 1."""
     cyc = _perm_matrix([(i + 1) % n for i in range(n)])
     return tuple(1 if k == 0 else 0 for k in range(n)), index[cyc]
-
-
-def extended_affine_gl(n: int) -> GroupPresentation:
-    """GL(n): full cocharacter lattice Z^n with S_n.  Omega is infinite
-    cyclic (the basic shift), so balls are refused for this family."""
-    if n < 2:
-        raise UnsupportedFamily("need n >= 2")
-    elems, index, pos, adj_gens, s_theta, theta_cov, m = _type_a_data(n)
-    gen_specs = [((0,) * n, index[g]) for g in adj_gens]
-    gen_specs.append((theta_cov, index[s_theta]))
-    names = [f"s{i}" for i in range(1, n)] + ["s0"]
-    pres = GroupPresentation(
-        family=f"ExtendedAffineA({n})",
-        rank=n,
-        wf_elems=elems,
-        wf_index=index,
-        pos_roots=pos,
-        gen_specs=gen_specs,
-        gen_names=names,
-        coxeter_m=m,
-        omega_count=None,
-        _coset_of=lambda t: sum(t),
-        _normalize=lambda t: t,
-        _omega_shift=_type_a_shift(n, index),
-    )
-    return pres
 
 
 def extended_affine_pgl(n: int) -> GroupPresentation:

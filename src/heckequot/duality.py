@@ -201,7 +201,7 @@ def rep_ring_descriptor(rd: ReductiveDescriptor) -> list[Descriptor]:
     if isinstance(rd, SpFull):
         return [TorusModGroup(rd.rank, "W(B2)")]
     if isinstance(rd, GLProductInSL):
-        g = gcd(*rd.powers)
+        g = component_group_order(rd)
         rank = sum(rd.parts) - 1
         if rank == 0:
             return [Point() for _ in range(rd.powers[0])]

@@ -740,15 +740,6 @@ class HeckeBall:
                 out.append(f"P {yi} {zi} {text[key]}")
         return out
 
-    def h_row_lines(self, xi: int, yi: int) -> list[str]:
-        """Lines "H x y z poly" of the structure constants of one pair,
-        computed along the T-basis route (kl_element, mul_T, t_to_c), which
-        is independent of the streamed c-basis route of _stream_products,
-        so the two can cross-check each other bit for bit."""
-        prod = self.h_constants(self.wp[xi], self.wp[yi])
-        rows = sorted((self.wp_index[z], p) for z, p in prod.items())
-        return [f"H {xi} {yi} {zi} {p.to_str()}" for zi, p in rows]
-
     def cache_lines(self) -> list[str]:
         """Line-oriented dump of the KL table.
 

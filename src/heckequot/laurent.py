@@ -19,7 +19,6 @@ exactly and refuses inputs where it is not exact.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -284,56 +283,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_str()})"
-
-
-_TERM_RE = re.compile(
-    r"^(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*)?"
-    r"(?:(?P<var>[A-Za-z])(?:\^(?P<exp>-?\d+))?)?$"
-)
-
-
-def parse(text: str, var: str | None = None) -> LaurentPoly:
-    """Inverse of `LaurentPoly.to_str`.  Accepts any single-letter variable
-    unless one is pinned with ``var=``."""
-    s = text.strip()
-    if not s:
-        raise LaurentError("empty polynomial text")
-    if s == "0":
-        return LaurentPoly.zero()
-    # protect exponent signs, then split into signed terms
-    s = s.replace("^-", "^~")
-    s = s.replace("-", "+-").replace("^~", "^-")
-    d: dict[int, Scalar] = {}
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coef") is None and m.group("var") is None):
-            raise LaurentError(f"cannot parse term {chunk!r} in {text!r}")
-        if m.group("var") is not None and var is not None and m.group("var") != var:
-            raise LaurentError(f"unexpected variable {m.group('var')!r} in {text!r}")
-        coef_s = m.group("coef")
-        if coef_s is None:
-            a: Scalar = 1
-        elif "/" in coef_s:
-            a = Fraction(coef_s)
-        else:
-            a = int(coef_s)
-        if m.group("var") is None:
-            e = 0
-        else:
-            e = int(m.group("exp")) if m.group("exp") is not None else 1
-        cur = d.get(e, 0) + sign * a
-        if cur:
-            d[e] = cur
-        elif e in d:
-            del d[e]
-    return LaurentPoly._raw(d)
 
 
 @dataclass(frozen=True)

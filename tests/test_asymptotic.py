@@ -12,7 +12,7 @@ import pytest
 
 from heckequot.coxeter import infinite_dihedral
 from heckequot.hecke import BallOverflowError, HeckeBall, HeckeError, UncertifiedError
-from heckequot.laurent import LaurentPoly, parse
+from heckequot.laurent import LaurentPoly
 from heckequot.asymptotic import (
     UNDECIDED,
     JElement,
@@ -130,12 +130,19 @@ def test_base_points_certified(ring):
     assert (ok, skipped) == (19, 2)
 
 
-def test_cell_ideal_check_sampled(ring):
+def test_cell_ideals_closed_and_cross_cell_gamma_zero(ring):
+    # in-cell closure is what cell_ideal checks; cross-cell products vanish
+    # by P8, since a nonzero gamma ties x, y and z into one cell
     hb, J = ring
-    res = J.cell_ideal_check(samples=20, seed=1)
-    assert res["failures"] == []
-    assert res["checked"] == 14
-    assert res["cross_cell_zero"] == 2
+    counts = []
+    for cell in hb.cell_partition().certified_cells():
+        res = J.cell_ideal(cell)
+        assert res["closed"] and res["escapes"] == []
+        counts.append((cell.a_value, res["checked_pairs"], res["skipped_pairs"]))
+    assert counts == [(0, 1, 0), (1, 200, 160)]
+    p8 = {c.name: c for c in hb.check_properties()}["P8"]
+    assert p8.passed, p8.counterexamples
+    assert p8.checked == 489
 
 
 def test_cell_ideal_of_big_cell(ring):
@@ -160,8 +167,8 @@ def test_phi_of_generator_frozen(ring):
     got = {x.key_str(): p for x, p in img.coeffs.items()}
     assert got == {
         "-1;0": LaurentPoly.const(-1),
-        "0;0": parse("v^-1 + v"),
-        "1;1": parse("v^-1 + v"),
+        "0;0": LaurentPoly({-1: 1, 1: 1}),
+        "1;1": LaurentPoly({-1: 1, 1: 1}),
     }
 
 

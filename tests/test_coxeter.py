@@ -14,9 +14,7 @@ from heckequot.coxeter import (
     CoxeterError,
     close_group,
     dump_element,
-    element_from_key,
     extended_affine_b2,
-    extended_affine_gl,
     extended_affine_pgl,
     finite_a,
     finite_b2,
@@ -24,7 +22,6 @@ from heckequot.coxeter import (
     mat_identity,
     mat_mul,
     mat_vec,
-    parse_element,
 )
 
 
@@ -226,21 +223,6 @@ def test_wprime_omega_factorization():
         assert wp * x.omega_part() == x
 
 
-def test_gl_omega_infinite_refuses_enumeration():
-    g3 = extended_affine_gl(3)
-    with pytest.raises(CoxeterError):
-        g3.ball(2)
-    with pytest.raises(CoxeterError):
-        g3.omega_elements()
-
-
-def test_gl_shift_has_length_zero():
-    g3 = extended_affine_gl(3)
-    x = g3.element((1, 0, 0), 0)
-    assert x.omega_index() != 0
-    assert x.length == 0 or x.wprime_part().length <= x.length
-
-
 # ---- finite families ------------------------------------------------------
 
 
@@ -294,12 +276,10 @@ def test_weyl_table_needs_generating_finite_parts():
         (finite_b2, 6),
     ],
 )
-def test_dump_parse_roundtrip(factory, radius):
-    pres = factory()
-    for x in pres.ball(radius):
-        line = dump_element(x)
-        assert parse_element(pres, line) == x
-        assert element_from_key(pres, x.key_str()) == x
+def test_dump_element_lines_distinct(factory, radius):
+    # cache E lines must identify their element
+    ball = factory().ball(radius)
+    assert len({dump_element(x) for x in ball}) == len(ball)
 
 
 def test_dump_format():
@@ -307,18 +287,3 @@ def test_dump_format():
     s1, s2 = d.generators()
     w = s1 * s2
     assert dump_element(w) == "word=s1.s2 omega=w0 len=2 trans=(-1) fin=f0"
-
-
-def test_parse_element_rejects_malformed():
-    d = infinite_dihedral()
-    for bad in ["", "word=s1", "word=s9.s1 omega=w0 len=1 trans=(0) fin=f0"]:
-        with pytest.raises(CoxeterError):
-            parse_element(d, bad)
-
-
-def test_ball_dump_lines_sorted_and_parsable():
-    b2 = extended_affine_b2()
-    ball = b2.ball(2)
-    lines = ball.dump_lines()
-    assert len(lines) == len(ball)
-    assert [parse_element(b2, ln) for ln in lines] == list(ball)
