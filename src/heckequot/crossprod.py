@@ -7,6 +7,15 @@ order-two symbol; moving A past a polynomial flips the variable.  The
 matrix model sends the variable to a symmetric companion pair and A to
 diag(1, -1); its image is exactly the set of two-by-two matrices whose
 diagonal is balanced and whose off-diagonal is anti-balanced.
+
+The homomorphism checks run on Kronecker-packed ints.  A sampled
+polynomial p becomes the pair (P, Pb) = laurent.pack of p and of bar(p), so
+a product is an int multiplication, bar swaps the pair, p is balanced when
+P == Pb and anti-balanced when P == -Pb, and t - 1/t packs as B^2 - 1
+(B = 2^k, one exponent lower), an exact divisor of anti-balanced entries.
+The two-by-two model is doubled to make its entries integral; a matrix is
+the pair (M, Mb) of int matrices, Mb the entrywise bar of M.  `hom_bits`
+argues the width k at which equal packings mean equal polynomials.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laurent
-from .laurent import LaurentPoly
+from .laurent import LaurentError, LaurentPoly
 from .extquot import Descriptor, LineModInversion, Point, matrix_rank, row_reduce
 
 
@@ -33,36 +42,13 @@ class CrossedElement:
     p: LaurentPoly
     q: LaurentPoly
 
-    def __add__(self, other: "CrossedElement") -> "CrossedElement":
-        return CrossedElement(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "CrossedElement") -> "CrossedElement":
-        return CrossedElement(self.p - other.p, self.q - other.q)
-
-    def __mul__(self, other: "CrossedElement") -> "CrossedElement":
-        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
-        return CrossedElement(
-            p1 * p2 + q1.bar() * q2,
-            p1.bar() * q2 + q1 * p2,
-        )
-
-    def is_zero(self) -> bool:
-        return not self.p and not self.q
-
-    def __str__(self) -> str:
-        return f"({self.p.to_str()}) + A({self.q.to_str()})"
-
-
-def crossed_one() -> CrossedElement:
-    return CrossedElement(LaurentPoly.one(), LaurentPoly.zero())
-
-
-def crossed_alpha() -> CrossedElement:
-    return CrossedElement(LaurentPoly.zero(), LaurentPoly.one())
-
 
 def crossed_t(k: int = 1) -> CrossedElement:
     return CrossedElement(LaurentPoly._raw({k: 1}), LaurentPoly.zero())
+
+
+CROSSED_BOUND = 3  # coefficient bound of a sampled crossed component
+CM4_BOUND = 2      # coefficient bound of a sampled four-by-four entry
 
 
 def random_poly(rng: random.Random, max_deg: int, bound: int, density: float) -> LaurentPoly:
@@ -74,110 +60,166 @@ def random_poly(rng: random.Random, max_deg: int, bound: int, density: float) ->
 
 
 def random_crossed(rng: random.Random, max_deg: int) -> CrossedElement:
-    return CrossedElement(random_poly(rng, max_deg, 3, 0.4),
-                          random_poly(rng, max_deg, 3, 0.4))
+    return CrossedElement(random_poly(rng, max_deg, CROSSED_BOUND, 0.4),
+                          random_poly(rng, max_deg, CROSSED_BOUND, 0.4))
+
+
+# ---------------- packed maps --------------------------------------------------
+
+Packed = tuple[int, int, int, int]   # (P, Pb, Q, Qb) of p + A q
+Sheet = tuple[tuple[int, ...], ...]  # a square matrix of packed entries
+PMat = tuple[Sheet, Sheet]           # (M, Mb), Mb the entrywise bar of M
+
+
+def _bits(norm: int) -> int:
+    """The least digit width k with norm < 2^(k-1)."""
+    return norm.bit_length() + 1
+
+
+def hom_bits(max_deg: int) -> dict[str, int]:
+    """The digit width k of each hom check at sample degree d = max_deg.
+
+    k keeps every coefficient of every compared difference below 2^(k-1),
+    so equal packings mean equal polynomials and unpack decodes exactly.
+    B^2 - 1 then divides a packing exactly when t - 1/t divides the
+    polynomial: P = s0 + B s1 mod B^2 - 1 for the coefficient sums s0, s1
+    over even and odd positions, both zero exactly when t - 1/t divides,
+    and |s0|, |s1| < B/2.  By ||fg||_1 <= ||f||_1 ||g||_1, with a sampled
+    crossed component of norm <= n = 3(2d + 1), so that 2M(x) has entries
+    of norm <= 4n:
+    - realization: entries of 2M(x) 2M(y) are <= 32 n^2 and of 2 2M(xy)
+      <= 16 n^2, so differences are <= 48 n^2;
+    - spectrum: dividing an anti-balanced c of degree e by t - 1/t gives
+      norm <= (e/2) ||c||_1, multiplying doubles it; the lower left entry
+      is <= 32 d n^2 in spec(XY) and <= 16 d n^2 in spec(X) spec(Y), and
+      every difference and balance test is <= 64 (d + 2) n^2;
+    - psi: an entry is a scalar product (<= 16) or two products of
+      components (<= 2 n^2), so differences are <= 4 n^2;
+    - cm4: a sampled entry (a class function p + bar p) has norm <= m =
+      4(2d + 1), a product of three <= 16 m^3, differences <= 32 m^3.
+    """
+    n = CROSSED_BOUND * (2 * max_deg + 1)
+    m = 2 * CM4_BOUND * (2 * max_deg + 1)
+    return {"realization": _bits(48 * n * n),
+            "spectrum": _bits(64 * (max_deg + 2) * n * n),
+            "psi": _bits(4 * n * n),
+            "cm4": _bits(32 * m ** 3)}
+
+
+def pack_pair(p: LaurentPoly, lo: int, k: int) -> tuple[int, int]:
+    """(P, Pb): p and bar(p) packed at lowest exponent lo and width k."""
+    return laurent.pack(p.c, lo, k), laurent.pack(p.bar().c, lo, k)
+
+
+def pack_crossed(x: CrossedElement, lo: int, k: int) -> Packed:
+    return pack_pair(x.p, lo, k) + pack_pair(x.q, lo, k)
+
+
+def crossed_mul(x: Packed, y: Packed) -> Packed:
+    """(p1 + A q1)(p2 + A q2) = p1 p2 + bar(q1) q2 + A (bar(p1) q2 + q1 p2),
+    at the sum of the factors' lowest exponents."""
+    p1, p1b, q1, q1b = x
+    p2, p2b, q2, q2b = y
+    return (p1 * p2 + q1b * q2, p1b * p2b + q1 * q2b,
+            p1b * q2 + q1 * p2, p1 * q2b + q1b * p2b)
+
+
+def mat_mul(a: Sheet, b: Sheet) -> Sheet:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
 
 
 # ---------------- two-by-two matrix model ------------------------------------
 
-Mat2 = tuple[tuple[LaurentPoly, LaurentPoly], tuple[LaurentPoly, LaurentPoly]]
+def mat2_mul(a: PMat, b: PMat) -> PMat:
+    return mat_mul(a[0], b[0]), mat_mul(a[1], b[1])
 
 
-def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0],
-         a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-         a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
+def matrix_realization(x: Packed) -> PMat:
+    """Twice the faithful embedding into two-by-two Laurent matrices.
+
+    The variable maps to [[t + 1/t, t - 1/t], [t - 1/t, t + 1/t]] and A to
+    diag(2, -2); in general the diagonal carries p + bar p +- (q + bar q)
+    and the off-diagonal p - bar p +- (q - bar q)."""
+    p, pb, q, qb = x
+    b, a, c, d = p + pb, p - pb, q + qb, q - qb
+    return (((b + c, a + d), (a - d, b - c)),
+            ((b + c, -a - d), (d - a, b - c)))
 
 
-def matrix_realization(x: CrossedElement) -> Mat2:
-    """Faithful embedding into two-by-two Laurent matrices.
-
-    The variable maps to [[(t+1/t)/2, (t-1/t)/2], [(t-1/t)/2, (t+1/t)/2]]
-    and A to diag(1, -1); in general the diagonal carries the balanced
-    parts and the off-diagonal the anti-balanced parts."""
-    dp = laurent.decompose(x.p)
-    dq = laurent.decompose(x.q)
-    return (
-        (dp.balanced + dq.balanced, dp.antibalanced + dq.antibalanced),
-        (dp.antibalanced - dq.antibalanced, dp.balanced - dq.balanced),
-    )
-
-
-def constrained2(m: Mat2) -> bool:
+def constrained2(m: PMat) -> bool:
     """Image membership: balanced diagonal, anti-balanced off-diagonal."""
-    return (
-        m[0][0].is_balanced()
-        and m[1][1].is_balanced()
-        and m[0][1].is_antibalanced()
-        and m[1][0].is_antibalanced()
-    )
+    (a, b), (c, d) = m[0]
+    (ab, bb), (cb, db) = m[1]
+    return a == ab and d == db and b == -bb and c == -cb
 
 
-def spectrum_map(m: Mat2) -> tuple[Mat2, Fraction, Fraction]:
+def spectrum_map(m: PMat, lo: int, k: int) -> tuple[PMat, int, int]:
     """Straighten the constrained model onto plain balanced matrices.
 
     The upper right entry is multiplied by t - 1/t, the lower left is
     divided by it (exact on anti-balanced entries), and the lower right
     entry is also remembered at the two self-inverse points, where every
-    anti-balanced function vanishes."""
+    anti-balanced function vanishes.  m is packed at lowest exponent lo and
+    width k; the upper right entry comes out at lo - 1, the lower left at
+    lo + 1."""
     if not constrained2(m):
         raise CrossProdError("matrix does not satisfy the swap constraint")
-    g = laurent.generator()
-    out = (
-        (m[0][0], m[0][1] * g),
-        (laurent.divide_by_generator(m[1][0]), m[1][1]),
-    )
-    return out, m[1][1].evaluate(1), m[1][1].evaluate(-1)
+    (a, b), (c, d) = m[0]
+    (ab, bb), (_, db) = m[1]
+    g = (1 << 2 * k) - 1
+    q, r = divmod(c, g)
+    if r:
+        raise LaurentError("t - 1/t does not divide the lower left entry")
+    # bar(c / (t - 1/t)) = -bar(c) / (t - 1/t) = q, as c is anti-balanced
+    out = ((a, b * g), (q, d)), ((ab, -bb * g), (q, db))
+    digits = laurent.unpack(d, lo, k)
+    return (out, sum(digits.values()),
+            sum(-v if e & 1 else v for e, v in digits.items()))
 
 
 def check_realization_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     rng = random.Random(seed)
+    k, lo = hom_bits(max_deg)["realization"], -max_deg
     failures = 0
     for _ in range(pairs):
-        x = random_crossed(rng, max_deg)
-        y = random_crossed(rng, max_deg)
-        lhs = matrix_realization(x * y)
+        x = pack_crossed(random_crossed(rng, max_deg), lo, k)
+        y = pack_crossed(random_crossed(rng, max_deg), lo, k)
+        lhs = matrix_realization(tuple(2 * v for v in crossed_mul(x, y)))  # 2 2M(xy)
         rhs = mat2_mul(matrix_realization(x), matrix_realization(y))
-        if lhs != rhs or not constrained2(lhs):
-            failures += 1
+        failures += lhs != rhs or not constrained2(lhs)
     return {"checked": pairs, "failures": failures}
 
 
 def check_spectrum_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     rng = random.Random(seed)
+    k, lo = hom_bits(max_deg)["spectrum"], -max_deg
     failures = 0
     for _ in range(pairs):
-        x = matrix_realization(random_crossed(rng, max_deg))
-        y = matrix_realization(random_crossed(rng, max_deg))
-        mx, px, nx = spectrum_map(x)
-        my, py, ny = spectrum_map(y)
-        mz, pz, nz = spectrum_map(mat2_mul(x, y))
-        ok = (
-            mz == mat2_mul(mx, my)
-            and pz == px * py
-            and nz == nx * ny
-            and all(e.is_balanced() for row in mz for e in row)
-        )
-        if not ok:
-            failures += 1
+        x = matrix_realization(pack_crossed(random_crossed(rng, max_deg), lo, k))
+        y = matrix_realization(pack_crossed(random_crossed(rng, max_deg), lo, k))
+        mx, px, nx = spectrum_map(x, lo, k)
+        my, py, ny = spectrum_map(y, lo, k)
+        mz, pz, nz = spectrum_map(mat2_mul(x, y), 2 * lo, k)
+        # the straightening is homogeneous, so the doubled model compares
+        # spec(XY) with spec(X) spec(Y) directly
+        failures += not (mz == mat2_mul(mx, my) and mz[0] == mz[1]
+                         and pz == px * py and nz == nx * ny)
     return {"checked": pairs, "failures": failures}
 
 
 def check_injectivity(window: int = 8) -> bool:
-    """Distinct images for the monomial basis t^k, A t^k in the window."""
-    seen = set()
-    for k in range(-window, window + 1):
-        for use_alpha in (False, True):
-            x = CrossedElement(LaurentPoly.zero(), LaurentPoly._raw({k: 1})) \
-                if use_alpha else crossed_t(k)
-            m = matrix_realization(x)
-            key = tuple(tuple(sorted(e.c.items())) for row in m for e in row)
-            if key in seen:
+    """Distinct images for the monomial basis t^k, A t^k in the window.
+    Their image entries have coefficients in [-2, 2], so width _bits(4)
+    tells them apart."""
+    k, seen = _bits(4), set()
+    for e in range(-window, window + 1):
+        for x in (crossed_t(e), CrossedElement(LaurentPoly.zero(), LaurentPoly._raw({e: 1}))):
+            m = matrix_realization(pack_crossed(x, -window, k))
+            if m in seen:
                 return False
-            seen.add(key)
+            seen.add(m)
     return True
 
 
@@ -190,36 +232,15 @@ class RF:
     with one scalar on the reflection class."""
 
     line: LaurentPoly
-    refl: Fraction
+    refl: int | Fraction
 
     def __post_init__(self):
         if not self.line.is_balanced():
             raise CrossProdError("pair-class function must be balanced")
 
-    def __add__(self, other: "RF") -> "RF":
-        return RF(self.line + other.line, self.refl + other.refl)
-
-    def __sub__(self, other: "RF") -> "RF":
-        return RF(self.line - other.line, self.refl - other.refl)
-
-    def __mul__(self, other: "RF") -> "RF":
-        return RF(self.line * other.line, self.refl * other.refl)
-
-    def is_zero(self) -> bool:
-        return not self.line and self.refl == 0
-
 
 def rf_zero() -> RF:
     return RF(LaurentPoly.zero(), Fraction(0))
-
-
-def rf_one() -> RF:
-    return RF(LaurentPoly.one(), Fraction(1))
-
-
-def rf_scalar(c) -> RF:
-    c = Fraction(c)
-    return RF(LaurentPoly.const(c), c)
 
 
 def ind(p: LaurentPoly) -> RF:
@@ -228,15 +249,15 @@ def ind(p: LaurentPoly) -> RF:
     return RF(p + p.bar(), Fraction(0))
 
 
-def res(f: RF) -> LaurentPoly:
-    return f.line
-
-
 # ---------------- constrained four-by-four matrices ---------------------------
 
 _RF_BLOCK = {(1, 1), (1, 2), (2, 1), (2, 2)}
 _PARTNER = {(1, 4): (1, 3), (2, 4): (2, 3), (4, 1): (3, 1),
             (4, 2): (3, 2), (4, 4): (3, 3), (4, 3): (3, 4)}
+# entry (i, j) -> (the field holding it, whether the entry is its bar)
+_SOURCE = {(i, j): (f"rf{i}{j}" if (i, j) in _RF_BLOCK else f"a{i}{j}", False)
+           for i in range(1, 5) for j in range(1, 5)}
+_SOURCE.update({ij: (f"a{pi}{pj}", True) for ij, (pi, pj) in _PARTNER.items()})
 
 
 @dataclass(frozen=True)
@@ -258,79 +279,13 @@ class ConstrainedMatrix4:
     a34: LaurentPoly
 
     def entry(self, i: int, j: int):
-        if (i, j) in _RF_BLOCK:
-            return getattr(self, f"rf{i}{j}")
-        if (i, j) in _PARTNER:
-            pi, pj = _PARTNER[(i, j)]
-            return getattr(self, f"a{pi}{pj}").bar()
-        return getattr(self, f"a{i}{j}")
-
-    def __add__(self, other: "ConstrainedMatrix4") -> "ConstrainedMatrix4":
-        return ConstrainedMatrix4(
-            *(getattr(self, f) + getattr(other, f) for f in _FIELDS)
-        )
-
-    def __sub__(self, other: "ConstrainedMatrix4") -> "ConstrainedMatrix4":
-        return ConstrainedMatrix4(
-            *(getattr(self, f) - getattr(other, f) for f in _FIELDS)
-        )
-
-    def __mul__(self, other: "ConstrainedMatrix4") -> "ConstrainedMatrix4":
-        vals = {}
-        for i in range(1, 5):
-            for j in range(1, 5):
-                vals[(i, j)] = _mul_entry(self, other, i, j)
-        # the product must satisfy the same ties; anything else is a bug
-        for (i, j), (pi, pj) in _PARTNER.items():
-            if vals[(i, j)] != vals[(pi, pj)].bar():
-                raise CrossProdError("product broke the bar ties")
-        return ConstrainedMatrix4(
-            vals[(1, 1)], vals[(1, 2)], vals[(2, 1)], vals[(2, 2)],
-            vals[(1, 3)], vals[(2, 3)], vals[(3, 1)], vals[(3, 2)],
-            vals[(3, 3)], vals[(3, 4)],
-        )
-
-    def is_zero(self) -> bool:
-        return all(
-            getattr(self, f).is_zero() if f.startswith("rf") else not getattr(self, f)
-            for f in _FIELDS
-        )
+        f, barred = _SOURCE[(i, j)]
+        e = getattr(self, f)
+        return e.bar() if barred else e
 
 
 _FIELDS = ["rf11", "rf12", "rf21", "rf22",
            "a13", "a23", "a31", "a32", "a33", "a34"]
-
-
-def _mul_entry(x: ConstrainedMatrix4, y: ConstrainedMatrix4, i: int, j: int):
-    in_rf = (i, j) in _RF_BLOCK
-    rf_acc = rf_zero()
-    l_acc = LaurentPoly.zero()
-    for k in range(1, 5):
-        a = x.entry(i, k)
-        b = y.entry(k, j)
-        a_rf = isinstance(a, RF)
-        b_rf = isinstance(b, RF)
-        if a_rf and b_rf:
-            rf_acc = rf_acc + a * b
-        elif a_rf:
-            l_acc = l_acc + res(a) * b
-        elif b_rf:
-            l_acc = l_acc + a * res(b)
-        else:
-            l_acc = l_acc + a * b
-    if in_rf:
-        # the Laurent cross terms arrive in bar-conjugate pairs, so the
-        # sum is balanced and induces to a class function
-        return rf_acc + RF(l_acc, Fraction(0))
-    if not rf_acc.is_zero():
-        raise CrossProdError("class-function term leaked out of its block")
-    return l_acc
-
-
-def cm4_one() -> ConstrainedMatrix4:
-    z = LaurentPoly.zero()
-    return ConstrainedMatrix4(rf_one(), rf_zero(), rf_zero(), rf_one(),
-                              z, z, z, z, LaurentPoly.one(), z)
 
 
 def cm4_single(field: str, value) -> ConstrainedMatrix4:
@@ -340,51 +295,87 @@ def cm4_single(field: str, value) -> ConstrainedMatrix4:
     return ConstrainedMatrix4(**base)
 
 
-def psi_embed(lam, x: CrossedElement) -> ConstrainedMatrix4:
+PCM4 = tuple[Sheet, Sheet, Sheet]  # (X, Xb, R): entries, their bars, reflection scalars
+
+
+def pack_cm4(m: ConstrainedMatrix4, lo: int, k: int) -> PCM4:
+    """X holds every entry packed, a class function by its pair-class line,
+    Xb their bars, and R the reflection scalars of the upper left block."""
+    pairs = {f: pack_pair(v.line if isinstance(v, RF) else v, lo, k)
+             for f in _FIELDS for v in [getattr(m, f)]}
+
+    def sheet(side: int) -> Sheet:
+        return tuple(tuple(pairs[f][side ^ barred]
+                           for f, barred in (_SOURCE[(i, j)] for j in range(1, 5)))
+                     for i in range(1, 5))
+
+    return sheet(0), sheet(1), ((m.rf11.refl, m.rf12.refl), (m.rf21.refl, m.rf22.refl))
+
+
+def cm4_mul(x: PCM4, y: PCM4) -> PCM4:
+    """The constrained product.  A class function times a Laurent entry is
+    its pair-class line times it, so the lines multiply as one
+    four-by-four matrix, and the reflection scalars multiply in their own
+    block, out of which none can leak."""
+    (X, Xb, R), (Y, Yb, S) = x, y
+    Z, Zb = mat_mul(X, Y), mat_mul(Xb, Yb)
+    # the product must satisfy the same ties; anything else is a bug
+    for (i, j), (pi, pj) in _PARTNER.items():
+        if Z[i - 1][j - 1] != Zb[pi - 1][pj - 1]:
+            raise CrossProdError("product broke the bar ties")
+    # the Laurent cross terms arrive in bar-conjugate pairs, so the upper
+    # left block is balanced and induces to class functions
+    for i, j in _RF_BLOCK:
+        if Z[i - 1][j - 1] != Zb[i - 1][j - 1]:
+            raise CrossProdError("pair-class function must be balanced")
+    return Z, Zb, mat_mul(R, S)
+
+
+def psi_embed(lam: int, x: Packed, lo: int, k: int) -> PCM4:
     """The block embedding of a scalar plus a crossed element: the scalar
     sits as a class function on the diagonal of the upper block, and the
-    crossed element becomes the lower block [[p, bar q], [q, bar p]]."""
-    z = LaurentPoly.zero()
-    lam = rf_scalar(lam)
-    return ConstrainedMatrix4(lam, rf_zero(), rf_zero(), lam,
-                              z, z, z, z, x.p, x.q.bar())
+    crossed element, packed at lowest exponent lo and width k, becomes the
+    lower block [[p, bar q], [q, bar p]]."""
+    p, pb, q, qb = x
+    s = laurent.pack({0: lam}, lo, k)
+    return (((s, 0, 0, 0), (0, s, 0, 0), (0, 0, p, qb), (0, 0, q, pb)),
+            ((s, 0, 0, 0), (0, s, 0, 0), (0, 0, pb, q), (0, 0, qb, p)),
+            ((lam, 0), (0, lam)))
 
 
 def check_psi_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     rng = random.Random(seed)
+    k, lo = hom_bits(max_deg)["psi"], -max_deg
     failures = 0
     for _ in range(pairs):
         lam1 = rng.randint(-4, 4)
         lam2 = rng.randint(-4, 4)
-        x = random_crossed(rng, max_deg)
-        y = random_crossed(rng, max_deg)
-        lhs = psi_embed(lam1 * lam2, x * y)
-        rhs = psi_embed(lam1, x) * psi_embed(lam2, y)
-        if not (lhs - rhs).is_zero():
-            failures += 1
+        x = pack_crossed(random_crossed(rng, max_deg), lo, k)
+        y = pack_crossed(random_crossed(rng, max_deg), lo, k)
+        lhs = psi_embed(lam1 * lam2, crossed_mul(x, y), 2 * lo, k)
+        rhs = cm4_mul(psi_embed(lam1, x, lo, k), psi_embed(lam2, y, lo, k))
+        failures += lhs != rhs
     return {"checked": pairs, "failures": failures}
 
 
 def random_cm4(rng: random.Random, max_deg: int) -> ConstrainedMatrix4:
     def poly() -> LaurentPoly:
-        return random_poly(rng, max_deg, 2, 0.35)
+        return random_poly(rng, max_deg, CM4_BOUND, 0.35)
 
     def rf() -> RF:
         p = poly()
-        return RF(p + p.bar(), Fraction(rng.randint(-3, 3)))
+        return RF(p + p.bar(), rng.randint(-3, 3))
 
-    return ConstrainedMatrix4(rf(), rf(), rf(), rf(),
-                              poly(), poly(), poly(), poly(),
-                              poly(), poly())
+    return ConstrainedMatrix4(rf(), rf(), rf(), rf(), *(poly() for _ in range(6)))
 
 
 def check_cm4_associativity(triples: int = 50, max_deg: int = 4, seed: int = 0) -> dict:
     rng = random.Random(seed)
+    k, lo = hom_bits(max_deg)["cm4"], -max_deg
     failures = 0
     for _ in range(triples):
-        a, b, c = (random_cm4(rng, max_deg) for _ in range(3))
-        if not (((a * b) * c) - (a * (b * c))).is_zero():
-            failures += 1
+        a, b, c = (pack_cm4(random_cm4(rng, max_deg), lo, k) for _ in range(3))
+        failures += cm4_mul(cm4_mul(a, b), c) != cm4_mul(a, cm4_mul(b, c))
     return {"checked": triples, "failures": failures}
 
 
@@ -494,15 +485,13 @@ def bottom_block_dim(z) -> int:
     product: four (irreducible two dimensional module) away from the
     self-inverse points, two (split) at them."""
     z = Fraction(z)
-    rows = []
-    for k in range(-2, 3):
-        for x in (crossed_t(k),
-                  CrossedElement(LaurentPoly.zero(), LaurentPoly._raw({k: 1}))):
-            m = psi_embed(0, x)
-            rows.append([
-                m.entry(3, 3).evaluate(z), m.entry(3, 4).evaluate(z),
-                m.entry(4, 3).evaluate(z), m.entry(4, 4).evaluate(z),
-            ])
+    k, rows = _bits(1), []  # the block entries are monomials
+    for e in range(-2, 3):
+        for x in (crossed_t(e),
+                  CrossedElement(LaurentPoly.zero(), LaurentPoly._raw({e: 1}))):
+            X = psi_embed(0, pack_crossed(x, -2, k), -2, k)[0]
+            rows.append([LaurentPoly._raw(laurent.unpack(X[i][j], -2, k)).evaluate(z)
+                         for i, j in ((2, 2), (2, 3), (3, 2), (3, 3))])
     return matrix_rank(rows)
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .coxeter import Ball, GroupElement, GroupPresentation, dump_element
-from .laurent import LaurentPoly, acc_mul, acc_scaled, nonneg_sym, sparse_add
+from .laurent import LaurentPoly, acc_mul, acc_scaled, nonneg_sym, sparse_add, unpack
 
 RawPoly = dict  # exponent -> int coefficient, no zeros
 XI = {1: 1, -1: -1}  # v - v^-1
@@ -490,16 +490,6 @@ class HeckeBall:
                 for s in range(len(self.gens)) for row in self._cs_table(s))
         return ((2 * S) ** self.radius).bit_length() + 2
 
-    def _unpack(self, H: int, k: int) -> RawPoly:
-        """The raw polynomial h packed as H = sum_e c_e B^(e+R+1), B = 2^k."""
-        out, e, half, mask = {}, -self.radius - 1, 1 << (k - 1), (1 << k) - 1
-        while H:
-            c = ((H + half) & mask) - half  # the balanced lowest digit
-            if c:
-                out[e] = c
-            H, e = (H - c) >> k, e + 1
-        return out
-
     def _product_rows(self):
         """Yield (xi, yi, P) with P = c_x c_y in canonical coordinates, for
         the first x of each Omega-conjugacy orbit with 2 l(x) <= radius and
@@ -551,9 +541,9 @@ class HeckeBall:
     def _stream_products(self, visit: Callable[[int, int, dict[int, int]], None]) -> None:
         """Call visit(xi, yi, P) once for every W' pair with l(x) + l(y) <=
         radius.  P maps each z to h_{x,y,z} packed into one int as in
-        _product_rows; _unpack(P[z], _pack_bits()) decodes it.  A computed
-        row serves its Omega-conjugacy orbit, and a pair with 2 l(y) >
-        radius also serves its inverse mirror (y^-1, x^-1)."""
+        _product_rows; laurent.unpack(P[z], -R - 1, _pack_bits()) decodes
+        it.  A computed row serves its Omega-conjugacy orbit, and a pair
+        with 2 l(y) > radius also serves its inverse mirror (y^-1, x^-1)."""
         budget, wl, nom, syms = self.radius, self.wp_len, self._nom, self._syms
         for xi, yi, P in self._product_rows():
             if not yi:
@@ -643,7 +633,7 @@ class HeckeBall:
         self.distinguished_involutions()  # builds the a-values first
         dset, k, R = set(self._dist_idx), self._pack_bits(), self.radius
         certified = {zi for zi, c in enumerate(self._a_cert) if c}
-        unpack = functools.cache(lambda H: self._unpack(H, k))  # few distinct h
+        decode = functools.cache(lambda H: unpack(H, -R - 1, k))  # few distinct h
         # deg h_{x,y,z} <= a(z) over the whole budget, so H rounded at digit
         # p = a(z) + R + 1 is the coefficient of v^a(z), and 0 if deg h < a(z);
         # the digit below p alone decides the rounding, so cut H there first
@@ -657,7 +647,7 @@ class HeckeBall:
                 tainted.add((xi, yi))  # gamma extraction needs the true a(z)
             gamma[(xi, yi)] = {zi: g for zi, H in P.items() if (g := ((H >> low[zi]) + half) >> k)}
             if yi in dset:
-                hdist[(xi, yi)] = {zi: unpack(H) for zi, H in P.items()}
+                hdist[(xi, yi)] = {zi: decode(H) for zi, H in P.items()}
 
         self._stream_products(visit)
         self._gamma = gamma

@@ -81,6 +81,27 @@ def nonneg_sym(p: Mapping) -> dict:
     return out
 
 
+# ---- Kronecker packing -----------------------------------------------------
+def pack(c: Mapping[int, int], lo: int, k: int) -> int:
+    """sum_e c_e B^(e - lo) with B = 2^k; every exponent must be >= lo.
+
+    Packing adds and multiplies like the polynomials at every width (lowest
+    exponents add under products); it is injective, with unpack as its
+    inverse, on coefficients in [-2^(k-1), 2^(k-1))."""
+    return sum(a << k * (e - lo) for e, a in c.items())
+
+
+def unpack(H: int, lo: int, k: int) -> dict[int, int]:
+    """The raw polynomial packed as H by pack(., lo, k), in balanced digits."""
+    out, e, half, mask = {}, lo, 1 << (k - 1), (1 << k) - 1
+    while H:
+        c = ((H + half) & mask) - half  # the balanced lowest digit
+        if c:
+            out[e] = c
+        H, e = (H - c) >> k, e + 1
+    return out
+
+
 def _cleared(c: dict) -> tuple[dict, int]:
     """(n, d) with n == c * d in ints and d the least common denominator."""
     dens = [a.denominator for a in c.values() if type(a) is not int]

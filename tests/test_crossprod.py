@@ -1,5 +1,6 @@
 """Crossed product of the Laurent line by inversion, and its matrix models."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from heckequot import crossprod, laurent
 from heckequot.laurent import LaurentError, LaurentPoly
 from heckequot.crossprod import (
     ConstrainedMatrix4,
+    CrossedElement,
     CrossProdError,
     RF,
     bottom_block_dim,
@@ -17,75 +19,116 @@ from heckequot.crossprod import (
     check_psi_hom,
     check_realization_hom,
     check_spectrum_hom,
-    cm4_one,
+    cm4_mul,
     cm4_single,
     constrained2,
-    crossed_alpha,
-    crossed_one,
+    crossed_mul,
     crossed_t,
     evaluate_module,
     evaluate_reflection_class,
+    hom_bits,
     ind,
     mat2_mul,
     matrix_realization,
+    pack_cm4,
+    pack_crossed,
+    pack_pair,
     prim_census,
     psi_embed,
     random_cm4,
     random_crossed,
-    res,
-    rf_one,
-    rf_scalar,
     rf_zero,
     spectrum_map,
 )
 
-HALF = Fraction(1, 2)
+# a width and lowest exponent for the small hand-made elements below
+K, LO = 8, -4
+
+
+def crossed_one():
+    return CrossedElement(LaurentPoly.one(), LaurentPoly.zero())
+
+
+def crossed_alpha():
+    return CrossedElement(LaurentPoly.zero(), LaurentPoly.one())
+
+
+def pk(x, lo=LO):
+    return pack_crossed(x, lo, K)
+
+
+def _pmat(rows, lo=LO):
+    """The packed (M, Mb) of a matrix of Laurent polynomials."""
+    return tuple(tuple(tuple(pack_pair(e, lo, K)[side] for e in row) for row in rows)
+                 for side in (0, 1))
+
+
+def _double(x):
+    return tuple(2 * v for v in x)
 
 
 # ---- crossed algebra --------------------------------------------------------
 
 
 def test_defining_relations():
-    one, alpha, t = crossed_one(), crossed_alpha(), crossed_t()
-    assert (alpha * alpha - one).is_zero()
-    assert (alpha * t * alpha - crossed_t(-1)).is_zero()
-    assert (t * crossed_t(-1) - one).is_zero()
-    assert not (t * alpha - alpha * t).is_zero()
+    one, alpha, t = pk(crossed_one()), pk(crossed_alpha()), pk(crossed_t())
+    # a product of packings sits at the sum of their lowest exponents
+    assert crossed_mul(alpha, alpha) == pk(crossed_one(), 2 * LO)
+    assert crossed_mul(crossed_mul(alpha, t), alpha) == pk(crossed_t(-1), 3 * LO)
+    assert crossed_mul(t, pk(crossed_t(-1))) == crossed_mul(one, one)
+    assert crossed_mul(t, alpha) != crossed_mul(alpha, t)
 
 
 def test_realization_frozen_matrices():
-    sym = LaurentPoly({1: HALF, -1: HALF})
-    asym = LaurentPoly({1: HALF, -1: -HALF})
-    assert matrix_realization(crossed_t()) == ((sym, asym), (asym, sym))
-    one = LaurentPoly.one()
+    # twice the model: (t + 1/t)/2 and (t - 1/t)/2 doubled
+    sym = LaurentPoly({1: 1, -1: 1})
+    asym = LaurentPoly({1: 1, -1: -1})
+    assert matrix_realization(pk(crossed_t())) == _pmat([[sym, asym], [asym, sym]])
+    two = LaurentPoly.const(2)
     zero = LaurentPoly.zero()
-    assert matrix_realization(crossed_alpha()) == ((one, zero), (zero, -one))
+    assert matrix_realization(pk(crossed_alpha())) == _pmat([[two, zero], [zero, -two]])
 
 
 def test_realization_hom_deterministic():
-    one, alpha, t = crossed_one(), crossed_alpha(), crossed_t()
-    pool = [one, alpha, t, crossed_t(-1), crossed_t(2), alpha * t, t + alpha]
+    one, alpha, t = pk(crossed_one()), pk(crossed_alpha()), pk(crossed_t())
+    # alpha packed at lowest exponent 0 keeps the product at LO
+    alpha_t = crossed_mul(pack_crossed(crossed_alpha(), 0, K), t)
+    pool = [one, alpha, t, pk(crossed_t(-1)), pk(crossed_t(2)), alpha_t,
+            tuple(a + b for a, b in zip(t, alpha))]
     for x in pool:
         for y in pool:
-            assert matrix_realization(x * y) == mat2_mul(
+            assert matrix_realization(_double(crossed_mul(x, y))) == mat2_mul(
                 matrix_realization(x), matrix_realization(y)
             )
 
 
 def test_realization_images_are_constrained():
-    for x in (crossed_one(), crossed_alpha(), crossed_t(3), crossed_t() * crossed_alpha()):
+    t_alpha = crossed_mul(pk(crossed_t()), pk(crossed_alpha()))
+    for x in (pk(crossed_one()), pk(crossed_alpha()), pk(crossed_t(3)), t_alpha):
         assert constrained2(matrix_realization(x))
     v = LaurentPoly.gen()
-    bad = ((v, LaurentPoly.zero()), (LaurentPoly.zero(), LaurentPoly.one()))
+    bad = _pmat([[v, LaurentPoly.zero()], [LaurentPoly.zero(), LaurentPoly.one()]])
     assert not constrained2(bad)
 
 
 def test_spectrum_of_alpha():
-    m = matrix_realization(crossed_alpha())
-    diag, at_one, at_minus_one = spectrum_map(m)
+    m = matrix_realization(pk(crossed_alpha()))
+    diag, at_one, at_minus_one = spectrum_map(m, LO, K)
     assert diag == m
-    assert at_one == Fraction(-1)
-    assert at_minus_one == Fraction(-1)
+    # the doubled model carries A as diag(2, -2)
+    assert at_one == 2 * Fraction(-1)
+    assert at_minus_one == 2 * Fraction(-1)
+
+
+def test_spectrum_straightens_the_doubled_t():
+    # 2M(t) = [[t + 1/t, t - 1/t], [t - 1/t, t + 1/t]]: the upper right
+    # entry becomes (t - 1/t)^2 one exponent lower, the lower left divides
+    # to 1 one exponent higher, and t + 1/t is 2 at 1 and -2 at -1
+    out, at_one, at_minus_one = spectrum_map(matrix_realization(pk(crossed_t())), LO, K)
+    square = LaurentPoly({2: 1, 0: -2, -2: 1})
+    assert (out[0][0][1], out[1][0][1]) == pack_pair(square, LO - 1, K)
+    assert (out[0][1][0], out[1][1][0]) == pack_pair(LaurentPoly.one(), LO + 1, K)
+    assert (at_one, at_minus_one) == (2, -2)
 
 
 def test_randomized_hom_checks():
@@ -137,26 +180,30 @@ def test_samples_equal_the_fraction_built_ones():
 def test_hom_checks_catch_wrong_maps(monkeypatch):
     # guards against the checks passing vacuously: each must fail on a
     # map that is wrong
-    real_spectrum = crossprod.spectrum_map
+    real_spectrum, real_psi = crossprod.spectrum_map, crossprod.psi_embed
 
     def transposed(x):
         # the sign of the anti-balanced part of q flipped: an
         # anti-homomorphism, still inside the constrained matrices
-        dp, dq = laurent.decompose(x.p), laurent.decompose(x.q)
-        return ((dp.balanced + dq.balanced, dp.antibalanced - dq.antibalanced),
-                (dp.antibalanced + dq.antibalanced, dp.balanced - dq.balanced))
+        p, pb, q, qb = x
+        b, a, c, d = p + pb, p - pb, q + qb, q - qb
+        return (((b + c, a - d), (a + d, b - c)),
+                ((b + c, d - a), (-a - d, b - c)))
 
-    def multiplies_lower_left(m):
+    def multiplies_lower_left(m, lo, k):
         # multiplies the lower left entry by t - 1/t instead of dividing
-        out, at_one, at_minus_one = real_spectrum(m)
-        lower_left = m[1][0] * laurent.generator()
-        return (out[0], (lower_left, out[1][1])), at_one, at_minus_one
+        out, at_one, at_minus_one = real_spectrum(m, lo, k)
+        g = (1 << 2 * k) - 1
+        (a, b), (_, d) = out[0]
+        (ab, bb), (_, db) = out[1]
+        lower_left, lower_left_bar = m[0][1][0] * g, -m[1][1][0] * g
+        return ((((a, b), (lower_left, d)), ((ab, bb), (lower_left_bar, db))),
+                at_one, at_minus_one)
 
-    def unbarred_psi(lam, x):
-        z = LaurentPoly.zero()
-        lam = rf_scalar(lam)
-        return ConstrainedMatrix4(lam, rf_zero(), rf_zero(), lam,
-                                  z, z, z, z, x.p, x.q)
+    def unbarred_psi(lam, x, lo, k):
+        # the lower block [[p, q], [bar q, bar p]]
+        p, pb, q, qb = x
+        return real_psi(lam, (p, pb, qb, q), lo, k)
 
     with monkeypatch.context() as mp:
         mp.setattr(crossprod, "matrix_realization", transposed)
@@ -173,6 +220,110 @@ def test_hom_checks_catch_wrong_maps(monkeypatch):
         assert check_psi_hom(20, 8, 0)["failures"] > 0
 
 
+def test_associativity_check_catches_wrong_products(monkeypatch):
+    real = crossprod.cm4_mul
+
+    def transposes_second(x, y):
+        # X Y^T keeps the bar ties and the balanced block, but is not
+        # associative
+        Y, Yb, S = y
+        return real(x, tuple(tuple(zip(*m)) for m in (Y, Yb, S)))
+
+    def drops_bars(x, y):
+        # the entries right, their bars taken to be the entries
+        Z, _, R = real(x, y)
+        return Z, Z, R
+
+    with monkeypatch.context() as mp:
+        mp.setattr(crossprod, "cm4_mul", transposes_second)
+        assert check_cm4_associativity(20, 4, 0)["failures"] > 0
+    with monkeypatch.context() as mp:
+        mp.setattr(crossprod, "cm4_mul", drops_bars)
+        with pytest.raises(CrossProdError, match="bar ties"):
+            check_cm4_associativity(20, 4, 0)
+
+
+def test_hom_checks_build_no_fraction(monkeypatch):
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert len(built) >= 3  # the counter sees constructions
+    built.clear()
+    check_realization_hom()
+    check_spectrum_hom()
+    check_psi_hom()
+    check_cm4_associativity()
+    assert len(built) == 0
+
+
+def test_pack_collides_below_the_width_bound():
+    # t - 2^k and 0 pack to the same int at width k, since the coefficient
+    # 2^k is not below 2^(k-1).  Packing is a ring homomorphism at every
+    # width, so the packed comparisons of correct maps hold even at a width
+    # that is too narrow (only the digits read at +-1 need it): the bound on
+    # the compared entries below is what shows such a width
+    k = hom_bits(8)["psi"]
+    p = {1: 1, 0: -(1 << k)}
+    assert laurent.pack(p, -8, k) == laurent.pack({}, -8, k) == 0
+    assert laurent.unpack(laurent.pack(p, -8, k + 2), -8, k + 2) == p
+
+
+WIDE = 64  # far above every check width: unpacked digits are the coefficients
+
+
+def _largest_coefficient(*sheets):
+    # a bar sheet holds the same coefficients mirrored, so entry sheets suffice
+    return max(abs(c) for sheet in sheets for row in sheet for H in row
+               for c in laurent.unpack(H, 0, WIDE).values())
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_compared_entries_fit_the_check_widths(seed):
+    # each check's compared entries, recomputed at width WIDE: every
+    # coefficient lies below 2^(k-1) for the check's own width k
+    bits8, bits4 = hom_bits(8), hom_bits(4)
+    rng, top = random.Random(seed), 0
+    for _ in range(100):
+        x = pack_crossed(random_crossed(rng, 8), -8, WIDE)
+        y = pack_crossed(random_crossed(rng, 8), -8, WIDE)
+        top = max(top, _largest_coefficient(
+            matrix_realization(_double(crossed_mul(x, y)))[0],
+            mat2_mul(matrix_realization(x), matrix_realization(y))[0]))
+    assert top < 1 << bits8["realization"] - 1
+
+    rng, top = random.Random(seed), 0
+    for _ in range(100):
+        x = matrix_realization(pack_crossed(random_crossed(rng, 8), -8, WIDE))
+        y = matrix_realization(pack_crossed(random_crossed(rng, 8), -8, WIDE))
+        xy = mat2_mul(x, y)
+        mx, my, mz = (spectrum_map(m, lo, WIDE)[0] for m, lo in ((x, -8), (y, -8), (xy, -16)))
+        top = max(top, _largest_coefficient(x[0], y[0], xy[0], mz[0], mat2_mul(mx, my)[0]))
+    assert top < 1 << bits8["spectrum"] - 1
+
+    rng, top = random.Random(seed), 0
+    for _ in range(100):
+        lam1, lam2 = rng.randint(-4, 4), rng.randint(-4, 4)
+        x = pack_crossed(random_crossed(rng, 8), -8, WIDE)
+        y = pack_crossed(random_crossed(rng, 8), -8, WIDE)
+        lhs = psi_embed(lam1 * lam2, crossed_mul(x, y), -16, WIDE)
+        rhs = cm4_mul(psi_embed(lam1, x, -8, WIDE), psi_embed(lam2, y, -8, WIDE))
+        top = max(top, _largest_coefficient(lhs[0], rhs[0]))
+    assert top < 1 << bits8["psi"] - 1
+
+    rng, top = random.Random(seed), 0
+    for _ in range(50):
+        a, b, c = (pack_cm4(random_cm4(rng, 4), -4, WIDE) for _ in range(3))
+        ab, bc = cm4_mul(a, b), cm4_mul(b, c)
+        top = max(top, _largest_coefficient(ab[0], bc[0], cm4_mul(ab, c)[0], cm4_mul(a, bc)[0]))
+    assert top < 1 << bits4["cm4"] - 1
+
+
 def test_injectivity_window():
     assert check_injectivity(8)
 
@@ -180,48 +331,76 @@ def test_injectivity_window():
 # ---- class functions ----------------------------------------------------------
 
 
+def _single(field, value, lo=LO):
+    return pack_cm4(cm4_single(field, value), lo, K)
+
+
+def _zip_with(op, x, y):
+    if isinstance(x, tuple):
+        return tuple(_zip_with(op, a, b) for a, b in zip(x, y))
+    return op(x, y)
+
+
 def test_rf_requires_balanced_line():
     with pytest.raises(CrossProdError):
         RF(LaurentPoly.gen(), Fraction(0))
-    assert rf_one() * rf_zero() == RF(LaurentPoly.zero(), Fraction(0))
+    rf_one = RF(LaurentPoly.one(), 1)
+    assert cm4_mul(_single("rf11", rf_one), _single("rf11", rf_zero())) == _single(
+        "rf11", RF(LaurentPoly.zero(), Fraction(0)), 2 * LO)
+    # the packed product refuses an unbalanced pair-class line as RF does
+    X, Xb, R = _single("rf11", rf_one)
+    t, t_inv = laurent.pack({1: 1}, LO, K), laurent.pack({-1: 1}, LO, K)
+    X, Xb = ((t, 0, 0, 0),) + X[1:], ((t_inv, 0, 0, 0),) + Xb[1:]
+    with pytest.raises(CrossProdError, match="balanced"):
+        cm4_mul((X, Xb, R), _single("rf11", rf_one))
 
 
 def test_ind_symmetrizes_res_restricts():
     p = LaurentPoly({2: 1, 0: -3, -1: 1})
     f = ind(p)
     assert f.refl == 0
-    assert res(f) == p + p.bar()
-    assert res(ind(p)).is_balanced()
+    assert f.line == p + p.bar()
+    assert ind(p).line.is_balanced()
 
 
 def test_rf_ring_ops():
-    a = rf_scalar(2)
+    # class functions multiply inside the upper left block of the product
+    a = RF(LaurentPoly.const(2), 2)
     b = RF(LaurentPoly({1: 1, -1: 1}), Fraction(5))
-    assert (a * b).line == LaurentPoly({-1: 2, 1: 2})
-    assert (a * b).refl == 10
-    assert (a + b - b) == a
+    A, B = _single("rf11", a), _single("rf11", b)
+    Z, Zb, R = cm4_mul(A, B)
+    assert (Z[0][0], Zb[0][0]) == pack_pair(LaurentPoly({-1: 2, 1: 2}), 2 * LO, K)
+    assert R[0][0] == 10
+    assert _zip_with(operator.sub, _zip_with(operator.add, A, B), B) == A
 
 
 # ---- constrained 4x4 model ------------------------------------------------------
 
 
 def test_cm4_identity_and_partner_ties():
-    one = cm4_one()
+    z, one_poly = LaurentPoly.zero(), LaurentPoly.one()
+    rf_one = RF(one_poly, 1)
+    # the identity packed at lowest exponent 0 keeps products at LO
+    one = pack_cm4(ConstrainedMatrix4(rf_one, rf_zero(), rf_zero(), rf_one,
+                                      z, z, z, z, one_poly, z), 0, K)
     v = LaurentPoly.gen()
     m = cm4_single("a33", v)
     assert m.entry(3, 3) == v
     assert m.entry(4, 4) == LaurentPoly.monomial(-1)
     assert m.entry(3, 4) == LaurentPoly.zero()
-    x = psi_embed(Fraction(2), crossed_t())
-    assert (one * x - x).is_zero()
-    assert (x * one - x).is_zero()
+    X, Xb, _ = pack_cm4(m, LO, K)
+    assert (X[3][3], Xb[3][3]) == pack_pair(LaurentPoly.monomial(-1), LO, K)
+    x = psi_embed(2, pk(crossed_t()), LO, K)
+    assert cm4_mul(one, x) == x
+    assert cm4_mul(x, one) == x
 
 
 def test_cm4_partner_tie_under_sum():
     m = cm4_single("a13", LaurentPoly.one())
     assert m.entry(1, 4) == LaurentPoly.one()
-    s = m + m
-    assert s.entry(1, 4) == LaurentPoly.const(2)
+    P = pack_cm4(m, LO, K)
+    s = _zip_with(operator.add, P, P)
+    assert (s[0][0][3], s[1][0][3]) == pack_pair(LaurentPoly.const(2), LO, K)
 
 
 # ---- modules at points ------------------------------------------------------------

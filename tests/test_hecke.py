@@ -16,7 +16,7 @@ from heckequot.hecke import (
     HeckeElement,
     UncertifiedError,
 )
-from heckequot.laurent import LaurentPoly, ONE
+from heckequot.laurent import LaurentPoly, ONE, unpack
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def test_h_constants_match_streamed_rows(dih8):
     k = dih8._pack_bits()
 
     def visit(xi, yi, row):
-        streamed[(xi, yi)] = {zi: dih8._unpack(H, k) for zi, H in row.items()}
+        streamed[(xi, yi)] = {zi: unpack(H, -dih8.radius - 1, k) for zi, H in row.items()}
 
     dih8._stream_products(visit)
     compared = 0

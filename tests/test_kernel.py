@@ -23,7 +23,7 @@ from heckequot.coxeter import (
     vec_mat,
 )
 from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, UncertifiedError
-from heckequot.laurent import LaurentPoly
+from heckequot.laurent import LaurentPoly, pack, unpack
 
 SKIP = (UncertifiedError, BallOverflowError)
 
@@ -282,7 +282,7 @@ def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius):
 
     def visit(xi, yi, P):
         visits.append((xi, yi))
-        rows[(xi, yi)] = {zi: hb._unpack(H, k) for zi, H in P.items()}
+        rows[(xi, yi)] = {zi: unpack(H, -radius - 1, k) for zi, H in P.items()}
 
     hb._stream_products(visit)
     assert sorted(visits) == [(x, y) for x in range(n) for y in range(n)
@@ -313,7 +313,7 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
     # row decoded and its degree taken as max(h), as the a-function reads
     hb = HeckeBall(factory(), radius)
     R, m, wl, k = radius, hb.margin, hb.wp_len, hb._pack_bits()
-    decode = functools.cache(lambda H: hb._unpack(H, k))
+    decode = functools.cache(lambda H: unpack(H, -R - 1, k))
     profile = [dict() for _ in hb.wp]
     # the a-priori bound behind k: with S the largest L1 norm of a generator
     # row (v + v^-1 counts 2), sum_z |h_{x,y,z}|_1 <= (2S)^l(y), and the
@@ -343,10 +343,6 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
     assert any(certs) and not all(certs)
 
 
-def _pack(h, k, R):
-    return sum(c << k * (e + R + 1) for e, c in h.items())
-
-
 def test_packed_rows_decode_and_give_degree_and_top_digit():
     # a packed h is sum_e c_e B^(e+R+1) with B = 2^k and |c_e| < 2^(k-2)
     hb = HeckeBall(extended_affine_b2(), 8)
@@ -360,8 +356,8 @@ def test_packed_rows_decode_and_give_degree_and_top_digit():
         {R: -big, -R: big, 0: 1},
     ]
     for h in cases:
-        H = _pack(h, k, R)
-        assert hb._unpack(H, k) == h
+        H = pack(h, -R - 1, k)
+        assert unpack(H, -R - 1, k) == h
         deg = max(h)
         assert abs(H).bit_length() // k - R - 1 == deg
         # the digit of v^a rounded as the gamma pass reads it, H cut below
@@ -374,4 +370,4 @@ def test_packed_rows_decode_and_give_degree_and_top_digit():
         if deg < R and min(h) > -R and max(map(abs, h.values())) <= big // 2:
             shifted = {e: c for e, c in ((e, h.get(e - 1, 0) + h.get(e + 1, 0))
                                          for e in range(-R, R + 1)) if c}
-            assert hb._unpack((H << k) + (H >> k), k) == shifted
+            assert unpack((H << k) + (H >> k), -R - 1, k) == shifted

@@ -15,6 +15,8 @@ from heckequot.laurent import (
     decompose,
     divide_by_generator,
     generator,
+    pack,
+    unpack,
 )
 
 coeffs = st.one_of(
@@ -238,3 +240,37 @@ small_polys = st.dictionaries(
 def test_to_str_injective(p, q):
     # reports and cache P lines identify a polynomial by its text
     assert (p.to_str() == q.to_str()) == (p == q)
+
+
+# ---- Kronecker packing ------------------------------------------------------
+
+int_polys = st.dictionaries(
+    st.integers(min_value=-6, max_value=6), st.integers(min_value=-40, max_value=40),
+    max_size=6,
+).map(LaurentPoly)
+widths = st.integers(min_value=1, max_value=14)
+
+
+def test_pack_matches_the_definition_and_refuses_low_exponents():
+    assert pack({-2: 3, 0: -1, 1: 5}, -3, 4) == 3 * 16 - 16 ** 3 + 5 * 16 ** 4
+    assert pack({}, 7, 5) == 0
+    with pytest.raises(ValueError):
+        pack({-4: 1}, -3, 4)
+
+
+@given(int_polys, st.integers(min_value=-9, max_value=0))
+def test_unpack_inverts_pack_at_a_wide_enough_width(p, shift):
+    # balanced digits decode exactly once every coefficient is below 2^(k-1)
+    k = max((abs(a) for a in p.c.values()), default=0).bit_length() + 1
+    lo = min(p.c, default=0) + shift
+    assert unpack(pack(p.c, lo, k), lo, k) == p.c
+
+
+@given(int_polys, int_polys, widths)
+def test_pack_is_a_ring_homomorphism_at_every_width(p, q, k):
+    # products land at the sum of the lowest exponents, sums at a common one
+    P, Q = pack(p.c, -6, k), pack(q.c, -6, k)
+    assert P * Q == pack((p * q).c, -12, k)
+    assert P + Q == pack((p + q).c, -6, k)
+    # t - 1/t packs as B^2 - 1 one exponent lower
+    assert P * ((1 << 2 * k) - 1) == pack((p * generator()).c, -7, k)
