@@ -16,16 +16,22 @@ P == Pb and anti-balanced when P == -Pb, and t - 1/t packs as B^2 - 1
 The two-by-two model is doubled to make its entries integral; a matrix is
 the pair (M, Mb) of int matrices, Mb the entrywise bar of M.  `hom_bits`
 argues the width k at which equal packings mean equal polynomials.
+
+The four-by-four algebra has one representation: the tie table saying
+which of ten slots, barred or not, fills each entry, read by both the
+packed sheets and the module census.  Unpacked polynomials are raw dicts,
+as in `laurent`.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laurent
-from .laurent import LaurentError, LaurentPoly
+from .laurent import LaurentError
 from .extquot import Descriptor, LineModInversion, Point, matrix_rank, row_reduce
 
 
@@ -39,24 +45,24 @@ class CrossProdError(Exception):
 class CrossedElement:
     """p + A q, where A p = bar(p) A and A^2 = 1."""
 
-    p: LaurentPoly
-    q: LaurentPoly
+    p: dict[int, int]
+    q: dict[int, int]
 
 
 def crossed_t(k: int = 1) -> CrossedElement:
-    return CrossedElement(LaurentPoly._raw({k: 1}), LaurentPoly.zero())
+    return CrossedElement({k: 1}, {})
 
 
 CROSSED_BOUND = 3  # coefficient bound of a sampled crossed component
 CM4_BOUND = 2      # coefficient bound of a sampled four-by-four entry
 
 
-def random_poly(rng: random.Random, max_deg: int, bound: int, density: float) -> LaurentPoly:
+def random_poly(rng: random.Random, max_deg: int, bound: int, density: float) -> dict[int, int]:
     """Integer coefficients in [-bound, bound]: one rng.random() per
     exponent in [-max_deg, max_deg], then one rng.randint() per kept one."""
-    return LaurentPoly({e: rng.randint(-bound, bound)
-                        for e in range(-max_deg, max_deg + 1)
-                        if rng.random() < density})
+    c = {e: rng.randint(-bound, bound)
+         for e in range(-max_deg, max_deg + 1) if rng.random() < density}
+    return {e: a for e, a in c.items() if a}
 
 
 def random_crossed(rng: random.Random, max_deg: int) -> CrossedElement:
@@ -106,9 +112,14 @@ def hom_bits(max_deg: int) -> dict[str, int]:
             "cm4": _bits(32 * m ** 3)}
 
 
-def pack_pair(p: LaurentPoly, lo: int, k: int) -> tuple[int, int]:
+def bar(p: Mapping[int, int]) -> dict[int, int]:
+    """The raw polynomial p(1/t)."""
+    return {-e: a for e, a in p.items()}
+
+
+def pack_pair(p: Mapping[int, int], lo: int, k: int) -> tuple[int, int]:
     """(P, Pb): p and bar(p) packed at lowest exponent lo and width k."""
-    return laurent.pack(p.c, lo, k), laurent.pack(p.bar().c, lo, k)
+    return laurent.pack(p, lo, k), laurent.pack(bar(p), lo, k)
 
 
 def pack_crossed(x: CrossedElement, lo: int, k: int) -> Packed:
@@ -215,7 +226,7 @@ def check_injectivity(window: int = 8) -> bool:
     tells them apart."""
     k, seen = _bits(4), set()
     for e in range(-window, window + 1):
-        for x in (crossed_t(e), CrossedElement(LaurentPoly.zero(), LaurentPoly._raw({e: 1}))):
+        for x in (crossed_t(e), CrossedElement({}, {e: 1})):
             m = matrix_realization(pack_crossed(x, -window, k))
             if m in seen:
                 return False
@@ -223,93 +234,34 @@ def check_injectivity(window: int = 8) -> bool:
     return True
 
 
-# ---------------- class-function pairs ---------------------------------------
-
-@dataclass(frozen=True)
-class RF:
-    """A class function on the order-two extension of the torus: a
-    balanced Laurent polynomial on the pair classes {z, 1/z} together
-    with one scalar on the reflection class."""
-
-    line: LaurentPoly
-    refl: int | Fraction
-
-    def __post_init__(self):
-        if not self.line.is_balanced():
-            raise CrossProdError("pair-class function must be balanced")
-
-
-def rf_zero() -> RF:
-    return RF(LaurentPoly.zero(), Fraction(0))
-
-
-def ind(p: LaurentPoly) -> RF:
-    """Induce a plain Laurent polynomial to a class function: symmetrize
-    on the pair classes, vanish on the reflection class."""
-    return RF(p + p.bar(), Fraction(0))
-
-
 # ---------------- constrained four-by-four matrices ---------------------------
+# The upper left block holds class functions on the order-two extension of
+# the torus (a balanced pair-class line plus a reflection-class scalar), the
+# rest Laurent entries, rows and columns 4 tied to 3 by the bar involution.
 
+_FIELDS = ["rf11", "rf12", "rf21", "rf22",
+           "a13", "a23", "a31", "a32", "a33", "a34"]
 _RF_BLOCK = {(1, 1), (1, 2), (2, 1), (2, 2)}
 _PARTNER = {(1, 4): (1, 3), (2, 4): (2, 3), (4, 1): (3, 1),
             (4, 2): (3, 2), (4, 4): (3, 3), (4, 3): (3, 4)}
-# entry (i, j) -> (the field holding it, whether the entry is its bar)
+# entry (i, j) -> (the field holding it, whether the entry is its bar), in
+# row-major order (the update keeps each key's place)
 _SOURCE = {(i, j): (f"rf{i}{j}" if (i, j) in _RF_BLOCK else f"a{i}{j}", False)
            for i in range(1, 5) for j in range(1, 5)}
 _SOURCE.update({ij: (f"a{pi}{pj}", True) for ij, (pi, pj) in _PARTNER.items()})
 
-
-@dataclass(frozen=True)
-class ConstrainedMatrix4:
-    """Four-by-four matrices with class-function entries in the upper
-    left two-by-two block, Laurent entries elsewhere, and the second
-    half of rows and columns three and four tied to the first by the
-    bar involution."""
-
-    rf11: RF
-    rf12: RF
-    rf21: RF
-    rf22: RF
-    a13: LaurentPoly
-    a23: LaurentPoly
-    a31: LaurentPoly
-    a32: LaurentPoly
-    a33: LaurentPoly
-    a34: LaurentPoly
-
-    def entry(self, i: int, j: int):
-        f, barred = _SOURCE[(i, j)]
-        e = getattr(self, f)
-        return e.bar() if barred else e
-
-
-_FIELDS = ["rf11", "rf12", "rf21", "rf22",
-           "a13", "a23", "a31", "a32", "a33", "a34"]
-
-
-def cm4_single(field: str, value) -> ConstrainedMatrix4:
-    base = {f: rf_zero() if f.startswith("rf") else LaurentPoly.zero()
-            for f in _FIELDS}
-    base[field] = value
-    return ConstrainedMatrix4(**base)
-
-
 PCM4 = tuple[Sheet, Sheet, Sheet]  # (X, Xb, R): entries, their bars, reflection scalars
 
 
-def pack_cm4(m: ConstrainedMatrix4, lo: int, k: int) -> PCM4:
+def pack_cm4(slots: Mapping[str, Mapping[int, int]], lo: int, k: int,
+             refl: Sheet = ((0, 0), (0, 0))) -> PCM4:
     """X holds every entry packed, a class function by its pair-class line,
-    Xb their bars, and R the reflection scalars of the upper left block."""
-    pairs = {f: pack_pair(v.line if isinstance(v, RF) else v, lo, k)
-             for f in _FIELDS for v in [getattr(m, f)]}
-
-    def sheet(side: int) -> Sheet:
-        return tuple(tuple(pairs[f][side ^ barred]
-                           for f, barred in (_SOURCE[(i, j)] for j in range(1, 5)))
-                     for i in range(1, 5))
-
-    return sheet(0), sheet(1), ((m.rf11.refl, m.rf12.refl), (m.rf21.refl, m.rf22.refl))
+    Xb their bars, and R = refl the reflection scalars of the upper left
+    block.  slots maps a field to its raw polynomial; a missing one is 0."""
+    pairs = {f: pack_pair(slots.get(f, {}), lo, k) for f in _FIELDS}
+    flat = [[pairs[f][side ^ barred] for f, barred in _SOURCE.values()] for side in (0, 1)]
+    X, Xb = (tuple(tuple(v[i:i + 4]) for i in range(0, 16, 4)) for v in flat)
+    return X, Xb, refl
 
 
 def cm4_mul(x: PCM4, y: PCM4) -> PCM4:
@@ -358,15 +310,17 @@ def check_psi_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     return {"checked": pairs, "failures": failures}
 
 
-def random_cm4(rng: random.Random, max_deg: int) -> ConstrainedMatrix4:
-    def poly() -> LaurentPoly:
-        return random_poly(rng, max_deg, CM4_BOUND, 0.35)
-
-    def rf() -> RF:
-        p = poly()
-        return RF(p + p.bar(), rng.randint(-3, 3))
-
-    return ConstrainedMatrix4(rf(), rf(), rf(), rf(), *(poly() for _ in range(6)))
+def random_cm4(rng: random.Random, max_deg: int, lo: int, k: int) -> PCM4:
+    """Draw the ten slots in _FIELDS order, a class function as p + bar p
+    followed by its reflection scalar, and pack them at lo and width k."""
+    slots, refl = {}, []
+    for f in _FIELDS:
+        p = random_poly(rng, max_deg, CM4_BOUND, 0.35)
+        if f.startswith("rf"):
+            p = laurent.sparse_add(bar(p), p)
+            refl.append(rng.randint(-3, 3))
+        slots[f] = p
+    return pack_cm4(slots, lo, k, (tuple(refl[:2]), tuple(refl[2:])))
 
 
 def check_cm4_associativity(triples: int = 50, max_deg: int = 4, seed: int = 0) -> dict:
@@ -374,57 +328,42 @@ def check_cm4_associativity(triples: int = 50, max_deg: int = 4, seed: int = 0) 
     k, lo = hom_bits(max_deg)["cm4"], -max_deg
     failures = 0
     for _ in range(triples):
-        a, b, c = (pack_cm4(random_cm4(rng, max_deg), lo, k) for _ in range(3))
+        a, b, c = (random_cm4(rng, max_deg, lo, k) for _ in range(3))
         failures += cm4_mul(cm4_mul(a, b), c) != cm4_mul(a, cm4_mul(b, c))
     return {"checked": triples, "failures": failures}
 
 
 # ---------------- exact module censuses --------------------------------------
 
-def _spanning_set(window: int = 2) -> list[ConstrainedMatrix4]:
-    elems = []
+def _point(z) -> Fraction:
+    z = Fraction(z)
+    if not z:
+        raise LaurentError("cannot evaluate a Laurent polynomial at 0")
+    return z
+
+
+def _spanning_rows(z: Fraction) -> list[list[Fraction]]:
+    """The monomial spanning set of the constrained algebra evaluated at
+    z, each element flattened row by row.  A Laurent slot holding t^k gives
+    z^k at its entry and z^-k at its bar partner; a class-function slot
+    holding t^k + t^-k gives z^k + z^-k.  The reflection units vanish at z
+    and would only add zero rows, which change no rank."""
+    rows = []
     for f in _FIELDS:
-        if f.startswith("rf"):
-            elems.append(cm4_single(f, RF(LaurentPoly.zero(), Fraction(1))))
-            for k in range(window + 1):
-                elems.append(cm4_single(f, ind(LaurentPoly._raw({k: 1}))))
-        else:
-            for k in range(-window, window + 1):
-                elems.append(cm4_single(f, LaurentPoly._raw({k: 1})))
-    return elems
-
-
-def _eval_matrix(x: ConstrainedMatrix4, z: Fraction) -> list[list[Fraction]]:
-    out = []
-    for i in range(1, 5):
-        row = []
-        for j in range(1, 5):
-            e = x.entry(i, j)
-            if isinstance(e, RF):
-                row.append(e.line.evaluate(z))
-            else:
-                row.append(e.evaluate(z))
-        out.append(row)
-    return out
-
-
-def _eval_reflection(x: ConstrainedMatrix4) -> list[list[Fraction]]:
-    out = []
-    for i in range(1, 5):
-        row = []
-        for j in range(1, 5):
-            e = x.entry(i, j)
-            row.append(e.refl if isinstance(e, RF) else Fraction(0))
-        out.append(row)
-    return out
+        rf = f.startswith("rf")
+        for k in range(3) if rf else range(-2, 3):
+            at = (z ** k + z ** -k,) * 2 if rf else (z ** k, z ** -k)
+            rows.append([at[barred] if g == f else 0 for g, barred in _SOURCE.values()])
+    return rows
 
 
 def _restricted_rank(mats, basis) -> int:
-    """Rank of the algebra restricted to span(basis): every image m v is
-    solved against the basis in one elimination, and an image outside the
-    span means the subspace is not invariant."""
+    """Rank of the algebra, given as flattened matrices mats, restricted to
+    span(basis): every image m v is solved against the basis in one
+    elimination, and an image outside the span means the subspace is not
+    invariant."""
     n = len(basis)
-    imgs = [[sum(m[i][k] * v[k] for k in range(4)) for m in mats for v in basis]
+    imgs = [[sum(m[4 * i + k] * v[k] for k in range(4)) for m in mats for v in basis]
             for i in range(4)]
     work, pivots = row_reduce([[b[i] for b in basis] + imgs[i] for i in range(4)], n)
     if len(pivots) < n or any(x for row in work[n:] for x in row[n:]):
@@ -446,10 +385,9 @@ def evaluate_module(z) -> dict:
     """Simple module dimensions of the constrained algebra at the pair
     class {z, 1/z}: {4} away from the self-inverse points, {3, 1} at
     them, split by the visible invariant subspaces."""
-    z = Fraction(z)
-    mats = [_eval_matrix(x, z) for x in _spanning_set()]
-    flat = [[m[i][j] for i in range(4) for j in range(4)] for m in mats]
-    dim = matrix_rank(flat)
+    z = _point(z)
+    mats = _spanning_rows(z)
+    dim = matrix_rank(mats)
     if z * z != 1:
         if dim != 16:
             raise CrossProdError(f"expected the full algebra at {z}, got {dim}")
@@ -471,10 +409,10 @@ def evaluate_module(z) -> dict:
 
 def evaluate_reflection_class() -> dict:
     """At the reflection class every Laurent entry vanishes and the four
-    class-function slots survive: one two dimensional simple module."""
-    mats = [_eval_reflection(x) for x in _spanning_set()]
-    flat = [[m[i][j] for i in range(4) for j in range(4)] for m in mats]
-    dim = matrix_rank(flat)
+    class-function slots survive: one two dimensional simple module.  The
+    spanning set meets them only through the four reflection units."""
+    dim = matrix_rank([[int(src == (f, False)) for src in _SOURCE.values()]
+                       for f in _FIELDS[:4]])
     if dim != 4:
         raise CrossProdError(f"expected a two-by-two block, got dimension {dim}")
     return {"point": "reflection", "algebra_dim": 4, "dims": [2], "split": None}
@@ -484,13 +422,12 @@ def bottom_block_dim(z) -> int:
     """Dimension of the evaluated lower block of the embedded crossed
     product: four (irreducible two dimensional module) away from the
     self-inverse points, two (split) at them."""
-    z = Fraction(z)
+    z = _point(z)
     k, rows = _bits(1), []  # the block entries are monomials
     for e in range(-2, 3):
-        for x in (crossed_t(e),
-                  CrossedElement(LaurentPoly.zero(), LaurentPoly._raw({e: 1}))):
+        for x in (crossed_t(e), CrossedElement({}, {e: 1})):
             X = psi_embed(0, pack_crossed(x, -2, k), -2, k)[0]
-            rows.append([LaurentPoly._raw(laurent.unpack(X[i][j], -2, k)).evaluate(z)
+            rows.append([sum(c * z ** d for d, c in laurent.unpack(X[i][j], -2, k).items())
                          for i, j in ((2, 2), (2, 3), (3, 2), (3, 3))])
     return matrix_rank(rows)
 

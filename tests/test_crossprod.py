@@ -7,12 +7,10 @@ from fractions import Fraction
 import pytest
 
 from heckequot import crossprod, laurent
-from heckequot.laurent import LaurentError, LaurentPoly
+from heckequot.laurent import LaurentError, LaurentPoly, sparse_add
 from heckequot.crossprod import (
-    ConstrainedMatrix4,
     CrossedElement,
     CrossProdError,
-    RF,
     bottom_block_dim,
     check_cm4_associativity,
     check_injectivity,
@@ -20,14 +18,12 @@ from heckequot.crossprod import (
     check_realization_hom,
     check_spectrum_hom,
     cm4_mul,
-    cm4_single,
     constrained2,
     crossed_mul,
     crossed_t,
     evaluate_module,
     evaluate_reflection_class,
     hom_bits,
-    ind,
     mat2_mul,
     matrix_realization,
     pack_cm4,
@@ -37,7 +33,6 @@ from heckequot.crossprod import (
     psi_embed,
     random_cm4,
     random_crossed,
-    rf_zero,
     spectrum_map,
 )
 
@@ -46,11 +41,11 @@ K, LO = 8, -4
 
 
 def crossed_one():
-    return CrossedElement(LaurentPoly.one(), LaurentPoly.zero())
+    return CrossedElement({0: 1}, {})
 
 
 def crossed_alpha():
-    return CrossedElement(LaurentPoly.zero(), LaurentPoly.one())
+    return CrossedElement({}, {0: 1})
 
 
 def pk(x, lo=LO):
@@ -58,7 +53,7 @@ def pk(x, lo=LO):
 
 
 def _pmat(rows, lo=LO):
-    """The packed (M, Mb) of a matrix of Laurent polynomials."""
+    """The packed (M, Mb) of a matrix of raw Laurent polynomials."""
     return tuple(tuple(tuple(pack_pair(e, lo, K)[side] for e in row) for row in rows)
                  for side in (0, 1))
 
@@ -81,12 +76,9 @@ def test_defining_relations():
 
 def test_realization_frozen_matrices():
     # twice the model: (t + 1/t)/2 and (t - 1/t)/2 doubled
-    sym = LaurentPoly({1: 1, -1: 1})
-    asym = LaurentPoly({1: 1, -1: -1})
+    sym, asym = {1: 1, -1: 1}, {1: 1, -1: -1}
     assert matrix_realization(pk(crossed_t())) == _pmat([[sym, asym], [asym, sym]])
-    two = LaurentPoly.const(2)
-    zero = LaurentPoly.zero()
-    assert matrix_realization(pk(crossed_alpha())) == _pmat([[two, zero], [zero, -two]])
+    assert matrix_realization(pk(crossed_alpha())) == _pmat([[{0: 2}, {}], [{}, {0: -2}]])
 
 
 def test_realization_hom_deterministic():
@@ -106,8 +98,7 @@ def test_realization_images_are_constrained():
     t_alpha = crossed_mul(pk(crossed_t()), pk(crossed_alpha()))
     for x in (pk(crossed_one()), pk(crossed_alpha()), pk(crossed_t(3)), t_alpha):
         assert constrained2(matrix_realization(x))
-    v = LaurentPoly.gen()
-    bad = _pmat([[v, LaurentPoly.zero()], [LaurentPoly.zero(), LaurentPoly.one()]])
+    bad = _pmat([[{1: 1}, {}], [{}, {0: 1}]])
     assert not constrained2(bad)
 
 
@@ -125,9 +116,9 @@ def test_spectrum_straightens_the_doubled_t():
     # entry becomes (t - 1/t)^2 one exponent lower, the lower left divides
     # to 1 one exponent higher, and t + 1/t is 2 at 1 and -2 at -1
     out, at_one, at_minus_one = spectrum_map(matrix_realization(pk(crossed_t())), LO, K)
-    square = LaurentPoly({2: 1, 0: -2, -2: 1})
+    square = {2: 1, 0: -2, -2: 1}
     assert (out[0][0][1], out[1][0][1]) == pack_pair(square, LO - 1, K)
-    assert (out[0][1][0], out[1][1][0]) == pack_pair(LaurentPoly.one(), LO + 1, K)
+    assert (out[0][1][0], out[1][1][0]) == pack_pair({0: 1}, LO + 1, K)
     assert (at_one, at_minus_one) == (2, -2)
 
 
@@ -146,34 +137,45 @@ def _fraction_poly(rng, max_deg, bound, density):
 
 
 def _fraction_cm4(rng, max_deg):
+    # the ten slots drawn as they were, each class function p + bar p then
+    # its reflection scalar, laid out by hand: rows and columns four are the
+    # bars of rows and columns three
     def poly():
         return _fraction_poly(rng, max_deg, 2, 0.35)
 
     def rf():
         p = poly()
-        return RF(p + p.bar(), Fraction(rng.randint(-3, 3)))
+        return p + p.bar(), Fraction(rng.randint(-3, 3))
 
-    return ConstrainedMatrix4(rf(), rf(), rf(), rf(),
-                              poly(), poly(), poly(), poly(), poly(), poly())
+    (l11, r11), (l12, r12), (l21, r21), (l22, r22) = rf(), rf(), rf(), rf()
+    a13, a23, a31, a32, a33, a34 = (poly() for _ in range(6))
+    rows = [[l11, l12, a13, a13.bar()],
+            [l21, l22, a23, a23.bar()],
+            [a31, a32, a33, a34],
+            [a31.bar(), a32.bar(), a34.bar(), a33.bar()]]
+    return rows, ((r11, r12), (r21, r22))
 
 
-def _all_int(polys):
-    return all(type(a) is int for p in polys for a in p.c.values())
+def _decoded(sheet, lo, k):
+    return [[LaurentPoly(laurent.unpack(H, lo, k)) for H in row] for row in sheet]
 
 
 def test_samples_equal_the_fraction_built_ones():
     # the report prints only checked/failures, so a changed sample would
     # pass the report's byte check unnoticed
+    k = hom_bits(4)["cm4"]
     for seed in range(16):
         rng, ref = random.Random(seed), random.Random(seed)
         x = random_crossed(rng, 8)
-        assert (x.p, x.q) == (_fraction_poly(ref, 8, 3, 0.4), _fraction_poly(ref, 8, 3, 0.4))
-        assert _all_int([x.p, x.q])
+        assert (LaurentPoly(x.p), LaurentPoly(x.q)) == (
+            _fraction_poly(ref, 8, 3, 0.4), _fraction_poly(ref, 8, 3, 0.4))
+        assert all(type(a) is int and a for p in (x.p, x.q) for a in p.values())
         assert rng.getstate() == ref.getstate()
-        m = random_cm4(rng, 4)
-        assert m == _fraction_cm4(ref, 4)
-        assert _all_int([getattr(m, f).line if f.startswith("rf") else getattr(m, f)
-                         for f in crossprod._FIELDS])
+        X, Xb, R = random_cm4(rng, 4, -4, k)
+        rows, refl = _fraction_cm4(ref, 4)
+        assert _decoded(X, -4, k) == rows
+        assert _decoded(Xb, -4, k) == [[e.bar() for e in row] for row in rows]
+        assert R == refl and all(type(a) is int for row in R for a in row)
         assert rng.getstate() == ref.getstate()
 
 
@@ -318,7 +320,7 @@ def test_compared_entries_fit_the_check_widths(seed):
 
     rng, top = random.Random(seed), 0
     for _ in range(50):
-        a, b, c = (pack_cm4(random_cm4(rng, 4), -4, WIDE) for _ in range(3))
+        a, b, c = (random_cm4(rng, 4, -4, WIDE) for _ in range(3))
         ab, bc = cm4_mul(a, b), cm4_mul(b, c)
         top = max(top, _largest_coefficient(ab[0], bc[0], cm4_mul(ab, c)[0], cm4_mul(a, bc)[0]))
     assert top < 1 << bits4["cm4"] - 1
@@ -331,8 +333,8 @@ def test_injectivity_window():
 # ---- class functions ----------------------------------------------------------
 
 
-def _single(field, value, lo=LO):
-    return pack_cm4(cm4_single(field, value), lo, K)
+def _single(field, value, lo=LO, refl=((0, 0), (0, 0))):
+    return pack_cm4({field: value}, lo, K, refl)
 
 
 def _zip_with(op, x, y):
@@ -341,35 +343,26 @@ def _zip_with(op, x, y):
     return op(x, y)
 
 
+RF11_ONE = ((1, 0), (0, 0))
+
+
 def test_rf_requires_balanced_line():
-    with pytest.raises(CrossProdError):
-        RF(LaurentPoly.gen(), Fraction(0))
-    rf_one = RF(LaurentPoly.one(), 1)
-    assert cm4_mul(_single("rf11", rf_one), _single("rf11", rf_zero())) == _single(
-        "rf11", RF(LaurentPoly.zero(), Fraction(0)), 2 * LO)
-    # the packed product refuses an unbalanced pair-class line as RF does
-    X, Xb, R = _single("rf11", rf_one)
+    assert cm4_mul(_single("rf11", {0: 1}, refl=RF11_ONE), _single("rf11", {})) == _single(
+        "rf11", {}, 2 * LO)
+    # the packed product refuses an unbalanced pair-class line
+    X, Xb, R = _single("rf11", {0: 1}, refl=RF11_ONE)
     t, t_inv = laurent.pack({1: 1}, LO, K), laurent.pack({-1: 1}, LO, K)
     X, Xb = ((t, 0, 0, 0),) + X[1:], ((t_inv, 0, 0, 0),) + Xb[1:]
     with pytest.raises(CrossProdError, match="balanced"):
-        cm4_mul((X, Xb, R), _single("rf11", rf_one))
-
-
-def test_ind_symmetrizes_res_restricts():
-    p = LaurentPoly({2: 1, 0: -3, -1: 1})
-    f = ind(p)
-    assert f.refl == 0
-    assert f.line == p + p.bar()
-    assert ind(p).line.is_balanced()
+        cm4_mul((X, Xb, R), _single("rf11", {0: 1}, refl=RF11_ONE))
 
 
 def test_rf_ring_ops():
     # class functions multiply inside the upper left block of the product
-    a = RF(LaurentPoly.const(2), 2)
-    b = RF(LaurentPoly({1: 1, -1: 1}), Fraction(5))
-    A, B = _single("rf11", a), _single("rf11", b)
+    A = _single("rf11", {0: 2}, refl=((2, 0), (0, 0)))
+    B = _single("rf11", {1: 1, -1: 1}, refl=((5, 0), (0, 0)))
     Z, Zb, R = cm4_mul(A, B)
-    assert (Z[0][0], Zb[0][0]) == pack_pair(LaurentPoly({-1: 2, 1: 2}), 2 * LO, K)
+    assert (Z[0][0], Zb[0][0]) == pack_pair({-1: 2, 1: 2}, 2 * LO, K)
     assert R[0][0] == 10
     assert _zip_with(operator.sub, _zip_with(operator.add, A, B), B) == A
 
@@ -378,29 +371,23 @@ def test_rf_ring_ops():
 
 
 def test_cm4_identity_and_partner_ties():
-    z, one_poly = LaurentPoly.zero(), LaurentPoly.one()
-    rf_one = RF(one_poly, 1)
     # the identity packed at lowest exponent 0 keeps products at LO
-    one = pack_cm4(ConstrainedMatrix4(rf_one, rf_zero(), rf_zero(), rf_one,
-                                      z, z, z, z, one_poly, z), 0, K)
-    v = LaurentPoly.gen()
-    m = cm4_single("a33", v)
-    assert m.entry(3, 3) == v
-    assert m.entry(4, 4) == LaurentPoly.monomial(-1)
-    assert m.entry(3, 4) == LaurentPoly.zero()
-    X, Xb, _ = pack_cm4(m, LO, K)
-    assert (X[3][3], Xb[3][3]) == pack_pair(LaurentPoly.monomial(-1), LO, K)
+    one = pack_cm4({"rf11": {0: 1}, "rf22": {0: 1}, "a33": {0: 1}}, 0, K, ((1, 0), (0, 1)))
+    X, Xb, _ = _single("a33", {1: 1})
+    assert X[2][2] == laurent.pack({1: 1}, LO, K)
+    assert X[3][3] == laurent.pack({-1: 1}, LO, K)
+    assert X[2][3] == 0
+    assert (X[3][3], Xb[3][3]) == pack_pair({-1: 1}, LO, K)
     x = psi_embed(2, pk(crossed_t()), LO, K)
     assert cm4_mul(one, x) == x
     assert cm4_mul(x, one) == x
 
 
 def test_cm4_partner_tie_under_sum():
-    m = cm4_single("a13", LaurentPoly.one())
-    assert m.entry(1, 4) == LaurentPoly.one()
-    P = pack_cm4(m, LO, K)
+    P = _single("a13", {0: 1})
+    assert P[0][0][3] == laurent.pack({0: 1}, LO, K)
     s = _zip_with(operator.add, P, P)
-    assert (s[0][0][3], s[1][0][3]) == pack_pair(LaurentPoly.const(2), LO, K)
+    assert (s[0][0][3], s[1][0][3]) == pack_pair({0: 2}, LO, K)
 
 
 # ---- modules at points ------------------------------------------------------------
@@ -449,6 +436,28 @@ def test_bottom_block_dims():
 def test_module_rejects_zero():
     with pytest.raises(LaurentError):
         evaluate_module(0)
+    with pytest.raises(LaurentError):
+        bottom_block_dim(0)
+
+
+SCENARIO_POINTS = (2, 3, Fraction(5, 2), -2, Fraction(7, 3), 1, -1)
+
+
+@pytest.mark.parametrize("z", SCENARIO_POINTS, ids=str)
+def test_census_rows_match_the_packed_spanning_set(z):
+    # an independent path to the census rows: pack each single-slot
+    # spanning element, decode every entry and evaluate it as a polynomial
+    expect = []
+    for f in crossprod._FIELDS:
+        if f.startswith("rf"):
+            values = [sparse_add({k: 1}, {-k: 1}) for k in range(3)]
+        else:
+            values = [{k: 1} for k in range(-2, 3)]
+        for v in values:
+            X = pack_cm4({f: v}, -2, K)[0]
+            expect.append([LaurentPoly(laurent.unpack(H, -2, K)).evaluate(z)
+                           for row in X for H in row])
+    assert crossprod._spanning_rows(Fraction(z)) == expect
 
 
 def test_prim_census():

@@ -343,6 +343,25 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
     assert any(certs) and not all(certs)
 
 
+@pytest.mark.parametrize(
+    "factory, radius, rows, top",
+    [(infinite_dihedral, 10, 171, 2), (extended_affine_b2, 12, 3239, 6),
+     (lambda: extended_affine_pgl(3), 8, 584, 3), (lambda: extended_affine_pgl(4), 6, 698, 2)],
+    ids=["dihedral-r10", "b2-r12", "pgl3-r8", "pgl4-r6"],
+)
+def test_streamed_structure_constants_are_nonnegative(factory, radius, rows, top):
+    # Lusztig's positivity for affine Weyl groups: every h_{x,y,z} of
+    # c_x c_y = sum_z h_{x,y,z} c_z has nonnegative coefficients
+    hb = HeckeBall(factory(), radius)
+    k = hb._pack_bits()
+    streamed = list(hb._product_rows())
+    coeffs = [c for _, _, P in streamed for H in P.values()
+              for c in unpack(H, -radius - 1, k).values()]
+    assert len(streamed) == rows
+    assert min(coeffs) >= 0
+    assert max(coeffs) == top
+
+
 def test_packed_rows_decode_and_give_degree_and_top_digit():
     # a packed h is sum_e c_e B^(e+R+1) with B = 2^k and |c_e| < 2^(k-2)
     hb = HeckeBall(extended_affine_b2(), 8)
