@@ -36,7 +36,6 @@ error stop the run.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,7 +180,7 @@ class JRing:
         return JElement({elems[z]: c for z, c in out.items()})
 
     # ---------------- cell ideals -----------------------------------------
-    def cell_ideal(self, cell: CellRecord, max_pairs: int = 0, seed: int = 0) -> dict:
+    def cell_ideal(self, cell: CellRecord) -> dict:
         """Basis and unit of the ideal spanned by one two-sided cell.
 
         Returns the basis {t_w : w in the certified part of the cell},
@@ -200,8 +199,6 @@ class JRing:
         ]
         unit = JElement(dict(dist))
         pairs = [(x, y) for x in basis for y in basis if x.length + y.length <= hb.radius]
-        if max_pairs and max_pairs < len(pairs):
-            pairs = random.Random(seed).sample(pairs, max_pairs)
 
         def escapes(pair):
             return [(*pair, z) for z in hb.gamma_row(*pair) if z not in cset]

@@ -488,7 +488,7 @@ def scen_so5_jc1(ns):
             "locate", "there is exactly one certified cell with a = 1",
             "fail", {"found": len(cells)}))
         return params, checks
-    res = jr.cell_ideal(cells[0], max_pairs=0, seed=ns.seed)
+    res = jr.cell_ideal(cells[0])
     checks.append(Check(
         "closed",
         "every decidable product of basis vectors of the a = 1 cell stays "

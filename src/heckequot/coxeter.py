@@ -405,7 +405,7 @@ def dump_element(x: GroupElement, word: tuple[list[str], int] | None = None) -> 
 
 
 # ---------------------------------------------------------------- catalog
-def _perm_matrix(perm: Sequence[int]) -> Matrix:
+def perm_matrix(perm: Sequence[int]) -> Matrix:
     n = len(perm)
     return tuple(tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n))
 
@@ -465,7 +465,7 @@ def _sym_group_matrices(n: int):
     for i in range(n - 1):
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(_perm_matrix(perm))
+        gens.append(perm_matrix(perm))
     return close_group(gens, n), gens
 
 
@@ -478,7 +478,7 @@ def _type_a_data(n: int):
     ]
     theta_perm = list(range(n))
     theta_perm[0], theta_perm[-1] = theta_perm[-1], theta_perm[0]
-    s_theta = _perm_matrix(theta_perm)
+    s_theta = perm_matrix(theta_perm)
     theta_cov = tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
     # Coxeter matrix of the affine diagram: a cycle on s1, ..., s_{n-1} and
     # the affine node (index n - 1); for n = 2 the two nodes bound no braid
@@ -491,7 +491,7 @@ def _type_a_data(n: int):
 
 def _type_a_shift(n: int, index) -> tuple[Vector, int]:
     """The basic shift t_{e1} * (n-cycle): length zero, Omega coset 1."""
-    cyc = _perm_matrix([(i + 1) % n for i in range(n)])
+    cyc = perm_matrix([(i + 1) % n for i in range(n)])
     return tuple(1 if k == 0 else 0 for k in range(n)), index[cyc]
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laurent
-from .laurent import LaurentError
+from .laurent import LaurentError, bar
 from .extquot import Descriptor, LineModInversion, Point, matrix_rank, row_reduce
 
 
@@ -110,11 +110,6 @@ def hom_bits(max_deg: int) -> dict[str, int]:
             "spectrum": _bits(64 * (max_deg + 2) * n * n),
             "psi": _bits(4 * n * n),
             "cm4": _bits(32 * m ** 3)}
-
-
-def bar(p: Mapping[int, int]) -> dict[int, int]:
-    """The raw polynomial p(1/t)."""
-    return {-e: a for e, a in p.items()}
 
 
 def pack_pair(p: Mapping[int, int], lo: int, k: int) -> tuple[int, int]:

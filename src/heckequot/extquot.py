@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .coxeter import mat_identity, mat_mul, mat_vec
+from .coxeter import mat_identity, mat_mul, mat_vec, perm_matrix
 
 Matrix = list[list[int]]
 
@@ -25,24 +25,19 @@ class ExtQuotError(Exception):
     pass
 
 
-def _ident_rows(r: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-
 def _grid(m) -> tuple:
     return tuple(tuple(row) for row in m)
 
 
 # ---------------- integer linear algebra ------------------------------------
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """U, D, V with D = U a V, U and V unimodular, and the diagonal of D
-    a nonnegative divisibility chain d1 | d2 | ..."""
+def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """U, D, V, V^-1 with D = U a V, U and V unimodular, and the diagonal
+    of D a nonnegative divisibility chain d1 | d2 | ..."""
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
-    u = _ident_rows(m)
-    v = _ident_rows(n)
+    u, v, vi = ([list(row) for row in mat_identity(k)] for k in (m, n, n))
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -53,6 +48,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        vi[i], vi[j] = vi[j], vi[i]
 
     def add_row(i, j, c):
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
@@ -63,6 +59,8 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
+        # V gains c * col j in col i, so V^-1 loses c * row i from row j
+        vi[j] = [x - c * y for x, y in zip(vi[j], vi[i])]
 
     t = 0
     while t < min(m, n):
@@ -109,11 +107,13 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     if _grid(mat_mul(mat_mul(u, a), v)) != _grid(d):
         raise ExtQuotError("normal form bookkeeping broke")
+    if mat_mul(v, vi) != mat_identity(n):
+        raise ExtQuotError("normal form inverse broke")
     diag = [d[i][i] for i in range(min(m, n))]
     for x, y in zip(diag, diag[1:]):
         if x and y % x:
             raise ExtQuotError("divisibility chain broke")
-    return u, d, v
+    return u, d, v, vi
 
 
 # ---------------- rational linear algebra -----------------------------------
@@ -144,18 +144,6 @@ def row_reduce(rows, ncols: int | None = None) -> tuple[list[list[Fraction]], li
 
 def matrix_rank(rows) -> int:
     return len(row_reduce(rows)[1])
-
-
-def mat_inverse_unimodular(v: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(v)
-    work, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(v)], n)
-    if len(pivots) < n:
-        raise ExtQuotError("matrix is singular")
-    if any(x.denominator != 1 for row in work for x in row[n:]):
-        raise ExtQuotError("matrix is not unimodular")
-    return [[int(x) for x in row[n:]] for row in work]
 
 
 def _frac_vec(m: Matrix, q: tuple[Fraction, ...]) -> list[Fraction]:
@@ -432,21 +420,12 @@ def _perm_name(p: tuple[int, ...]) -> str:
     return "".join(str(x + 1) for x in p)
 
 
-def _perm_matrix_on_exponents(p: tuple[int, ...]) -> Matrix:
-    # coordinate i of the image reads coordinate p^{-1}(i) of the source
-    n = len(p)
-    m = [[0] * n for _ in range(n)]
-    for j in range(n):
-        m[p[j]][j] = 1
-    return m
-
-
 def symmetric_on_torus(n: int) -> TorusAction:
     """All of S_n permuting the coordinates of a rank-n torus."""
     if not 1 <= n <= 6:
         raise ExtQuotError("coordinate permutation actions are kept small")
     perms = sorted(itertools.permutations(range(n)))
-    mats = [_perm_matrix_on_exponents(p) for p in perms]
+    mats = [perm_matrix(p) for p in perms]
     return TorusAction(
         rank=n,
         matrices=mats,
@@ -474,7 +453,7 @@ def sl_dual_torus(n: int) -> TorusAction:
     embed = [[basis[j][i] for j in range(n - 1)] for i in range(n)]
 
     def restrict(p: tuple[int, ...]) -> Matrix:
-        amb = _perm_matrix_on_exponents(p)
+        amb = perm_matrix(p)
         cols = []
         for j in range(n - 1):
             img = mat_vec(amb, basis[j])
@@ -533,12 +512,11 @@ def fixed_locus(action: TorusAction, gamma: int) -> FixedLocus:
     m = action.matrices[gamma]
     r = action.rank
     a = [[m[i][j] - (i == j) for j in range(r)] for i in range(r)]
-    _, d, v = smith_normal_form(a)
+    _, d, v, v_inv = smith_normal_form(a)
     diag = [d[i][i] for i in range(r)]
     tors = tuple(i for i, x in enumerate(diag) if x > 1)
     zeros = [i for i, x in enumerate(diag) if x == 0]
     factors = tuple(diag[i] for i in tors)
-    v_inv = mat_inverse_unimodular(v)
     signatures = [tuple(s) for s in itertools.product(*[range(f) for f in factors])]
     components = []
     for sig in signatures:

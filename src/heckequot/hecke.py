@@ -83,13 +83,6 @@ class HeckeElement:
     def __post_init__(self):
         self.terms = {w: p for w, p in self.terms.items() if p}
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.basis != other.basis:
             raise HeckeError("cannot add elements in different bases")
@@ -278,7 +271,8 @@ class HeckeBall:
         Seed c_{z1} * c_s for z = z1 s; subtract bar-invariant multiples
         of shorter canonical elements until every off-diagonal coefficient
         sits in strictly negative degrees.  The subtracted coefficients
-        are exactly the generator-product corrections, recorded for reuse.
+        are the generator-product corrections; they are not kept, since
+        _cs_table rebuilds them from the v^-1 coefficients of p.
         Only one z per orbit of _syms is computed; the rows of the rest of
         its orbit share its polynomials, so none may be mutated in place."""
         p = self._p = [dict() for _ in self.wp]

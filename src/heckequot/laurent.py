@@ -4,24 +4,17 @@ Coefficients are Python ints or Fractions; nothing here ever goes through
 floating point.  A polynomial is stored as a dict mapping exponent to a
 nonzero coefficient, so ``3*v^-2 + v`` is ``{-2: 3, 1: 1}``.
 
-Products and `decompose` are integer-first: a coefficient they return is
-an int wherever it is integral, and a Fraction only where halving or
-division needs one.  A product clears each factor's denominators once,
-multiplies the integer numerators and divides each output term by the
-product of the two denominators.
-
-The bar involution negates exponents.  A polynomial is *balanced* when it
-is fixed by bar and *anti-balanced* when bar negates it.  Every polynomial
-splits uniquely as balanced + anti-balanced (the split needs halves, hence
-Fractions), and the anti-balanced part is divisible by the anti-balanced
-generator ``t - t^-1``; `divide_by_generator` performs that division
-exactly and refuses inputs where it is not exact.
+The kernels work on such raw dicts with the accumulating helpers below,
+or on Kronecker-packed ints (`pack`/`unpack`).  `bar` is the involution
+v -> v^-1, which negates exponents.  `LaurentPoly` is a thin immutable
+wrapper over one raw dict for reports, cache text and tests; `decompose`
+splits it into its bar-fixed (balanced) and bar-negated (anti-balanced)
+parts, with exact halves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -81,6 +74,11 @@ def nonneg_sym(p: Mapping) -> dict:
     return out
 
 
+def bar(p: Mapping) -> dict:
+    """The raw polynomial p(v^-1)."""
+    return {-e: a for e, a in p.items()}
+
+
 # ---- Kronecker packing -----------------------------------------------------
 def pack(c: Mapping[int, int], lo: int, k: int) -> int:
     """sum_e c_e B^(e - lo) with B = 2^k; every exponent must be >= lo.
@@ -100,15 +98,6 @@ def unpack(H: int, lo: int, k: int) -> dict[int, int]:
             out[e] = c
         H, e = (H - c) >> k, e + 1
     return out
-
-
-def _cleared(c: dict) -> tuple[dict, int]:
-    """(n, d) with n == c * d in ints and d the least common denominator."""
-    dens = [a.denominator for a in c.values() if type(a) is not int]
-    if not dens:
-        return c, 1
-    d = lcm(*dens)
-    return {e: a.numerator * (d // a.denominator) for e, a in c.items()}, d
 
 
 class LaurentPoly:
@@ -183,15 +172,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            p, dp = _cleared(self.c)
-            q, dq = _cleared(other.c)
-            acc = acc_mul({}, p, q)
-            d = dp * dq
-            if d != 1:
-                for e, s in acc.items():
-                    n, r = divmod(s, d)
-                    acc[e] = Fraction(s, d) if r else n
-            return LaurentPoly._raw(acc)
+            return LaurentPoly._raw(acc_mul({}, self.c, other.c))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly._raw({})
@@ -211,12 +192,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return out
-
-    def shifted(self, k: int, scale: Scalar = 1) -> "LaurentPoly":
-        """scale * v^k * self, in one pass."""
-        if not scale:
-            return LaurentPoly._raw({})
-        return LaurentPoly._raw({e + k: a * scale for e, a in self.c.items()})
 
     # ---- structure ------------------------------------------------------
     def __bool__(self) -> bool:
@@ -245,25 +220,9 @@ class LaurentPoly:
             raise LaurentError("zero polynomial has no degree")
         return max(self.c)
 
-    def valuation(self) -> int:
-        if not self.c:
-            raise LaurentError("zero polynomial has no valuation")
-        return min(self.c)
-
     def bar(self) -> "LaurentPoly":
         """Exponent negation v -> v^-1."""
-        return LaurentPoly._raw({-e: a for e, a in self.c.items()})
-
-    def is_balanced(self) -> bool:
-        return all(self.c.get(-e) == a for e, a in self.c.items())
-
-    def is_antibalanced(self) -> bool:
-        return all(self.c.get(-e, 0) == -a for e, a in self.c.items())
-
-    def max_nonneg_part(self) -> "LaurentPoly":
-        """The unique balanced polynomial with the same coefficients in
-        degrees >= 0: used when forcing bar-invariant corrections."""
-        return LaurentPoly._raw(nonneg_sym(self.c))
+        return LaurentPoly._raw(bar(self.c))
 
     def evaluate(self, x: Scalar) -> Scalar:
         """Exact evaluation at a nonzero rational point."""
@@ -272,13 +231,13 @@ class LaurentPoly:
             raise LaurentError("cannot evaluate a Laurent polynomial at 0")
         if not self.c:
             return Fraction(0)
-        c, d = _cleared(self.c)
-        n, m = x.numerator, x.denominator
+        c, n, m = self.c, x.numerator, x.denominator
         lo, hi = min(c), max(c)
         # x^e = n^e / m^e, so times n^-lo * m^hi every term is an integer
+        # multiple of its coefficient
         s = sum(a * n ** (e - lo) * m ** (hi - e) for e, a in c.items())
         return Fraction(s * n ** max(lo, 0) * m ** max(-hi, 0),
-                        d * n ** max(-lo, 0) * m ** max(hi, 0))
+                        n ** max(-lo, 0) * m ** max(hi, 0))
 
     # ---- text form -------------------------------------------------------
     def to_str(self, var: str = "v") -> str:
@@ -341,33 +300,6 @@ def _half(x: Scalar) -> Scalar:
         return x >> 1
     h = Fraction(x, 2)
     return h.numerator if h.denominator == 1 else h
-
-
-def generator() -> LaurentPoly:
-    """t - t^-1, the anti-balanced generator."""
-    return LaurentPoly._raw({1: 1, -1: -1})
-
-
-def divide_by_generator(p: LaurentPoly) -> LaurentPoly:
-    """Exact division by t - t^-1.
-
-    Defined on the anti-balanced part of the ring, where the division is
-    always exact; raises LaurentError when a remainder would appear.
-    """
-    if not p:
-        return LaurentPoly.zero()
-    if not p.is_antibalanced():
-        raise LaurentError("divide_by_generator needs an anti-balanced input")
-    # p = sum_{n>0} a_n (t^n - t^-n) and each (t^n - t^-n) / (t - t^-1)
-    # telescopes to t^(n-1) + t^(n-3) + ... + t^(1-n), so the quotient's
-    # coefficient at +-e is the sum of a_n over n > e with n - e odd.
-    q: dict[int, Scalar] = {}
-    run = [0, 0]
-    for n in range(max(p.c), 0, -1):
-        run[n & 1] += p.c.get(n, 0)
-        if run[n & 1]:
-            q[n - 1] = q[1 - n] = run[n & 1]
-    return LaurentPoly._raw(q)
 
 
 ZERO = LaurentPoly.zero()

@@ -148,11 +148,11 @@ def test_cell_ideals_closed_and_cross_cell_gamma_zero(ring):
 def test_cell_ideal_of_big_cell(ring):
     hb, J = ring
     cp = hb.cell_partition()
-    res = J.cell_ideal(cp.two_sided[1], max_pairs=30, seed=0)
+    res = J.cell_ideal(cp.two_sided[1])
     assert res["closed"] is True
     assert res["escapes"] == []
     assert len(res["basis"]) == 20
-    assert (res["checked_pairs"], res["skipped_pairs"]) == (19, 11)
+    assert (res["checked_pairs"], res["skipped_pairs"]) == (200, 160)
     assert (res["unit_checked"], res["unit_skipped"]) == (18, 2)
     assert res["unit_failures"] == []
 

@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer wraps still exist.
+"""The names the benchmark's tracer wraps still exist, and every name
+the program defines is still used.
 
 perfbench/tracing.py wraps functions of the program by name from outside;
 a target that disappears is skipped and its per-layer counter silently
@@ -6,6 +7,7 @@ reads 0.  This test resolves every target the way the tracer does, and
 checks the ball attributes and signatures its hooks read.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -15,7 +17,8 @@ from heckequot import asymptotic, cli
 from heckequot.coxeter import GroupPresentation, infinite_dihedral
 from heckequot.hecke import HeckeBall
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -76,3 +79,45 @@ def test_the_trace_sees_the_j_layer(tmp_path):
     # at least one sampled pair, one pool element and the central element
     assert metrics["asymptotic.phi.calls"] >= 3
     assert metrics["asymptotic.j_mul.calls"] > 0
+
+
+def _used_names() -> set[str]:
+    """Every name read as a Name, an Attribute or an import alias in src/,
+    tests/ and perfbench/, plus each part of the tracer's target paths."""
+    used = set()
+    for tree in ("src", "tests", "perfbench"):
+        for path in (ROOT / tree).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+    for _mod, path, _name, _kind in load_tracing().TARGETS:
+        used.update(path.split("."))
+    return used
+
+
+def test_every_src_definition_is_used():
+    # a deletion must not strand a helper: each module-level function or
+    # class and each method is used somewhere, dunders and overrides of an
+    # inherited method excepted
+    used = _used_names()
+    unused = []
+    for path in sorted((ROOT / "src" / "heckequot").glob("*.py")):
+        module = importlib.import_module("heckequot." + path.stem)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in used:
+                unused.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = vars(module)[node.name].__mro__[1:]
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.name not in used
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and not any(hasattr(b, item.name) for b in bases)):
+                    unused.append(f"{path.stem}.{node.name}.{item.name}")
+    assert unused == []

@@ -79,7 +79,7 @@ def test_kl_rows_are_the_canonical_basis(factory, radius):
         c = hb.kl_element(z)
         assert c.terms[z] == ONE
         assert all(p.degree() <= -1 for y, p in c.terms.items() if y != z)
-        signed = {y: p.bar().shifted(0, (-1) ** y.length) for y, p in c.terms.items()}
+        signed = {y: p.bar() * (-1) ** y.length for y, p in c.terms.items()}
         assert hb.dagger(HeckeElement("T", signed)) == c, z
 
 
