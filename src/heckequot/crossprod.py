@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import laurent
 from .laurent import LaurentError, bar
-from .extquot import Descriptor, LineModInversion, Point, matrix_rank, row_reduce
+from .extquot import LINE_INV, POINT, Descriptor, matrix_rank, row_reduce
 
 
 class CrossProdError(Exception):
@@ -405,7 +405,9 @@ def evaluate_module(z) -> dict:
 def evaluate_reflection_class() -> dict:
     """At the reflection class every Laurent entry vanishes and the four
     class-function slots survive: one two dimensional simple module.  The
-    spanning set meets them only through the four reflection units."""
+    spanning set meets them only through the four reflection units.  This
+    takes no input and ranks four unit rows of the tie table, so it fails
+    only if the table loses an upper-block slot."""
     dim = matrix_rank([[int(src == (f, False)) for src in _SOURCE.values()]
                        for f in _FIELDS[:4]])
     if dim != 4:
@@ -433,4 +435,4 @@ def prim_census() -> list[Descriptor]:
     self-inverse points, closing into a line with the pairs identified,
     plus one extra point over each self-inverse point where the two
     dimensional module splits in half."""
-    return [LineModInversion(), Point(), Point()]
+    return [LINE_INV, POINT, POINT]

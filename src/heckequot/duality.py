@@ -16,17 +16,17 @@ from math import gcd
 
 from . import crossprod, extquot
 from .extquot import (
+    LINE,
+    LINE_INV,
+    POINT,
     Descriptor,
-    FreeLine,
-    LineModInversion,
-    Point,
-    SymProduct,
-    TorusModGroup,
     census,
     extended_quotient,
     sl_dual_torus,
     so5_weyl_on_torus,
+    sym_product,
     symmetric_on_torus,
+    torus_mod,
 )
 
 
@@ -186,37 +186,37 @@ def rep_ring_descriptor(rd: ReductiveDescriptor) -> list[Descriptor]:
     model.  Disconnected positive-dimensional centralizers are refused,
     because their census is not determined by the identity component."""
     if isinstance(rd, GLProduct):
-        return [SymProduct(rd.parts)]
+        return [sym_product(rd.parts)]
     if isinstance(rd, FiniteCyclic):
-        return [Point() for _ in range(rd.n)]
+        return [POINT] * rd.n
     if isinstance(rd, TwoGroupTimesSL2):
         # R(SL2) is a polynomial ring on the standard character, which
         # identifies its spectrum with the inversion quotient of the
         # torus; the two-group doubles it
-        return [LineModInversion(), LineModInversion()]
+        return [LINE_INV, LINE_INV]
     if isinstance(rd, TwoGroupSemidirectGm):
         # one point for the extra central summand, then the census of
         # the crossed product of the Laurent ring by inversion
-        return [Point()] + crossprod.prim_census()
+        return [POINT] + crossprod.prim_census()
     if isinstance(rd, SpFull):
-        return [TorusModGroup(rd.rank, "W(B2)")]
+        return [torus_mod(rd.rank, "W(B2)")]
     if isinstance(rd, GLProductInSL):
         g = component_group_order(rd)
         rank = sum(rd.parts) - 1
         if rank == 0:
-            return [Point() for _ in range(rd.powers[0])]
+            return [POINT] * rd.powers[0]
         if g > 1:
             raise DisconnectedCentralizer(g)
         if rd.parts == (sum(rd.parts),):
             # the full special linear group
             n = rd.parts[0]
             if n == 2:
-                return [LineModInversion()]
-            return [TorusModGroup(n - 1, f"S{n}")]
+                return [LINE_INV]
+            return [torus_mod(n - 1, f"S{n}")]
         if rank == 1:
             # a one dimensional torus with trivial symmetry
-            return [FreeLine()]
-        return [TorusModGroup(rank, "symbolic")]
+            return [LINE]
+        return [torus_mod(rank, "symbolic")]
     raise DualityError(f"no census rule for {rd!r}")
 
 
@@ -242,7 +242,7 @@ class MatchReport:
 
 
 def _symbolic_only(ds: list[Descriptor]) -> bool:
-    return any(isinstance(d, TorusModGroup) and d.label == "symbolic" for d in ds)
+    return any(d == torus_mod(d.dim, "symbolic") for d in ds)
 
 
 def _compare(cell: str, dual: list[Descriptor], quot: list[Descriptor]) -> MatchRecord:
@@ -352,6 +352,8 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
 def lowest_cell_check(family: str, n: int | None = None) -> dict:
     """The cell of the full dual group must reproduce the identity-class
     component of the extended quotient."""
+    if family in ("gl", "pgl") and n is None:
+        raise DualityError("the linear families need the rank")
     if family == "sl2":
         rd: ReductiveDescriptor = GLProductInSL((2,), (1,))
         action = sl_dual_torus(2)
@@ -395,27 +397,24 @@ def bernstein_point_gl(exponents: tuple[int, ...],
     torsions = tuple(torsions)
     if len(torsions) != len(exponents):
         raise DualityError("one torsion number per block is required")
-    factors = []
-    for e, r in zip(exponents, torsions):
-        block_census = [SymProduct(extquot._sym_parts(dual_partition(lam)))
-                        for lam in partitions(e)]
-        factors.append({
-            "size": e,
-            "parameter": f"q^{r}",
-            "census": block_census,
-        })
-    total: list[SymProduct] = []
+    blocks = [[extquot._sym_parts(dual_partition(lam)) for lam in partitions(e)]
+              for e in exponents]
+    factors = [{"size": e, "parameter": f"q^{r}",
+                "census": [sym_product(parts) for parts in block]}
+               for e, r, block in zip(exponents, torsions, blocks)]
+    total: list[tuple[int, ...]] = []
 
     def cross(i: int, acc: tuple[int, ...]):
-        if i == len(factors):
-            total.append(SymProduct(tuple(sorted(acc, reverse=True))))
+        if i == len(blocks):
+            total.append(tuple(sorted(acc, reverse=True)))
             return
-        for piece in factors[i]["census"]:
-            cross(i + 1, acc + piece.parts)
+        for parts in blocks[i]:
+            cross(i + 1, acc + parts)
 
     cross(0, ())
+    total.sort(key=lambda parts: (sum(parts), parts))
     return {
         "factors": factors,
-        "census": sorted(total, key=lambda d: (d.dim, d.parts)),
+        "census": [sym_product(parts) for parts in total],
         "count": len(total),
     }

@@ -172,105 +172,53 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 # ---------------- descriptors ------------------------------------------------
 
-@dataclass(frozen=True)
-class Point:
-    @property
-    def dim(self) -> int:
-        return 0
+@dataclass(frozen=True, order=True)
+class Descriptor:
+    """One census entry: the dimension of a component and the name of its
+    shape.  Censuses compare and sort by (dim, text)."""
+
+    dim: int
+    text: str
 
     def __str__(self) -> str:
-        return "point"
+        return self.text
 
 
-@dataclass(frozen=True)
-class FreeLine:
-    """A punctured affine line, no identification along it."""
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def __str__(self) -> str:
-        return "line"
+POINT = Descriptor(0, "point")
+LINE = Descriptor(1, "line")  # a punctured line, nothing identified
+LINE_INV = Descriptor(1, "line/inv")  # z ~ 1/z: the ring of an affine line
 
 
-@dataclass(frozen=True)
-class LineModInversion:
-    """A punctured line with z and 1/z identified; same ring as an
-    honest affine line."""
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def __str__(self) -> str:
-        return "line/inv"
-
-
-@dataclass(frozen=True)
-class SymProduct:
+def sym_product(parts: tuple[int, ...]) -> Descriptor:
     """Product of symmetric powers of the punctured line, one factor of
     size n per entry.  Parts are listed by decreasing attached weight."""
-
-    parts: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return "sym(" + ",".join(str(p) for p in self.parts) + ")"
+    return Descriptor(sum(parts), "sym(" + ",".join(str(p) for p in parts) + ")")
 
 
-@dataclass(frozen=True)
-class TorusModGroup:
+def torus_mod(rank: int, label: str) -> Descriptor:
     """Symbolic quotient of a torus of the given rank; the label names
     the acting group when it is known exactly."""
-
-    rank: int
-    label: str
-
-    @property
-    def dim(self) -> int:
-        return self.rank
-
-    def __str__(self) -> str:
-        return f"torus({self.rank})/{self.label}"
-
-
-Descriptor = Point | FreeLine | LineModInversion | SymProduct | TorusModGroup
-
-
-def descriptor_sort_key(d: Descriptor) -> tuple:
-    return (d.dim, type(d).__name__, str(d))
+    return Descriptor(rank, f"torus({rank})/{label}")
 
 
 @dataclass(frozen=True)
 class ExtQuotComponent:
     class_tag: str
-    dim: int
     descriptor: Descriptor
     cycle: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if self.descriptor.dim != self.dim:
-            raise ExtQuotError(
-                f"descriptor {self.descriptor} does not have dimension {self.dim}"
-            )
-
     def __str__(self) -> str:
-        return f"[{self.class_tag}] dim={self.dim} {self.descriptor}"
+        return f"[{self.class_tag}] dim={self.descriptor.dim} {self.descriptor}"
 
 
 def census(items: list) -> list[tuple[int, str, int]]:
     """Sorted (dim, descriptor text, multiplicity) rows over components or
     bare descriptors."""
-    counts: dict[tuple[int, str], int] = {}
+    counts: dict[Descriptor, int] = {}
     for c in items:
         d = c.descriptor if isinstance(c, ExtQuotComponent) else c
-        key = (d.dim, str(d))
-        counts[key] = counts.get(key, 0) + 1
-    return [(d, s, n) for (d, s), n in sorted(counts.items())]
+        counts[d] = counts.get(d, 0) + 1
+    return [(d.dim, d.text, n) for d, n in sorted(counts.items())]
 
 
 # ---------------- torus actions ----------------------------------------------
@@ -287,9 +235,10 @@ class ConjClass:
 class TorusAction:
     """A finite group of unimodular matrices acting on a lattice.
 
-    `perms` optionally models the same group as permutations of a larger
-    coordinate set; group arithmetic then runs on tuples, which is what
-    makes the order-720 cases cheap.  `embed` maps lattice coordinates
+    `perms` optionally models the same group as all of S_m permuting m
+    coordinates, listed in the order of `matrices`; group arithmetic then
+    runs on tuples and the conjugacy classes are the cycle types, which is
+    what makes the order-720 cases cheap.  `embed` maps lattice coordinates
     into ambient torus coordinates when the action lives on a sublattice
     cut out by a determinant condition."""
 
@@ -297,7 +246,6 @@ class TorusAction:
     matrices: list[Matrix]
     names: list[str]
     group_label: str
-    family: str = "generic"
     perms: list[tuple[int, ...]] | None = None
     embed: Matrix | None = None
 
@@ -311,6 +259,9 @@ class TorusAction:
             raise ExtQuotError("action has no identity matrix")
         self._id = self._key_to_idx[ident]
         if self.perms is not None:
+            m = len(self.perms[0]) if self.perms else 0
+            if sorted(self.perms) != list(itertools.permutations(range(m))):
+                raise ExtQuotError("perms must list all of S_m")
             self._perm_to_idx = {p: i for i, p in enumerate(self.perms)}
         self._mult: dict[tuple[int, int], int] = {}
         self._inv: dict[int, int] = {}
@@ -345,7 +296,7 @@ class TorusAction:
         return [g for g in range(len(self)) if self.mult(g, i) == self.mult(i, g)]
 
     def conjugacy_classes(self) -> list[ConjClass]:
-        if self.perms is not None and self.family in ("symmetric", "sl-dual"):
+        if self.perms is not None:
             # full symmetric group: classes are exactly the cycle types
             by_type: dict[tuple[int, ...], list[int]] = {}
             for i, p in enumerate(self.perms):
@@ -384,7 +335,6 @@ def inversion_on_gm() -> TorusAction:
         matrices=[[[1]], [[-1]]],
         names=["1", "inv"],
         group_label="Z/2",
-        family="rank1",
     )
 
 
@@ -394,7 +344,6 @@ def trivial_on_torus(rank: int) -> TorusAction:
         matrices=[mat_identity(rank)],
         names=["1"],
         group_label="1",
-        family="trivial",
     )
 
 
@@ -412,8 +361,7 @@ def so5_weyl_on_torus() -> TorusAction:
         [[0, -1], [-1, 0]],   # swap and invert both
     ]
     names = [f"gamma{i + 1}" for i in range(8)]
-    return TorusAction(rank=2, matrices=mats, names=names,
-                       group_label="W(B2)", family="so5")
+    return TorusAction(rank=2, matrices=mats, names=names, group_label="W(B2)")
 
 
 def _perm_name(p: tuple[int, ...]) -> str:
@@ -431,7 +379,6 @@ def symmetric_on_torus(n: int) -> TorusAction:
         matrices=mats,
         names=[_perm_name(p) for p in perms],
         group_label=f"S{n}",
-        family="symmetric",
         perms=perms,
     )
 
@@ -473,7 +420,6 @@ def sl_dual_torus(n: int) -> TorusAction:
         matrices=mats,
         names=[_perm_name(p) for p in perms],
         group_label=f"S{n}",
-        family="sl-dual",
         perms=perms,
         embed=embed,
     )
@@ -483,7 +429,6 @@ def sl_dual_torus(n: int) -> TorusAction:
 
 @dataclass
 class FixedLocus:
-    gamma: int
     rank: int
     dim: int
     invariant_factors: tuple[int, ...]
@@ -526,7 +471,6 @@ def fixed_locus(action: TorusAction, gamma: int) -> FixedLocus:
         components.append(_mod1(_frac_vec(v, y)))
     kernel = [[v[i][j] for i in range(r)] for j in zeros]
     return FixedLocus(
-        gamma=gamma,
         rank=r,
         dim=len(zeros),
         invariant_factors=factors,
@@ -601,21 +545,17 @@ def _line_descriptor(action: TorusAction, fl: FixedLocus, stab: list[int]) -> De
             inverted = True
         elif w != k:
             raise ExtQuotError("stabilizer does not normalize the kernel line")
-    return LineModInversion() if inverted else FreeLine()
+    return LINE_INV if inverted else LINE
 
 
 def full_torus_descriptor(action: TorusAction) -> Descriptor:
     """What the whole torus looks like after dividing by the whole group."""
     r = action.rank
     if r == 0:
-        return Point()
+        return POINT
     if r == 1:
-        if any(m[0][0] == -1 for m in action.matrices):
-            return LineModInversion()
-        return FreeLine()
-    if len(action) == 1:
-        return TorusModGroup(r, "1")
-    return TorusModGroup(r, action.group_label)
+        return LINE_INV if any(m[0][0] == -1 for m in action.matrices) else LINE
+    return torus_mod(r, action.group_label)
 
 
 def _sym_parts(cyc: tuple[int, ...]) -> tuple[int, ...]:
@@ -632,33 +572,31 @@ def extended_quotient(action: TorusAction) -> list[ExtQuotComponent]:
     out = []
     for cls in action.conjugacy_classes():
         fl = fixed_locus(action, cls.rep)
-        if action.family == "symmetric":
+        if action.perms is not None and action.embed is None:
             # coordinate permutations: the quotient of each fixed locus
             # is a product of symmetric powers, one per distinct cycle
             # length; the locus itself is connected
             if fl.component_count() != 1 or fl.dim != len(cls.cycle):
                 raise ExtQuotError("permutation fixed locus looks wrong")
-            out.append(ExtQuotComponent(cls.name, fl.dim,
-                                        SymProduct(_sym_parts(cls.cycle)),
+            out.append(ExtQuotComponent(cls.name, sym_product(_sym_parts(cls.cycle)),
                                         cls.cycle))
             continue
         if cls.rep == action.identity_index():
-            out.append(ExtQuotComponent(cls.name, action.rank,
-                                        full_torus_descriptor(action),
+            out.append(ExtQuotComponent(cls.name, full_torus_descriptor(action),
                                         cls.cycle))
             continue
         cent = action.centralizer(cls.rep)
         for _, rep_idx, stab in _component_orbits(action, fl, cent):
             if fl.dim == 0:
-                descr: Descriptor = Point()
+                descr = POINT
             elif fl.dim == 1:
                 descr = _line_descriptor(action, fl, stab)
             else:
                 # exact class tracking stops at curves; higher pieces
                 # stay symbolic and are compared by dimension only
-                descr = TorusModGroup(fl.dim, "symbolic")
-            out.append(ExtQuotComponent(cls.name, fl.dim, descr, cls.cycle))
-    out.sort(key=lambda c: (c.class_tag, descriptor_sort_key(c.descriptor)))
+                descr = torus_mod(fl.dim, "symbolic")
+            out.append(ExtQuotComponent(cls.name, descr, cls.cycle))
+    out.sort(key=lambda c: (c.class_tag, c.descriptor))
     return out
 
 

@@ -82,12 +82,15 @@ def test_the_trace_sees_the_j_layer(tmp_path):
 
 
 def _used_names() -> set[str]:
-    """Every name read as a Name, an Attribute or an import alias in src/,
-    tests/ and perfbench/, plus each part of the tracer's target paths."""
+    """Every name read (not assigned) as a Name or an Attribute, or
+    imported, in src/, tests/ and perfbench/, plus each part of the
+    tracer's target paths."""
     used = set()
     for tree in ("src", "tests", "perfbench"):
         for path in (ROOT / tree).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+                    continue
                 if isinstance(node, ast.Name):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -100,14 +103,22 @@ def _used_names() -> set[str]:
 
 
 def test_every_src_definition_is_used():
-    # a deletion must not strand a helper: each module-level function or
-    # class and each method is used somewhere, dunders and overrides of an
-    # inherited method excepted
+    # a deletion must not strand a helper: each module-level function,
+    # class, constant and type alias and each method is used somewhere,
+    # dunders and overrides of an inherited method excepted
     used = _used_names()
     unused = []
     for path in sorted((ROOT / "src" / "heckequot").glob("*.py")):
         module = importlib.import_module("heckequot." + path.stem)
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unused.extend(
+                    f"{path.stem}.{name.id}"
+                    for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and name.id not in used
+                    and not (name.id.startswith("__") and name.id.endswith("__")))
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in used:

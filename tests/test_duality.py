@@ -170,6 +170,14 @@ def test_match_rejects_unknown_tag():
         match_conjecture("e8")
 
 
+@pytest.mark.parametrize("family", ["gl", "pgl"])
+def test_linear_families_need_the_rank(family):
+    with pytest.raises(DualityError, match="need the rank"):
+        match_conjecture(family)
+    with pytest.raises(DualityError, match="need the rank"):
+        lowest_cell_check(family)
+
+
 # ---- lowest cell ------------------------------------------------------------
 
 

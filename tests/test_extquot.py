@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckequot.extquot import (
-    FreeLine,
-    LineModInversion,
-    Point,
-    SymProduct,
-    TorusModGroup,
+    LINE,
+    LINE_INV,
+    POINT,
+    ExtQuotError,
+    TorusAction,
     _sym_parts,
     brute_force_component_count,
     census,
@@ -27,8 +27,10 @@ from heckequot.extquot import (
     sl_dual_torus,
     smith_normal_form,
     so5_weyl_on_torus,
+    sym_product,
     symmetric_on_torus,
     torsion_orbit_census,
+    torus_mod,
     trivial_on_torus,
 )
 
@@ -98,13 +100,15 @@ def test_cycle_type():
 
 
 def test_descriptor_dims_and_strings():
-    assert (Point().dim, str(Point())) == (0, "point")
-    assert (FreeLine().dim, str(FreeLine())) == (1, "line")
-    assert (LineModInversion().dim, str(LineModInversion())) == (1, "line/inv")
-    sp = SymProduct((1, 2))
+    assert (POINT.dim, str(POINT)) == (0, "point")
+    assert (LINE.dim, str(LINE)) == (1, "line")
+    assert (LINE_INV.dim, str(LINE_INV)) == (1, "line/inv")
+    sp = sym_product((1, 2))
     assert (sp.dim, str(sp)) == (3, "sym(1,2)")
-    tm = TorusModGroup(2, "W(B2)")
+    tm = torus_mod(2, "W(B2)")
     assert (tm.dim, str(tm)) == (2, "torus(2)/W(B2)")
+    # censuses sort by (dim, text)
+    assert sorted([sp, tm, LINE_INV, LINE, POINT]) == [POINT, LINE, LINE_INV, tm, sp]
 
 
 def test_sym_parts():
@@ -129,6 +133,13 @@ def test_torus_action_group_laws():
         for j in range(n):
             for k in range(n):
                 assert so5.mult(so5.mult(i, j), k) == so5.mult(i, so5.mult(j, k))
+
+
+def test_perms_must_list_all_of_the_symmetric_group():
+    s3 = symmetric_on_torus(3)
+    with pytest.raises(ExtQuotError):
+        TorusAction(rank=3, matrices=s3.matrices[:3], names=s3.names[:3],
+                    group_label="part of S3", perms=s3.perms[:3])
 
 
 def test_so5_conjugacy_classes():
