@@ -505,7 +505,7 @@ def scen_so5_jc1(ns):
         {"unit_support": len(res["unit"].coeffs),
          "checked": res["unit_checked"], "skipped": res["unit_skipped"],
          "failures": [_plain(w) for w in res["unit_failures"][:5]]}))
-    census = duality.rep_ring_descriptor(duality.TwoGroupSemidirectGm())
+    census = duality.rep_ring_descriptor(dict(duality.SO5_CATALOG)["c_1"])
     checks.append(Check(
         "module-census",
         "the matching dual-side centralizer census: one extra point plus "

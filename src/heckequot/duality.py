@@ -2,10 +2,11 @@
 their representation-ring censuses, and the matcher that compares those
 censuses against the torus-quotient censuses computed exactly.
 
-The vocabulary of reductive groups is deliberately tiny: products of
-general linear groups, the same cut down by a weighted determinant
-condition, finite cyclic groups, and the three fixed shapes that occur
-for the rank-two symplectic catalog.
+Every centralizer is one `Centralizer` value: name, component-group
+order, census.  Three constructors build those of the linear families
+(products of general linear groups, the same cut down by a weighted
+determinant condition, finite cyclic groups) and carry the census rules;
+the rank-two symplectic catalog lists its four values literally.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .extquot import (
     LINE_INV,
     POINT,
     Descriptor,
+    TorusAction,
     census,
     extended_quotient,
     sl_dual_torus,
@@ -73,88 +75,72 @@ def dual_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
                  for j in range(1, lam[0] + 1))
 
 
-# ---------------- reductive descriptors ----------------------------------------
+# ---------------- centralizers -------------------------------------------------
 
 @dataclass(frozen=True)
-class GLProduct:
+class Centralizer:
+    """Reductive part of a dual-side centralizer: its name, the order of
+    its component group, and the census of the spectrum of its
+    representation ring, or None when that census is not forced."""
+
+    name: str
+    components: int
+    census: tuple[Descriptor, ...] | None
+
+    def __str__(self) -> str:
+        return self.name
+
+
+def gl_product(parts: tuple[int, ...]) -> Centralizer:
     """GL(parts[0]) x GL(parts[1]) x ..., one factor per distinct
-    weight, listed by decreasing weight."""
-
-    parts: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "GL(" + ")xGL(".join(str(p) for p in self.parts) + ")"
+    weight, listed by decreasing weight.  Each general linear factor
+    contributes a symmetric power of the punctured line."""
+    name = "GL(" + ")xGL(".join(str(p) for p in parts) + ")"
+    return Centralizer(name, 1, (sym_product(parts),))
 
 
-@dataclass(frozen=True)
-class GLProductInSL:
+def gl_product_in_sl(parts: tuple[int, ...], powers: tuple[int, ...]) -> Centralizer:
     """The same product cut down by det(g_1)^w_1 ... det(g_k)^w_k = 1,
-    with the exponents w_i in `powers`."""
-
-    parts: tuple[int, ...]
-    powers: tuple[int, ...]
-
-    def __str__(self) -> str:
-        inner = "x".join(f"GL({p})" for p in self.parts)
-        w = ",".join(str(w) for w in self.powers)
-        return f"({inner})_det[{w}]"
-
-
-@dataclass(frozen=True)
-class FiniteCyclic:
-    n: int
-
-    def __str__(self) -> str:
-        return f"Z/{self.n}"
-
-
-@dataclass(frozen=True)
-class TwoGroupTimesSL2:
-    def __str__(self) -> str:
-        return "Z/2 x SL(2)"
+    with the exponents w_i in `powers`.  The component group has order
+    gcd(powers); a disconnected one gets no census, because its census is
+    not determined by the identity component."""
+    inner = "x".join(f"GL({p})" for p in parts)
+    w = ",".join(str(w) for w in powers)
+    g = gcd(*powers)
+    rank = sum(parts) - 1
+    if g > 1:
+        census = None
+    elif parts == (rank + 1,):
+        # the full special linear group; R(SL2) is a polynomial ring on
+        # the standard character, whose spectrum is the inversion
+        # quotient of the torus
+        census = (LINE_INV,) if rank == 1 else (torus_mod(rank, f"S{rank + 1}"),)
+    elif rank == 1:
+        # a one dimensional torus with trivial symmetry
+        census = (LINE,)
+    else:
+        census = (torus_mod(rank, "symbolic"),)
+    return Centralizer(f"({inner})_det[{w}]", g, census)
 
 
-@dataclass(frozen=True)
-class TwoGroupSemidirectGm:
-    def __str__(self) -> str:
-        return "Gm : Z/2"
+def cyclic(n: int) -> Centralizer:
+    """A finite cyclic group: n isolated points."""
+    return Centralizer(f"Z/{n}", n, (POINT,) * n)
 
 
-@dataclass(frozen=True)
-class SpFull:
-    rank: int = 2
-
-    def __str__(self) -> str:
-        return f"Sp({2 * self.rank})"
-
-
-ReductiveDescriptor = (
-    GLProduct | GLProductInSL | FiniteCyclic
-    | TwoGroupTimesSL2 | TwoGroupSemidirectGm | SpFull
-)
-
-
-def component_group_order(rd: ReductiveDescriptor) -> int:
-    if isinstance(rd, GLProductInSL):
-        return gcd(*rd.powers)
-    if isinstance(rd, FiniteCyclic):
-        return rd.n
-    if isinstance(rd, (TwoGroupTimesSL2, TwoGroupSemidirectGm)):
-        return 2
-    return 1
-
-
-# ---------------- centralizer catalogs -----------------------------------------
-
-SO5_CATALOG: list[tuple[str, ReductiveDescriptor]] = [
-    ("c_e", FiniteCyclic(2)),
-    ("c_1", TwoGroupSemidirectGm()),
-    ("c_2", TwoGroupTimesSL2()),
-    ("c_0", SpFull(2)),
+SO5_CATALOG: list[tuple[str, Centralizer]] = [
+    ("c_e", cyclic(2)),
+    # one point for the extra central summand, then the census of the
+    # crossed product of the Laurent ring by inversion
+    ("c_1", Centralizer("Gm : Z/2", 2, (POINT, *crossprod.prim_census()))),
+    # R(SL2) gives the inversion quotient of the torus; the two-group
+    # doubles it
+    ("c_2", Centralizer("Z/2 x SL(2)", 2, (LINE_INV, LINE_INV))),
+    ("c_0", Centralizer("Sp(4)", 1, (torus_mod(2, "W(B2)"),))),
 ]
 
 
-def centralizer_reductive(family: str, key) -> ReductiveDescriptor:
+def centralizer_reductive(family: str, key) -> Centralizer:
     """Reductive part of the dual-side centralizer attached to a cell of
     a linear family (SO5_CATALOG holds those of so5).
 
@@ -168,56 +154,19 @@ def centralizer_reductive(family: str, key) -> ReductiveDescriptor:
     mu = dual_partition(lam)
     mults = extquot._sym_parts(mu)  # distinct parts taken largest first
     if family == "gl":
-        return GLProduct(mults)
+        return gl_product(mults)
     if lam == (1,) * n:
         # regular case: the centralizer is exactly the center
-        return FiniteCyclic(n)
-    return GLProductInSL(mults, tuple(sorted(set(mu), reverse=True)))
+        return cyclic(n)
+    return gl_product_in_sl(mults, tuple(sorted(set(mu), reverse=True)))
 
 
-# ---------------- representation ring censuses ---------------------------------
-
-def rep_ring_descriptor(rd: ReductiveDescriptor) -> list[Descriptor]:
-    """Component census of the spectrum of the representation ring.
-
-    Each general linear factor contributes a symmetric power of the
-    punctured line; a finite cyclic group contributes isolated points;
-    the two-component shapes are taken apart by the crossed-product
-    model.  Disconnected positive-dimensional centralizers are refused,
-    because their census is not determined by the identity component."""
-    if isinstance(rd, GLProduct):
-        return [sym_product(rd.parts)]
-    if isinstance(rd, FiniteCyclic):
-        return [POINT] * rd.n
-    if isinstance(rd, TwoGroupTimesSL2):
-        # R(SL2) is a polynomial ring on the standard character, which
-        # identifies its spectrum with the inversion quotient of the
-        # torus; the two-group doubles it
-        return [LINE_INV, LINE_INV]
-    if isinstance(rd, TwoGroupSemidirectGm):
-        # one point for the extra central summand, then the census of
-        # the crossed product of the Laurent ring by inversion
-        return [POINT] + crossprod.prim_census()
-    if isinstance(rd, SpFull):
-        return [torus_mod(rd.rank, "W(B2)")]
-    if isinstance(rd, GLProductInSL):
-        g = component_group_order(rd)
-        rank = sum(rd.parts) - 1
-        if rank == 0:
-            return [POINT] * rd.powers[0]
-        if g > 1:
-            raise DisconnectedCentralizer(g)
-        if rd.parts == (sum(rd.parts),):
-            # the full special linear group
-            n = rd.parts[0]
-            if n == 2:
-                return [LINE_INV]
-            return [torus_mod(n - 1, f"S{n}")]
-        if rank == 1:
-            # a one dimensional torus with trivial symmetry
-            return [LINE]
-        return [torus_mod(rank, "symbolic")]
-    raise DualityError(f"no census rule for {rd!r}")
+def rep_ring_descriptor(rd: Centralizer) -> list[Descriptor]:
+    """Component census of the spectrum of the representation ring;
+    disconnected centralizers without a forced census are refused."""
+    if rd.census is None:
+        raise DisconnectedCentralizer(rd.components)
+    return list(rd.census)
 
 
 # ---------------- the matcher ---------------------------------------------------
@@ -233,7 +182,6 @@ class MatchRecord:
 
 @dataclass
 class MatchReport:
-    tag: str
     records: list[MatchRecord]
     verdict: str
     dual_census: list[tuple[int, str, int]]
@@ -259,6 +207,19 @@ def _compare(cell: str, dual: list[Descriptor], quot: list[Descriptor]) -> Match
     return MatchRecord(cell, dual, quot, "fail", "component censuses differ")
 
 
+def _dual_torus(tag: str, n: int | None) -> TorusAction:
+    """The Weyl group action on the dual torus of each family."""
+    if tag == "sl2":
+        return sl_dual_torus(2)
+    if tag == "so5":
+        return so5_weyl_on_torus()
+    if tag not in ("gl", "pgl"):
+        raise DualityError(f"unknown family {tag!r}")
+    if n is None:
+        raise DualityError("the linear families need the rank")
+    return symmetric_on_torus(n) if tag == "gl" else sl_dual_torus(n)
+
+
 def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
     """Compare the dual-side censuses with the torus-quotient censuses.
 
@@ -269,16 +230,16 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
     so5: the total multisets are compared; there are four cells but five
     conjugacy classes, so no cell-by-cell pairing is claimed.  sl2: the
     torus census against the crossed-product census."""
+    comps = extended_quotient(_dual_torus(tag, n))
     if tag == "sl2":
-        quot = [c.descriptor for c in extended_quotient(sl_dual_torus(2))]
+        quot = [c.descriptor for c in comps]
         dual = crossprod.prim_census()
         rec = _compare("whole algebra", dual, quot)
-        return MatchReport(tag, [rec],
+        return MatchReport([rec],
                            "PASS" if rec.verdict == "pass" else "FAIL",
                            census(dual), census(quot))
 
     if tag == "so5":
-        comps = extended_quotient(so5_weyl_on_torus())
         quot = [c.descriptor for c in comps]
         records = []
         dual: list[Descriptor] = []
@@ -291,17 +252,10 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
         records.append(MatchRecord(
             "total", dual, quot, "pass" if agree else "fail",
             "4 cells against 5 classes: only the totals are compared"))
-        return MatchReport(tag, records, "PASS" if agree else "FAIL",
+        return MatchReport(records, "PASS" if agree else "FAIL",
                            census(dual), census(quot),
                            note="cell count 4, class count 5")
 
-    if tag not in ("gl", "pgl"):
-        raise DualityError(f"unknown matcher tag {tag!r}")
-    if n is None:
-        raise DualityError("the linear families need the rank")
-
-    action = symmetric_on_torus(n) if tag == "gl" else sl_dual_torus(n)
-    comps = extended_quotient(action)
     by_cycle: dict[tuple[int, ...], list[Descriptor]] = {}
     for c in comps:
         by_cycle.setdefault(c.cycle, []).append(c.descriptor)
@@ -343,42 +297,27 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
         verdict = "PASS"
     else:
         verdict = "FAIL"
-    return MatchReport(tag if n is None else f"{tag}({n})", records, verdict,
-                       census(dual_all), census(quot_all))
+    return MatchReport(records, verdict, census(dual_all), census(quot_all))
 
 
 # ---------------- whole-group checks and parameter points ----------------------
 
 def lowest_cell_check(family: str, n: int | None = None) -> dict:
     """The cell of the full dual group must reproduce the identity-class
-    component of the extended quotient."""
-    if family in ("gl", "pgl") and n is None:
-        raise DualityError("the linear families need the rank")
+    component of the extended quotient.  For the linear families that
+    cell is lambda = (n); sl2 is pgl at n = 2."""
     if family == "sl2":
-        rd: ReductiveDescriptor = GLProductInSL((2,), (1,))
-        action = sl_dual_torus(2)
-    elif family == "so5":
-        rd = SpFull(2)
-        action = so5_weyl_on_torus()
-    elif family == "gl":
-        rd = GLProduct((n,))
-        action = symmetric_on_torus(n)
-    elif family == "pgl":
-        rd = GLProductInSL((n,), (1,))
-        action = sl_dual_torus(n)
+        family, n = "pgl", 2
+    action = _dual_torus(family, n)
+    if family == "so5":
+        rd = dict(SO5_CATALOG)["c_0"]
     else:
-        raise DualityError(f"unknown family {family!r}")
+        rd = centralizer_reductive(family, (n,))
     dual = rep_ring_descriptor(rd)
-    ident = action.identity_index()
-    ident_name = action.names[ident]
+    ident_name = action.names[action.identity_index()]
     quot = [c.descriptor for c in extended_quotient(action)
             if c.class_tag == ident_name]
-    return {
-        "family": family,
-        "dual": dual,
-        "quotient": quot,
-        "agrees": Counter(dual) == Counter(quot),
-    }
+    return {"dual": dual, "quotient": quot, "agrees": Counter(dual) == Counter(quot)}
 
 
 def bernstein_point_gl(exponents: tuple[int, ...],

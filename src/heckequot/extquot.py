@@ -207,9 +207,6 @@ class ExtQuotComponent:
     descriptor: Descriptor
     cycle: tuple[int, ...] | None = None
 
-    def __str__(self) -> str:
-        return f"[{self.class_tag}] dim={self.descriptor.dim} {self.descriptor}"
-
 
 def census(items: list) -> list[tuple[int, str, int]]:
     """Sorted (dim, descriptor text, multiplicity) rows over components or
@@ -531,7 +528,7 @@ def _component_orbits(action: TorusAction, fl: FixedLocus, cent: list[int]):
                     frontier.append(y)
         unseen -= orbit
         stab = [g for g in cent if perms[g][start] == start]
-        orbits.append((sorted(orbit), start, stab))
+        orbits.append((sorted(orbit), stab))
     return orbits
 
 
@@ -586,7 +583,7 @@ def extended_quotient(action: TorusAction) -> list[ExtQuotComponent]:
                                         cls.cycle))
             continue
         cent = action.centralizer(cls.rep)
-        for _, rep_idx, stab in _component_orbits(action, fl, cent):
+        for _, stab in _component_orbits(action, fl, cent):
             if fl.dim == 0:
                 descr = POINT
             elif fl.dim == 1:
@@ -608,7 +605,7 @@ def torsion_orbit_census(action: TorusAction, gamma: int) -> list[dict]:
         raise ExtQuotError("fixed locus is positive dimensional")
     cent = action.centralizer(gamma)
     orbits = []
-    for members, _, _ in _component_orbits(action, fl, cent):
+    for members, _ in _component_orbits(action, fl, cent):
         pts = sorted(fl.components[i] for i in members)
         orbits.append({
             "size": len(pts),

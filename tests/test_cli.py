@@ -294,8 +294,10 @@ def test_default_records_are_byte_identical_to_the_recorded_ones(scenario, tmp_p
 
 # sha256 and exit code of `heckequot run ... --format records` with a fresh
 # cache, for runs off the defaults whose output depends on the order in
-# which censuses are sorted.  With --blocks 10,2 sorting the shapes by
-# (dim, text) would differ from the (dim, parts) order the report uses.
+# which censuses are sorted or on which centralizer rule a cell takes.
+# With --blocks 10,2 sorting the shapes by (dim, text) would differ from
+# the (dim, parts) order the report uses; the lowest-cell runs read the
+# whole dual group's census through the cell rules of each family.
 CENSUS_ORDER_RECORDS = {
     ("gl-bernstein-point", "--blocks", "10,2"):
         ("a127c36948cf41c5312615a5cd7a07f1bc3a73efe29b206f8b1fbdfae9569630", 0),
@@ -307,6 +309,14 @@ CENSUS_ORDER_RECORDS = {
         ("1ddeed1fd13421de680e8aeb0f4edfb0a8feb38f4d03b5247940dad836d4e46c", 0),
     ("pgl-iwahori", "--n", "6"):
         ("36d83f4a765749f952b2750ecd309d53bf5ba8b0ed339be60da8800fc41c325d", 2),
+    ("lowest-cell", "--group", "sl2"):
+        ("52105aa209698a5f77e8d5b385d16304693250b626103698bbb585a1fffb13bd", 0),
+    ("lowest-cell", "--group", "gl", "--n", "4"):
+        ("dee8aaf38ba0f3ee4ee0c16a3f665133df7a0a82c4a5b811cefab393162c4a69", 0),
+    ("lowest-cell", "--group", "pgl", "--n", "2"):
+        ("cd0369b9198f582d0f770d4f98dd72ee9436610b7b9ae0e2a9daf949bdb0c64a", 0),
+    ("lowest-cell", "--group", "pgl", "--n", "5"):
+        ("4df5a6105c0048e4b16eb018dc02d6054ad0e308cfcab38408a6367ead76fc92", 0),
 }
 
 

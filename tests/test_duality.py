@@ -12,16 +12,12 @@ from heckequot.duality import (
     SO5_CATALOG,
     DisconnectedCentralizer,
     DualityError,
-    FiniteCyclic,
-    GLProduct,
-    GLProductInSL,
-    SpFull,
-    TwoGroupSemidirectGm,
-    TwoGroupTimesSL2,
     bernstein_point_gl,
     centralizer_reductive,
-    component_group_order,
+    cyclic,
     dual_partition,
+    gl_product,
+    gl_product_in_sl,
     lowest_cell_check,
     match_conjecture,
     partitions,
@@ -71,9 +67,9 @@ def test_gl_centralizers():
 
 
 def test_pgl_centralizers():
-    assert centralizer_reductive("pgl", (1, 1, 1)) == FiniteCyclic(3)
-    assert centralizer_reductive("pgl", (2,)) == GLProductInSL((2,), (1,))
-    assert centralizer_reductive("pgl", (2, 2)) == GLProductInSL((2,), (2,))
+    assert centralizer_reductive("pgl", (1, 1, 1)) == cyclic(3)
+    assert centralizer_reductive("pgl", (2,)) == gl_product_in_sl((2,), (1,))
+    assert centralizer_reductive("pgl", (2, 2)) == gl_product_in_sl((2,), (2,))
     assert str(centralizer_reductive("pgl", (2, 1))) == "(GL(1)xGL(1))_det[2,1]"
 
 
@@ -87,12 +83,13 @@ def test_so5_catalog():
 
 
 def test_component_group_orders():
-    assert component_group_order(FiniteCyclic(5)) == 5
-    assert component_group_order(GLProduct((2, 1))) == 1
-    assert component_group_order(TwoGroupTimesSL2()) == 2
-    assert component_group_order(TwoGroupSemidirectGm()) == 2
-    assert component_group_order(SpFull(2)) == 1
-    assert component_group_order(GLProductInSL((2,), (2,))) == 2
+    so5 = dict(SO5_CATALOG)
+    assert cyclic(5).components == 5
+    assert gl_product((2, 1)).components == 1
+    assert so5["c_2"].components == 2
+    assert so5["c_1"].components == 2
+    assert so5["c_0"].components == 1
+    assert gl_product_in_sl((2,), (2,)).components == 2
 
 
 # ---- representation-ring census -------------------------------------------------
@@ -100,20 +97,21 @@ def test_component_group_orders():
 
 def test_rep_ring_descriptors():
     as_strs = lambda rd: [str(d) for d in rep_ring_descriptor(rd)]
-    assert as_strs(FiniteCyclic(3)) == ["point", "point", "point"]
-    assert as_strs(TwoGroupTimesSL2()) == ["line/inv", "line/inv"]
-    assert as_strs(TwoGroupSemidirectGm()) == ["point", "line/inv", "point", "point"]
-    assert as_strs(SpFull(2)) == ["torus(2)/W(B2)"]
-    assert as_strs(GLProduct((2, 1))) == ["sym(2,1)"]
-    assert as_strs(GLProductInSL((2,), (1,))) == ["line/inv"]
-    assert as_strs(GLProductInSL((3,), (1,))) == ["torus(2)/S3"]
-    assert as_strs(GLProductInSL((1, 1), (2, 1))) == ["line"]
-    assert as_strs(GLProductInSL((2, 1), (1, 1))) == ["torus(2)/symbolic"]
+    so5 = dict(SO5_CATALOG)
+    assert as_strs(cyclic(3)) == ["point", "point", "point"]
+    assert as_strs(so5["c_2"]) == ["line/inv", "line/inv"]
+    assert as_strs(so5["c_1"]) == ["point", "line/inv", "point", "point"]
+    assert as_strs(so5["c_0"]) == ["torus(2)/W(B2)"]
+    assert as_strs(gl_product((2, 1))) == ["sym(2,1)"]
+    assert as_strs(gl_product_in_sl((2,), (1,))) == ["line/inv"]
+    assert as_strs(gl_product_in_sl((3,), (1,))) == ["torus(2)/S3"]
+    assert as_strs(gl_product_in_sl((1, 1), (2, 1))) == ["line"]
+    assert as_strs(gl_product_in_sl((2, 1), (1, 1))) == ["torus(2)/symbolic"]
 
 
 def test_disconnected_centralizer_raises():
     with pytest.raises(DisconnectedCentralizer) as exc:
-        rep_ring_descriptor(GLProductInSL((2,), (2,)))
+        rep_ring_descriptor(gl_product_in_sl((2,), (2,)))
     assert exc.value.order == 2
 
 
