@@ -543,10 +543,22 @@ def _match_checks(report) -> list[Check]:
     return checks
 
 
+# --n of the linear families, bounded as their coordinate permutation
+# actions are: the whole S_n on a rank-n torus, or on its rank n-1 subtorus
+RANKS = {"gl": (1, 6), "pgl": (2, 6)}
+
+
+def _rank(ns, family: str, default: int, what: str) -> int:
+    """--n of a linear family, default when absent, checked before any action is built."""
+    n = ns.n if ns.n is not None else default
+    lo, hi = RANKS[family]
+    if not lo <= n <= hi:
+        raise UsageError(f"{what} needs {lo} <= n <= {hi}")
+    return n
+
+
 def scen_pgl_iwahori(ns):
-    n = ns.n if ns.n is not None else 2
-    if not 2 <= n <= 6:
-        raise UsageError("pgl-iwahori needs 2 <= n <= 6")
+    n = _rank(ns, "pgl", 2, "pgl-iwahori")
     action = extquot.sl_dual_torus(n)
     cls = [c for c in action.conjugacy_classes() if c.cycle == (n,)]
     orbits = extquot.torsion_orbit_census(action, cls[0].rep)
@@ -567,9 +579,7 @@ def scen_pgl_iwahori(ns):
 
 
 def scen_gl_match(ns):
-    n = ns.n if ns.n is not None else 4
-    if not 1 <= n <= 6:
-        raise UsageError("gl-match needs 1 <= n <= 6")
+    n = _rank(ns, "gl", 4, "gl-match")
     report = duality.match_conjecture("gl", n)
     checks = _match_checks(report)
     expected = len(duality.partitions(n))
@@ -616,10 +626,12 @@ def scen_gl_bernstein_point(ns):
 def scen_lowest_cell(ns):
     group = ns.group or "so5"
     if group in ("gl", "pgl"):
-        n = ns.n if ns.n is not None else 3
+        n = _rank(ns, group, 3, f"lowest-cell --group {group}")
         res = duality.lowest_cell_check(group, n)
         params = {"group": group, "n": n}
     elif group in ("sl2", "so5"):
+        if ns.n is not None:
+            raise UsageError(f"lowest-cell --group {group} takes no --n")
         res = duality.lowest_cell_check(group)
         params = {"group": group}
     else:

@@ -31,7 +31,10 @@ both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
 h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
 one z per orbit.  Product rows are computed for one x per Omega-conjugacy
 orbit with 2 l(x) <= R; the a-value pass reads only these, and the stream
-delivers the other pairs relabelled.
+delivers the other pairs relabelled.  The cells too: T_omega c_x = c_{omega x}
+and c_x T_omega = c_{x omega}, so the preorder graphs have one node per left
+Omega-orbit, its W' element, and a cell holds the Omega-translates of its
+nodes.
 
 Group arithmetic is done once per ball, by the search that builds it and
 its right multiplication table.  Integer tables over ball indices, walked
@@ -142,6 +145,46 @@ class PropertyCheck:
     counterexamples: list = field(default_factory=list)
 
 
+def _sccs(adj: list[set[int]]) -> list[list[int]]:
+    """The strongly connected components of the graph v -> adj[v] on
+    range(len(adj)), in topological order: every edge that leaves a
+    component enters a later one (Kosaraju, both passes iterative)."""
+    n = len(adj)
+    seen, finished = [False] * n, []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for v, out in enumerate(adj):
+        for w in out:
+            radj[w].append(v)
+    # the last node to finish lies in a source component; the reversed
+    # graph reaches from it exactly its own component
+    comps, placed = [], [False] * n
+    for root in reversed(finished):
+        if not placed[root]:
+            placed[root], comp = True, [root]
+            for v in comp:  # the list grows while it is read
+                for w in radj[v]:
+                    if not placed[w]:
+                        placed[w] = True
+                        comp.append(w)
+            comps.append(comp)
+    return comps
+
+
 # ------------------------------------------------------------- main class
 class HeckeBall:
     """All canonical-basis data for one ball of an extended affine Weyl
@@ -189,8 +232,7 @@ class HeckeBall:
             lm.extend([rm[lm[j * ngen + t] * ngen + s] for t in range(ngen)])
         self._inv = array("i", inv)
         self._wpi = array("i", (self.wp_index[elems[b]] for b in wb))
-        # _rom[j * nom + k] is the ball index of wp[j] * omega_k; a list, so
-        # that the cell graph's edge sets share its int objects
+        # _rom[j * nom + k] is the ball index of wp[j] * omega_k
         self._rom = [0] * len(elems)
         for i, (j, k) in enumerate(zip(self._wpi, self._omi)):
             self._rom[j * nom + k] = i
@@ -738,127 +780,58 @@ class HeckeBall:
         if self._cells is not None:
             return
         self._ensure_a_data()
-        # a list, so that the inverted edge sets share its int objects
-        elems, inv = self.ball.elements, self._inv.tolist()
-        n, nom, rom, wp_inv = len(elems), self._nom, self._rom, self.wp_inv
-        # left_edges[i] holds the j with j <=_L i in one step
-        left_edges: list[set[int]] = [set() for _ in range(n)]
-        tbls = [self._cs_table(s) for s in range(len(self.gens))]
+        elems, inv, rom, nom, wp_inv = self.ball.elements, self._inv, self._rom, self._nom, self.wp_inv
+        tbls, nodes = [self._cs_table(s) for s in range(len(self.gens))], range(len(self.wp))
+        # one node per left Omega-orbit {omega x}, named by its W' element x:
+        # T_omega c_x = c_{omega x} and c_x T_omega = c_{x omega}, so each
+        # orbit is a cycle of the ball's preorder graphs and contracting it
+        # keeps their components and reachability.  left[x] holds the y with
+        # y <=_L x in one step, the support of c_s c_x = iota(c_{x^-1} c_s).
+        left = [{wp_inv[w] for tbl in tbls for w in tbl[wp_inv[x]] if w >= 0} for x in nodes]
+        # T_w -> T_{w^-1} is an anti-involution, so y <=_R x iff y^-1 <=_L x^-1
+        # (Kazhdan-Lusztig 1979): one right step is the support of c_x c_s or
+        # x omega, which lies in the orbit of omega^-1 x omega.  A component
+        # of one node is fixed by these conjugations, so when |Omega| > 1 it has
+        # a loop, as the cycle of its orbit gives it in the ball.
+        both = [left[x].union((w for tbl in tbls for w in tbl[x] if w >= 0),
+                              (g[x] for g in self._syms[1:nom])) for x in nodes]
 
-        for i in range(n):
-            yi, om = self._wpi[i], self._omi[i]
-            # support of c_s c_y = iota(c_{y^-1} c_s) translated
-            for tbl in tbls:
-                left_edges[i].update(rom[wp_inv[wi] * nom + om]
-                                     for wi in tbl[wp_inv[yi]] if wi >= 0)
-            # Omega translations are invertible, so they link both ways
-            for k in range(1, nom):
-                j = self._left_omega(i, k)
-                left_edges[i].add(j)
-                left_edges[j].add(i)
-        # T_w -> T_{w^-1} is an anti-involution, so j <=_R i iff j^-1 <=_L i^-1
-        # (Kazhdan-Lusztig 1979): the right preorder is the left one inverted
-        both = [left_edges[i].union(inv[j] for j in left_edges[inv[i]]) for i in range(n)]
-
-        def sccs(adj: list[set[int]]) -> list[list[int]]:
-            # iterative Tarjan
-            index_counter = [0]
-            stack: list[int] = []
-            lowlink = [-1] * n
-            number = [-1] * n
-            on_stack = [False] * n
-            comps: list[list[int]] = []
-            for root in range(n):
-                if number[root] != -1:
-                    continue
-                work = [(root, iter(adj[root]))]
-                number[root] = lowlink[root] = index_counter[0]
-                index_counter[0] += 1
-                stack.append(root)
-                on_stack[root] = True
-                while work:
-                    v, it = work[-1]
-                    advanced = False
-                    for w in it:
-                        if number[w] == -1:
-                            number[w] = lowlink[w] = index_counter[0]
-                            index_counter[0] += 1
-                            stack.append(w)
-                            on_stack[w] = True
-                            work.append((w, iter(adj[w])))
-                            advanced = True
-                            break
-                        elif on_stack[w]:
-                            lowlink[v] = min(lowlink[v], number[w])
-                    if advanced:
-                        continue
-                    work.pop()
-                    if work:
-                        pv = work[-1][0]
-                        lowlink[pv] = min(lowlink[pv], lowlink[v])
-                    if lowlink[v] == number[v]:
-                        comp = []
-                        while True:
-                            w = stack.pop()
-                            on_stack[w] = False
-                            comp.append(w)
-                            if w == v:
-                                break
-                        comps.append(comp)
-            return comps
-
-        def ordered(comps) -> tuple[list[list[int]], dict[GroupElement, int]]:
+        def ordered(cells: list[list[int]]) -> tuple[list[list[int]], dict[GroupElement, int]]:
             # cells sorted by key, which is ball index order
-            comps = sorted(sorted(c) for c in comps)
-            return comps, {elems[i]: k for k, c in enumerate(comps) for i in c}
+            cells = sorted(sorted(c) for c in cells)
+            return cells, {elems[i]: k for k, c in enumerate(cells) for i in c}
 
-        lcomp, lid = ordered(sccs(left_edges))
-        tcomp, tid = ordered(sccs(both))
+        # a left cell holds the left Omega-translates of its nodes; a two-sided
+        # cell, closed under translation on both sides, the right ones
+        wball, comps = rom[::nom], _sccs(both)
+        lcomp, lid = ordered([[self._left_omega(wball[x], k) for x in c for k in range(nom)]
+                              for c in _sccs(left)])
         rcomp = sorted(sorted(inv[i] for i in c) for c in lcomp)  # the right cells
-
+        tcomp, tid = ordered([[rom[x * nom + k] for x in c for k in range(nom)] for c in comps])
         records = []
         for c in tcomp:
-            cert_elems = []
-            cert_avals = set()
-            all_cert = True
-            for i in c:
-                zi = self._wpi[i]
-                if self._a_cert[zi]:
-                    cert_elems.append(elems[i])
-                    cert_avals.add(self._a_values[zi])
-                else:
-                    all_cert = False
-            records.append(
-                CellRecord(
-                    elements=[elems[i] for i in c],
-                    certified_elements=cert_elems,
-                    a_value=cert_avals.pop() if len(cert_avals) == 1 else None,
-                    fully_certified=all_cert and len(cert_avals) == 0,
-                )
-            )
+            cert = [i for i in c if self._a_cert[self._wpi[i]]]
+            avals = {self._a_values[self._wpi[i]] for i in cert}
+            records.append(CellRecord([elems[i] for i in c], [elems[i] for i in cert],
+                                      a_value=next(iter(avals)) if len(avals) == 1 else None,
+                                      fully_certified=len(cert) == len(c) and len(avals) == 1))
 
-        # two-sided preorder on cells, transitively closed
-        pairs: set[tuple[int, int]] = set()
-        cell_of = [tid[e] for e in elems]
-        for i in range(n):
-            for j in both[i]:  # j <=_LR i
-                pairs.add((cell_of[j], cell_of[i]))
-        changed = True
-        while changed:
-            changed = False
-            for a_, b_ in list(pairs):
-                for c_, d_ in list(pairs):
-                    if b_ == c_ and (a_, d_) not in pairs:
-                        pairs.add((a_, d_))
-                        changed = True
-
+        # the two-sided preorder on cells, transitively closed: below[c] holds
+        # the components reached from c in one step or more, filled in one
+        # pass from the sinks up, since every step goes to a later component
+        comp_of = {x: c for c, members in enumerate(comps) for x in members}
+        below: list[set[int]] = [set() for _ in comps]
+        for c in reversed(range(len(comps))):
+            for d in {comp_of[y] for x in comps[c] for y in both[x]}:
+                below[c] |= {d} | below[d]
+        cell = [tid[elems[wball[c[0]]]] for c in comps]
         self._cells = CellPartition(
             two_sided=records,
             left=[[elems[i] for i in c] for c in lcomp],
             right=[[elems[i] for i in c] for c in rcomp],
             left_id=lid,
             two_sided_id=tid,
-            lr_order_pairs=pairs,
+            lr_order_pairs={(cell[d], cell[c]) for c, ds in enumerate(below) for d in ds},
         )
 
     def cell_partition(self) -> CellPartition:
@@ -890,9 +863,9 @@ class HeckeBall:
         self._ensure_cells()
         cert_wp = [zi for zi in range(len(self.wp)) if self._a_cert[zi]]
         cert_set = set(cert_wp)
-        dist = self.distinguished_involutions()
-        dist_idx = list(self._dist_idx)
+        dist_idx = self._dist_idx  # every one certified
         dset = set(dist_idx)
+        wp, wp_inv = self.wp, self.wp_inv
         checks = []
 
         # P1: a(z) <= Delta(z)
@@ -920,7 +893,7 @@ class HeckeBall:
                 continue
             for di in dset:
                 # symbol gamma_{x,y,d} is the coefficient of t_{d^-1} = t_d
-                if self._a_cert[di] and row.get(di, 0):
+                if row.get(di, 0):
                     count += 1
                     if self.wp_inv[xi] != yi:
                         bad.append((self.wp[xi], self.wp[yi], self.wp[di]))
@@ -974,8 +947,8 @@ class HeckeBall:
         checks.append(PropertyCheck("P5", not bad, count, bad[:5]))
 
         # P6: distinguished involutions square to e
-        bad = [d for d, _ in dist if not (d * d).is_identity()]
-        checks.append(PropertyCheck("P6", not bad, len(dist), bad[:5]))
+        bad = [wp[di] for di in dist_idx if wp_inv[di] != di]
+        checks.append(PropertyCheck("P6", not bad, len(dist_idx), bad[:5]))
 
         # P7: gamma_{x,y,z} = gamma_{y,z,x} (cyclic invariance)
         bad = []
@@ -999,7 +972,7 @@ class HeckeBall:
         # P8: gamma_{x,y,z} != 0 implies x ~L y^-1, y ~L z, z^-1 ~L x^-1
         bad = []
         count = 0
-        lid = self._cells.left_id
+        lid = [self._cells.left_id[x] for x in wp]
         for (xi, yi), row in self._gamma.items():
             if xi not in cert_set or yi not in cert_set:
                 continue
@@ -1007,14 +980,9 @@ class HeckeBall:
                 if not g or zi not in cert_set:
                     continue
                 count += 1
-                x, y, z = self.wp[xi], self.wp[yi], self.wp[zi]
-                ok = (
-                    lid[x] == lid[y.inverse()]
-                    and lid[y] == lid[z]
-                    and lid[z.inverse()] == lid[x.inverse()]
-                )
-                if not ok:
-                    bad.append((x, y, z))
+                if not (lid[xi] == lid[wp_inv[yi]] and lid[yi] == lid[zi]
+                        and lid[wp_inv[zi]] == lid[wp_inv[xi]]):
+                    bad.append((wp[xi], wp[yi], wp[zi]))
         checks.append(PropertyCheck("P8", not bad, count, bad[:5]))
 
         return checks

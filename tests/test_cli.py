@@ -238,6 +238,22 @@ def test_lowest_cell_scenario():
         assert rc == 0, (group, n)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--group", "sl2", "--n", "5"), "lowest-cell --group sl2 takes no --n"),
+    (("--group", "so5", "--n", "3"), "lowest-cell --group so5 takes no --n"),
+    (("--n", "3"), "lowest-cell --group so5 takes no --n"),
+    (("--group", "gl", "--n", "0"), "lowest-cell --group gl needs 1 <= n <= 6"),
+    (("--group", "gl", "--n", "7"), "lowest-cell --group gl needs 1 <= n <= 6"),
+    (("--group", "pgl", "--n", "1"), "lowest-cell --group pgl needs 2 <= n <= 6"),
+    (("--group", "pgl", "--n", "7"), "lowest-cell --group pgl needs 2 <= n <= 6"),
+], ids=["sl2-n5", "so5-n3", "default-n3", "gl-n0", "gl-n7", "pgl-n1", "pgl-n7"])
+def test_lowest_cell_refuses_a_rank_it_cannot_use(args, message):
+    # a stray --n is not dropped, and the rank is checked, with its bound
+    # named, before any action is built
+    rc, out, err = run(["run", "lowest-cell", *args])
+    assert (rc, out, err) == (3, "", f"usage error: {message}\n")
+
+
 def test_infdihedral_cells_scenario(tmp_path):
     rc, out, _ = run(
         ["run", "infdihedral-cells", "--radius", "10", "--cache-dir", str(tmp_path), "--format", "records"]

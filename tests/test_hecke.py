@@ -15,6 +15,7 @@ from heckequot.hecke import (
     HeckeBall,
     HeckeElement,
     UncertifiedError,
+    _sccs,
 )
 from heckequot.laurent import LaurentPoly, ONE, unpack
 
@@ -235,6 +236,14 @@ def test_b2_cells_frozen(b2_12):
     assert {x.key_str() for x in cp.two_sided[0].elements} == omega
 
 
+def test_sccs_lists_the_components_in_topological_order():
+    adj = [{1}, {2}, {0, 3}, {4}, {3}, set(), {5, 0}]
+    comps = _sccs(adj)
+    assert sorted(map(sorted, comps)) == [[0, 1, 2], [3, 4], [5], [6]]
+    position = {v: k for k, c in enumerate(comps) for v in c}
+    assert all(position[v] <= position[w] for v, out in enumerate(adj) for w in out)
+
+
 def _components(edges):
     """The strongly connected components of a graph on range(n), as
     frozensets, and reach[i], the nodes reached from i by one edge or more."""
@@ -253,8 +262,9 @@ def _components(edges):
 
 @pytest.mark.parametrize(
     "factory, radius",
-    [(infinite_dihedral, 10), (extended_affine_b2, 12), (lambda: extended_affine_pgl(3), 10)],
-    ids=["dihedral-r10", "b2-r12", "pgl3-r10"],
+    [(infinite_dihedral, 10), (extended_affine_b2, 12), (lambda: extended_affine_pgl(3), 10),
+     (lambda: extended_affine_pgl(4), 6)],
+    ids=["dihedral-r10", "b2-r12", "pgl3-r10", "pgl4-r6"],
 )
 def test_right_cells_by_inversion_match_the_right_preorder(factory, radius):
     # the cells read the right preorder off the left one by inversion; here
