@@ -20,11 +20,11 @@ affine Weyl groups, where a-values and cells are defined):
 
 Everything reduces to the W' part: right translation by Omega and
 conjugation by Omega are length-preserving symmetries, so the p-, h- and
-gamma-tables are stored on W' only and extended on demand.  Products of
-canonical basis elements are streamed pair by pair (one row of the table
-lives in memory at a time) along right reduced words, using the expansion
-of each c_z c_s, which is read off from the mu-coefficients of the
-p-polynomials.
+gamma-tables are stored on W' only and extended on demand.  Both kernels
+run on Kronecker-packed ints, at widths that positivity makes sound: the KL
+recursion fills one interned table (one dict per distinct polynomial), and
+products c_x c_y are streamed one row at a time along right reduced words,
+from the mu-coefficients of p, at the width the augmentation bounds.
 
 On W', conjugation g by Omega and the anti-involution T_w -> T_{w^-1} fix
 both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
@@ -45,6 +45,7 @@ elements appear only at the public methods.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from array import array
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .coxeter import Ball, GroupElement, GroupPresentation, dump_element
-from .laurent import LaurentPoly, acc_mul, acc_scaled, nonneg_sym, sparse_add, unpack
+from .laurent import LaurentPoly, acc_mul, acc_scaled, pack, sparse_add, unpack
 
 RawPoly = dict  # exponent -> int coefficient, no zeros
 XI = {1: 1, -1: -1}  # v - v^-1
@@ -307,51 +308,67 @@ class HeckeBall:
         return word, self._omi[i]
 
     # ---------------- Kazhdan-Lusztig recursion -------------------------
-    def _compute_kl_table(self) -> None:
-        """Bar-invariant completion along right reduced words.
+    def _kl_bits(self) -> int:
+        """Digit width of the packed KL recursion (see _compute_kl_table)."""
+        return self.radius + 2
 
-        Seed c_{z1} * c_s for z = z1 s; subtract bar-invariant multiples
-        of shorter canonical elements until every off-diagonal coefficient
-        sits in strictly negative degrees.  The subtracted coefficients
-        are the generator-product corrections; they are not kept, since
-        _cs_table rebuilds them from the v^-1 coefficients of p.
-        Only one z per orbit of _syms is computed; the rows of the rest of
-        its orbit share its polynomials, so none may be mutated in place."""
+    def _compute_kl_table(self) -> None:
+        """Bar-invariant completion along right reduced words, on packed ints.
+
+        For z = z1 s, E = c_{z1} (T_s + v^-1) in T-coordinates; then, for y < z
+        in descending index, E -= mu c_y with mu the v^0 coefficient of E[y].
+        What is left is c_z (_cs_table rebuilds the mu from p).  A value is
+        sum_e c_e B^(e+R+1) with B = 2^k, so v and v^-1 are shifts by k.  By
+        Kazhdan-Lusztig positivity E[y] = p_{y,z} + mu >= 0 when read, and no
+        digit of E exceeds eps(c_{z1} c_s) = 2 eps(c_{z1}) <= 2^l(z) <= 2^R, with
+        eps(c_w) = sum_y p_{y,w}(1), which each correction lowers; so k = R + 2
+        decodes every value.  eps also sets _pack_bits.  The table is
+        interned: each distinct polynomial is one dict, shared by every entry
+        equal to it and never mutated in place.  A new value with a digit
+        outside [0, 2^(k-1)), or of degree >= 0 but not p_{z,z} = 1, raises
+        HeckeError: the width was too narrow."""
+        R, k, ngen, wrm, wl = self.radius, self._kl_bits(), len(self.gens), self._wrm, self.wp_len
+        lo, top, half, n = -R - 1, k * R, 1 << (k - 1), len(self.wp)
+        shared, packed = {}, {}  # packed value -> its one dict; id of that dict -> the value
+
+        def intern(H: int) -> RawPoly:
+            if H not in shared:
+                q = shared[H] = unpack(H, lo, k)
+                packed[id(q)] = H
+                if not (all(0 < c < half for c in q.values()) and (max(q) < 0 or q == {0: 1})):
+                    raise HeckeError(f"a KL polynomial overflows the {k}-bit digits")
+            return shared[H]
+
         p = self._p = [dict() for _ in self.wp]
-        p[0] = {0: {0: 1}}
-        for zi in range(1, len(self.wp)):  # W' is sorted by (length, key)
+        eps = [1] * n
+        p[0] = {0: intern(pack({0: 1}, lo, k))}
+        for zi in range(1, n):  # W' is sorted by (length, key)
             if p[zi]:
                 continue
             j, s = self.parent[zi]
-            E = self._seed_product(j, s)
+            E: dict[int, int] = {}
+            for yi, q in p[j].items():  # l(ys) <= l(z), so ys lies in the ball
+                H, ysi = packed[id(q)], wrm[yi * ngen + s]
+                E[ysi] = E.get(ysi, 0) + H
+                # y s > y: v^-1 T_y; y s < y: T_y T_s = T_{ys} + (v - v^-1) T_y, plus v^-1 T_y
+                E[yi] = E.get(yi, 0) + (H >> k if wl[ysi] > wl[yi] else H << k)
+            ez = 2 * eps[j]
             # supp E is the Bruhat interval [e, z] and a correction from y
             # reaches only y and shorter keys: fix them in descending index
             for yi in sorted(E)[-2::-1]:
-                pi = nonneg_sym(E[yi])
-                if not pi:
-                    continue
-                neg = {e: -a for e, a in pi.items()}
-                for k, q in p[yi].items():
-                    if not acc_mul(E.setdefault(k, {}), neg, q):
-                        del E[k]
-            row = p[zi] = {k: v for k, v in E.items() if v}
+                mu = ((E[yi] >> top) + half) >> k  # the digit of v^0, rounded
+                if mu:
+                    ez -= mu * eps[yi]
+                    for y2, q in p[yi].items():
+                        E[y2] -= mu * packed[id(q)]
+            row = p[zi] = {yi: intern(H) for yi, H in E.items() if H}
             for g in self._syms:
+                eps[g[zi]] = ez
                 if not p[g[zi]]:
-                    p[g[zi]] = {g[y]: q for y, q in row.items()}
-
-    def _seed_product(self, j: int, s: int) -> dict[int, RawPoly]:
-        """c_{wp[j]} * (T_s + v^-1) in T-coordinates over W' indices."""
-        ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
-        E: dict[int, RawPoly] = {}
-        for yi, p in self._p[j].items():
-            ysi = wrm[yi * ngen + s]
-            if ysi < 0:
-                raise BallOverflowError("seed product left the ball")
-            acc_scaled(E.setdefault(ysi, {}), p, 1)
-            # ascending: v^-1 T_y; descending: T_y T_s = T_{ys} + (v - v^-1) T_y,
-            # plus v^-1 T_y
-            acc_mul(E.setdefault(yi, {}), p, {-1 if wl[ysi] > wl[yi] else 1: 1})
-        return {k: v for k, v in E.items() if v}
+                    p[g[zi]] = dict(zip(map(g.__getitem__, row), row.values()))
+        best = list(itertools.accumulate(eps, max))  # best[i] = max(eps[:i + 1])
+        M = max(e * best[bisect.bisect_right(wl, R - lx) - 1] for e, lx in zip(eps, wl))
+        self._row_bits = M.bit_length() + 2
 
     # ---------------- p-polynomial access --------------------------------
     def p_poly(self, y: GroupElement, z: GroupElement) -> LaurentPoly:
@@ -518,13 +535,15 @@ class HeckeBall:
         return dict(conv.terms)
 
     def _pack_bits(self) -> int:
-        """Digit width k of the packed rows of _product_rows.  With S the
-        largest L1 norm of a _cs_table row (v + v^-1 counts 2), the
-        recursion keeps sum_z |h_{x,y,z}|_1 <= (2S)^l(y), so every
-        coefficient lies below 2^(k-2) and each digit decodes exactly."""
-        S = max(sum(2 if isinstance(A, dict) else abs(A) for A in row.values())
-                for s in range(len(self.gens)) for row in self._cs_table(s))
-        return ((2 * S) ** self.radius).bit_length() + 2
+        """Digit width k of the packed rows of _product_rows, from the augmentation.
+        At v = 1 the Hecke algebra is the group algebra, where eps(T_w) = 1 is a
+        ring homomorphism: sum_z h_{x,y,z}(1) eps(c_z) = eps(c_x) eps(c_y), with
+        eps(c_w) = sum_y p_{y,w}(1) >= 1.  Every h_{x,y,z} has nonnegative
+        coefficients (Lusztig, "Cells in affine Weyl groups", 1985), so each is
+        at most h_{x,y,z}(1) <= M, the largest eps(c_x) eps(c_y) over l(x) + l(y)
+        <= R.  At k = bitlen(M) + 2 every coefficient lies below 2^(k-2), so each
+        digit decodes exactly.  _compute_kl_table sets k once, with eps."""
+        return self._row_bits
 
     def _product_rows(self):
         """Yield (xi, yi, P) with P = c_x c_y in canonical coordinates, for
@@ -757,14 +776,10 @@ class HeckeBall:
         return out
 
     def p_lines(self) -> list[str]:
-        out, text = [], {}  # each distinct polynomial is formatted once
-        for zi, row in enumerate(self._p):
-            for yi in sorted(row):
-                key = tuple(row[yi].items())
-                if key not in text:
-                    text[key] = LaurentPoly(row[yi]).to_str()
-                out.append(f"P {yi} {zi} {text[key]}")
-        return out
+        # the table is interned: one dict per distinct polynomial, formatted once
+        polys = {id(q): q for row in self._p for q in row.values()}
+        text = {i: LaurentPoly(q).to_str() for i, q in polys.items()}
+        return [f"P {yi} {zi} {text[id(row[yi])]}" for zi, row in enumerate(self._p) for yi in sorted(row)]
 
     def cache_lines(self) -> list[str]:
         """Line-oriented dump of the KL table.
@@ -868,14 +883,8 @@ class HeckeBall:
         wp, wp_inv = self.wp, self.wp_inv
         checks = []
 
-        # P1: a(z) <= Delta(z)
-        bad = []
-        for zi in cert_wp:
-            p = self._p[zi].get(0)
-            if not p:
-                continue
-            if self._a_values[zi] > -max(p):
-                bad.append(self.wp[zi])
+        # P1: a(z) <= Delta(z), wherever p_{1,z} is nonzero
+        bad = [wp[zi] for zi in cert_wp if 0 in self._p[zi] and self._a_values[zi] > -max(self._p[zi][0])]
         checks.append(PropertyCheck("P1", not bad, len(cert_wp), bad[:5]))
 
         # gamma lookups below stay on W' pairs in the budget

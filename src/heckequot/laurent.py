@@ -65,15 +65,6 @@ def acc_mul(acc: dict, p: Mapping, q: Mapping) -> dict:
     return acc
 
 
-def nonneg_sym(p: Mapping) -> dict:
-    """The bar-invariant raw polynomial matching p in all degrees >= 0."""
-    out = {}
-    for e, a in p.items():
-        if e >= 0:
-            out[e] = out[-e] = a
-    return out
-
-
 def bar(p: Mapping) -> dict:
     """The raw polynomial p(v^-1)."""
     return {-e: a for e, a in p.items()}

@@ -22,7 +22,7 @@ from heckequot.coxeter import (
     infinite_dihedral,
     vec_mat,
 )
-from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, UncertifiedError
+from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly, pack, unpack
 
 SKIP = (UncertifiedError, BallOverflowError)
@@ -301,12 +301,20 @@ def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius):
     assert conjugated and mirrored
 
 
-@pytest.mark.parametrize(
+def augmentation(hb):
+    """eps(c_w) = sum_y p_{y,w}(1) for each w in W', from c_w at v = 1."""
+    return [int(sum(p.evaluate(1) for p in hb.kl_element(w).terms.values())) for w in hb.wp]
+
+
+STREAM_BALLS = pytest.mark.parametrize(
     "factory, radius",
     [(infinite_dihedral, 10), (extended_affine_b2, 12),
      (lambda: extended_affine_pgl(3), 10), (lambda: extended_affine_pgl(4), 9)],
     ids=["dihedral-r10", "b2-r12", "pgl3-r10", "pgl4-r9"],
 )
+
+
+@STREAM_BALLS
 def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
     # _ensure_a_data reads only the orbit-representative rows and
     # symmetrises their degree profile; here every pair is visited, each
@@ -315,21 +323,29 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
     R, m, wl, k = radius, hb.margin, hb.wp_len, hb._pack_bits()
     decode = functools.cache(lambda H: unpack(H, -R - 1, k))
     profile = [dict() for _ in hb.wp]
-    # the a-priori bound behind k: with S the largest L1 norm of a generator
+    # the width from the augmentation: k = bitlen(M) + 2, M the largest
+    # eps(c_x) eps(c_y) over l(x) + l(y) <= R, eps(c_w) the coefficient sum of c_w at v = 1
+    eps = augmentation(hb)
+    n = len(hb.wp)
+    M = max(eps[x] * eps[y] for x in range(n) for y in range(n) if wl[x] + wl[y] <= R)
+    assert k == M.bit_length() + 2
+    # a fact about h, not about k: with S the largest L1 norm of a generator
     # row (v + v^-1 counts 2), sum_z |h_{x,y,z}|_1 <= (2S)^l(y), and the
     # same for l(x) by the mirror symmetry
     S = max(sum(2 if isinstance(A, dict) else abs(A) for A in row.values())
             for s in range(len(hb.gens)) for row in hb._cs_table(s))
-    assert k == ((2 * S) ** R).bit_length() + 2
+    top = []
 
     def visit(xi, yi, P):
         rho = wl[xi] + wl[yi]
         norm = sum(abs(c) for H in P.values() for c in decode(H).values())
         assert norm <= (2 * S) ** min(wl[xi], wl[yi])
+        top.append(max(c for H in P.values() for c in decode(H).values()))
         for zi, H in P.items():
             profile[zi][rho] = max(profile[zi].get(rho, -R - 1), max(decode(H)))
 
     hb._stream_products(visit)
+    assert max(top) < 1 << (k - 2)
     hb._ensure_a_data()
     values, certs = [], []
     for zi, prof in enumerate(profile):
@@ -360,6 +376,68 @@ def test_streamed_structure_constants_are_nonnegative(factory, radius, rows, top
     assert len(streamed) == rows
     assert min(coeffs) >= 0
     assert max(coeffs) == top
+
+
+def checksum_failures(hb, eps):
+    """The streamed pairs whose row breaks sum_z (H_z mod (B - 1)) eps(c_z)
+    = eps(c_x) eps(c_y): B = 2^k is 1 mod B - 1, so H_z mod (B - 1) is
+    h_{x,y,z}(1) whenever that is below B - 1, and eps is a ring
+    homomorphism at v = 1."""
+    m, bad = (1 << hb._pack_bits()) - 1, []
+
+    def visit(xi, yi, P):
+        if sum(H % m * eps[zi] for zi, H in P.items()) != eps[xi] * eps[yi]:
+            bad.append((xi, yi))
+
+    hb._stream_products(visit)
+    return bad
+
+
+@STREAM_BALLS
+def test_every_streamed_row_passes_the_augmentation_checksum(factory, radius):
+    hb = HeckeBall(factory(), radius)
+    assert checksum_failures(hb, augmentation(hb)) == []
+
+
+def test_the_checksum_catches_a_width_too_narrow(b2_12, monkeypatch):
+    # at k = 3, H mod 7 is h(1) mod 7: exactly the rows with some h(1) >= 7,
+    # read at the ball's own width, fail
+    hb, eps = b2_12, augmentation(b2_12)
+    R, k, wide = hb.radius, hb._pack_bits(), set()
+    at_one = functools.cache(lambda H: sum(unpack(H, -R - 1, k).values()))
+
+    def visit(xi, yi, P):
+        if any(at_one(H) >= 7 for H in P.values()):
+            wide.add((xi, yi))
+
+    hb._stream_products(visit)
+    monkeypatch.setattr(hb, "_pack_bits", lambda: 3)
+    bad = checksum_failures(hb, eps)
+    assert bad and set(bad) == wide
+
+
+@pytest.mark.parametrize(
+    "factory, radius, distinct",
+    [(extended_affine_b2, 16, 573), (lambda: extended_affine_pgl(4), 9, 73)],
+    ids=["b2-r16", "pgl4-r9"],
+)
+def test_kl_table_holds_one_dict_per_distinct_polynomial(factory, radius, distinct):
+    hb = HeckeBall(factory(), radius)
+    objects = {id(q): q for row in hb._p for q in row.values()}
+    values = {tuple(sorted(q.items())) for q in objects.values()}
+    assert len(objects) == len(values) == distinct
+
+
+def test_kl_recursion_refuses_a_width_too_narrow(b2_12, monkeypatch):
+    # B2 r12 has KL coefficients up to 6: 4-bit digits hold them and give
+    # the same table as the default width R + 2; at 3 bits some value
+    # decodes outside [0, 4) and the table is refused
+    assert max(c for row in b2_12._p for q in row.values() for c in q.values()) == 6
+    monkeypatch.setattr(HeckeBall, "_kl_bits", lambda self: 4)
+    assert HeckeBall(extended_affine_b2(), 12)._p == b2_12._p
+    monkeypatch.setattr(HeckeBall, "_kl_bits", lambda self: 3)
+    with pytest.raises(HeckeError, match="overflows the 3-bit digits"):
+        HeckeBall(extended_affine_b2(), 12)
 
 
 def test_packed_rows_decode_and_give_degree_and_top_digit():

@@ -12,9 +12,7 @@ from heckequot.laurent import (
     BalancedPair,
     LaurentError,
     LaurentPoly,
-    bar,
     decompose,
-    nonneg_sym,
     pack,
     unpack,
 )
@@ -154,13 +152,6 @@ def test_decompose_one_sided_exponents():
     assert pair.balanced == LaurentPoly(
         {3: Fraction(3, 2), -3: Fraction(3, 2), 1: Fraction(-3, 2), -1: Fraction(-3, 2)}
     )
-
-
-def test_nonneg_sym_is_balanced_extension():
-    out = nonneg_sym({3: 2, 0: 1, -2: 7})
-    assert out == {3: 2, -3: 2, 0: 1}
-    assert bar(out) == out
-    assert nonneg_sym({}) == {}
 
 
 def test_evaluate_exact():
