@@ -244,7 +244,13 @@ class JRing:
         if h.basis == "cdag":
             return hb._to_idx(h)
         if h.basis == "T":
-            return hb._t_to_c_idx(hb._dagger_idx(hb._to_idx(h)))
+            # dagger and t_to_c are A-linear: sum h_w t_to_c(dagger(T_w)), keyed
+            # in descending index as _t_to_c_idx keys t_to_c(dagger(h))
+            out: dict[int, RawPoly] = {}
+            for w, p in hb._to_idx(h).items():
+                for x, q in hb._cdagger_T(w).items():
+                    acc_mul(out.setdefault(x, {}), q, p)
+            return {x: out[x] for x in sorted(out, reverse=True) if out[x]}
         raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
 
     def cdag_coords(self, h: HeckeElement) -> HeckeElement:

@@ -147,7 +147,9 @@ def _slug(family: str) -> str:
 
 
 def cache_filename(family: str, radius: int) -> str:
-    return f"{_slug(family)}_r{radius}.txt"
+    # each cache schema has its own file name, so files of another schema
+    # (heckequot-ball/1 "_w..." and /2 "_r<R>.txt") are left alone
+    return f"{_slug(family)}_r{radius}_v3.txt"
 
 
 def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:

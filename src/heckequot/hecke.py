@@ -58,7 +58,7 @@ from .laurent import LaurentPoly, acc_mul, acc_scaled, pack, sparse_add, unpack
 RawPoly = dict  # exponent -> int coefficient, no zeros
 XI = {1: 1, -1: -1}  # v - v^-1
 
-CACHE_SCHEMA = "heckequot-ball/2"
+CACHE_SCHEMA = "heckequot-ball/3"
 
 
 class HeckeError(Exception):
@@ -257,6 +257,7 @@ class HeckeBall:
 
         self._p: list[dict[int, RawPoly]] = []
         self._compute_kl_table()
+        self._mus: list[list[tuple[int, int]]] | None = None  # (y, mu(y, z)), mu != 0, per z
         self._cs: list[list[dict[int, object]] | None] = [None] * ngen
         self._a_values: list[int] | None = None
         self._a_cert: list[bool] | None = None
@@ -267,6 +268,7 @@ class HeckeBall:
         self._dist_idx: list[int] | None = None
         self._cells: CellPartition | None = None
         self._daggers: dict[int, dict[int, RawPoly]] = {}
+        self._cdaggers: dict[int, dict[int, RawPoly]] = {}
         self._nhats: dict[int, int] = {}
 
     # ---------------- index kernel ---------------------------------------
@@ -402,18 +404,19 @@ class HeckeBall:
         (the top term c_{zs} falls outside); they carry the marker key -1."""
         if self._cs[s] is not None:
             return self._cs[s]
+        if self._mus is None:  # one scan of the KL table serves every generator
+            self._mus = [[(yi, m) for yi, q in row.items() if (m := q.get(-1, 0))] for row in self._p]
         ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
         tbl: list[dict[int, object]] = []
-        for zi in range(len(self.wp)):
+        for zi, mus in enumerate(self._mus):
             zs = wrm[zi * ngen + s]
             row: dict[int, object] = {}
             if zs >= 0 and wl[zs] < wl[zi]:
                 row[zi] = {1: 1, -1: 1}
             else:
                 row[zs] = 1  # zs is the overflow marker -1 when c_{zs} is outside
-                for yi, p in self._p[zi].items():
-                    m = p.get(-1, 0)
-                    if m and 0 <= (ys := wrm[yi * ngen + s]) and wl[ys] < wl[yi]:
+                for yi, m in mus:
+                    if 0 <= (ys := wrm[yi * ngen + s]) and wl[ys] < wl[yi]:
                         row[yi] = m
             tbl.append(row)
         self._cs[s] = tbl
@@ -469,7 +472,9 @@ class HeckeBall:
         return self._from_idx("c", self._t_to_c_idx(self._to_idx(a)))
 
     def _t_to_c_idx(self, rem: dict[int, RawPoly]) -> dict[int, RawPoly]:
-        """t_to_c on ball indices; consumes rem."""
+        """t_to_c on ball indices, keyed in descending index.  Consumes rem and
+        the polynomial dicts inside it: they are accumulated into in place,
+        and the result holds them."""
         out: dict[int, RawPoly] = {}
         while rem:
             # ball indices follow the key order, so this is a longest term
@@ -523,6 +528,16 @@ class HeckeBall:
                     acc_mul(d.setdefault(x, {}), q, XI)
                 d = {x: q for x, q in d.items() if q}
             self._daggers[i] = d
+        return d
+
+    def _cdagger_T(self, i: int) -> dict[int, RawPoly]:
+        """t_to_c(dagger(T_x)) for x = ball[i], memoized: the dagger-basis
+        coordinates of T_x.  _t_to_c_idx consumes the dicts it is given, so it
+        reads a copy of the memoized dagger(T_x).  Callers must not mutate
+        the result."""
+        d = self._cdaggers.get(i)
+        if d is None:
+            d = self._cdaggers[i] = self._t_to_c_idx({x: dict(q) for x, q in self._dagger_T(i).items()})
         return d
 
     # ---------------- structure constants --------------------------------
@@ -776,18 +791,25 @@ class HeckeBall:
         return out
 
     def p_lines(self) -> list[str]:
-        # the table is interned: one dict per distinct polynomial, formatted once
-        polys = {id(q): q for row in self._p for q in row.values()}
+        # one row per _syms orbit, that of its least W' index: the rows that
+        # _compute_kl_table computes; the others are the relabellings
+        # p_{gy,gz} = p_{y,z}.  The table is interned: one dict per distinct
+        # polynomial, formatted once.
+        p, syms = self._p, self._syms
+        reps = [zi for zi in range(len(p)) if all(g[zi] >= zi for g in syms)]
+        polys = {id(q): q for zi in reps for q in p[zi].values()}
         text = {i: LaurentPoly(q).to_str() for i, q in polys.items()}
-        return [f"P {yi} {zi} {text[id(row[yi])]}" for zi, row in enumerate(self._p) for yi in sorted(row)]
+        return [f"P {yi} {zi} {text[id(p[zi][yi])]}" for zi in reps for yi in sorted(p[zi])]
 
     def cache_lines(self) -> list[str]:
         """Line-oriented dump of the KL table.
 
-        One header line, then element lines "E i word=..." and one P line
-        per nonzero basis polynomial "P y z poly"; indices refer to the E
-        lines.  The order and the polynomial text are canonical, so two
-        computations of the same ball dump byte-identical text."""
+        One header line, then element lines "E i word=..." for every W'
+        element and one P line "P y z poly" per nonzero p_{y,z} with z the
+        least W' index of its _syms orbit; indices refer to the E lines, and
+        g in _syms gives the rest, p_{g(y),g(z)} = p_{y,z}.  The order and the
+        polynomial text are canonical, so two computations of the same ball
+        dump byte-identical text."""
         return [self.cache_header()] + self.element_lines() + self.p_lines()
 
     # ---------------- cells -------------------------------------------------

@@ -5,13 +5,15 @@ whose products would touch uncertified territory are skipped and the skip
 counts are frozen, so a silent loss of coverage fails the test.
 """
 
+import copy
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from heckequot.coxeter import infinite_dihedral
-from heckequot.hecke import BallOverflowError, HeckeBall, HeckeError, UncertifiedError
+from heckequot.coxeter import extended_affine_b2, infinite_dihedral
+from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly
 from heckequot.asymptotic import (
     UNDECIDED,
@@ -209,6 +211,85 @@ def test_cdag_coords_validates_basis(ring):
         J.cdag_coords(bad)
     roundtrip = J.cdag_to_t(J.cdag_coords(c.__class__("T", dict(c.terms))))
     assert roundtrip == c.__class__("T", dict(c.terms))
+
+
+def _phi_oracle(J, h):
+    """sum over x of [t_to_c(dagger(h))]_x phi(cdag_x), through the public
+    basis changes: no memoized dagger coordinates of a T_w.  phi(cdag_x) runs
+    in descending ball index, the order in which phi meets them."""
+    hb, out = J.hb, JElement({})
+    for x, p in hb.t_to_c(hb.dagger(h)).terms.items():
+        out = out + J.phi(HeckeElement("cdag", {x: LaurentPoly.one()})).scaled(p)
+    return out
+
+
+def _outcome(f, h):
+    try:
+        return f(h)
+    except UNDECIDED as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("factory, radius", [(infinite_dihedral, 12), (extended_affine_b2, 8)],
+                         ids=["dihedral-r12", "b2-r8"])
+def test_phi_matches_the_dagger_coordinate_oracle(factory, radius):
+    hb = HeckeBall(factory(), radius)
+    J = JRing(hb)
+    rng = random.Random(7)
+    pool = list(hb.ball)
+
+    def coeff():
+        return LaurentPoly({e: rng.choice([-2, -1, 1, 2]) for e in rng.sample(range(-2, 3), 2)})
+
+    cases = [HeckeElement("T", {w: coeff() for w in rng.sample(pool, rng.randint(1, 4))})
+             for _ in range(12)]
+    # T-expansions of dagger-basis elements: nearly every term cancels in
+    # the dagger coordinates, which are those of the cdag input
+    for _ in range(6):
+        coords = HeckeElement("cdag", {w: coeff() for w in rng.sample(pool, rng.randint(1, 2))})
+        h = J.cdag_to_t(coords)
+        assert J.cdag_coords(h) == coords
+        cases.append(h)
+        cases.append(h + HeckeElement("T", {rng.choice(pool): coeff()}))
+    outcomes = [(_outcome(J.phi, h), _outcome(lambda h: _phi_oracle(J, h), h)) for h in cases]
+    for got, want in outcomes:
+        assert got == want
+    # some cases are decided, and each refusal occurs: the overflow of a long
+    # x, and on B2 the truncated left cells that nhat cannot read
+    kinds = {JElement if isinstance(got, JElement) else got for got, _ in outcomes}
+    assert kinds == {JElement, BallOverflowError} | (
+        set() if factory is infinite_dihedral else {UncertifiedError})
+
+
+def test_phi_leaves_the_dagger_memos_intact():
+    # _t_to_c_idx accumulates into the polynomial dicts it is given, so the
+    # memoized t_to_c(dagger(T_w)) must be built from a copy of dagger(T_w)
+    hb, fresh = HeckeBall(infinite_dihedral(), 12), HeckeBall(infinite_dihedral(), 12)
+    J = JRing(hb)
+
+    def element(ball):  # the same element, over either ball's presentation
+        s1, s2 = ball.pres.generator("s1"), ball.pres.generator("s2")
+        support = [s1 * s2 * s1, s2 * s1, s1, ball.pres.identity()]
+        return HeckeElement("T", {w: LaurentPoly({i: 1, -i: 1}) for i, w in enumerate(support)})
+
+    def basis(ball):
+        return [HeckeElement("T", {w: LaurentPoly.one()}) for w in element(ball).terms]
+
+    h = element(hb)
+    for tw in basis(hb):
+        hb.dagger(tw)
+    daggers = copy.deepcopy(hb._daggers)
+    first = J.phi(h)
+    assert first.coeffs
+    assert repr(first) == repr(_phi_oracle(JRing(fresh), element(fresh)))
+    cdaggers = copy.deepcopy(hb._cdaggers)
+    assert set(cdaggers) == {hb._idx(w) for w in h.terms}
+    assert J.phi(h) == first
+    for tw, fw in zip(basis(hb), basis(fresh)):
+        assert repr(hb.dagger(tw)) == repr(fresh.dagger(fw))
+        assert repr(hb.t_to_c(hb.dagger(tw))) == repr(fresh.t_to_c(fresh.dagger(fw)))
+    assert hb._daggers == daggers
+    assert hb._cdaggers == cdaggers
 
 
 # ---- central elements ---------------------------------------------------------

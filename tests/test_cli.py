@@ -356,10 +356,11 @@ def test_cache_roundtrip_and_verify(tmp_path):
     rc, _, _ = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
     assert rc == 0
     path = cache_file(tmp_path)
-    assert path.name == "infinitedihedral_r6.txt"
+    assert path.name == "infinitedihedral_r6_v3.txt"
     lines = path.read_text().splitlines()
-    assert lines[0] == "# heckequot-ball/2 family=InfiniteDihedral radius=6 elements=13"
-    assert [ln[0] for ln in lines[1:]] == ["E"] * 13 + ["P"] * 85
+    assert lines[0] == "# heckequot-ball/3 family=InfiniteDihedral radius=6 elements=13"
+    # one P row per orbit of w -> w^-1: 61 of the 85 nonzero p_{y,z}
+    assert [ln[0] for ln in lines[1:]] == ["E"] * 13 + ["P"] * 61
 
     # a second identical run must be a byte-level cache hit, not a rewrite
     before = path.read_bytes()
@@ -399,7 +400,23 @@ def test_cache_ignores_files_of_the_weighted_format(tmp_path):
     assert rc == 0, out
     assert old.read_text().endswith("H 0 0 0 v^7\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "infinitedihedral_r6.txt", "infinitedihedral_r6_w1-1.txt"]
+        "infinitedihedral_r6_v3.txt", "infinitedihedral_r6_w1-1.txt"]
+
+
+def test_cache_ignores_files_of_the_full_table_format(tmp_path):
+    # heckequot-ball/2 wrote every row of the table under the name without
+    # a schema suffix; such a file is neither read nor reported, nor touched
+    old = tmp_path / "infinitedihedral_r6.txt"
+    old.write_bytes(b"# heckequot-ball/2 family=InfiniteDihedral radius=6 elements=13\nP 1 1 v^7\n")
+    before = old.read_bytes()
+    rc, out, _ = run(["run", "infdihedral-P-properties", "--radius", "6",
+                      "--cache-dir", str(tmp_path), "--format", "records"])
+    assert rc == 0, out
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "infinitedihedral_r6.txt", "infinitedihedral_r6_v3.txt"]
+    assert not [rec for rec in map(json.loads, out.splitlines())
+                if rec.get("id") == "cache"]
 
 
 def test_cache_env_variable(tmp_path, monkeypatch):

@@ -102,6 +102,34 @@ def test_mu_values(dih8):
     assert dih8.mu(e, z) == 0
 
 
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(extended_affine_b2, 10), (lambda: extended_affine_pgl(4), 6)],
+    ids=["b2-r10", "pgl4-r6"],
+)
+def test_generator_tables_match_a_per_entry_oracle(factory, radius):
+    # c_z c_s = (v + v^-1) c_z when zs < z, else c_{zs} + sum of mu(y, z) c_y
+    # over the y < z with ys < y; the key -1 stands for a c_{zs} outside the
+    # ball.  Built from mu and group arithmetic, one entry at a time.
+    hb = HeckeBall(factory(), radius)
+    pres, wp, index = hb.pres, hb.wp, hb.wp_index
+    mus = {z: [(y, m) for y in wp if y.length < z.length and (m := hb.mu(y, z))] for z in wp}
+    markers = 0
+    for s, gen in enumerate(hb.gens):
+        want = []
+        for z in wp:
+            zs = pres.multiply(z, gen)
+            if zs.length < z.length:
+                want.append({index[z]: {1: 1, -1: 1}})
+                continue
+            row = {index.get(zs, -1): 1}
+            row.update((index[y], m) for y, m in mus[z] if pres.multiply(y, gen).length < y.length)
+            want.append(row)
+        markers += sum(-1 in row for row in want)
+        assert hb._cs_table(s) == want, s
+    assert markers
+
+
 # ---- multiplication and basis changes --------------------------------------
 
 
@@ -336,11 +364,34 @@ def test_cache_header(dih8):
 
 
 def test_cache_line_counts(dih8):
+    # one P row per orbit of w -> w^-1: 105 of the 145 nonzero p_{y,z}
     assert len(dih8.element_lines()) == 17
-    assert len(dih8.p_lines()) == 145
+    assert len(dih8.p_lines()) == 105
     lines = dih8.cache_lines()
     assert lines[0] == dih8.cache_header()
-    assert len(lines) == 1 + 17 + 145
+    assert len(lines) == 1 + 17 + 105
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 8), (extended_affine_b2, 8), (lambda: extended_affine_pgl(3), 6)],
+    ids=["dihedral-r8", "b2-r8", "pgl3-r6"],
+)
+def test_cache_rows_expand_through_the_symmetries_to_the_whole_table(factory, radius):
+    # the dump holds one row per _syms orbit; p_{g(y),g(z)} = p_{y,z} for g in
+    # _syms gives back every row of the table, each entry with one text
+    hb = HeckeBall(factory(), radius)
+    dumped = [line.split(" ", 3) for line in hb.p_lines()]
+    assert {tag for tag, *_ in dumped} == {"P"}
+    rows = {int(z) for _, _, z, _ in dumped}
+    expanded: dict[tuple[int, int], str] = {}
+    for _, y, z, text in dumped:
+        for g in hb._syms:
+            assert expanded.setdefault((g[int(y)], g[int(z)]), text) == text
+    table = {(yi, zi): LaurentPoly(q).to_str() for zi, row in enumerate(hb._p) for yi, q in row.items()}
+    assert expanded == table
+    assert all(g[zi] >= zi for zi in rows for g in hb._syms)
+    assert len(rows) < len(hb.wp)
 
 
 def test_cache_lines_deterministic(dih8):
