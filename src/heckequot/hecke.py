@@ -30,11 +30,12 @@ On W', conjugation g by Omega and the anti-involution T_w -> T_{w^-1} fix
 both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
 h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
 one z per orbit.  Product rows are computed for one x per Omega-conjugacy
-orbit with 2 l(x) <= R; the a-value pass reads only these, and the stream
-delivers the other pairs relabelled.  The cells too: T_omega c_x = c_{omega x}
-and c_x T_omega = c_{x omega}, so the preorder graphs have one node per left
-Omega-orbit, its W' element, and a cell holds the Omega-translates of its
-nodes.
+orbit with 2 l(x) <= R, and each is worked once: the a-value pass takes
+each z's degree profile as the max over its orbit, and the gamma table is
+kept per computed row, relabelled for any other pair when it is looked up
+(_rep).  The cells too: T_omega c_x = c_{omega x} and c_x T_omega =
+c_{x omega}, so the preorder graphs have one node per left Omega-orbit, its
+W' element, and a cell holds the Omega-translates of its nodes.
 
 Group arithmetic is done once per ball, by the search that builds it and
 its right multiplication table.  Integer tables over ball indices, walked
@@ -247,6 +248,14 @@ class HeckeBall:
         # inversion after each of them
         conj = [[self._wpi[self._left_omega(b, k)] for b in wball] for k in range(nom)]
         self._syms = conj + [[self.wp_inv[j] for j in g] for g in conj]
+        # _heads[a] = (x, k) for each a with 2 l(a) <= R: x the least W' index
+        # of its Omega-conjugacy orbit, whose products the stream computes,
+        # and k the least with conj[k][x] = a (W' is sorted by length)
+        heads: dict[int, tuple[int, int]] = {}
+        for xi in range(bisect.bisect_right(self.wp_len, radius // 2)):
+            if xi not in heads:
+                heads.update((conj[k][xi], (xi, k)) for k in reversed(range(nom)))
+        self._heads = [heads[a] for a in range(len(heads))]
         # right multiplication by generators inside W', on W' indices
         self._wrm = array("i", (-1 if b < 0 else self._wpi[b]
                                 for i in wball for b in self._rm[i * ngen:(i + 1) * ngen]))
@@ -550,7 +559,7 @@ class HeckeBall:
         return dict(conv.terms)
 
     def _pack_bits(self) -> int:
-        """Digit width k of the packed rows of _product_rows, from the augmentation.
+        """Digit width k of the packed rows of _stream_products, from the augmentation.
         At v = 1 the Hecke algebra is the group algebra, where eps(T_w) = 1 is a
         ring homomorphism: sum_z h_{x,y,z}(1) eps(c_z) = eps(c_x) eps(c_y), with
         eps(c_w) = sum_y p_{y,w}(1) >= 1.  Every h_{x,y,z} has nonnegative
@@ -560,31 +569,29 @@ class HeckeBall:
         digit decodes exactly.  _compute_kl_table sets k once, with eps."""
         return self._row_bits
 
-    def _product_rows(self):
-        """Yield (xi, yi, P) with P = c_x c_y in canonical coordinates, for
-        the first x of each Omega-conjugacy orbit with 2 l(x) <= radius and
-        every y with l(x) + l(y) <= radius, in that order.  P maps z to
-        h_{x,y,z} packed into one int, sum_e c_e B^(e+R+1) with B = 2^k and
-        k = _pack_bits(): adding rows adds polynomials, and multiplying by
-        v + v^-1 is (h << k) + (h >> k), exact since the exponents of row y
-        stay in -l(y)..l(y).  Then deg h = |H|.bit_length() // k - R - 1."""
-        budget, wl, syms, n = self.radius, self.wp_len, self._syms, len(self.wp)
+    def _stream_products(self, visit: Callable[[int, int, dict[int, int]], None]) -> None:
+        """Call visit(xi, yi, P) once per computed row, P = c_x c_y in
+        canonical coordinates: for the least x of each Omega-conjugacy orbit
+        with 2 l(x) <= radius and every y with l(x) + l(y) <= radius, in that
+        order.  P maps z to h_{x,y,z} packed into one int, sum_e c_e B^(e+R+1)
+        with B = 2^k and k = _pack_bits(): adding rows adds polynomials, and
+        multiplying by v + v^-1 is (h << k) + (h >> k), exact since the
+        exponents of row y stay in -l(y)..l(y).  Then deg h =
+        |H|.bit_length() // k - R - 1, and laurent.unpack(P[z], -R - 1, k)
+        decodes it.  _rep gives every other pair in the budget its row."""
+        budget, wl, n = self.radius, self.wp_len, len(self.wp)
         k = self._pack_bits()
         # per generator and z: None when z s < z (c_z c_s = (v + v^-1) c_z),
         # else the items of the integer row of c_z c_s
         tbls = [[None if isinstance(row.get(zi), dict) else tuple(row.items())
                  for zi, row in enumerate(self._cs_table(s))]
                 for s in range(len(self.gens))]
-        done: set[int] = set()
-        for xi in range(n):  # W' is sorted by (length, key)
-            lx = wl[xi]
-            if 2 * lx > budget:
-                break
-            if xi in done:
+        for xi, (head, _) in enumerate(self._heads):  # W' is sorted by (length, key)
+            if head != xi:
                 continue
-            done.update(g[xi] for g in syms[:self._nom])
+            lx = wl[xi]
             row: dict[int, dict[int, int]] = {0: {xi: 1 << k * (budget + 1)}}
-            yield xi, 0, row[0]
+            visit(xi, 0, row[0])
             for yi in range(1, n):
                 if lx + wl[yi] > budget:
                     break
@@ -606,23 +613,24 @@ class HeckeBall:
                         for zi, h in row[wi].items():
                             acc[zi] = get(zi, 0) - h * A
                 P = row[yi] = {zi: h for zi, h in acc.items() if h}
-                yield xi, yi, P
+                visit(xi, yi, P)
 
-    def _stream_products(self, visit: Callable[[int, int, dict[int, int]], None]) -> None:
-        """Call visit(xi, yi, P) once for every W' pair with l(x) + l(y) <=
-        radius.  P maps each z to h_{x,y,z} packed into one int as in
-        _product_rows; laurent.unpack(P[z], -R - 1, _pack_bits()) decodes
-        it.  A computed row serves its Omega-conjugacy orbit, and a pair
-        with 2 l(y) > radius also serves its inverse mirror (y^-1, x^-1)."""
-        budget, wl, nom, syms = self.radius, self.wp_len, self._nom, self._syms
-        for xi, yi, P in self._product_rows():
-            if not yi:
-                orbit = {syms[k][xi]: k for k in reversed(range(nom))}  # member -> least k onto it
-            for k in orbit.values():
-                g, m = syms[k], syms[nom + k]
-                visit(g[xi], g[yi], {g[zi]: h for zi, h in P.items()} if k else P)
-                if 2 * wl[yi] > budget:
-                    visit(m[yi], m[xi], {m[zi]: h for zi, h in P.items()})
+    def _rep(self, a: int, b: int) -> tuple[tuple[int, int], list[int]]:
+        """The computed row (xi, yi) of _stream_products that gives the W'
+        pair (a, b), and the g in _syms with h_{a,b,g(z)} = h_{xi,yi,z}.
+        When 2 l(a) <= radius, g is the least-k Omega-conjugation onto a from
+        the head xi of its orbit, and yi = g^-1(b).  Otherwise 2 l(b) < radius,
+        and since h_{a,b,z} = h_{b^-1,a^-1,z^-1} the pair is the inverse mirror
+        of (b^-1, a^-1), found through wp_inv[b].  A pair over the budget
+        raises BallOverflowError."""
+        wl, inv, syms = self.wp_len, self.wp_inv, self._syms
+        if wl[a] + wl[b] > self.radius:
+            raise BallOverflowError("pair exceeds the exact-product budget")
+        if 2 * wl[a] <= self.radius:
+            xi, k = self._heads[a]
+            return (xi, syms[self._om_inv[k]][b]), syms[k]
+        xi, k = self._heads[inv[b]]
+        return (xi, syms[self._om_inv[k]][inv[a]]), syms[self._nom + k]
 
     # ---------------- a-function ------------------------------------------
     def _ensure_a_data(self) -> None:
@@ -630,30 +638,35 @@ class HeckeBall:
             return
         n, wl, R, m = len(self.wp), self.wp_len, self.radius, self.margin
         k = self._pack_bits()
-        # rep[z][rho]: the largest |H|.bit_length() over the computed rows
+        # cols[rho][z]: the largest |H|.bit_length() over the computed rows
         # with pair budget l(x) + l(y) = rho, 0 (degree -R-1) if there is none
-        rep = [[0] * (R + 1) for _ in range(n)]
-        for xi, yi, P in self._product_rows():
-            rho = wl[xi] + wl[yi]
-            for zi, H in P.items():
-                d = abs(H).bit_length()
-                if rep[zi][rho] < d:
-                    rep[zi][rho] = d
-        # budgets and degrees are invariant under every symmetry g in _syms,
-        # so every pair is covered once the profile of g(z) contains rep[z]
-        profile = [list(r) for r in rep]
-        for g in self._syms:
-            for zi, r in enumerate(rep):
-                profile[g[zi]] = list(map(max, profile[g[zi]], r))
+        cols = [[0] * n for _ in range(R + 1)]
+
+        def visit(xi: int, yi: int, P: dict[int, int]) -> None:
+            col = cols[wl[xi] + wl[yi]]
+            for zi, d in zip(P, map(int.bit_length, P.values())):  # |H|'s bits
+                if col[zi] < d:
+                    col[zi] = d
+
+        self._stream_products(visit)
+        # each pair is a computed row's image under a g in _syms (see _rep),
+        # which keeps budgets and degrees: z's profile is the elementwise max
+        # over its orbit, and a(z) and its certificate are the orbit's.
         # _a_profile[z][rho]: max deg h_{x,y,z} over pairs of budget rho
-        self._a_profile = [[b // k - R - 1 for b in prof] for prof in profile]
-        values, certs = [], []
-        for zi, prof in enumerate(self._a_profile):
+        profile: list[list[int] | None] = [None] * n
+        values, certs = [0] * n, [False] * n
+        for zi in range(n):
+            if profile[zi] is not None:
+                continue
+            orbit = {g[zi] for g in self._syms}
+            prof = [max(map(col.__getitem__, orbit)) // k - R - 1 for col in cols]
             by_budget = list(itertools.accumulate(prof, max))
             val = by_budget[R]
-            stable = all(b == val for b in by_budget[R - m:])
-            values.append(val)
-            certs.append(stable and 0 <= val <= self.n_pos_roots and wl[zi] <= R - 2 * m)
+            cert = (all(b == val for b in by_budget[R - m:])
+                    and 0 <= val <= self.n_pos_roots and wl[zi] <= R - 2 * m)
+            for w in orbit:
+                profile[w], values[w], certs[w] = prof, val, cert
+        self._a_profile = profile
         self._a_values = values
         self._a_cert = certs
 
@@ -698,10 +711,17 @@ class HeckeBall:
 
     # ---------------- gamma table ------------------------------------------
     def _ensure_gamma(self) -> None:
+        """Per computed row (xi, yi) of _stream_products: the nonzero gamma
+        constants, whether the support leaves the certified elements, and,
+        when yi is distinguished or when 2 l(y) > radius and xi is, the
+        decoded h-row.  _rep relabels them for every pair in the budget, since
+        a(z), certification and the distinguished set are invariant under
+        _syms; the second case is where _rep finds a pair (x, d) with
+        2 l(x) > radius, as the inverse mirror of (d^-1, x^-1) = (d, x^-1)."""
         if self._gamma is not None:
             return
         self.distinguished_involutions()  # builds the a-values first
-        dset, k, R = set(self._dist_idx), self._pack_bits(), self.radius
+        dset, k, R, wl = set(self._dist_idx), self._pack_bits(), self.radius, self.wp_len
         certified = {zi for zi, c in enumerate(self._a_cert) if c}
         decode = functools.cache(lambda H: unpack(H, -R - 1, k))  # few distinct h
         # deg h_{x,y,z} <= a(z) over the whole budget, so H rounded at digit
@@ -715,8 +735,10 @@ class HeckeBall:
         def visit(xi: int, yi: int, P: dict[int, int]) -> None:
             if not certified.issuperset(P):
                 tainted.add((xi, yi))  # gamma extraction needs the true a(z)
-            gamma[(xi, yi)] = {zi: g for zi, H in P.items() if (g := ((H >> low[zi]) + half) >> k)}
-            if yi in dset:
+            row = {zi: g for zi, H in P.items() if (g := ((H >> low[zi]) + half) >> k)}
+            if row:
+                gamma[(xi, yi)] = row
+            if yi in dset or (2 * wl[yi] > R and xi in dset):
                 hdist[(xi, yi)] = {zi: decode(H) for zi, H in P.items()}
 
         self._stream_products(visit)
@@ -738,10 +760,8 @@ class HeckeBall:
         for idx in (xi, yti, zi):
             if not self._a_cert[idx]:
                 raise UncertifiedError("gamma needs certified a-values")
-        pair = self._gamma.get((xi, yti))
-        if pair is None:
-            raise BallOverflowError("pair exceeds the exact-product budget")
-        return pair.get(zi, 0)
+        key, g = self._rep(xi, yti)
+        return next((c for wi, c in self._gamma.get(key, {}).items() if g[wi] == zi), 0)
 
     def gamma_row(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, int]:
         """All nonzero coefficients of t_x t_y, with certification guards."""
@@ -756,13 +776,11 @@ class HeckeBall:
         yti = self._syms[omx][self._wpi[j]]  # the W' part of omega_x y omega_x^-1
         if not (self._a_cert[xi] and self._a_cert[yti]):
             raise UncertifiedError("operands must have certified a-values")
-        pair = self._gamma.get((xi, yti))
-        if pair is None:
-            raise BallOverflowError("pair exceeds the exact-product budget")
-        if (xi, yti) in self._gamma_tainted:
+        key, g = self._rep(xi, yti)
+        if key in self._gamma_tainted:
             raise UncertifiedError("product support touches uncertified elements")
-        om, nom = self._om_mul[omx][self._omi[j]], self._nom
-        return {self._rom[zi * nom + om]: g for zi, g in pair.items()}
+        om, nom, rom = self._om_mul[omx][self._omi[j]], self._nom, self._rom
+        return {rom[g[zi] * nom + om]: c for zi, c in self._gamma.get(key, {}).items()}
 
     def h_to_distinguished(self, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
         """h_{x,d,.} for a distinguished involution d (W' data)."""
@@ -772,11 +790,11 @@ class HeckeBall:
         di, omd = self._wp_coset(d)
         if omd:
             raise HeckeError("distinguished involutions lie in W'")
-        row = self._h_for_dist.get((xi, self._syms[omx][di]))
-        if row is None:
+        key, g = self._rep(xi, self._syms[omx][di])
+        if di not in self._dist_idx:  # the row may be kept for the other pair it serves
             raise BallOverflowError("pair exceeds the exact-product budget")
-        nom, elems = self._nom, self.ball.elements
-        return {elems[self._rom[zi * nom + omx]]: LaurentPoly(h) for zi, h in row.items()}
+        nom, rom, elems = self._nom, self._rom, self.ball.elements
+        return {elems[rom[g[zi] * nom + omx]]: LaurentPoly(h) for zi, h in self._h_for_dist[key].items()}
 
     # ---------------- cache line format --------------------------------------
     def cache_header(self) -> str:
@@ -909,19 +927,19 @@ class HeckeBall:
         bad = [wp[zi] for zi in cert_wp if 0 in self._p[zi] and self._a_values[zi] > -max(self._p[zi][0])]
         checks.append(PropertyCheck("P1", not bad, len(cert_wp), bad[:5]))
 
-        # gamma lookups below stay on W' pairs in the budget
-        def gam(xi: int, yi: int, zi: int) -> int | None:
-            row = self._gamma.get((xi, yi))
-            if row is None:
-                return None
-            return row.get(zi, 0)
+        # gamma_{x,y,.} over W' for every pair of certified elements in the
+        # budget, relabelled from its computed row
+        R, wl, rows = self.radius, self.wp_len, {}
+        for xi in cert_wp:
+            for yi in cert_wp:
+                if wl[xi] + wl[yi] <= R:
+                    key, g = self._rep(xi, yi)
+                    rows[(xi, yi)] = {g[zi]: c for zi, c in self._gamma.get(key, {}).items()}
 
         # P2: gamma_{x,y,d} != 0 with d distinguished forces x = y^-1
         bad = []
         count = 0
-        for (xi, yi), row in self._gamma.items():
-            if xi not in cert_set or yi not in cert_set:
-                continue
+        for (xi, yi), row in rows.items():
             for di in dset:
                 # symbol gamma_{x,y,d} is the coefficient of t_{d^-1} = t_d
                 if row.get(di, 0):
@@ -936,12 +954,10 @@ class HeckeBall:
         count = 0
         for yi in cert_wp:
             pair = (yi, self.wp_inv[yi])
-            if self.wp_len[yi] + self.wp_len[self.wp_inv[yi]] > self.radius:
-                continue
-            if pair in self._gamma_tainted:
+            if pair not in rows or self._rep(*pair)[0] in self._gamma_tainted:
                 continue
             count += 1
-            row = self._gamma.get(pair, {})
+            row = rows[pair]
             hits = [zi for zi in row if zi in dset and row[zi]]
             if len(hits) != 1:
                 bad.append((self.wp[yi], len(hits)))
@@ -964,10 +980,7 @@ class HeckeBall:
         bad = []
         count = 0
         for yi in cert_wp:
-            yinv = self.wp_inv[yi]
-            if self.wp_len[yi] + self.wp_len[yinv] > self.radius:
-                continue
-            row = self._gamma.get((yinv, yi), {})
+            row = rows.get((self.wp_inv[yi], yi), {})
             for di in dset:
                 g = row.get(di, 0)
                 if g:
@@ -984,17 +997,15 @@ class HeckeBall:
         # P7: gamma_{x,y,z} = gamma_{y,z,x} (cyclic invariance)
         bad = []
         count = 0
-        for (xi, yi), row in self._gamma.items():
-            if xi not in cert_set or yi not in cert_set:
-                continue
+        for (xi, yi), row in rows.items():
             for zi, g in row.items():
                 if zi not in cert_set:
                     continue
-                # symbol: gamma_{x,y,w} with w = z^-1
+                # symbol: gamma_{x,y,w} with w = z^-1; y and w are certified
                 wi = self.wp_inv[zi]
-                g2 = gam(yi, wi, self.wp_inv[xi])
-                if g2 is None:
+                if (yi, wi) not in rows:  # over the budget
                     continue
+                g2 = rows[(yi, wi)].get(self.wp_inv[xi], 0)
                 count += 1
                 if g != g2:
                     bad.append((self.wp[xi], self.wp[yi], self.wp[wi], g, g2))
@@ -1004,9 +1015,7 @@ class HeckeBall:
         bad = []
         count = 0
         lid = [self._cells.left_id[x] for x in wp]
-        for (xi, yi), row in self._gamma.items():
-            if xi not in cert_set or yi not in cert_set:
-                continue
+        for (xi, yi), row in rows.items():
             for zi, g in row.items():
                 if not g or zi not in cert_set:
                     continue

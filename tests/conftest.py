@@ -1,4 +1,5 @@
-"""Shared reporting for the acceptance suite.
+"""Shared reporting for the acceptance suite, and the all-pairs view of
+the product stream.
 
 Each acceptance test wraps its body in `criterion(...)`, which times the
 work, enforces the runtime budget, and records a single PASS/FAIL line
@@ -58,6 +59,32 @@ def _private_cache(tmp_path_factory, monkeypatch):
     """Point the default cache at a fresh directory, so no test can write
     to the user's ~/.cache/heckequot."""
     monkeypatch.setenv("HECKEQUOT_CACHE", str(tmp_path_factory.mktemp("heckequot-cache")))
+
+
+def _streamed_pairs(hb):
+    """Every W' pair (a, b) with l(a) + l(b) <= radius, mapped to its packed
+    row {z: h_{a,b,z}}: the stream visits each computed row once, and
+    hb._rep spreads them, h_{a,b,g(z)} = h_{x,y,z} for the row (x, y)."""
+    rows = {}
+
+    def visit(xi, yi, P):
+        assert (xi, yi) not in rows, "a row visited twice"
+        rows[(xi, yi)] = P
+
+    hb._stream_products(visit)
+    n, wl, pairs = len(hb.wp), hb.wp_len, {}
+    for a in range(n):
+        for b in range(n):
+            if wl[a] + wl[b] <= hb.radius:
+                key, g = hb._rep(a, b)
+                pairs[(a, b)] = {g[zi]: H for zi, H in rows[key].items()}
+    return pairs
+
+
+@pytest.fixture
+def streamed_pairs():
+    """The function hb -> {(a, b): packed row} over every pair in the budget."""
+    return _streamed_pairs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

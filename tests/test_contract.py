@@ -81,6 +81,24 @@ def test_the_trace_sees_the_j_layer(tmp_path):
     assert metrics["asymptotic.j_mul.calls"] > 0
 
 
+def test_the_trace_sees_every_product_stream_pass(tmp_path):
+    # the a-value pass reads the product rows through _stream_products, so
+    # the tracer's one wrapper sees it: so5-cells at its default radius 12
+    # streams once, one visit per computed row of B2 r12
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["run", "so5-cells", "--format", "records", "--cache-dir", str(tmp_path)])
+    finally:
+        tracer.remove()
+    assert rc == 0
+    assert tracer.missing == []
+    metrics = tracer.metrics()
+    assert metrics["hecke.stream.passes"] == 1
+    assert metrics["hecke.stream.pairs"] == 3239
+
+
 def _used_names() -> set[str]:
     """Every name read (not assigned) as a Name or an Attribute, or
     imported, in src/, tests/ and perfbench/, plus each part of the

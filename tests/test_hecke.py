@@ -163,16 +163,12 @@ def test_dagger_is_an_involution(dih8):
     assert dih8.dagger(dih8.dagger(a)) == a
 
 
-def test_h_constants_match_streamed_rows(dih8):
+def test_h_constants_match_streamed_rows(dih8, streamed_pairs):
     # two independent routes: per-pair T-basis multiplication vs the
-    # streamed c-basis recursion used for cache files
-    streamed = {}
+    # streamed c-basis recursion, spread to every pair in the budget
     k = dih8._pack_bits()
-
-    def visit(xi, yi, row):
-        streamed[(xi, yi)] = {zi: unpack(H, -dih8.radius - 1, k) for zi, H in row.items()}
-
-    dih8._stream_products(visit)
+    streamed = {pair: {zi: unpack(H, -dih8.radius - 1, k) for zi, H in P.items()}
+                for pair, P in streamed_pairs(dih8).items()}
     compared = 0
     for (xi, yi), row in streamed.items():
         assert dih8.wp_len[xi] + dih8.wp_len[yi] <= dih8.radius

@@ -23,7 +23,7 @@ from heckequot.coxeter import (
     vec_mat,
 )
 from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, HeckeError, UncertifiedError
-from heckequot.laurent import LaurentPoly, pack, unpack
+from heckequot.laurent import LaurentPoly, acc_mul, pack, unpack
 
 SKIP = (UncertifiedError, BallOverflowError)
 
@@ -271,27 +271,27 @@ def test_j_mul_is_zero_across_cells(b2_12):
     [(extended_affine_b2, 8), (lambda: extended_affine_pgl(3), 6)],
     ids=["b2-r8", "pgl3-r6"],
 )
-def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius):
+def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius, streamed_pairs):
     # rows are computed for the first x of each Omega-conjugacy orbit with
-    # 2 l(x) <= radius; every other pair is delivered by conjugation or as
-    # an inverse mirror, and must equal the T-basis route pair by pair
+    # 2 l(x) <= radius, and each is visited once; every other pair is
+    # resolved by conjugation or as an inverse mirror, and must equal the
+    # T-basis route pair by pair
     hb = HeckeBall(factory(), radius)
     pres, wl, n = hb.pres, hb.wp_len, len(hb.wp)
-    rows, visits = {}, []
-    k = hb._pack_bits()
-
-    def visit(xi, yi, P):
-        visits.append((xi, yi))
-        rows[(xi, yi)] = {zi: unpack(H, -radius - 1, k) for zi, H in P.items()}
-
-    hb._stream_products(visit)
-    assert sorted(visits) == [(x, y) for x in range(n) for y in range(n)
-                              if wl[x] + wl[y] <= radius]
+    visits = []
+    hb._stream_products(lambda xi, yi, P: visits.append((xi, yi)))
 
     def conj(om, x):
         return pres.multiply(pres.multiply(om, x), pres.inverse(om))
 
     first = {min(hb.wp_index[conj(om, x)] for om in hb.omega_elems) for x in hb.wp}
+    assert visits == [(x, y) for x in sorted(first) if 2 * wl[x] <= radius
+                      for y in range(n) if wl[x] + wl[y] <= radius]
+    k = hb._pack_bits()
+    rows = {pair: {zi: unpack(H, -radius - 1, k) for zi, H in P.items()}
+            for pair, P in streamed_pairs(hb).items()}
+    assert sorted(rows) == [(x, y) for x in range(n) for y in range(n)
+                            if wl[x] + wl[y] <= radius]
     conjugated = mirrored = 0
     for (xi, yi), P in rows.items():
         prod = hb.h_constants(hb.wp[xi], hb.wp[yi])
@@ -315,10 +315,11 @@ STREAM_BALLS = pytest.mark.parametrize(
 
 
 @STREAM_BALLS
-def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
-    # _ensure_a_data reads only the orbit-representative rows and
-    # symmetrises their degree profile; here every pair is visited, each
-    # row decoded and its degree taken as max(h), as the a-function reads
+def test_a_values_from_representative_rows_match_all_pairs(factory, radius, streamed_pairs):
+    # _ensure_a_data reads only the computed rows and takes the max of
+    # their degree profile over each symmetry orbit; here every pair is
+    # visited, each row decoded and its degree taken as max(h), as the
+    # a-function reads
     hb = HeckeBall(factory(), radius)
     R, m, wl, k = radius, hb.margin, hb.wp_len, hb._pack_bits()
     decode = functools.cache(lambda H: unpack(H, -R - 1, k))
@@ -335,16 +336,13 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius):
     S = max(sum(2 if isinstance(A, dict) else abs(A) for A in row.values())
             for s in range(len(hb.gens)) for row in hb._cs_table(s))
     top = []
-
-    def visit(xi, yi, P):
+    for (xi, yi), P in streamed_pairs(hb).items():
         rho = wl[xi] + wl[yi]
         norm = sum(abs(c) for H in P.values() for c in decode(H).values())
         assert norm <= (2 * S) ** min(wl[xi], wl[yi])
         top.append(max(c for H in P.values() for c in decode(H).values()))
         for zi, H in P.items():
             profile[zi][rho] = max(profile[zi].get(rho, -R - 1), max(decode(H)))
-
-    hb._stream_products(visit)
     assert max(top) < 1 << (k - 2)
     hb._ensure_a_data()
     values, certs = [], []
@@ -370,50 +368,116 @@ def test_streamed_structure_constants_are_nonnegative(factory, radius, rows, top
     # c_x c_y = sum_z h_{x,y,z} c_z has nonnegative coefficients
     hb = HeckeBall(factory(), radius)
     k = hb._pack_bits()
-    streamed = list(hb._product_rows())
-    coeffs = [c for _, _, P in streamed for H in P.values()
+    streamed = []
+    hb._stream_products(lambda xi, yi, P: streamed.append(P))
+    coeffs = [c for P in streamed for H in P.values()
               for c in unpack(H, -radius - 1, k).values()]
     assert len(streamed) == rows
     assert min(coeffs) >= 0
     assert max(coeffs) == top
 
 
-def checksum_failures(hb, eps):
-    """The streamed pairs whose row breaks sum_z (H_z mod (B - 1)) eps(c_z)
+def checksum_failures(pairs, eps, k):
+    """The pairs whose packed row breaks sum_z (H_z mod (B - 1)) eps(c_z)
     = eps(c_x) eps(c_y): B = 2^k is 1 mod B - 1, so H_z mod (B - 1) is
     h_{x,y,z}(1) whenever that is below B - 1, and eps is a ring
     homomorphism at v = 1."""
-    m, bad = (1 << hb._pack_bits()) - 1, []
-
-    def visit(xi, yi, P):
-        if sum(H % m * eps[zi] for zi, H in P.items()) != eps[xi] * eps[yi]:
-            bad.append((xi, yi))
-
-    hb._stream_products(visit)
-    return bad
+    m = (1 << k) - 1
+    return [(xi, yi) for (xi, yi), P in pairs.items()
+            if sum(H % m * eps[zi] for zi, H in P.items()) != eps[xi] * eps[yi]]
 
 
 @STREAM_BALLS
-def test_every_streamed_row_passes_the_augmentation_checksum(factory, radius):
+def test_every_streamed_row_passes_the_augmentation_checksum(factory, radius, streamed_pairs):
     hb = HeckeBall(factory(), radius)
-    assert checksum_failures(hb, augmentation(hb)) == []
+    assert checksum_failures(streamed_pairs(hb), augmentation(hb), hb._pack_bits()) == []
 
 
-def test_the_checksum_catches_a_width_too_narrow(b2_12, monkeypatch):
-    # at k = 3, H mod 7 is h(1) mod 7: exactly the rows with some h(1) >= 7,
+def test_the_checksum_catches_a_width_too_narrow(b2_12, monkeypatch, streamed_pairs):
+    # at k = 3, H mod 7 is h(1) mod 7: exactly the pairs with some h(1) >= 7,
     # read at the ball's own width, fail
     hb, eps = b2_12, augmentation(b2_12)
-    R, k, wide = hb.radius, hb._pack_bits(), set()
+    R, k = hb.radius, hb._pack_bits()
     at_one = functools.cache(lambda H: sum(unpack(H, -R - 1, k).values()))
-
-    def visit(xi, yi, P):
-        if any(at_one(H) >= 7 for H in P.values()):
-            wide.add((xi, yi))
-
-    hb._stream_products(visit)
+    pairs = streamed_pairs(hb)
+    wide = {pair for pair, P in pairs.items() if any(at_one(H) >= 7 for H in P.values())}
     monkeypatch.setattr(hb, "_pack_bits", lambda: 3)
-    bad = checksum_failures(hb, eps)
-    assert bad and set(bad) == wide
+    narrow = streamed_pairs(hb)
+    bad = checksum_failures(narrow, eps, 3)
+    assert len(narrow) == len(pairs) == 7581
+    assert len(bad) == 421 and set(bad) == wide
+
+
+def all_products(hb):
+    """h_{x,y,.} over W' for every pair in the budget, by the route of
+    h_constants: c_x c_y = sum_w p_{w,y} c_x T_w in the T-basis, rewritten
+    in the canonical basis; c_x T_w is shared along the parents of w."""
+    n, wl, R, nom, rom = len(hb.wp), hb.wp_len, hb.radius, hb._nom, hb._rom
+    out = {}
+    for x in range(n):
+        X = {0: {rom[y * nom]: dict(q) for y, q in hb._p[x].items()}}
+        for w in range(1, n):
+            if wl[x] + wl[w] > R:
+                break
+            j, s = hb.parent[w]
+            X[w] = hb._t_mul_gen(X[j], s)
+        for y in X:
+            T = {}
+            for w, p in hb._p[y].items():
+                for b, q in X[w].items():
+                    acc_mul(T.setdefault(b, {}), q, p)
+            c = hb._t_to_c_idx({b: q for b, q in T.items() if q})
+            out[(x, y)] = {hb._wpi[b]: q for b, q in c.items()}
+    return out
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 8), (infinite_dihedral, 24), (extended_affine_b2, 12),
+     (lambda: extended_affine_pgl(3), 10), (lambda: extended_affine_pgl(4), 6)],
+    ids=["dihedral-r8", "dihedral-r24", "b2-r12", "pgl3-r10", "pgl4-r6"],
+)
+def test_the_resolver_gives_every_pair_its_gamma_taint_and_h_row(factory, radius):
+    # the gamma table holds one entry per computed row; _rep relabels it for
+    # every pair in the budget, by an Omega-conjugation or an inverse mirror
+    hb = HeckeBall(factory(), radius)
+    hb._ensure_gamma()
+    wp, wl = hb.wp, hb.wp_len
+    a, cert, dset = hb._a_values, hb._a_cert, set(hb._dist_idx)
+    oracle = all_products(hb)
+    for x, y in list(oracle)[::97]:
+        assert oracle[(x, y)] == {hb.wp_index[z]: dict(p.c)
+                                  for z, p in hb.h_constants(wp[x], wp[y]).items()}
+    decided = 0
+    for (x, y), h in oracle.items():
+        key, g = hb._rep(x, y)
+        gamma = {z: q[a[z]] for z, q in h.items() if q.get(a[z])}
+        assert {g[z]: c for z, c in hb._gamma.get(key, {}).items()} == gamma, (x, y)
+        assert (key in hb._gamma_tainted) == (not all(cert[z] for z in h)), (x, y)
+        if y in dset:
+            assert hb.h_to_distinguished(wp[x], wp[y]) == {wp[z]: LaurentPoly(q) for z, q in h.items()}
+        if cert[x] and cert[y] and all(cert[z] for z in h):
+            decided += 1
+            assert hb.gamma_row(wp[x], wp[y]) == {wp[z]: c for z, c in gamma.items()}
+            assert all(hb.gamma(wp[x], wp[y], wp[z]) == gamma.get(z, 0) for z in h)
+    assert decided
+    # a pair one step over the budget is refused
+    R, e = radius, hb.pres.identity()
+    over = [(x, y) for x in range(len(wp)) for y in range(len(wp)) if wl[x] + wl[y] == R + 1]
+    for x, y in over:
+        with pytest.raises(BallOverflowError):
+            hb._rep(x, y)
+    for x, d in [(x, d) for x, d in over if d in dset][:20]:
+        with pytest.raises(BallOverflowError):
+            hb.h_to_distinguished(wp[x], wp[d])
+    refused = [(x, y) for x, y in over if cert[x] and cert[y]][:20]
+    for x, y in refused:
+        for lookup in (lambda: hb.gamma(wp[x], wp[y], e), lambda: hb.gamma_row(wp[x], wp[y])):
+            with pytest.raises(BallOverflowError):
+                lookup()
+    assert bool(refused) == (R >= 4 * hb.margin + 1)
+    # the a-value profile is constant on every symmetry orbit
+    assert all(hb._a_profile[g[z]] == hb._a_profile[z] for g in hb._syms for z in range(len(wp)))
 
 
 @pytest.mark.parametrize(
