@@ -23,6 +23,11 @@ coefficients.  Cell modules carry the star action
 for which the sum f_i of all distinguished basis vectors at a-value i
 acts as a projector-like base point: t_x * f_{a(x)} = nhat_x [x].
 
+Elements of J and graded classes are keyed by ball index, and every
+product runs on those indices.  Group elements appear only where a public
+method takes one (basis_element, the checks) or reports one (the basis and
+witnesses of cell_ideal, failures), and in JElement's support() and repr.
+
 All products go through the certified gamma tables and raise
 UncertifiedError or BallOverflowError rather than return wrong answers,
 with one rule on top: a is constant on two-sided cells and J_c J_c' = 0
@@ -36,10 +41,10 @@ error stop the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coxeter import GroupElement
+from .coxeter import Ball, GroupElement
 from .hecke import (
     BallOverflowError,
     CellRecord,
@@ -76,29 +81,40 @@ def decide(cases, check) -> tuple[int, int, list]:
 
 @dataclass
 class JElement:
-    """Finitely supported combination of t_w; coefficients may be ints,
-    Fractions, or Laurent polynomials depending on the context."""
+    """Finitely supported combination of t_w, keyed by ball index;
+    coefficients may be ints, Fractions, or Laurent polynomials depending
+    on the context.  ball names the elements, in support() and repr."""
 
-    coeffs: dict[GroupElement, object]
+    coeffs: dict[int, object]
+    ball: Ball | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.coeffs = {w: c for w, c in self.coeffs.items() if c}
 
+    @classmethod
+    def _of(cls, coeffs: dict[int, object], ball: Ball) -> "JElement":
+        """JElement(coeffs, ball) for coeffs with no zero value, which the
+        caller hands over: neither filtered nor copied."""
+        out = object.__new__(cls)
+        out.coeffs, out.ball = coeffs, ball
+        return out
+
     def __add__(self, other: "JElement") -> "JElement":
-        return JElement(sparse_add(dict(self.coeffs), other.coeffs))
+        return JElement(sparse_add(dict(self.coeffs), other.coeffs), self.ball or other.ball)
 
     def __sub__(self, other: "JElement") -> "JElement":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "JElement":
-        return JElement({w: q * c for w, q in self.coeffs.items()})
+        return JElement({w: q * c for w, q in self.coeffs.items()}, self.ball)
 
     def support(self) -> list[GroupElement]:
-        return sorted(self.coeffs, key=GroupElement.key)
+        # ball indices follow the key order
+        return [self.ball.elements[w] for w in sorted(self.coeffs)]
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{w.key_str()}: {c}" for w, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].key())
+            f"{self.ball.elements[w].key_str()}: {c}" for w, c in sorted(self.coeffs.items())
         )
         return f"JElement{{{inner}}}"
 
@@ -107,7 +123,7 @@ def specialize(a: JElement, q) -> JElement:
     """Laurent coefficients evaluated at v = sqrt(q); q must be the square
     of a rational."""
     r = _sqrt_fraction(q)
-    return JElement({w: p.evaluate(r) for w, p in a.coeffs.items()})
+    return JElement({w: p.evaluate(r) for w, p in a.coeffs.items()}, a.ball)
 
 
 def _sqrt_fraction(q) -> Fraction:
@@ -130,10 +146,11 @@ class GradedClass:
 
     grade i holds classes of dagger-basis elements cdag_w with a(w) = i;
     anything of strictly larger a-value is zero in the quotient.  The
-    coords map w -> scalar with every w at the stated grade."""
+    coords map the ball index of w -> scalar with every w at the stated
+    grade."""
 
     grade: int
-    coords: dict[GroupElement, object]
+    coords: dict[int, object]
 
     def __post_init__(self):
         self.coords = {w: c for w, c in self.coords.items() if c}
@@ -148,12 +165,14 @@ class JRing:
     def __init__(self, hb: HeckeBall):
         self.hb = hb
         self._phi: dict[int, dict[int, RawPoly]] = {}
+        self._acert: list[int | None] | None = None  # certified a(ball[i]), or None
 
     def basis_element(self, w: GroupElement, coeff=1) -> JElement:
-        return JElement({w: coeff})
+        return JElement({self.hb._idx(w): coeff}, self.hb.ball)
 
     def unit(self) -> JElement:
-        return JElement({d: nd for d, nd in self.hb.distinguished_involutions()})
+        hb = self.hb
+        return JElement({hb._idx(d): nd for d, nd in hb.distinguished_involutions()}, hb.ball)
 
     def is_unit_on(self, u: JElement, w: GroupElement) -> bool:
         """u t_w = t_w = t_w u."""
@@ -165,19 +184,26 @@ class JRing:
         otherwise raises when any needed gamma row is uncertified or
         outside the pair budget."""
         hb = self.hb
-        ys = [(hb._idx(y), cy) for y, cy in b.coeffs.items()]
-        ys = [(j, hb._certified_a(j), cy) for j, cy in ys]
+        if self._acert is None:
+            self._acert = [a if c else None for a, c in map(hb._a_idx, range(len(hb.ball)))]
+        acert, gamma_row = self._acert, hb._gamma_row_idx
         out: dict[int, object] = {}
-        for x, cx in a.coeffs.items():
-            i = hb._idx(x)
-            ai = hb._certified_a(i)
-            for j, aj, cy in ys:
+        for i, cx in a.coeffs.items():
+            ai = acert[i]
+            for j, cy in b.coeffs.items():
+                aj = acert[j]
                 # a is constant on two-sided cells, and J_c J_c' = 0
-                if ai is not None and aj is not None and ai != aj:
+                if ai != aj and ai is not None and aj is not None:
                     continue
-                sparse_add(out, {z: cx * cy * g for z, g in hb._gamma_row_idx(i, j).items()})
-        elems = hb.ball.elements
-        return JElement({elems[z]: c for z, c in out.items()})
+                c = cx * cy  # nonzero, as is every c * g: no zero enters out
+                for z, g in gamma_row(i, j).items():
+                    if z not in out:
+                        out[z] = c * g
+                    elif s := out[z] + c * g:
+                        out[z] = s
+                    else:
+                        del out[z]
+        return JElement._of(out, hb.ball)
 
     # ---------------- cell ideals -----------------------------------------
     def cell_ideal(self, cell: CellRecord) -> dict:
@@ -190,27 +216,25 @@ class JRing:
         Pairs that the truncation cannot decide are counted as skipped,
         never as passes."""
         hb = self.hb
-        basis = sorted(cell.certified_elements, key=GroupElement.key)
-        cset = set(cell.elements)
-        dist = [
-            (d, nd)
-            for d, nd in hb.distinguished_involutions()
-            if d in cset
-        ]
-        unit = JElement(dict(dist))
-        pairs = [(x, y) for x in basis for y in basis if x.length + y.length <= hb.radius]
+        elems, ln = hb.ball.elements, hb._len
+        basis = sorted(map(hb._idx, cell.certified_elements))
+        named = [elems[w] for w in basis]
+        cset = set(map(hb._idx, cell.elements))
+        unit = JElement({i: nd for d, nd in hb.distinguished_involutions()
+                         if (i := hb._idx(d)) in cset}, hb.ball)
+        pairs = [(x, y) for x in basis for y in basis if ln[x] + ln[y] <= hb.radius]
 
         def escapes(pair):
-            return [(*pair, z) for z in hb.gamma_row(*pair) if z not in cset]
+            return [(*pair, z) for z in hb._gamma_row_idx(*pair) if z not in cset]
 
         checked, skipped, bad = decide(pairs, lambda p: not escapes(p))
         unit_checked, unit_skipped, unit_failures = decide(
-            basis, lambda w: self.is_unit_on(unit, w))
+            named, lambda w: self.is_unit_on(unit, w))
         return {
-            "basis": basis,
+            "basis": named,
             "unit": unit,
             "closed": not bad,
-            "escapes": [e for p in bad for e in escapes(p)],
+            "escapes": [tuple(elems[w] for w in e) for p in bad for e in escapes(p)],
             "checked_pairs": checked,
             "skipped_pairs": skipped,
             "unit_checked": unit_checked,
@@ -224,17 +248,17 @@ class JRing:
         if i in self._phi:
             return self._phi[i]
         hb = self.hb
-        x = hb.ball.elements[i]
         out: dict[int, RawPoly] = {}
         for d, _nd in hb.distinguished_involutions():
-            if x.length + d.length > hb.radius:
+            di = hb._idx(d)
+            if hb._len[i] + hb._len[di] > hb.radius:
                 raise BallOverflowError(
                     "phi needs the full row of products against distinguished involutions"
                 )
-            ad = hb.a_function(d)[0]
-            for z, h in hb.h_to_distinguished(x, d).items():
-                if hb.a_function(z)[0] == ad:
-                    acc_scaled(out.setdefault(hb._idx(z), {}), h.c, hb.nhat(z))
+            ad = hb._a_idx(di)[0]
+            for z, h in hb._h_dist_idx(i, di).items():
+                if hb._a_idx(z)[0] == ad:
+                    acc_scaled(out.setdefault(z, {}), h, hb._nhat_idx(z))
         self._phi[i] = {z: p for z, p in out.items() if p}
         return self._phi[i]
 
@@ -260,22 +284,13 @@ class JRing:
         coordinates are obtained by expressing dagger(h) in the c-basis."""
         return self.hb._from_idx("cdag", self._cdag_idx(h))
 
-    def cdag_to_t(self, coords: HeckeElement) -> HeckeElement:
-        """Expand dagger-basis coordinates into the T-basis."""
-        hb = self.hb
-        out = HeckeElement("T", {})
-        for x, p in coords.terms.items():
-            out = out + hb.dagger(hb.kl_element(x)).scaled(p)
-        return out
-
     def phi(self, h: HeckeElement) -> JElement:
         """phi with Laurent coefficients; accepts T- or dagger-basis input."""
         out: dict[int, RawPoly] = {}
         for x, p in self._cdag_idx(h).items():
             for z, q in self._phi_of_cdagger(x).items():
                 acc_mul(out.setdefault(z, {}), q, p)
-        elems = self.hb.ball.elements
-        return JElement({elems[z]: LaurentPoly._raw(q) for z, q in out.items() if q})
+        return JElement({z: LaurentPoly._raw(q) for z, q in out.items() if q}, self.hb.ball)
 
     def phi_q(self, h: HeckeElement, q) -> JElement:
         """phi followed by v -> sqrt(q); q must be a square of a rational."""
@@ -294,15 +309,15 @@ class JRing:
             a = self.basis_element(a)
         if side not in ("left", "right"):
             raise HeckeError("side must be 'left' or 'right'")
-        out: dict[GroupElement, object] = {}
+        out: dict[int, object] = {}
         for w, cw in f.coords.items():
-            if hb.a_function(w)[0] != f.grade:
+            if hb._a_idx(w)[0] != f.grade:
                 raise HeckeError("grade mismatch in star operand")
-            nw = hb.nhat(w)
+            nw = hb._nhat_idx(w)
             for x, cx in a.coeffs.items():
-                row = hb.gamma_row(x, w) if side == "left" else hb.gamma_row(w, x)
-                sparse_add(out, {z: cw * cx * g * nw * hb.nhat(z) for z, g in row.items()
-                                 if hb.a_function(z)[0] == f.grade})
+                row = hb._gamma_row_idx(x, w) if side == "left" else hb._gamma_row_idx(w, x)
+                sparse_add(out, {z: cw * cx * g * nw * hb._nhat_idx(z) for z, g in row.items()
+                                 if hb._a_idx(z)[0] == f.grade})
         return GradedClass(f.grade, out)
 
     def base_point(self, i: int) -> GradedClass:
@@ -310,68 +325,19 @@ class JRing:
         hb = self.hb
         return GradedClass(
             i,
-            {d: 1 for d, _ in hb.distinguished_involutions() if hb.a_function(d)[0] == i},
+            {hb._idx(d): 1 for d, _ in hb.distinguished_involutions() if hb.a_function(d)[0] == i},
         )
 
     def base_point_check(self, x: GroupElement) -> bool:
         """t_x * f_{a(x)} = f_{a(x)} * t_x = nhat_x [cdag_x]."""
         hb = self.hb
         i = hb.a_function(x)[0]
-        want = GradedClass(i, {x: hb.nhat(x)})
+        want = GradedClass(i, {hb._idx(x): hb.nhat(x)})
         f = self.base_point(i)
         return (
             self.star_action(x, f, "left") == want
             and self.star_action(x, f, "right") == want
         )
-
-    def grade_project(self, h: HeckeElement, i: int, q) -> GradedClass:
-        """Class of a Hecke element in grade i at the specialization v=sqrt(q).
-
-        Demands that the dagger coordinates contain nothing of a-value
-        below i (the filtration is by ideals, so lower terms would mean
-        the input was not in the i-th filtration step); indices of larger
-        a-value die in the quotient."""
-        r = _sqrt_fraction(q)
-        hb = self.hb
-        out: dict[GroupElement, object] = {}
-        for z, p in self.cdag_coords(h).terms.items():
-            az, cert = hb.a_function(z)
-            if not cert:
-                raise UncertifiedError(f"a({z.key_str()}) is not certified")
-            if az < i:
-                raise HeckeError(
-                    f"element leaves the filtration step: a({z.key_str()}) = {az} < {i}"
-                )
-            if az > i:
-                continue
-            val = p.evaluate(r)
-            if val:
-                out[z] = val
-        return GradedClass(i, out)
-
-    def hecke_grade_action(self, h: HeckeElement, f: GradedClass, q, side: str = "left") -> GradedClass:
-        """h acting on a graded class through multiplication in the Hecke
-        algebra, then projection back to the grade."""
-        hb = self.hb
-        acc = HeckeElement("T", {})
-        for w, cw in f.coords.items():
-            cd = hb.dagger(hb.kl_element(w))
-            prod = hb.mul_T(h, cd) if side == "left" else hb.mul_T(cd, h)
-            acc = acc + prod.scaled(LaurentPoly.const(Fraction(cw)))
-        return self.grade_project(acc, f.grade, q)
-
-    def check_hf_compat(self, h: HeckeElement, f: GradedClass, q) -> bool:
-        """h f = phi_q(h) * f in the graded piece."""
-        left = self.hecke_grade_action(h, f, q, "left")
-        img = self.phi_q(h, q)
-        right = self.star_action(img, f, "left")
-        return left == right
-
-    def check_jfh_compat(self, j: JElement, f: GradedClass, h: HeckeElement, q) -> bool:
-        """(j * f) h = j * (f h): the two actions commute."""
-        lhs = self.hecke_grade_action(h, self.star_action(j, f, "left"), q, "right")
-        rhs = self.star_action(j, self.hecke_grade_action(h, f, q, "right"), "left")
-        return lhs == rhs
 
     # ---------------- center -----------------------------------------------
     def center_commutation_check(self, z_central: HeckeElement, qs=(1,)) -> list[dict]:
@@ -402,18 +368,18 @@ class JRing:
             return [{"central": False, "witness": witness, "commuted": 0, "skipped": 0,
                      "failures": []} for _ in qs]
         img = self.phi(z_central)
-        certified = [x for x in hb.ball if hb.a_function(x)[1]]
+        certified = [i for i in range(len(hb.ball)) if hb._a_idx(i)[1]]
         out = []
         for q in qs:
             zq = specialize(img, q)
 
-            def commutes(x):
-                tx = self.basis_element(x)
+            def commutes(i):
+                tx = JElement({i: 1}, hb.ball)
                 return self.j_mul(zq, tx) == self.j_mul(tx, zq)
 
             commuted, skipped, failures = decide(certified, commutes)
             out.append({"central": True, "witness": None, "commuted": commuted,
-                        "skipped": skipped, "failures": failures})
+                        "skipped": skipped, "failures": [hb.ball.elements[i] for i in failures]})
         return out
 
 

@@ -367,15 +367,16 @@ def scen_infdihedral_j(ns):
         *decide(certified, lambda x: jr.is_unit_on(unit, x))))
 
     small = [x for x in certified if x.length <= 6]
-    t = jr.basis_element
-    pair = functools.cache(lambda x, y: jr.j_mul(t(x), t(y)))
+    t = [jr.basis_element(x) for x in small]  # triples run on positions in small
+    pair = functools.cache(lambda i, j: jr.j_mul(t[i], t[j]))
+    checked, skipped, bad = decide(
+        itertools.product(range(len(small)), repeat=3),
+        lambda c: jr.j_mul(pair(c[0], c[1]), t[c[2]]) == jr.j_mul(t[c[0]], pair(c[1], c[2])))
     checks.append(_tally(
         "associativity",
         "the basis product is associative on all certified triples of "
         "length at most 6",
-        *decide(itertools.product(small, repeat=3),
-                lambda c: jr.j_mul(pair(c[0], c[1]), t(c[2]))
-                == jr.j_mul(t(c[0]), pair(c[1], c[2]))),
+        checked, skipped, [[small[i] for i in c] for c in bad],
         {"triple_pool": len(small)}))
 
     checks.append(_tally(

@@ -273,6 +273,7 @@ class HeckeBall:
         self._a_profile: list[list[int]] | None = None
         self._gamma: dict[tuple[int, int], dict[int, int]] | None = None
         self._gamma_tainted: set[tuple[int, int]] = set()
+        self._gamma_rows: dict[tuple[int, int], dict[int, int]] = {}  # per ball-index pair
         self._h_for_dist: dict[tuple[int, int], dict[int, RawPoly]] = {}
         self._dist_idx: list[int] | None = None
         self._cells: CellPartition | None = None
@@ -462,15 +463,20 @@ class HeckeBall:
         if a.basis != "T" or b.basis != "T":
             raise HeckeError("mul_T needs T-basis operands")
         left = self._to_idx(a)
+        # a T_w = (a T_{ws}) T_s along the first right descent, down to a T_omega;
+        # each partial product is made once and shared by the terms of b
+        memo: dict[int, dict[int, RawPoly]] = {}
+
+        def times(i: int) -> dict[int, RawPoly]:
+            if i not in memo:
+                step = self._right_descent(i)
+                memo[i] = (self._t_mul_omega(left, self._omi[i]) if step is None
+                           else self._t_mul_gen(times(step[0]), step[1]))
+            return memo[i]
+
         out: dict[int, RawPoly] = {}
         for w, q in b.terms.items():
-            word, om = self._word(self._idx(w))
-            cur = left
-            for s in word:
-                cur = self._t_mul_gen(cur, s)
-            if om:
-                cur = self._t_mul_omega(cur, om)
-            for x, p in cur.items():
+            for x, p in times(self._idx(w)).items():
                 acc_mul(out.setdefault(x, {}), p, q.c)
         return self._from_idx("T", out)
 
@@ -677,17 +683,14 @@ class HeckeBall:
 
     def a_function(self, z: GroupElement) -> tuple[int, bool]:
         """(a(z), certified).  Omega translation leaves a unchanged."""
-        if self._a_values is None:  # a traced stage: enter it only to build
-            self._ensure_a_data()
-        zi, _ = self._wp_coset(z)
-        return self._a_values[zi], self._a_cert[zi]
+        return self._a_idx(self._idx(z))
 
-    def _certified_a(self, i: int) -> int | None:
-        """a(ball[i]) if it is certified, else None."""
+    def _a_idx(self, i: int) -> tuple[int, bool]:
+        """a_function on ball indices."""
         if self._a_values is None:  # a traced stage: enter it only to build
             self._ensure_a_data()
         zi = self._wpi[i]
-        return self._a_values[zi] if self._a_cert[zi] else None
+        return self._a_values[zi], self._a_cert[zi]
 
     def delta_and_sign(self, z: GroupElement) -> tuple[int, int]:
         """(Delta(z), n_z): the leading term of p_{1,z} is n_z v^{-Delta(z)},
@@ -769,7 +772,11 @@ class HeckeBall:
         return {elems[z]: g for z, g in self._gamma_row_idx(self._idx(x), self._idx(y)).items()}
 
     def _gamma_row_idx(self, i: int, j: int) -> dict[int, int]:
-        """gamma_row on ball indices."""
+        """gamma_row on ball indices, memoized per pair; a refused pair is
+        not stored, so it raises again.  Callers must not mutate the result."""
+        row = self._gamma_rows.get((i, j))
+        if row is not None:
+            return row
         if self._gamma is None:  # a traced stage: enter it only to build
             self._ensure_gamma()
         xi, omx = self._wpi[i], self._omi[i]
@@ -780,21 +787,27 @@ class HeckeBall:
         if key in self._gamma_tainted:
             raise UncertifiedError("product support touches uncertified elements")
         om, nom, rom = self._om_mul[omx][self._omi[j]], self._nom, self._rom
-        return {rom[g[zi] * nom + om]: c for zi, c in self._gamma.get(key, {}).items()}
+        row = self._gamma_rows[(i, j)] = {rom[g[zi] * nom + om]: c
+                                          for zi, c in self._gamma.get(key, {}).items()}
+        return row
 
     def h_to_distinguished(self, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
         """h_{x,d,.} for a distinguished involution d (W' data)."""
+        elems = self.ball.elements
+        return {elems[z]: LaurentPoly(h) for z, h in self._h_dist_idx(self._idx(x), self._idx(d)).items()}
+
+    def _h_dist_idx(self, i: int, di: int) -> dict[int, RawPoly]:
+        """h_to_distinguished on ball indices.  Callers must not mutate the result."""
         if self._gamma is None:  # a traced stage: enter it only to build
             self._ensure_gamma()
-        xi, omx = self._wp_coset(x)
-        di, omd = self._wp_coset(d)
-        if omd:
+        xi, omx = self._wpi[i], self._omi[i]
+        if self._omi[di]:
             raise HeckeError("distinguished involutions lie in W'")
-        key, g = self._rep(xi, self._syms[omx][di])
-        if di not in self._dist_idx:  # the row may be kept for the other pair it serves
-            raise BallOverflowError("pair exceeds the exact-product budget")
-        nom, rom, elems = self._nom, self._rom, self.ball.elements
-        return {elems[rom[g[zi] * nom + omx]]: LaurentPoly(h) for zi, h in self._h_for_dist[key].items()}
+        if self._wpi[di] not in self._dist_idx:  # a wrong argument, not a truncation
+            raise HeckeError("h_to_distinguished needs a distinguished involution")
+        key, g = self._rep(xi, self._syms[omx][self._wpi[di]])
+        nom, rom = self._nom, self._rom
+        return {rom[g[zi] * nom + omx]: h for zi, h in self._h_for_dist[key].items()}
 
     # ---------------- cache line format --------------------------------------
     def cache_header(self) -> str:
@@ -897,9 +910,12 @@ class HeckeBall:
     def nhat(self, z: GroupElement) -> int:
         """n_d for the unique distinguished involution d in the left cell
         of z^-1."""
+        return self._nhat_idx(self._idx(z))
+
+    def _nhat_idx(self, i: int) -> int:
+        """nhat on ball indices."""
         if self._cells is None:  # a traced stage: enter it only to build
             self._ensure_cells()
-        i = self._idx(z)
         if i not in self._nhats:
             lid = self._cells.left_id
             target = lid[self.ball.elements[self._inv[i]]]

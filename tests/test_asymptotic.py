@@ -5,6 +5,7 @@ whose products would touch uncertified territory are skipped and the skip
 counts are frozen, so a silent loss of coverage fails the test.
 """
 
+import contextlib
 import copy
 import itertools
 import random
@@ -22,6 +23,7 @@ from heckequot.asymptotic import (
     bernstein_central_dihedral,
     decide,
 )
+from oracles import cdag_to_t, check_hf_compat, check_jfh_compat, j_mul_from_gamma
 
 SKIP = (UncertifiedError, BallOverflowError)
 
@@ -74,7 +76,7 @@ def test_decide_on_no_cases():
 def test_unit_is_signed_sum_over_distinguished(ring):
     hb, J = ring
     u = J.unit()
-    expect = {d: nd for d, nd in hb.distinguished_involutions()}
+    expect = {hb._idx(d): nd for d, nd in hb.distinguished_involutions()}
     assert u.coeffs == expect
 
 
@@ -117,7 +119,7 @@ def test_jelement_algebra(ring):
     a = J.basis_element(s1) + J.basis_element(s2, 2)
     assert a.support() == sorted([s1, s2], key=lambda x: x.key())
     assert (a - J.basis_element(s2, 2)) == J.basis_element(s1)
-    assert a.scaled(3).coeffs[s2] == 6
+    assert a.scaled(3).coeffs[hb._idx(s2)] == 6
 
 
 def test_base_points_certified(ring):
@@ -159,6 +161,76 @@ def test_cell_ideal_of_big_cell(ring):
     assert res["unit_failures"] == []
 
 
+# ---- products on ball indices -------------------------------------------------
+
+
+@pytest.mark.parametrize("factory, radius", [(infinite_dihedral, 16), (extended_affine_b2, 12)],
+                         ids=["dihedral-r16", "b2-r12"])
+def test_j_mul_matches_the_gamma_oracle(factory, radius):
+    # every ordered pair of a pool that holds certified and uncertified
+    # elements (both Omega cosets on B2, pairs over the budget on the
+    # dihedral ball); then random combinations, whose refusals must come
+    # from the same pair
+    hb = HeckeBall(factory(), radius)
+    J = JRing(hb)
+    rng = random.Random(3)
+    pool = [w for w in hb.ball if w.length <= 3 or w.length == radius // 2 + 1]
+    # the support of phi(c_e) meets every certified cell (on B2, pairs of it
+    # at different a-values have uncertified products)
+    phi_e = J.phi(hb.kl_element(hb.pres.identity())).support()
+    pool = phi_e + [w for w in rng.sample(pool, min(len(pool), 20)) if w not in phi_e]
+    cases = [(J.basis_element(x), J.basis_element(y)) for x in pool for y in pool]
+    for _ in range(30):
+        a, b = (sum((J.basis_element(w, rng.choice([-2, 1, Fraction(1, 2)]))
+                     for w in rng.sample(pool, rng.randint(1, 3))), JElement({}))
+                for _ in range(2))
+        cases.append((a, b))
+    outcomes = [(_outcome(lambda p: J.j_mul(*p), c), _outcome(lambda p: j_mul_from_gamma(J, *p), c))
+                for c in cases]
+    for (got, want), c in zip(outcomes, cases):
+        assert got == want, c
+    kinds = {JElement if isinstance(got, JElement) else got for got, _ in outcomes}
+    # at B2 r12 no certified pair is over the budget: l(z) <= R - 2m = R / 2
+    assert kinds == {JElement, UncertifiedError} | (
+        {BallOverflowError} if factory is infinite_dihedral else set())
+    # the cross-cell rule decides pairs whose product the ball cannot certify
+    cross = 0
+    for x, y in itertools.product(pool, repeat=2):
+        (ax, cx), (ay, cy) = hb.a_function(x), hb.a_function(y)
+        if cx and cy and ax != ay and x.length + y.length <= radius:
+            with contextlib.suppress(UncertifiedError):
+                hb.gamma_row(x, y)
+                continue
+            cross += 1
+    assert bool(cross) == (factory is extended_affine_b2)
+
+
+def test_gamma_row_memo_repeats_rows_and_never_stores_a_refusal():
+    # rows are looked up per ball-index pair, both Omega cosets included, and
+    # checked against single gamma constants before and after the repeat
+    hb = HeckeBall(extended_affine_b2(), 12)
+    elems = hb.ball.elements
+    pool = [i for i, w in enumerate(elems) if w.length <= 2 or w.length == 7]
+    cert = [i for i, w in enumerate(elems) if hb.a_function(w)[1]]
+    stored = refused = 0
+    for i, j in itertools.product(pool, repeat=2):
+        try:
+            first = hb._gamma_row_idx(i, j)
+        except UNDECIDED as e:
+            assert (i, j) not in hb._gamma_rows
+            with pytest.raises(type(e)):
+                hb._gamma_row_idx(i, j)
+            assert (i, j) not in hb._gamma_rows
+            refused += 1
+            continue
+        want = {z: g for z in cert if (g := hb.gamma(elems[i], elems[j], elems[z]))}
+        assert first == want, (i, j)
+        assert hb._gamma_row_idx(i, j) == want and hb._gamma_rows[(i, j)] == want
+        stored += 1
+    assert len(hb._gamma_rows) == stored and stored and refused
+    assert {hb._omi[i] for i, _ in hb._gamma_rows} == {hb._omi[j] for _, j in hb._gamma_rows} == {0, 1}
+
+
 # ---- specialization ---------------------------------------------------------
 
 
@@ -166,7 +238,7 @@ def test_phi_of_generator_frozen(ring):
     hb, J = ring
     s1 = hb.pres.generator("s1")
     img = J.phi(hb.kl_element(s1))
-    got = {x.key_str(): p for x, p in img.coeffs.items()}
+    got = {hb.ball.elements[x].key_str(): p for x, p in img.coeffs.items()}
     assert got == {
         "-1;0": LaurentPoly.const(-1),
         "0;0": LaurentPoly({-1: 1, 1: 1}),
@@ -209,7 +281,7 @@ def test_cdag_coords_validates_basis(ring):
     bad = JElement.__new__(JElement)  # not a Hecke element at all
     with pytest.raises((HeckeError, AttributeError)):
         J.cdag_coords(bad)
-    roundtrip = J.cdag_to_t(J.cdag_coords(c.__class__("T", dict(c.terms))))
+    roundtrip = cdag_to_t(hb, J.cdag_coords(c.__class__("T", dict(c.terms))))
     assert roundtrip == c.__class__("T", dict(c.terms))
 
 
@@ -247,7 +319,7 @@ def test_phi_matches_the_dagger_coordinate_oracle(factory, radius):
     # the dagger coordinates, which are those of the cdag input
     for _ in range(6):
         coords = HeckeElement("cdag", {w: coeff() for w in rng.sample(pool, rng.randint(1, 2))})
-        h = J.cdag_to_t(coords)
+        h = cdag_to_t(hb, coords)
         assert J.cdag_coords(h) == coords
         cases.append(h)
         cases.append(h + HeckeElement("T", {rng.choice(pool): coeff()}))
@@ -340,8 +412,8 @@ def test_graded_compatibilities(ring):
         f = J.base_point(i)
         for q in (1, 4):
             try:
-                assert J.check_hf_compat(h, f, q)
-                assert J.check_jfh_compat(J.basis_element(s1), f, h, q)
+                assert check_hf_compat(J, h, f, q)
+                assert check_jfh_compat(J, J.basis_element(s1), f, h, q)
                 checked += 1
             except SKIP:
                 pass

@@ -12,10 +12,11 @@ nontrivial Omega part, which the dihedral group does not have.
 import contextlib
 import functools
 import itertools
+import random
 
 import pytest
 
-from heckequot.asymptotic import JElement, JRing
+from heckequot.asymptotic import UNDECIDED, JElement, JRing, decide
 from heckequot.coxeter import (
     extended_affine_b2,
     extended_affine_pgl,
@@ -24,6 +25,7 @@ from heckequot.coxeter import (
 )
 from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly, acc_mul, pack, unpack
+from oracles import t_product_by_words
 
 SKIP = (UncertifiedError, BallOverflowError)
 
@@ -177,6 +179,47 @@ def test_t_mul_omega_unit_and_associativity(b2_12):
     assert units > 0 and assoc > 0
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except UNDECIDED as e:
+        return type(e)
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 12), (extended_affine_b2, 10), (lambda: extended_affine_pgl(3), 8)],
+    ids=["dihedral-r12", "b2-r10", "pgl3-r8"],
+)
+def test_shared_mul_t_matches_the_word_by_word_oracle(factory, radius):
+    # mul_T shares a T_{ws} between the terms of b along right descents; the
+    # oracle replays a reduced word of each w through pres.multiply
+    hb = HeckeBall(factory(), radius)
+    rng = random.Random(13)
+    one = LaurentPoly.one()
+
+    def coeff():
+        return LaurentPoly({e: rng.choice([-2, -1, 1, 2]) for e in rng.sample(range(-2, 3), 2)})
+
+    def element(n, longest, shortest=0):
+        pool = [w for w in hb.ball if shortest <= w.length <= longest]
+        return HeckeElement("T", {w: coeff() for w in rng.sample(pool, n)})
+
+    omegas = [HeckeElement("T", {om: one}) for om in hb.omega_elems]
+    kl = [hb.kl_element(w) for w in hb.ball if w.length <= 2]
+    cases = [(a, b) for a in omegas + kl[:6] for b in omegas + kl[:6]]
+    cases += [(element(rng.randint(1, 3), radius // 2), element(rng.randint(1, 4), radius // 2))
+              for _ in range(25)]
+    cases += [(element(2, radius, radius - 2), element(2, 4, 3)) for _ in range(10)]  # these leave the ball
+    outcomes = [(_outcome(hb.mul_T, a, b), _outcome(t_product_by_words, hb, a, b)) for a, b in cases]
+    for (got, want), case in zip(outcomes, cases):
+        assert got == want, case
+    assert {type(got) if isinstance(got, HeckeElement) else got
+            for got, _ in outcomes} == {HeckeElement, BallOverflowError}
+    translated = sum(all(any(w.omega_index() for w in h.terms) for h in case) for case in cases)
+    assert bool(translated) == (len(hb.omega_elems) > 1)
+
+
 def test_dagger_with_omega(b2_12):
     hb = b2_12
     pool = short(hb, 2)
@@ -214,10 +257,11 @@ def test_phi_hom_with_omega(b2_12):
     # the components whose gamma rows are certified
     hb = b2_12
     J = JRing(hb)
-    cell = hb.cell_partition().two_sided_id
+    elems, ids = hb.ball.elements, hb.cell_partition().two_sided_id
+    cell = [ids[w] for w in elems]
 
     def part(a, c):
-        return JElement({w: v for w, v in a.coeffs.items() if cell[w] == c})
+        return JElement({w: v for w, v in a.coeffs.items() if cell[w] == c}, hb.ball)
 
     checked = 0
     for x, y in itertools.product(short(hb, 2), repeat=2):
@@ -243,7 +287,7 @@ def test_j_mul_is_zero_across_cells(b2_12):
     # the 15 at equal a-values
     hb = b2_12
     J = JRing(hb)
-    a = {x: hb.a_function(x)[0] for x in J.phi(hb.kl_element(hb.pres.identity())).coeffs}
+    a = {x: hb.a_function(x)[0] for x in J.phi(hb.kl_element(hb.pres.identity())).support()}
     tainted = []
     for x, y in itertools.product(a, repeat=2):
         with contextlib.suppress(UncertifiedError):
@@ -261,6 +305,27 @@ def test_j_mul_is_zero_across_cells(b2_12):
     for x, y in same:
         with pytest.raises(UncertifiedError):
             J.j_mul(J.basis_element(x), J.basis_element(y))
+
+
+def test_h_to_distinguished_refuses_a_wrong_d_as_an_error_not_a_truncation(b2_12):
+    # d not distinguished is a wrong argument: decide must let it through
+    # rather than count it as a skipped case; a distinguished d in the
+    # budget still gets its row, h_{x,d,z} as the T-basis product gives it
+    hb = b2_12
+    dist = [d for d, _ in hb.distinguished_involutions()]
+    x = next(w for w in hb.ball if w.length == 2 and w.omega_index())
+    in_budget = [d for d in dist if x.length + d.length <= hb.radius]
+    assert len(in_budget) > 1
+    for d in in_budget:
+        assert hb.h_to_distinguished(x, d) == hb.h_constants(x, d)
+    wrong = [w for w in short(hb, 3) if w not in dist and not w.omega_index()]
+    assert wrong
+    for d in wrong:
+        with pytest.raises(HeckeError) as err:
+            hb.h_to_distinguished(x, d)
+        assert type(err.value) is HeckeError
+        with pytest.raises(HeckeError):
+            decide([d], lambda d: hb.h_to_distinguished(x, d))
 
 
 # ---- the product stream over symmetry orbits ---------------------------------

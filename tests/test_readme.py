@@ -18,7 +18,11 @@ def test_readme_python_block_runs():
     with contextlib.redirect_stdout(out):
         for code in blocks:
             exec(compile(code, str(README), "exec"), {})
-    assert out.getvalue().splitlines()[:2] == ["1 0 True", "20 1 False"]
+    lines = out.getvalue().splitlines()
+    assert lines[:2] == ["1 0 True", "20 1 False"]
+    # the unit's support names group elements, not ball indices
+    assert lines[-1] == ("[<InfiniteDihedral: t(0,) f0>, <InfiniteDihedral: t(0,) f1>, "
+                         "<InfiniteDihedral: t(1,) f1>]")
 
 
 def test_readme_shell_examples_exit_as_documented(tmp_path):
