@@ -14,8 +14,8 @@ with Laurent coefficients:
 
 and is an algebra homomorphism.  Its images do not depend on q: phi is
 computed once with Laurent coefficients, and `specialize` sends v to a
-rational square root of q, which gives phi_q into J with rational
-coefficients.  Cell modules carry the star action
+rational square root of q: phi_q = specialize(phi(.), q) maps into J with
+rational coefficients.  Cell modules carry the star action
 
     t_x * [w] = sum over z with a(z) = a(w) of
                 gamma(x, w, z) nhat_w nhat_z [z]
@@ -263,7 +263,9 @@ class JRing:
         return self._phi[i]
 
     def _cdag_idx(self, h: HeckeElement) -> dict[int, RawPoly]:
-        """Dagger-basis coordinates of h on ball indices."""
+        """Dagger-basis coordinates of h on ball indices: h = sum coords_x cdag_x.
+        The dagger map is an A-linear algebra involution, so they are the
+        c-basis coordinates of dagger(h)."""
         hb = self.hb
         if h.basis == "cdag":
             return hb._to_idx(h)
@@ -277,13 +279,6 @@ class JRing:
             return {x: out[x] for x in sorted(out, reverse=True) if out[x]}
         raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
 
-    def cdag_coords(self, h: HeckeElement) -> HeckeElement:
-        """Coordinates of h in the dagger basis: h = sum coords_x cdag_x.
-
-        The dagger map is an A-linear algebra involution, so the
-        coordinates are obtained by expressing dagger(h) in the c-basis."""
-        return self.hb._from_idx("cdag", self._cdag_idx(h))
-
     def phi(self, h: HeckeElement) -> JElement:
         """phi with Laurent coefficients; accepts T- or dagger-basis input."""
         out: dict[int, RawPoly] = {}
@@ -291,10 +286,6 @@ class JRing:
             for z, q in self._phi_of_cdagger(x).items():
                 acc_mul(out.setdefault(z, {}), q, p)
         return JElement({z: LaurentPoly._raw(q) for z, q in out.items() if q}, self.hb.ball)
-
-    def phi_q(self, h: HeckeElement, q) -> JElement:
-        """phi followed by v -> sqrt(q); q must be a square of a rational."""
-        return specialize(self.phi(h), q)
 
     # ---------------- cell modules -----------------------------------------
     def star_action(self, a, f: GradedClass, side: str = "left") -> GradedClass:

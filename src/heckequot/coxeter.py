@@ -23,14 +23,13 @@ Supported families:
 * ``InfiniteDihedral``      rank-1 affine Weyl group of SL(2), trivial Omega
 * ``ExtendedAffineA'(n)``   PGL(n): lattice Z^n mod (1,..,1), Omega = Z/n
 * ``ExtendedAffineB2``      SO(5): lattice Z^2, Omega = Z/2
-* ``FiniteA(n)``, ``FiniteB2``  finite Weyl groups, no translations
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -151,13 +150,6 @@ class GroupElement:
     def omega_index(self) -> int:
         return self.pres.omega_index(self)
 
-    def omega_part(self) -> "GroupElement":
-        return self.pres.omega_rep(self.omega_index())
-
-    def wprime_part(self) -> "GroupElement":
-        """The w' of the unique factorization x = w' * omega."""
-        return self * self.omega_part().inverse()
-
     def __repr__(self) -> str:
         return f"<{self.pres.family}: t{self.trans} f{self.fin}>"
 
@@ -218,23 +210,11 @@ class GroupPresentation:
 
     # ---- basic structure -------------------------------------------------
     @property
-    def wf_order(self) -> int:
-        return len(self.wf_elems)
-
-    @property
     def num_positive_roots(self) -> int:
         return len(self.pos_roots)
 
     def identity(self) -> GroupElement:
         return GroupElement(self, (0,) * self.rank, 0)
-
-    def element(self, trans: Iterable[int], fin: int) -> GroupElement:
-        t = tuple(int(x) for x in trans)
-        if len(t) != self.rank:
-            raise CoxeterError(f"translation needs {self.rank} coordinates, got {len(t)}")
-        if not 0 <= fin < len(self.wf_elems):
-            raise CoxeterError(f"finite part index {fin} out of range")
-        return GroupElement(self, self._normalize(t), fin)
 
     def generators(self) -> list[GroupElement]:
         return [GroupElement(self, t, f) for t, f in self.gen_specs]
@@ -297,45 +277,6 @@ class GroupPresentation:
                 return j
         raise CoxeterError("Omega conjugation does not preserve the generator set")
 
-    # ---- words and descents ----------------------------------------------
-    def left_descents(self, x: GroupElement) -> list[int]:
-        lx = x.length
-        return [
-            i
-            for i, s in enumerate(self.generators())
-            if self.multiply(s, x).length < lx
-        ]
-
-    def right_descents(self, x: GroupElement) -> list[int]:
-        lx = x.length
-        return [
-            i
-            for i, s in enumerate(self.generators())
-            if self.multiply(x, s).length < lx
-        ]
-
-    def reduced_word(self, x: GroupElement) -> tuple[list[str], GroupElement]:
-        """Deterministic reduced word: returns (names, omega) with
-        product(names) * omega == x."""
-        word: list[str] = []
-        cur = x
-        gens = self.generators()
-        while cur.length > 0:
-            for i, s in enumerate(gens):
-                if self.multiply(s, cur).length < cur.length:
-                    word.append(self.gen_names[i])
-                    cur = self.multiply(s, cur)
-                    break
-            else:  # pragma: no cover
-                raise CoxeterError("no descent found for positive-length element")
-        return word, cur
-
-    def word_to_element(self, names: Iterable[str]) -> GroupElement:
-        out = self.identity()
-        for nm in names:
-            out = self.multiply(out, self.generator(nm))
-        return out
-
     # ---- balls -------------------------------------------------------------
     def ball(self, radius: int) -> "Ball":
         if radius < 0:
@@ -391,12 +332,9 @@ class Ball:
 
 
 # ------------------------------------------------------------- text format
-def dump_element(x: GroupElement, word: tuple[list[str], int] | None = None) -> str:
-    """One text line for x; `word` may give its left-greedy reduced word as
-    (generator names, Omega index) when the caller already has it."""
-    if word is None:
-        names, omega = x.pres.reduced_word(x)
-        word = names, omega.omega_index()
+def dump_element(x: GroupElement, word: tuple[list[str], int]) -> str:
+    """One text line for x, given its left-greedy reduced word as
+    (generator names, Omega index)."""
     w = ".".join(word[0]) if word[0] else "e"
     return (
         f"word={w} omega=w{word[1]} len={x.length} "
@@ -527,44 +465,3 @@ def extended_affine_pgl(n: int) -> GroupPresentation:
         _omega_shift=_type_a_shift(n, index),
     )
     return pres
-
-
-def finite_a(n: int) -> GroupPresentation:
-    """Finite Weyl group of type A(n) = S_{n+1}; no affine generator."""
-    N = n + 1
-    elems, index, pos, adj_gens, _, _, m = _type_a_data(N)
-    pres = GroupPresentation(
-        family=f"FiniteA({n})",
-        rank=N,
-        wf_elems=elems,
-        wf_index=index,
-        pos_roots=pos,
-        gen_specs=[((0,) * N, index[g]) for g in adj_gens],
-        gen_names=[f"s{i}" for i in range(1, N)],
-        # the affine matrix without its affine node
-        coxeter_m={ij: mij for ij, mij in m.items() if ij[1] < N - 1},
-        omega_count=1,
-        _coset_of=lambda t: 0,
-        _normalize=lambda t: t,
-    )
-    return pres
-
-
-def finite_b2() -> GroupPresentation:
-    s1 = ((0, 1), (1, 0))
-    s2 = ((1, 0), (0, -1))
-    elems, index = close_group([s1, s2], 2)
-    return GroupPresentation(
-        family="FiniteB2",
-        rank=2,
-        wf_elems=elems,
-        wf_index=index,
-        pos_roots=[(1, 0), (0, 1), (1, -1), (1, 1)],
-        gen_specs=[((0, 0), index[s1]), ((0, 0), index[s2])],
-        gen_names=["s1", "s2"],
-        coxeter_m={(0, 1): 4},
-        omega_count=1,
-        _coset_of=lambda t: 0,
-        _normalize=lambda t: t,
-    )
-

@@ -326,7 +326,7 @@ def bernstein_point_gl(exponents: tuple[int, ...],
     symmetric-group block per exponent, censuses multiplied together by
     concatenating the symmetric-power shapes.
 
-    The torsion numbers only dress the block parameters; the census does
+    The torsion numbers, each at least 1, only dress the block parameters; the census does
     not depend on them, so they are echoed and otherwise ignored."""
     exponents = tuple(exponents)
     if not exponents:
@@ -336,6 +336,8 @@ def bernstein_point_gl(exponents: tuple[int, ...],
     torsions = tuple(torsions)
     if len(torsions) != len(exponents):
         raise DualityError("one torsion number per block is required")
+    if any(r < 1 for r in torsions):
+        raise DualityError("torsion numbers must be positive")
     blocks = [[extquot._sym_parts(dual_partition(lam)) for lam in partitions(e)]
               for e in exponents]
     factors = [{"size": e, "parameter": f"q^{r}",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .coxeter import mat_identity, mat_mul, mat_vec, perm_matrix
 
@@ -326,24 +325,6 @@ class TorusAction:
 
 # ---------------- factories --------------------------------------------------
 
-def inversion_on_gm() -> TorusAction:
-    return TorusAction(
-        rank=1,
-        matrices=[[[1]], [[-1]]],
-        names=["1", "inv"],
-        group_label="Z/2",
-    )
-
-
-def trivial_on_torus(rank: int) -> TorusAction:
-    return TorusAction(
-        rank=rank,
-        matrices=[mat_identity(rank)],
-        names=["1"],
-        group_label="1",
-    )
-
-
 def so5_weyl_on_torus() -> TorusAction:
     """The order-8 signed permutation group of a rank-2 torus, numbered
     so that class representatives come out as elements 1, 2, 3, 5, 6."""
@@ -478,26 +459,6 @@ def fixed_locus(action: TorusAction, gamma: int) -> FixedLocus:
         v_inv=v_inv,
         torsion_positions=tors,
     )
-
-
-def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
-    """Count torsion solutions directly on a finite grid and compare with
-    what the normal form predicts.  Only for small rank and torsion."""
-    fl = fixed_locus(action, gamma)
-    k = lcm(*fl.invariant_factors) if fl.invariant_factors else 1
-    if k ** fl.rank > 50000 or fl.rank > 3 or k > 12:
-        raise ExtQuotError("grid too large for the brute force check")
-    m = action.matrices[gamma]
-    count = 0
-    for q in itertools.product([Fraction(j, k) for j in range(k)], repeat=fl.rank):
-        img = _frac_vec(m, q)
-        if all((x - y).denominator == 1 for x, y in zip(img, q)):
-            count += 1
-    expected = k ** fl.dim
-    for f in fl.invariant_factors:
-        expected *= f
-    return {"order": k, "count": count, "expected": expected,
-            "agrees": count == expected}
 
 
 # ---------------- quotient components ----------------------------------------

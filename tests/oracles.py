@@ -1,19 +1,196 @@
-"""Independent oracles for the J layer, kept beside the tests that use them.
+"""Independent references, kept beside the tests that use them.
 
-The graded-module claims no scenario prints: the Hecke action on a graded
-class, through multiplication and projection, against the star action.
-`cdag_to_t` expands dagger coordinates through the public basis changes.
-`t_product_by_words` multiplies one generator at a time through the
-presentation's own group arithmetic, with no ball-index table, and
-`j_mul_from_gamma` sums single gamma constants per pair, deciding its
-refusals from recomputed structure constants rather than a taint flag.
+The program in src/ holds only what a scenario, the benchmark or the README
+reaches; what the tests compare it against lives here.
+
+* Group presentations: the finite Weyl groups of type A(n) and B2, an
+  element from its coordinates (normalized, with range checks), right
+  descents and the left-greedy reduced word, all through the
+  presentation's own `multiply` and `length`, with no ball table.
+* Torus actions: inversion on the rank-one torus, the trivial action, and
+  a brute-force count of a torsion class's fixed components on a grid.
+* Hecke products: `h_constants` recomputes c_x c_y through the T-basis
+  product and `t_to_c`, `c_to_t` expands canonical coordinates, and
+  `h_to_distinguished` reads the streamed rows against a distinguished
+  involution with group-element keys.
+* The J layer: the dagger coordinates of a Hecke element, and the
+  graded-module claims no scenario prints: the Hecke action on a graded
+  class, through multiplication and projection, against the star action.
+  `cdag_to_t` expands dagger coordinates through the public basis changes.
+  `t_product_by_words` multiplies one generator at a time through the
+  presentation's own group arithmetic, with no ball-index table, and
+  `j_mul_from_gamma` sums single gamma constants per pair, deciding its
+  refusals from recomputed structure constants rather than a taint flag.
 """
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
-from heckequot.asymptotic import GradedClass, JElement, _sqrt_fraction
+from heckequot.asymptotic import GradedClass, JElement, _sqrt_fraction, specialize
+from heckequot.coxeter import (
+    CoxeterError,
+    GroupElement,
+    GroupPresentation,
+    _type_a_data,
+    close_group,
+    mat_identity,
+)
+from heckequot.extquot import ExtQuotError, TorusAction, _frac_vec, fixed_locus
 from heckequot.hecke import XI, BallOverflowError, HeckeElement, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly
+
+# ---- group presentations -------------------------------------------------------
+
+
+def finite_a(n: int) -> GroupPresentation:
+    """Finite Weyl group of type A(n) = S_{n+1}; no affine generator."""
+    N = n + 1
+    elems, index, pos, adj_gens, _, _, m = _type_a_data(N)
+    return GroupPresentation(
+        family=f"FiniteA({n})",
+        rank=N,
+        wf_elems=elems,
+        wf_index=index,
+        pos_roots=pos,
+        gen_specs=[((0,) * N, index[g]) for g in adj_gens],
+        gen_names=[f"s{i}" for i in range(1, N)],
+        # the affine matrix without its affine node
+        coxeter_m={ij: mij for ij, mij in m.items() if ij[1] < N - 1},
+        omega_count=1,
+        _coset_of=lambda t: 0,
+        _normalize=lambda t: t,
+    )
+
+
+def finite_b2() -> GroupPresentation:
+    """Finite Weyl group of type B2, the signed permutations of two letters."""
+    s1 = ((0, 1), (1, 0))
+    s2 = ((1, 0), (0, -1))
+    elems, index = close_group([s1, s2], 2)
+    return GroupPresentation(
+        family="FiniteB2",
+        rank=2,
+        wf_elems=elems,
+        wf_index=index,
+        pos_roots=[(1, 0), (0, 1), (1, -1), (1, 1)],
+        gen_specs=[((0, 0), index[s1]), ((0, 0), index[s2])],
+        gen_names=["s1", "s2"],
+        coxeter_m={(0, 1): 4},
+        omega_count=1,
+        _coset_of=lambda t: 0,
+        _normalize=lambda t: t,
+    )
+
+
+def element(pres, trans, fin: int) -> GroupElement:
+    """t_trans * (finite part fin), with the translation normalized."""
+    t = tuple(int(x) for x in trans)
+    if len(t) != pres.rank:
+        raise CoxeterError(f"translation needs {pres.rank} coordinates, got {len(t)}")
+    if not 0 <= fin < len(pres.wf_elems):
+        raise CoxeterError(f"finite part index {fin} out of range")
+    return GroupElement(pres, pres._normalize(t), fin)
+
+
+def right_descents(pres, x: GroupElement) -> list[int]:
+    """Indices of the generators s with l(x s) < l(x)."""
+    return [i for i, s in enumerate(pres.generators()) if pres.multiply(x, s).length < x.length]
+
+
+def reduced_word(pres, x: GroupElement) -> tuple[list[str], GroupElement]:
+    """Left-greedy reduced word: (names, omega) with product(names) * omega
+    == x, each name the first generator that shortens what is left."""
+    word: list[str] = []
+    cur = x
+    gens = pres.generators()
+    while cur.length > 0:
+        for i, s in enumerate(gens):
+            if pres.multiply(s, cur).length < cur.length:
+                word.append(pres.gen_names[i])
+                cur = pres.multiply(s, cur)
+                break
+        else:
+            raise CoxeterError("no descent found for positive-length element")
+    return word, cur
+
+
+# ---- torus actions ---------------------------------------------------------------
+
+
+def inversion_on_gm() -> TorusAction:
+    return TorusAction(
+        rank=1,
+        matrices=[[[1]], [[-1]]],
+        names=["1", "inv"],
+        group_label="Z/2",
+    )
+
+
+def trivial_on_torus(rank: int) -> TorusAction:
+    return TorusAction(
+        rank=rank,
+        matrices=[mat_identity(rank)],
+        names=["1"],
+        group_label="1",
+    )
+
+
+def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
+    """Count torsion solutions directly on a finite grid and compare with
+    what the normal form predicts.  Only for small rank and torsion."""
+    fl = fixed_locus(action, gamma)
+    k = lcm(*fl.invariant_factors) if fl.invariant_factors else 1
+    if k ** fl.rank > 50000 or fl.rank > 3 or k > 12:
+        raise ExtQuotError("grid too large for the brute force check")
+    m = action.matrices[gamma]
+    count = 0
+    for q in itertools.product([Fraction(j, k) for j in range(k)], repeat=fl.rank):
+        img = _frac_vec(m, q)
+        if all((x - y).denominator == 1 for x, y in zip(img, q)):
+            count += 1
+    expected = k ** fl.dim
+    for f in fl.invariant_factors:
+        expected *= f
+    return {"order": k, "count": count, "expected": expected,
+            "agrees": count == expected}
+
+
+# ---- Hecke products --------------------------------------------------------------
+
+
+def h_constants(hb, x: GroupElement, y: GroupElement) -> dict[GroupElement, LaurentPoly]:
+    """c_x c_y = sum_z h_{x,y,z} c_z, recomputed through the T-basis; needs
+    l(x) + l(y) <= radius."""
+    if x.length + y.length > hb.radius:
+        raise BallOverflowError("pair exceeds the exact-product budget")
+    return dict(hb.t_to_c(hb.mul_T(hb.kl_element(x), hb.kl_element(y))).terms)
+
+
+def c_to_t(hb, a: HeckeElement) -> HeckeElement:
+    """A canonical-basis element rewritten in the T-basis."""
+    if a.basis != "c":
+        raise HeckeError("c_to_t needs a c-basis operand")
+    out = HeckeElement("T", {})
+    for w, coeff in a.terms.items():
+        out = out + hb.kl_element(w).scaled(coeff)
+    return out
+
+
+def h_to_distinguished(hb, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
+    """h_{x,d,.} for a distinguished involution d, keyed by group element;
+    refuses what HeckeBall._h_dist_idx refuses."""
+    elems = hb.ball.elements
+    return {elems[z]: LaurentPoly(h) for z, h in hb._h_dist_idx(hb._idx(x), hb._idx(d)).items()}
+
+
+# ---- the J layer -----------------------------------------------------------------
+
+
+def cdag_coords(J, h: HeckeElement) -> HeckeElement:
+    """Coordinates of h in the dagger basis: h = sum coords_x cdag_x."""
+    return J.hb._from_idx("cdag", J._cdag_idx(h))
+
 
 # ---- graded classes ------------------------------------------------------------
 
@@ -28,7 +205,7 @@ def grade_project(J, h, i, q):
     r = _sqrt_fraction(q)
     hb = J.hb
     out = {}
-    for z, p in J.cdag_coords(h).terms.items():
+    for z, p in cdag_coords(J, h).terms.items():
         az, cert = hb.a_function(z)
         if not cert:
             raise UncertifiedError(f"a({z.key_str()}) is not certified")
@@ -56,7 +233,7 @@ def hecke_grade_action(J, h, f, q, side="left"):
 
 def check_hf_compat(J, h, f, q):
     """h f = phi_q(h) * f in the graded piece."""
-    return hecke_grade_action(J, h, f, q, "left") == J.star_action(J.phi_q(h, q), f, "left")
+    return hecke_grade_action(J, h, f, q, "left") == J.star_action(specialize(J.phi(h), q), f, "left")
 
 
 def check_jfh_compat(J, j, f, h, q):
@@ -85,7 +262,7 @@ def t_product_by_words(hb, a, b):
     pres, xi = hb.pres, LaurentPoly(XI)
     out = HeckeElement("T", {})
     for w, q in b.terms.items():
-        names, omega = pres.reduced_word(w)
+        names, omega = reduced_word(pres, w)
         cur = dict(a.terms)
         for s in map(pres.generator, names):
             nxt = HeckeElement("T", {})
@@ -120,7 +297,7 @@ def j_mul_from_gamma(J, a, b):
                 raise UncertifiedError("operands must have certified a-values")
             if x.length + y.length > hb.radius:
                 raise BallOverflowError("pair exceeds the exact-product budget")
-            if not all(hb.a_function(z)[1] for z in hb.h_constants(x, y)):
+            if not all(hb.a_function(z)[1] for z in h_constants(hb, x, y)):
                 raise UncertifiedError("product support touches uncertified elements")
             row = {hb._idx(z): cx * cy * g for z in certified if (g := hb.gamma(x, y, z))}
             out = out + JElement(row, hb.ball)

@@ -47,6 +47,8 @@ def test_usage_exit_three():
         [],
         ["cache", "frobnicate"],
         ["cache", "list"],
+        ["run", "gl-bernstein-point", "--torsions=0,1"],
+        ["run", "gl-bernstein-point", "--torsions=-1,2"],
     ):
         rc, out, err = run(args)
         assert rc == 3, args

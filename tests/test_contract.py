@@ -1,16 +1,25 @@
 """The names the benchmark's tracer wraps still exist, and every name
-the program defines is still used.
+the program defines is used by the program.
 
 perfbench/tracing.py wraps functions of the program by name from outside;
 a target that disappears is skipped and its per-layer counter silently
 reads 0.  This test resolves every target the way the tracer does, and
 checks the ball attributes and signatures its hooks read.
+
+The rule for src/: it holds the program, the code a scenario, the
+benchmark or the README's library examples reach; the references the
+tests compare it against live in tests/oracles.py.  So a name defined in
+src/ counts as used only when src/ or perfbench/ reads it, when it is part
+of a tracer target's path, or when README_API lists it; a read from tests/
+does not count.  README_API names the library API the README shows that
+src/ never reads, and each of its names must appear in the README.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 from heckequot import asymptotic, cli
@@ -19,6 +28,11 @@ from heckequot.hecke import HeckeBall
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
+
+# The library API the README's examples call that no src/ code reads,
+# as module.Class.attribute.
+README_API = {"asymptotic.JElement.support"}
 
 
 def load_tracing():
@@ -99,12 +113,25 @@ def test_the_trace_sees_every_product_stream_pass(tmp_path):
     assert metrics["hecke.stream.pairs"] == 3239
 
 
+def test_readme_api_is_shown_in_the_readme_and_defined():
+    # a README_API entry keeps its name alive only while the README's
+    # examples use it
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    for entry in README_API:
+        modname, *path = entry.split(".")
+        owner = importlib.import_module("heckequot." + modname)
+        for part in path:
+            owner = getattr(owner, part)
+        assert callable(owner), entry
+        assert any(re.search(rf"\.{path[-1]}\(", code) for code in blocks), entry
+
+
 def _used_names() -> set[str]:
     """Every name read (not assigned) as a Name or an Attribute, or
-    imported, in src/, tests/ and perfbench/, plus each part of the
-    tracer's target paths."""
-    used = set()
-    for tree in ("src", "tests", "perfbench"):
+    imported, in src/ and perfbench/, plus each part of the tracer's
+    target paths and the attributes README_API lists."""
+    used = {entry.rpartition(".")[2] for entry in README_API}
+    for tree in ("src", "perfbench"):
         for path in (ROOT / tree).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
@@ -121,9 +148,10 @@ def _used_names() -> set[str]:
 
 
 def test_every_src_definition_is_used():
-    # a deletion must not strand a helper: each module-level function,
-    # class, constant and type alias and each method is used somewhere,
-    # dunders and overrides of an inherited method excepted
+    # each module-level function, class, constant and type alias and each
+    # method is used by the program (see the module docstring), dunders and
+    # overrides of an inherited method excepted: a deletion must not strand
+    # a helper, and a reference only the tests read belongs in tests/
     used = _used_names()
     unused = []
     for path in sorted((ROOT / "src" / "heckequot").glob("*.py")):

@@ -16,13 +16,12 @@ from heckequot.coxeter import (
     dump_element,
     extended_affine_b2,
     extended_affine_pgl,
-    finite_a,
-    finite_b2,
     infinite_dihedral,
     mat_identity,
     mat_mul,
     mat_vec,
 )
+from oracles import element, finite_a, finite_b2, reduced_word, right_descents
 
 
 def bfs_distances(pres, radius):
@@ -154,26 +153,28 @@ def test_inverse_and_parity():
 def test_element_validation():
     b2 = extended_affine_b2()
     with pytest.raises(CoxeterError):
-        b2.element((0, 0), 99)
+        element(b2, (0, 0), 99)
     with pytest.raises(CoxeterError):
-        b2.element((0,), 0)
+        element(b2, (0,), 0)
 
 
 def test_reduced_word_roundtrip():
     b2 = extended_affine_b2()
     for x in b2.ball(4):
-        word, omega = b2.reduced_word(x)
+        word, omega = reduced_word(b2, x)
         assert len(word) == x.length
-        assert b2.word_to_element(word) * omega == x
+        prod = b2.identity()
+        for name in word:
+            prod = b2.multiply(prod, b2.generator(name))
+        assert b2.multiply(prod, omega) == x
 
 
 def test_descents_bound_length():
     d = infinite_dihedral()
     s1, s2 = d.generators()
     w = s1 * s2 * s1
-    assert d.left_descents(w) == [0]
-    assert d.right_descents(w) == [0]
-    assert d.left_descents(d.identity()) == []
+    assert right_descents(d, w) == [0]
+    assert right_descents(d, d.identity()) == []
 
 
 # ---- omega structure ------------------------------------------------------
@@ -215,14 +216,6 @@ def test_omega_index_additive():
             assert (x * y).omega_index() == (x.omega_index() + y.omega_index()) % 3
 
 
-def test_wprime_omega_factorization():
-    p3 = extended_affine_pgl(3)
-    for x in p3.ball(3):
-        wp = x.wprime_part()
-        assert wp.omega_index() == 0
-        assert wp * x.omega_part() == x
-
-
 # ---- finite families ------------------------------------------------------
 
 
@@ -230,7 +223,7 @@ def test_finite_a3_is_s4():
     fa = finite_a(3)
     ball = fa.ball(20)
     assert len(ball) == 24
-    assert fa.wf_order == 24
+    assert len(fa.wf_elems) == 24
     assert fa.num_positive_roots == 6
     assert max(x.length for x in ball) == 6
 
@@ -266,6 +259,12 @@ def test_weyl_table_needs_generating_finite_parts():
 # ---- serialization --------------------------------------------------------
 
 
+def _word(x):
+    names, omega = reduced_word(x.pres, x)
+    return names, omega.omega_index()
+
+
+
 @pytest.mark.parametrize(
     "factory,radius",
     [
@@ -279,11 +278,11 @@ def test_weyl_table_needs_generating_finite_parts():
 def test_dump_element_lines_distinct(factory, radius):
     # cache E lines must identify their element
     ball = factory().ball(radius)
-    assert len({dump_element(x) for x in ball}) == len(ball)
+    assert len({dump_element(x, _word(x)) for x in ball}) == len(ball)
 
 
 def test_dump_format():
     d = infinite_dihedral()
     s1, s2 = d.generators()
     w = s1 * s2
-    assert dump_element(w) == "word=s1.s2 omega=w0 len=2 trans=(-1) fin=f0"
+    assert dump_element(w, _word(w)) == "word=s1.s2 omega=w0 len=2 trans=(-1) fin=f0"

@@ -215,6 +215,8 @@ def test_bernstein_point_two_blocks_with_torsion():
     ]
     assert [str(c) for c in out["census"]] == ["sym(1,1)", "sym(2,1)"]
     assert out["count"] == 2
+    with pytest.raises(DualityError, match="positive"):
+        bernstein_point_gl((2, 1), torsions=(0, 2))
 
 
 def test_bernstein_point_counts_multiply():

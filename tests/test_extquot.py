@@ -17,13 +17,11 @@ from heckequot.extquot import (
     ExtQuotError,
     TorusAction,
     _sym_parts,
-    brute_force_component_count,
     census,
     cycle_type,
     extended_quotient,
     fixed_locus,
     full_torus_descriptor,
-    inversion_on_gm,
     sl_dual_torus,
     smith_normal_form,
     so5_weyl_on_torus,
@@ -31,8 +29,8 @@ from heckequot.extquot import (
     symmetric_on_torus,
     torsion_orbit_census,
     torus_mod,
-    trivial_on_torus,
 )
+from oracles import brute_force_component_count, inversion_on_gm, trivial_on_torus
 
 # ---- integer linear algebra -------------------------------------------------
 
