@@ -40,6 +40,7 @@ error stop the run.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,10 +104,7 @@ class JElement:
         return JElement(sparse_add(dict(self.coeffs), other.coeffs), self.ball or other.ball)
 
     def __sub__(self, other: "JElement") -> "JElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "JElement":
-        return JElement({w: q * c for w, q in self.coeffs.items()}, self.ball)
+        return self + JElement({w: -q for w, q in other.coeffs.items()}, other.ball)
 
     def support(self) -> list[GroupElement]:
         # ball indices follow the key order
@@ -126,8 +124,10 @@ def specialize(a: JElement, q) -> JElement:
     return JElement({w: p.evaluate(r) for w, p in a.coeffs.items()}, a.ball)
 
 
+@functools.cache
 def _sqrt_fraction(q) -> Fraction:
-    """Exact square root of a rational, or raise."""
+    """Exact square root of a rational, or raise; taken once per distinct q
+    (a refusal is not stored, so it raises again)."""
     q = Fraction(q)
     if q <= 0:
         raise HeckeError("specialization needs q > 0")
@@ -155,14 +155,12 @@ class GradedClass:
     def __post_init__(self):
         self.coords = {w: c for w, c in self.coords.items() if c}
 
-    def scaled(self, c) -> "GradedClass":
-        return GradedClass(self.grade, {w: q * c for w, q in self.coords.items()})
-
 
 class JRing:
     """Asymptotic ring attached to a HeckeBall."""
 
     def __init__(self, hb: HeckeBall):
+        hb._ensure_gamma()  # one product stream gives the a-values and gamma
         self.hb = hb
         self._phi: dict[int, dict[int, RawPoly]] = {}
         self._acert: list[int | None] | None = None  # certified a(ball[i]), or None

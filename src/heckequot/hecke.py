@@ -30,12 +30,14 @@ On W', conjugation g by Omega and the anti-involution T_w -> T_{w^-1} fix
 both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
 h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
 one z per orbit.  Product rows are computed for one x per Omega-conjugacy
-orbit with 2 l(x) <= R, and each is worked once: the a-value pass takes
-each z's degree profile as the max over its orbit, and the gamma table is
-kept per computed row, relabelled for any other pair when it is looked up
-(_rep).  The cells too: T_omega c_x = c_{omega x} and c_x T_omega =
-c_{x omega}, so the preorder graphs have one node per left Omega-orbit, its
-W' element, and a cell holds the Omega-translates of its nodes.
+orbit with 2 l(x) <= R, and each is worked once: z's degree profile is
+the max over its orbit, and the gamma table is kept per computed row,
+relabelled for any other pair when it is looked up (_rep).  One pass of
+the rows serves both the a-values and the gamma table; a ball that needs
+only its a-values (for the cells) keeps nothing of the rows.  The cells
+too: T_omega c_x = c_{omega x} and c_x T_omega = c_{x omega}, so the
+preorder graphs have one node per left Omega-orbit, its W' element, and a
+cell holds the Omega-translates of its nodes.
 
 Group arithmetic is done once per ball, by the search that builds it and
 its right multiplication table.  Integer tables over ball indices, walked
@@ -47,7 +49,6 @@ elements appear only at the public methods.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 from array import array
 from dataclasses import dataclass, field
@@ -274,7 +275,7 @@ class HeckeBall:
         self._gamma: dict[tuple[int, int], dict[int, int]] | None = None
         self._gamma_tainted: set[tuple[int, int]] = set()
         self._gamma_rows: dict[tuple[int, int], dict[int, int]] = {}  # per ball-index pair
-        self._h_for_dist: dict[tuple[int, int], dict[int, RawPoly]] = {}
+        self._h_for_dist: dict[tuple[int, int], dict[int, int]] = {}  # packed rows
         self._dist_idx: list[int] | None = None
         self._cells: CellPartition | None = None
         self._daggers: dict[int, dict[int, RawPoly]] = {}
@@ -384,14 +385,6 @@ class HeckeBall:
         self._row_bits = M.bit_length() + 2
 
     # ---------------- p-polynomial access --------------------------------
-    def p_poly(self, y: GroupElement, z: GroupElement) -> LaurentPoly:
-        """p_{y,z} for ball elements, Omega rule included."""
-        if y.omega_index() != z.omega_index():
-            return LaurentPoly.zero()
-        yi, _ = self._wp_coset(y)
-        zi, _ = self._wp_coset(z)
-        return LaurentPoly(self._p[zi].get(yi, {}))
-
     def _kl_terms(self, i: int):
         """(ball index of y, p_{y,z}) over the T-expansion of c_z, z = ball[i]."""
         k, nom, rom = self._omi[i], self._nom, self._rom
@@ -402,10 +395,6 @@ class HeckeBall:
         """Canonical basis element c_z in the T-basis."""
         elems = self.ball.elements
         return HeckeElement("T", {elems[y]: LaurentPoly(p) for y, p in self._kl_terms(self._idx(z))})
-
-    def mu(self, y: GroupElement, z: GroupElement) -> int:
-        """Coefficient of v^-1 in p_{y,z}."""
-        return self.p_poly(y, z).coeff(-1)
 
     # ---------------- generator products ---------------------------------
     def _cs_table(self, s: int) -> list[dict[int, object]]:
@@ -624,22 +613,25 @@ class HeckeBall:
         return (xi, syms[self._om_inv[k]][inv[a]]), syms[self._nom + k]
 
     # ---------------- a-function ------------------------------------------
-    def _ensure_a_data(self) -> None:
-        if self._a_values is not None:
-            return
+    def _stream_a_values(self, visit: Callable[[int, int, dict[int, int]], None] | None = None) -> None:
+        """One pass of _stream_products that fills the a-value columns, and
+        calls visit(xi, yi, P) on each row after it; then reads a(z), its
+        certificate and its degree profile off the columns."""
         n, wl, R, m = len(self.wp), self.wp_len, self.radius, self.margin
         k = self._pack_bits()
         # cols[rho][z]: the largest |H|.bit_length() over the computed rows
         # with pair budget l(x) + l(y) = rho, 0 (degree -R-1) if there is none
         cols = [[0] * n for _ in range(R + 1)]
 
-        def visit(xi: int, yi: int, P: dict[int, int]) -> None:
+        def fill(xi: int, yi: int, P: dict[int, int]) -> None:
             col = cols[wl[xi] + wl[yi]]
             for zi, d in zip(P, map(int.bit_length, P.values())):  # |H|'s bits
                 if col[zi] < d:
                     col[zi] = d
+            if visit is not None:
+                visit(xi, yi, P)
 
-        self._stream_products(visit)
+        self._stream_products(fill)
         # each pair is a computed row's image under a g in _syms (see _rep),
         # which keeps budgets and degrees: z's profile is the elementwise max
         # over its orbit, and a(z) and its certificate are the orbit's.
@@ -660,6 +652,10 @@ class HeckeBall:
         self._a_profile = profile
         self._a_values = values
         self._a_cert = certs
+
+    def _ensure_a_data(self) -> None:
+        if self._a_values is None:
+            self._stream_a_values()
 
     def _wp_coset(self, x: GroupElement) -> tuple[int, int]:
         """(W' index, Omega index) of a ball element x = wp[i] omega_k."""
@@ -688,40 +684,90 @@ class HeckeBall:
 
     # ---------------- gamma table ------------------------------------------
     def _ensure_gamma(self) -> None:
-        """Per computed row (xi, yi) of _stream_products: the nonzero gamma
-        constants, whether the support leaves the certified elements, and,
-        when yi is distinguished or when 2 l(y) > radius and xi is, the
-        decoded h-row.  _rep relabels them for every pair in the budget, since
-        a(z), certification and the distinguished set are invariant under
-        _syms; the second case is where _rep finds a pair (x, d) with
-        2 l(x) > radius, as the inverse mirror of (d^-1, x^-1) = (d, x^-1)."""
+        """The one product stream a J scenario needs: it fills the a-value
+        columns (_stream_a_values) and, per computed row (xi, yi), keeps
+        what gamma, the taint and the h-rows need.  _rep relabels the three
+        tables for every pair in the budget, since a(z), certification and
+        the distinguished set are invariant under _syms.  A ball whose
+        a-values are known already fills the columns again, to the same
+        values: JRing asks for gamma first, so a J scenario streams once.
+
+        * gamma_{x,y,z} is the coefficient of v^a(z) in h_{x,y,z}, and deg
+          h_{x,y,z} <= a(z) over the whole budget; every h has nonnegative
+          coefficients, so it is the top digit of the packed H when deg h =
+          a(z), else 0.  For each z the pass keeps (row, top digit) at z's
+          running top degree only, and drops them when that degree rises.
+        * A row is tainted when its support leaves the certified elements.
+          A z with l(z) > R - 2m is never certified, so a row touching one
+          is tainted at once; each other row is listed under every z of its
+          support, and tainted after the pass if one of them is uncertified.
+        * The h-rows against distinguished involutions d: a d is certified
+          with a(d) = Delta(d), and an involution (Lusztig's P6), so it is
+          an involution z with p_{1,z} != 0, Delta(z) <= nu and l(z) <=
+          R - 2m.  The pass keeps its own packed row (xi, yi) when yi is such
+          a candidate, or when 2 l(y) > R and xi is one: there _rep finds a
+          pair (x, d) with 2 l(x) > R, as the inverse mirror of (d^-1, x^-1)
+          = (d, x^-1).  Equal values in the kept rows are made one int (few
+          distinct h occur), and _h_dist_idx decodes them on read.
+
+        After the pass a(z) and the distinguished set are known: the kept
+        rows are cut down to the distinguished ones, the listed rows give
+        the taint, and gamma is read off the kept top digits."""
         if self._gamma is not None:
             return
-        self.distinguished_involutions()  # builds the a-values first
-        dset, k, R, wl = set(self._dist_idx), self._pack_bits(), self.radius, self.wp_len
-        certified = {zi for zi, c in enumerate(self._a_cert) if c}
-        decode = functools.cache(lambda H: unpack(H, -R - 1, k))  # few distinct h
-        # deg h_{x,y,z} <= a(z) over the whole budget, so H rounded at digit
-        # p = a(z) + R + 1 is the coefficient of v^a(z), and 0 if deg h < a(z);
-        # the digit below p alone decides the rounding, so cut H there first
-        low, half = [k * (a + R) for a in self._a_values], 1 << (k - 1)
-        gamma: dict[tuple[int, int], dict[int, int]] = {}
-        hdist: dict[tuple[int, int], dict[int, RawPoly]] = {}
+        n, wl, R, m, k, p = len(self.wp), self.wp_len, self.radius, self.margin, self._pack_bits(), self._p
+        cut = bisect.bisect_right(wl, R - 2 * m)  # W' is sorted by length
+        cand = {zi for zi in range(cut) if self.wp_inv[zi] == zi and 0 in p[zi]
+                and -max(p[zi][0]) <= self.n_pos_roots}
+        # floor[z] = k (deg + R + 1) at z's running top degree: the least
+        # |H|.bit_length() of that degree; hits[z] = [row, digit, row, ...]
+        floor, hits = [0] * n, [None] * n
+        touch: list[list[tuple[int, int]]] = [[] for _ in range(cut)]
         tainted: set[tuple[int, int]] = set()
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        shared: dict[int, int] = {}
 
         def visit(xi: int, yi: int, P: dict[int, int]) -> None:
-            if not certified.issuperset(P):
-                tainted.add((xi, yi))  # gamma extraction needs the true a(z)
-            row = {zi: g for zi, H in P.items() if (g := ((H >> low[zi]) + half) >> k)}
-            if row:
-                gamma[(xi, yi)] = row
-            if yi in dset or (2 * wl[yi] > R and xi in dset):
-                hdist[(xi, yi)] = {zi: decode(H) for zi, H in P.items()}
+            key = (xi, yi)
+            for zi, H in P.items():
+                b = H.bit_length()
+                lo = floor[zi]
+                if b < lo:
+                    continue
+                if b < lo + k:
+                    hits[zi] += key, H >> lo
+                else:  # the degree rises
+                    lo = floor[zi] = b - b % k
+                    hits[zi] = [key, H >> lo]
+            if max(P) >= cut:
+                tainted.add(key)
+            else:
+                for zi in P:
+                    touch[zi].append(key)
+            if yi in cand or (2 * wl[yi] > R and xi in cand):
+                for zi, H in P.items():  # equal values, not new keys
+                    P[zi] = shared.setdefault(H, H)
+                rows[key] = P
 
-        self._stream_products(visit)
-        self._gamma = gamma
+        self._stream_a_values(visit)
+        self.distinguished_involutions()  # sets _dist_idx
+        # each table is read off as soon as it can be, and its input dropped
+        dset = set(self._dist_idx)
+        self._h_for_dist = {key: P for key, P in rows.items()
+                            if key[1] in dset or (2 * wl[key[1]] > R and key[0] in dset)}
+        del rows, shared
+        for zi, listed in enumerate(touch):
+            if not self._a_cert[zi]:
+                tainted.update(listed)
+        del touch
         self._gamma_tainted = tainted
-        self._h_for_dist = hdist
+        gamma: dict[tuple[int, int], dict[int, int]] = {}
+        for zi, (a, lo) in enumerate(zip(self._a_values, floor)):
+            h, hits[zi] = hits[zi], None
+            if h and lo == k * (a + R + 1):
+                for key, g in zip(h[::2], h[1::2]):
+                    gamma.setdefault(key, {})[zi] = g
+        self._gamma = gamma
 
     def gamma(self, x: GroupElement, y: GroupElement, z: GroupElement) -> int:
         """Coefficient of t_z in t_x t_y, i.e. the v^{a(z)}-coefficient of
@@ -767,7 +813,8 @@ class HeckeBall:
 
     def _h_dist_idx(self, i: int, di: int) -> dict[int, RawPoly]:
         """h_{x,d,.} on ball indices, for x = ball[i] and a distinguished
-        involution d = ball[di].  Callers must not mutate the result."""
+        involution d = ball[di], decoded from the packed row _ensure_gamma
+        kept."""
         if self._gamma is None:  # a traced stage: enter it only to build
             self._ensure_gamma()
         xi, omx = self._wpi[i], self._omi[i]
@@ -776,8 +823,8 @@ class HeckeBall:
         if self._wpi[di] not in self._dist_idx:  # a wrong argument, not a truncation
             raise HeckeError("h_{x,d,.} needs a distinguished involution d")
         key, g = self._rep(xi, self._syms[omx][self._wpi[di]])
-        nom, rom = self._nom, self._rom
-        return {rom[g[zi] * nom + omx]: h for zi, h in self._h_for_dist[key].items()}
+        nom, rom, lo, k = self._nom, self._rom, -self.radius - 1, self._pack_bits()
+        return {rom[g[zi] * nom + omx]: unpack(H, lo, k) for zi, H in self._h_for_dist[key].items()}
 
     # ---------------- cache line format --------------------------------------
     def cache_header(self) -> str:

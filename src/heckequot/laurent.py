@@ -117,10 +117,6 @@ class LaurentPoly:
 
     # ---- constructors -------------------------------------------------
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls._raw({0: 1})
 
@@ -199,13 +195,6 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.c.items()))
 
-    def coeff(self, exp: int) -> Scalar:
-        return self.c.get(exp, 0)
-
-    def bar(self) -> "LaurentPoly":
-        """Exponent negation v -> v^-1."""
-        return LaurentPoly._raw(bar(self.c))
-
     def evaluate(self, x: Scalar) -> Scalar:
         """Exact evaluation at a nonzero rational point."""
         x = Fraction(x)
@@ -253,9 +242,6 @@ class BalancedPair:
 
     balanced: LaurentPoly
     antibalanced: LaurentPoly
-
-    def total(self) -> LaurentPoly:
-        return self.balanced + self.antibalanced
 
 
 def decompose(p: LaurentPoly) -> BalancedPair:

@@ -9,6 +9,10 @@ reaches; what the tests compare it against lives here.
   presentation's own `multiply` and `length`, with no ball table.
 * Torus actions: inversion on the rank-one torus, the trivial action, and
   a brute-force count of a torsion class's fixed components on a grid.
+* Value-type readers the program does not need: `barred` (v -> v^-1 on
+  a LaurentPoly, through the program's raw `bar`), `p_poly` and `mu` (a KL
+  polynomial and its v^-1 coefficient, by group element), and `scaled_j`
+  and `scaled_class` (a J element or a graded class times a scalar).
 * Hecke products: `h_constants` recomputes c_x c_y through the T-basis
   product and `t_to_c`, `c_to_t` expands canonical coordinates, and
   `h_to_distinguished` reads the streamed rows against a distinguished
@@ -38,7 +42,7 @@ from heckequot.coxeter import (
 )
 from heckequot.extquot import ExtQuotError, TorusAction, _frac_vec, fixed_locus
 from heckequot.hecke import XI, BallOverflowError, HeckeElement, HeckeError, UncertifiedError
-from heckequot.laurent import LaurentPoly
+from heckequot.laurent import LaurentPoly, bar
 
 # ---- group presentations -------------------------------------------------------
 
@@ -156,6 +160,28 @@ def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
             "agrees": count == expected}
 
 
+# ---- value-type readers ----------------------------------------------------------
+
+
+def barred(p: LaurentPoly) -> LaurentPoly:
+    """p(v^-1)."""
+    return LaurentPoly(bar(p.c))
+
+
+def p_poly(hb, y: GroupElement, z: GroupElement) -> LaurentPoly:
+    """p_{y,z} for ball elements, Omega rule included."""
+    if y.omega_index() != z.omega_index():
+        return LaurentPoly()
+    yi, _ = hb._wp_coset(y)
+    zi, _ = hb._wp_coset(z)
+    return LaurentPoly(hb._p[zi].get(yi, {}))
+
+
+def mu(hb, y: GroupElement, z: GroupElement):
+    """Coefficient of v^-1 in p_{y,z}."""
+    return p_poly(hb, y, z).c.get(-1, 0)
+
+
 # ---- Hecke products --------------------------------------------------------------
 
 
@@ -192,7 +218,17 @@ def cdag_coords(J, h: HeckeElement) -> HeckeElement:
     return J.hb._from_idx("cdag", J._cdag_idx(h))
 
 
+def scaled_j(a: JElement, c) -> JElement:
+    """c a, for a scalar or Laurent c."""
+    return JElement({w: q * c for w, q in a.coeffs.items()}, a.ball)
+
+
 # ---- graded classes ------------------------------------------------------------
+
+
+def scaled_class(f: GradedClass, c) -> GradedClass:
+    """c f, for a scalar c."""
+    return GradedClass(f.grade, {w: q * c for w, q in f.coords.items()})
 
 
 def grade_project(J, h, i, q):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckequot import asymptotic
 from heckequot.coxeter import extended_affine_b2, infinite_dihedral
 from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly
@@ -24,7 +25,15 @@ from heckequot.asymptotic import (
     decide,
     specialize,
 )
-from oracles import cdag_coords, cdag_to_t, check_hf_compat, check_jfh_compat, j_mul_from_gamma
+from oracles import (
+    cdag_coords,
+    cdag_to_t,
+    check_hf_compat,
+    check_jfh_compat,
+    j_mul_from_gamma,
+    scaled_class,
+    scaled_j,
+)
 
 SKIP = (UncertifiedError, BallOverflowError)
 
@@ -120,7 +129,7 @@ def test_jelement_algebra(ring):
     a = J.basis_element(s1) + J.basis_element(s2, 2)
     assert a.support() == sorted([s1, s2], key=lambda x: x.key())
     assert (a - J.basis_element(s2, 2)) == J.basis_element(s1)
-    assert a.scaled(3).coeffs[hb._idx(s2)] == 6
+    assert scaled_j(a, 3).coeffs[hb._idx(s2)] == 6
 
 
 def test_base_points_certified(ring):
@@ -264,6 +273,19 @@ def test_phi_q_rejects_non_square(ring):
     for q in (2, 3, Fraction(1, 2), 0, -4):
         with pytest.raises(HeckeError):
             specialize(J.phi(c), q)
+        with pytest.raises(HeckeError):  # a refusal is never remembered
+            specialize(J.phi(c), q)
+
+
+def test_specialize_takes_each_square_root_once(ring):
+    # the phi-hom checks specialize hundreds of images at one or two q,
+    # each a Fraction, as the command line parses it
+    hb, J = ring
+    img = J.phi(hb.kl_element(hb.pres.generator("s1")))
+    asymptotic._sqrt_fraction.cache_clear()
+    for q in map(Fraction, (4, 4, 1, Fraction(9, 4), 4, 1)):
+        specialize(img, q)
+    assert asymptotic._sqrt_fraction.cache_info().misses == 3
 
 
 def test_phi_is_multiplicative(ring):
@@ -292,7 +314,7 @@ def _phi_oracle(J, h):
     in descending ball index, the order in which phi meets them."""
     hb, out = J.hb, JElement({})
     for x, p in hb.t_to_c(hb.dagger(h)).terms.items():
-        out = out + J.phi(HeckeElement("cdag", {x: LaurentPoly.one()})).scaled(p)
+        out = out + scaled_j(J.phi(HeckeElement("cdag", {x: LaurentPoly.one()})), p)
     return out
 
 
@@ -427,4 +449,4 @@ def test_star_action_linear(ring):
     f = J.base_point(0)
     g = J.star_action(J.basis_element(s1), f)
     two_g = J.star_action(J.basis_element(s1, 2), f)
-    assert g.scaled(2) == two_g
+    assert scaled_class(g, 2) == two_g

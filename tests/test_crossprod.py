@@ -35,6 +35,7 @@ from heckequot.crossprod import (
     random_crossed,
     spectrum_map,
 )
+from oracles import barred
 
 # a width and lowest exponent for the small hand-made elements below
 K, LO = 8, -4
@@ -145,14 +146,14 @@ def _fraction_cm4(rng, max_deg):
 
     def rf():
         p = poly()
-        return p + p.bar(), Fraction(rng.randint(-3, 3))
+        return p + barred(p), Fraction(rng.randint(-3, 3))
 
     (l11, r11), (l12, r12), (l21, r21), (l22, r22) = rf(), rf(), rf(), rf()
     a13, a23, a31, a32, a33, a34 = (poly() for _ in range(6))
-    rows = [[l11, l12, a13, a13.bar()],
-            [l21, l22, a23, a23.bar()],
+    rows = [[l11, l12, a13, barred(a13)],
+            [l21, l22, a23, barred(a23)],
             [a31, a32, a33, a34],
-            [a31.bar(), a32.bar(), a34.bar(), a33.bar()]]
+            [barred(a31), barred(a32), barred(a34), barred(a33)]]
     return rows, ((r11, r12), (r21, r22))
 
 
@@ -174,7 +175,7 @@ def test_samples_equal_the_fraction_built_ones():
         X, Xb, R = random_cm4(rng, 4, -4, k)
         rows, refl = _fraction_cm4(ref, 4)
         assert _decoded(X, -4, k) == rows
-        assert _decoded(Xb, -4, k) == [[e.bar() for e in row] for row in rows]
+        assert _decoded(Xb, -4, k) == [[barred(e) for e in row] for row in rows]
         assert R == refl and all(type(a) is int for row in R for a in row)
         assert rng.getstate() == ref.getstate()
 

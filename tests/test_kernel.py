@@ -554,6 +554,40 @@ def test_the_resolver_gives_every_pair_its_gamma_taint_and_h_row(factory, radius
 
 
 @pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 24), (extended_affine_b2, 12), (lambda: extended_affine_pgl(3), 10)],
+    ids=["dihedral-r24", "b2-r12", "pgl3-r10"],
+)
+def test_gamma_first_streams_once_and_agrees_with_a_values_first(factory, radius, monkeypatch):
+    # asked for gamma first, a ball fills the a-value columns in the same
+    # pass; asked for the a-values first, it runs the plain a-value pass and
+    # then the gamma pass
+    fused, split = HeckeBall(factory(), radius), HeckeBall(factory(), radius)
+    passes, stream = [], fused._stream_products
+    monkeypatch.setattr(fused, "_stream_products", lambda visit: passes.append(visit) or stream(visit))
+    fused._ensure_gamma()
+    assert len(passes) == 1
+    split._ensure_a_data()
+    plain = split._a_values, split._a_cert, split._a_profile
+    split._ensure_gamma()
+    assert (fused._a_values, fused._a_cert, fused._a_profile) == plain
+    for name in ("_a_values", "_a_cert", "_a_profile", "_dist_idx", "_gamma", "_gamma_tainted"):
+        assert getattr(fused, name) == getattr(split, name), name
+    assert split._dist_idx and split._gamma and split._gamma_tainted
+
+    def h_row(hb, i, di):
+        try:
+            return hb._h_dist_idx(i, di)
+        except BallOverflowError:
+            return None
+
+    dists = [split._rom[d * split._nom] for d in split._dist_idx]
+    rows = [h_row(split, i, di) for i in range(len(split.ball)) for di in dists]
+    assert rows == [h_row(fused, i, di) for i in range(len(fused.ball)) for di in dists]
+    assert any(rows) and None in rows
+
+
+@pytest.mark.parametrize(
     "factory, radius, distinct",
     [(extended_affine_b2, 16, 573), (lambda: extended_affine_pgl(4), 9, 73)],
     ids=["b2-r16", "pgl4-r9"],

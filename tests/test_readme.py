@@ -20,6 +20,8 @@ def test_readme_python_block_runs():
             exec(compile(code, str(README), "exec"), {})
     lines = out.getvalue().splitlines()
     assert lines[:2] == ["1 0 True", "20 1 False"]
+    # t_s t_s = t_s: one gamma constant, and the row it lies in
+    assert lines[2] == "1 True"
     # the unit's support names group elements, not ball indices
     assert lines[-1] == ("[<InfiniteDihedral: t(0,) f0>, <InfiniteDihedral: t(0,) f1>, "
                          "<InfiniteDihedral: t(1,) f1>]")
