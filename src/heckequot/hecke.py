@@ -22,22 +22,25 @@ Everything reduces to the W' part: right translation by Omega and
 conjugation by Omega are length-preserving symmetries, so the p-, h- and
 gamma-tables are stored on W' only and extended on demand.  Both kernels
 run on Kronecker-packed ints, at widths that positivity makes sound: the KL
-recursion fills one interned table (one dict per distinct polynomial), and
-products c_x c_y are streamed one row at a time along right reduced words,
-from the mu-coefficients of p, at the width the augmentation bounds.
+recursion fills one interned table (one dict per distinct polynomial, one
+row per symmetry orbit), and products c_x c_y are streamed one row at a
+time along right reduced words, from the mu-coefficients of p, at the
+width the augmentation bounds.
 
 On W', conjugation g by Omega and the anti-involution T_w -> T_{w^-1} fix
 both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
 h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
-one z per orbit.  Product rows are computed for one x per Omega-conjugacy
-orbit with 2 l(x) <= R, and each is worked once: z's degree profile is
-the max over its orbit, and the gamma table is kept per computed row,
-relabelled for any other pair when it is looked up (_rep).  One pass of
-the rows serves both the a-values and the gamma table; a ball that needs
-only its a-values (for the cells) keeps nothing of the rows.  The cells
-too: T_omega c_x = c_{omega x} and c_x T_omega = c_{x omega}, so the
-preorder graphs have one node per left Omega-orbit, its W' element, and a
-cell holds the Omega-translates of its nodes.
+one z per orbit, and the table holds that row once for the whole orbit:
+each z reads it, and its mu-coefficients, through the g that carries the
+orbit's least element onto z.  Product rows are computed for one x per
+Omega-conjugacy orbit with 2 l(x) <= R, and each is worked once: z's
+degree profile is the max over its orbit, and the gamma table is kept per
+computed row, relabelled for any other pair when it is looked up (_rep).
+One pass of the rows serves both the a-values and the gamma table; a ball
+that needs only its a-values (for the cells) keeps nothing of the rows.
+The cells too: T_omega c_x = c_{omega x} and c_x T_omega = c_{x omega}, so
+the preorder graphs have one node per left Omega-orbit, its W' element,
+and a cell holds the Omega-translates of its nodes.
 
 Group arithmetic is done once per ball, by the search that builds it and
 its right multiplication table.  Integer tables over ball indices, walked
@@ -148,7 +151,7 @@ class PropertyCheck:
     counterexamples: list = field(default_factory=list)
 
 
-def _sccs(adj: list[set[int]]) -> list[list[int]]:
+def _sccs(adj: list[tuple[int, ...]]) -> list[list[int]]:
     """The strongly connected components of the graph v -> adj[v] on
     range(len(adj)), in topological order: every edge that leaves a
     component enters a later one (Kosaraju, both passes iterative)."""
@@ -265,9 +268,12 @@ class HeckeBall:
         self.parent: list[tuple[int, int] | None] = [None] + [
             (self._wpi[desc[b][0]], desc[b][1]) for b in wball[1:]]
 
+        # p_{g(y),z} = _p[z][y] with g = _pg[z]: one row per _syms orbit (see
+        # _compute_kl_table), and _mus[z] lists its (y, mu(g(y), z)), mu != 0
         self._p: list[dict[int, RawPoly]] = []
+        self._pg: list[list[int]] = []
         self._compute_kl_table()
-        self._mus: list[list[tuple[int, int]]] | None = None  # (y, mu(y, z)), mu != 0, per z
+        self._mus: list[list[tuple[int, int]]] | None = None
         self._cs: list[list[dict[int, object]] | None] = [None] * ngen
         self._a_values: list[int] | None = None
         self._a_cert: list[bool] | None = None
@@ -338,7 +344,12 @@ class HeckeBall:
         eps(c_w) = sum_y p_{y,w}(1), which each correction lowers; so k = R + 2
         decodes every value.  eps also sets _pack_bits.  The table is
         interned: each distinct polynomial is one dict, shared by every entry
-        equal to it and never mutated in place.  A new value with a digit
+        equal to it and never mutated in place.  It is held per orbit: the
+        recursion runs for the least z of each _syms orbit, and every member
+        g(z) shares that one row dict, _p[g(z)] = _p[z], with _pg[g(z)] = g
+        (the first such g in _syms; syms[0], the identity, for z itself), so
+        that p_{g(y),g(z)} = _p[g(z)][y].  The parent row and the rows of the
+        corrections are read through their g.  A new value with a digit
         outside [0, 2^(k-1)), or of degree >= 0 but not p_{z,z} = 1, raises
         HeckeError: the width was too narrow."""
         R, k, ngen, wrm, wl = self.radius, self._kl_bits(), len(self.gens), self._wrm, self.wp_len
@@ -353,15 +364,19 @@ class HeckeBall:
                     raise HeckeError(f"a KL polynomial overflows the {k}-bit digits")
             return shared[H]
 
-        p = self._p = [dict() for _ in self.wp]
+        syms = self._syms
+        p: list[dict[int, RawPoly] | None] = [None] * n
+        pg = [syms[0]] * n  # syms[0] is the identity
         eps = [1] * n
         p[0] = {0: intern(pack({0: 1}, lo, k))}
         for zi in range(1, n):  # W' is sorted by (length, key)
-            if p[zi]:
+            if p[zi] is not None:
                 continue
             j, s = self.parent[zi]
+            g = pg[j]
             E: dict[int, int] = {}
             for yi, q in p[j].items():  # l(ys) <= l(z), so ys lies in the ball
+                yi = g[yi]
                 H, ysi = packed[id(q)], wrm[yi * ngen + s]
                 E[ysi] = E.get(ysi, 0) + H
                 # y s > y: v^-1 T_y; y s < y: T_y T_s = T_{ys} + (v - v^-1) T_y, plus v^-1 T_y
@@ -373,13 +388,15 @@ class HeckeBall:
                 mu = ((E[yi] >> top) + half) >> k  # the digit of v^0, rounded
                 if mu:
                     ez -= mu * eps[yi]
+                    g = pg[yi]
                     for y2, q in p[yi].items():
-                        E[y2] -= mu * packed[id(q)]
-            row = p[zi] = {yi: intern(H) for yi, H in E.items() if H}
-            for g in self._syms:
+                        E[g[y2]] -= mu * packed[id(q)]
+            row = {yi: intern(H) for yi, H in E.items() if H}
+            for g in syms:
                 eps[g[zi]] = ez
-                if not p[g[zi]]:
-                    p[g[zi]] = dict(zip(map(g.__getitem__, row), row.values()))
+                if p[g[zi]] is None:
+                    p[g[zi]], pg[g[zi]] = row, g
+        self._p, self._pg = p, pg
         best = list(itertools.accumulate(eps, max))  # best[i] = max(eps[:i + 1])
         M = max(e * best[bisect.bisect_right(wl, R - lx) - 1] for e, lx in zip(eps, wl))
         self._row_bits = M.bit_length() + 2
@@ -387,9 +404,10 @@ class HeckeBall:
     # ---------------- p-polynomial access --------------------------------
     def _kl_terms(self, i: int):
         """(ball index of y, p_{y,z}) over the T-expansion of c_z, z = ball[i]."""
-        k, nom, rom = self._omi[i], self._nom, self._rom
-        for yi, p in self._p[self._wpi[i]].items():
-            yield rom[yi * nom + k], p
+        zi, k, nom, rom = self._wpi[i], self._omi[i], self._nom, self._rom
+        g = self._pg[zi]
+        for yi, p in self._p[zi].items():
+            yield rom[g[yi] * nom + k], p
 
     def kl_element(self, z: GroupElement) -> HeckeElement:
         """Canonical basis element c_z in the T-basis."""
@@ -405,10 +423,14 @@ class HeckeBall:
         if self._cs[s] is not None:
             return self._cs[s]
         if self._mus is None:  # one scan of the KL table serves every generator
-            self._mus = [[(yi, m) for yi, q in row.items() if (m := q.get(-1, 0))] for row in self._p]
+            orbit_mus: dict[int, list[tuple[int, int]]] = {}  # id of a row -> its mus
+            for row in self._p:
+                if id(row) not in orbit_mus:
+                    orbit_mus[id(row)] = [(yi, m) for yi, q in row.items() if (m := q.get(-1, 0))]
+            self._mus = [orbit_mus[id(row)] for row in self._p]
         ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
         tbl: list[dict[int, object]] = []
-        for zi, mus in enumerate(self._mus):
+        for zi, (mus, g) in enumerate(zip(self._mus, self._pg)):
             zs = wrm[zi * ngen + s]
             row: dict[int, object] = {}
             if zs >= 0 and wl[zs] < wl[zi]:
@@ -416,6 +438,7 @@ class HeckeBall:
             else:
                 row[zs] = 1  # zs is the overflow marker -1 when c_{zs} is outside
                 for yi, m in mus:
+                    yi = g[yi]
                     if 0 <= (ys := wrm[yi * ngen + s]) and wl[ys] < wl[yi]:
                         row[yi] = m
             tbl.append(row)
@@ -839,12 +862,12 @@ class HeckeBall:
         return out
 
     def p_lines(self) -> list[str]:
-        # one row per _syms orbit, that of its least W' index: the rows that
-        # _compute_kl_table computes; the others are the relabellings
-        # p_{gy,gz} = p_{y,z}.  The table is interned: one dict per distinct
-        # polynomial, formatted once.
-        p, syms = self._p, self._syms
-        reps = [zi for zi in range(len(p)) if all(g[zi] >= zi for g in syms)]
+        # the rows the table holds, one per _syms orbit, each written for the
+        # least W' index of its orbit: the z whose g is the identity; the
+        # others are the relabellings p_{gy,gz} = p_{y,z}.  The table is
+        # interned: one dict per distinct polynomial, formatted once.
+        p, ident = self._p, self._syms[0]
+        reps = [zi for zi, g in enumerate(self._pg) if g is ident]
         polys = {id(q): q for zi in reps for q in p[zi].values()}
         text = {i: LaurentPoly(q).to_str() for i, q in polys.items()}
         return [f"P {yi} {zi} {text[id(p[zi][yi])]}" for zi in reps for yi in sorted(p[zi])]
@@ -872,14 +895,14 @@ class HeckeBall:
         # orbit is a cycle of the ball's preorder graphs and contracting it
         # keeps their components and reachability.  left[x] holds the y with
         # y <=_L x in one step, the support of c_s c_x = iota(c_{x^-1} c_s).
-        left = [{wp_inv[w] for tbl in tbls for w in tbl[wp_inv[x]] if w >= 0} for x in nodes]
+        left = [tuple({wp_inv[w] for tbl in tbls for w in tbl[wp_inv[x]] if w >= 0}) for x in nodes]
         # T_w -> T_{w^-1} is an anti-involution, so y <=_R x iff y^-1 <=_L x^-1
         # (Kazhdan-Lusztig 1979): one right step is the support of c_x c_s or
         # x omega, which lies in the orbit of omega^-1 x omega.  A component
         # of one node is fixed by these conjugations, so when |Omega| > 1 it has
         # a loop, as the cycle of its orbit gives it in the ball.
-        both = [left[x].union((w for tbl in tbls for w in tbl[x] if w >= 0),
-                              (g[x] for g in self._syms[1:nom])) for x in nodes]
+        both = [tuple({*left[x], *(w for tbl in tbls for w in tbl[x] if w >= 0),
+                       *(g[x] for g in self._syms[1:nom])}) for x in nodes]
 
         def ordered(cells: list[list[int]]) -> tuple[list[list[int]], dict[GroupElement, int]]:
             # cells sorted by key, which is ball index order

@@ -10,8 +10,9 @@ reaches; what the tests compare it against lives here.
 * Torus actions: inversion on the rank-one torus, the trivial action, and
   a brute-force count of a torsion class's fixed components on a grid.
 * Value-type readers the program does not need: `barred` (v -> v^-1 on
-  a LaurentPoly, through the program's raw `bar`), `p_poly` and `mu` (a KL
-  polynomial and its v^-1 coefficient, by group element), and `scaled_j`
+  a LaurentPoly, through the program's raw `bar`), `p_row` (the KL row of
+  one z, relabelled from the orbit row the table holds), `p_poly` and `mu`
+  (a KL polynomial and its v^-1 coefficient, by group element), and `scaled_j`
   and `scaled_class` (a J element or a graded class times a scalar).
 * Hecke products: `h_constants` recomputes c_x c_y through the T-basis
   product and `t_to_c`, `c_to_t` expands canonical coordinates, and
@@ -168,13 +169,20 @@ def barred(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(bar(p.c))
 
 
+def p_row(hb, zi: int) -> dict:
+    """{y: p_{y,z}} over W' indices for z = wp[zi]: the orbit row the KL
+    table holds for z, relabelled through its g, p_{g(y),z} = row[y]."""
+    g = hb._pg[zi]
+    return {g[yi]: q for yi, q in hb._p[zi].items()}
+
+
 def p_poly(hb, y: GroupElement, z: GroupElement) -> LaurentPoly:
     """p_{y,z} for ball elements, Omega rule included."""
     if y.omega_index() != z.omega_index():
         return LaurentPoly()
     yi, _ = hb._wp_coset(y)
     zi, _ = hb._wp_coset(z)
-    return LaurentPoly(hb._p[zi].get(yi, {}))
+    return LaurentPoly(p_row(hb, zi).get(yi, {}))
 
 
 def mu(hb, y: GroupElement, z: GroupElement):

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from heckequot import asymptotic, cli
-from heckequot.coxeter import GroupPresentation, infinite_dihedral
+from heckequot.coxeter import GroupPresentation, extended_affine_pgl, infinite_dihedral
 from heckequot.hecke import HeckeBall
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +72,11 @@ def test_ball_exposes_what_the_tracer_hooks_read(tmp_path):
     assert len(hb._a_cert) == len(hb.wp)
     path, status = cli.cache_store(hb, tmp_path)
     assert status == "written" and path.stat().st_size > 0
+    # with |Omega| > 1 the table shares one row per symmetry orbit, and
+    # hecke.p_entries still counts every p_{y,z} != 0 on W'
+    hb = HeckeBall(extended_affine_pgl(3), 8)
+    assert len(hb.omega_elems) > 1 and len({id(row) for row in hb._p}) < len(hb.wp)
+    assert sum(len(col) for col in hb._p) == sum(len(hb.kl_element(z).terms) for z in hb.wp)
 
 
 def test_skips_and_the_decided_ratio_count_the_same_exceptions():

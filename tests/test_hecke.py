@@ -18,7 +18,7 @@ from heckequot.hecke import (
     _sccs,
 )
 from heckequot.laurent import LaurentPoly, unpack
-from oracles import barred, c_to_t, h_constants, mu, p_poly
+from oracles import barred, c_to_t, h_constants, mu, p_poly, p_row
 
 
 @pytest.fixture(scope="module")
@@ -387,7 +387,7 @@ def test_cache_rows_expand_through_the_symmetries_to_the_whole_table(factory, ra
     for _, y, z, text in dumped:
         for g in hb._syms:
             assert expanded.setdefault((g[int(y)], g[int(z)]), text) == text
-    table = {(yi, zi): LaurentPoly(q).to_str() for zi, row in enumerate(hb._p) for yi, q in row.items()}
+    table = {(yi, zi): LaurentPoly(q).to_str() for zi in range(len(hb.wp)) for yi, q in p_row(hb, zi).items()}
     assert expanded == table
     assert all(g[zi] >= zi for zi in rows for g in hb._syms)
     assert len(rows) < len(hb.wp)

@@ -30,6 +30,7 @@ from oracles import (
     element,
     h_constants,
     h_to_distinguished,
+    p_row,
     reduced_word,
     right_descents,
     t_product_by_words,
@@ -488,7 +489,7 @@ def all_products(hb):
     n, wl, R, nom, rom = len(hb.wp), hb.wp_len, hb.radius, hb._nom, hb._rom
     out = {}
     for x in range(n):
-        X = {0: {rom[y * nom]: dict(q) for y, q in hb._p[x].items()}}
+        X = {0: {rom[y * nom]: dict(q) for y, q in p_row(hb, x).items()}}
         for w in range(1, n):
             if wl[x] + wl[w] > R:
                 break
@@ -496,7 +497,7 @@ def all_products(hb):
             X[w] = hb._t_mul_gen(X[j], s)
         for y in X:
             T = {}
-            for w, p in hb._p[y].items():
+            for w, p in p_row(hb, y).items():
                 for b, q in X[w].items():
                     acc_mul(T.setdefault(b, {}), q, p)
             c = hb._t_to_c_idx({b: q for b, q in T.items() if q})
@@ -597,6 +598,27 @@ def test_kl_table_holds_one_dict_per_distinct_polynomial(factory, radius, distin
     objects = {id(q): q for row in hb._p for q in row.values()}
     values = {tuple(sorted(q.items())) for q in objects.values()}
     assert len(objects) == len(values) == distinct
+
+
+@pytest.mark.parametrize(
+    "factory, radius, orbits",
+    [(extended_affine_b2, 16, 129), (lambda: extended_affine_pgl(4), 9, 84)],
+    ids=["b2-r16", "pgl4-r9"],
+)
+def test_kl_table_holds_one_row_and_one_mu_list_per_symmetry_orbit(factory, radius, orbits):
+    # each z reads its orbit's one row through its g in _syms, p_{g(y),z} =
+    # row[y], and the mu list _cs_table scans is shared along the orbit too
+    hb = HeckeBall(factory(), radius)
+    hb._cs_table(0)
+    assert len({id(row) for row in hb._p}) == len({id(mus) for mus in hb._mus}) == orbits
+    dumped = [line.split(" ", 3) for line in hb.p_lines()]
+    assert len({z for _, _, z, _ in dumped}) == orbits
+    expanded = {(g[int(y)], g[int(z)]): text for _, y, z, text in dumped for g in hb._syms}
+    rows = [p_row(hb, zi) for zi in range(len(hb.wp))]
+    assert expanded == {(yi, zi): LaurentPoly(q).to_str()
+                        for zi, row in enumerate(rows) for yi, q in row.items()}
+    for zi, (mus, g) in enumerate(zip(hb._mus, hb._pg)):
+        assert {g[yi]: m for yi, m in mus} == {yi: q[-1] for yi, q in rows[zi].items() if -1 in q}
 
 
 def test_kl_recursion_refuses_a_width_too_narrow(b2_12, monkeypatch):
