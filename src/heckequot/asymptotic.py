@@ -23,10 +23,11 @@ rational coefficients.  Cell modules carry the star action
 for which the sum f_i of all distinguished basis vectors at a-value i
 acts as a projector-like base point: t_x * f_{a(x)} = nhat_x [x].
 
-Elements of J and graded classes are keyed by ball index, and every
-product runs on those indices.  Group elements appear only where a public
-method takes one (basis_element, the checks) or reports one (the basis and
-witnesses of cell_ideal, failures), and in JElement's support() and repr.
+Elements of J, graded classes and the Hecke elements phi reads are keyed
+by ball index, and every product runs on those indices.  Group elements
+appear only where a public method takes one (basis_element, the checks) or
+reports one (the basis and witnesses of cell_ideal, failures), and in
+JElement's support() and repr.
 
 All products go through the certified gamma tables and raise
 UncertifiedError or BallOverflowError rather than return wrong answers,
@@ -47,6 +48,7 @@ from fractions import Fraction
 
 from .coxeter import Ball, GroupElement
 from .hecke import (
+    XI,
     BallOverflowError,
     CellRecord,
     HeckeBall,
@@ -266,12 +268,12 @@ class JRing:
         c-basis coordinates of dagger(h)."""
         hb = self.hb
         if h.basis == "cdag":
-            return hb._to_idx(h)
+            return h.terms
         if h.basis == "T":
             # dagger and t_to_c are A-linear: sum h_w t_to_c(dagger(T_w)), keyed
             # in descending index as _t_to_c_idx keys t_to_c(dagger(h))
             out: dict[int, RawPoly] = {}
-            for w, p in hb._to_idx(h).items():
+            for w, p in h.terms.items():
                 for x, q in hb._cdagger_T(w).items():
                     acc_mul(out.setdefault(x, {}), q, p)
             return {x: out[x] for x in sorted(out, reverse=True) if out[x]}
@@ -286,16 +288,13 @@ class JRing:
         return JElement({z: LaurentPoly._raw(q) for z, q in out.items() if q}, self.hb.ball)
 
     # ---------------- cell modules -----------------------------------------
-    def star_action(self, a, f: GradedClass, side: str = "left") -> GradedClass:
-        """The J-bimodule action on a graded class.
+    def star_action(self, a: JElement, f: GradedClass, side: str = "left") -> GradedClass:
+        """The J-bimodule action of a on a graded class.
 
         Left:  t_x * [cdag_w] = sum over a(z)=a(w) of
                gamma(x, w, z) nhat_w nhat_z [cdag_z];
-        right uses gamma(w, x, z).  a may be a JElement or a single
-        group element."""
+        right uses gamma(w, x, z)."""
         hb = self.hb
-        if isinstance(a, GroupElement):
-            a = self.basis_element(a)
         if side not in ("left", "right"):
             raise HeckeError("side must be 'left' or 'right'")
         out: dict[int, object] = {}
@@ -322,11 +321,8 @@ class JRing:
         hb = self.hb
         i = hb.a_function(x)[0]
         want = GradedClass(i, {hb._idx(x): hb.nhat(x)})
-        f = self.base_point(i)
-        return (
-            self.star_action(x, f, "left") == want
-            and self.star_action(x, f, "right") == want
-        )
+        f, tx = self.base_point(i), self.basis_element(x)
+        return self.star_action(tx, f, "left") == want and self.star_action(tx, f, "right") == want
 
     # ---------------- center -----------------------------------------------
     def center_commutation_check(self, z_central: HeckeElement, qs=(1,)) -> list[dict]:
@@ -340,18 +336,16 @@ class JRing:
         commuted against t_x for every certified x whose products the
         truncation can decide; undecidable x are counted as skipped."""
         hb = self.hb
-        one = LaurentPoly.one()
-        gens = [HeckeElement("T", {g: one}) for g in hb.gens]
-        gens += [HeckeElement("T", {om: one}) for om in hb.omega_elems if not om.is_identity()]
         witness = None
-        for g in gens:
+        for t in hb.gens + [om for om in hb.omega_elems if not om.is_identity()]:
+            g = HeckeElement("T", {hb._idx(t): {0: 1}}, hb.ball)
             try:
-                diff = hb.mul_T(z_central, g) - hb.mul_T(g, z_central)
+                commutes = hb.mul_T(z_central, g) == hb.mul_T(g, z_central)
             except BallOverflowError:
                 witness = "ball too small to verify the centrality precondition"
                 break
-            if diff.terms:
-                witness = f"does not commute with T_[{next(iter(g.terms)).key_str()}]"
+            if not commutes:
+                witness = f"does not commute with T_[{t.key_str()}]"
                 break
         if witness:
             return [{"central": False, "witness": witness, "commuted": 0, "skipped": 0,
@@ -389,14 +383,7 @@ def bernstein_central_dihedral(hb: HeckeBall) -> HeckeElement:
     s2 = pres.generator("s2")
     t_plus = pres.multiply(s2, s1)
     t_minus = pres.multiply(s1, s2)
-    xi = LaurentPoly({1: 1, -1: -1})
-    return HeckeElement(
-        "T",
-        {
-            t_plus: LaurentPoly.one(),
-            t_minus: LaurentPoly.one(),
-            s1: -xi,
-            s2: -xi,
-            pres.identity(): xi * xi,
-        },
-    )
+    minus_xi = {e: -c for e, c in XI.items()}
+    terms = {t_plus: {0: 1}, t_minus: {0: 1}, s1: minus_xi, s2: minus_xi,
+             pres.identity(): acc_mul({}, XI, XI)}
+    return HeckeElement("T", {hb._idx(w): p for w, p in terms.items()}, hb.ball)

@@ -247,18 +247,18 @@ class TorusAction:
 
     def __post_init__(self):
         keys = [tuple(map(tuple, m)) for m in self.matrices]
-        self._key_to_idx = {k: i for i, k in enumerate(keys)}
-        if len(self._key_to_idx) != len(keys):
+        self._key_index = {k: i for i, k in enumerate(keys)}
+        if len(self._key_index) != len(keys):
             raise ExtQuotError("action has repeated matrices")
         ident = tuple(map(tuple, mat_identity(self.rank)))
-        if ident not in self._key_to_idx:
+        if ident not in self._key_index:
             raise ExtQuotError("action has no identity matrix")
-        self._id = self._key_to_idx[ident]
+        self._id = self._key_index[ident]
         if self.perms is not None:
             m = len(self.perms[0]) if self.perms else 0
             if sorted(self.perms) != list(itertools.permutations(range(m))):
                 raise ExtQuotError("perms must list all of S_m")
-            self._perm_to_idx = {p: i for i, p in enumerate(self.perms)}
+            self._perm_index = {p: i for i, p in enumerate(self.perms)}
         self._mult: dict[tuple[int, int], int] = {}
         self._inv: dict[int, int] = {}
 
@@ -274,12 +274,12 @@ class TorusAction:
             return got
         if self.perms is not None:
             a, b = self.perms[i], self.perms[j]
-            k = self._perm_to_idx[tuple(a[b[x]] for x in range(len(b)))]
+            k = self._perm_index[tuple(a[b[x]] for x in range(len(b)))]
         else:
             prod = tuple(map(tuple, mat_mul(self.matrices[i], self.matrices[j])))
-            if prod not in self._key_to_idx:
+            if prod not in self._key_index:
                 raise ExtQuotError("action is not closed under products")
-            k = self._key_to_idx[prod]
+            k = self._key_index[prod]
         self._mult[(i, j)] = k
         return k
 

@@ -46,8 +46,9 @@ Group arithmetic is done once per ball, by the search that builds it and
 its right multiplication table.  Integer tables over ball indices, walked
 from that table, hold lengths, inverses, the (W' index, Omega index) pair
 of each element and Omega translation, as in du Cloux's Coxeter programs.
-Every inner loop, the T-basis included, runs on these indices; group
-elements appear only at the public methods.
+Every inner loop runs on these indices, and so does the T-basis layer: a
+HeckeElement maps ball indices to raw polynomials.  Group elements appear
+only where a public method takes one or reports one.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .coxeter import Ball, GroupElement, GroupPresentation, dump_element
-from .laurent import LaurentPoly, acc_mul, acc_scaled, pack, sparse_add, unpack
+from .laurent import LaurentPoly, acc_mul, acc_scaled, pack, unpack
 
 RawPoly = dict  # exponent -> int coefficient, no zeros
 XI = {1: 1, -1: -1}  # v - v^-1
@@ -83,30 +84,21 @@ class UncertifiedError(HeckeError):
 class HeckeElement:
     """A finitely supported A-linear combination of basis elements.
 
-    basis is one of "T", "c", "cdag"; terms maps group elements to
-    Laurent polynomials."""
+    basis is one of "T", "c", "cdag"; terms maps ball indices to raw
+    polynomials, which are shared, never mutated in place (kl_element hands
+    out the KL table's own).  ball names the elements in repr."""
 
     basis: str
-    terms: dict[GroupElement, LaurentPoly]
+    terms: dict[int, RawPoly]
+    ball: Ball | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.terms = {w: p for w, p in self.terms.items() if p}
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.basis != other.basis:
-            raise HeckeError("cannot add elements in different bases")
-        return HeckeElement(self.basis, sparse_add(dict(self.terms), other.terms))
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scaled(LaurentPoly.const(-1))
-
-    def scaled(self, c: LaurentPoly) -> "HeckeElement":
-        return HeckeElement(self.basis, {w: p * c for w, p in self.terms.items()})
-
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{w.key_str()}: {p.to_str()}" for w, p in sorted(self.terms.items(), key=lambda kv: kv[0].key())
-        )
+        # ball indices follow the key order
+        inner = ", ".join(f"{self.ball.elements[w].key_str()}: {LaurentPoly._raw(p).to_str()}"
+                          for w, p in sorted(self.terms.items()))
         return f"HeckeElement[{self.basis}]{{{inner}}}"
 
 
@@ -410,9 +402,9 @@ class HeckeBall:
             yield rom[g[yi] * nom + k], p
 
     def kl_element(self, z: GroupElement) -> HeckeElement:
-        """Canonical basis element c_z in the T-basis."""
-        elems = self.ball.elements
-        return HeckeElement("T", {elems[y]: LaurentPoly(p) for y, p in self._kl_terms(self._idx(z))})
+        """Canonical basis element c_z in the T-basis; its polynomials are the
+        KL table's interned dicts."""
+        return HeckeElement("T", dict(self._kl_terms(self._idx(z))), self.ball)
 
     # ---------------- generator products ---------------------------------
     def _cs_table(self, s: int) -> list[dict[int, object]]:
@@ -446,14 +438,6 @@ class HeckeBall:
         return tbl
 
     # ---------------- T-basis products -----------------------------------
-    # Inside, a T-basis element is a dict ball index -> RawPoly.
-    def _to_idx(self, a: HeckeElement) -> dict[int, RawPoly]:
-        return {self._idx(w): dict(p.c) for w, p in a.terms.items()}
-
-    def _from_idx(self, basis: str, terms: dict[int, RawPoly]) -> HeckeElement:
-        elems = self.ball.elements
-        return HeckeElement(basis, {elems[i]: LaurentPoly._raw(p) for i, p in terms.items() if p})
-
     def _t_mul_gen(self, terms: dict[int, RawPoly], s: int) -> dict[int, RawPoly]:
         """Right-multiply a T-basis element by T_s."""
         ngen, rm, ln = len(self.gens), self._rm, self._len
@@ -475,7 +459,6 @@ class HeckeBall:
         """Product in the T-basis.  Errors if the support leaves the ball."""
         if a.basis != "T" or b.basis != "T":
             raise HeckeError("mul_T needs T-basis operands")
-        left = self._to_idx(a)
         # a T_w = (a T_{ws}) T_s along the first right descent, down to a T_omega;
         # each partial product is made once and shared by the terms of b
         memo: dict[int, dict[int, RawPoly]] = {}
@@ -483,21 +466,21 @@ class HeckeBall:
         def times(i: int) -> dict[int, RawPoly]:
             if i not in memo:
                 step = self._right_descent(i)
-                memo[i] = (self._t_mul_omega(left, self._omi[i]) if step is None
+                memo[i] = (self._t_mul_omega(a.terms, self._omi[i]) if step is None
                            else self._t_mul_gen(times(step[0]), step[1]))
             return memo[i]
 
         out: dict[int, RawPoly] = {}
         for w, q in b.terms.items():
-            for x, p in times(self._idx(w)).items():
-                acc_mul(out.setdefault(x, {}), p, q.c)
-        return self._from_idx("T", out)
+            for x, p in times(w).items():
+                acc_mul(out.setdefault(x, {}), p, q)
+        return HeckeElement("T", out, self.ball)
 
     def t_to_c(self, a: HeckeElement) -> HeckeElement:
         """Rewrite a T-basis element in the canonical basis."""
         if a.basis != "T":
             raise HeckeError("t_to_c needs a T-basis operand")
-        return self._from_idx("c", self._t_to_c_idx(self._to_idx(a)))
+        return HeckeElement("c", self._t_to_c_idx({w: dict(p) for w, p in a.terms.items()}), self.ball)
 
     def _t_to_c_idx(self, rem: dict[int, RawPoly]) -> dict[int, RawPoly]:
         """t_to_c on ball indices, keyed in descending index.  Consumes rem and
@@ -523,15 +506,11 @@ class HeckeBall:
         which has the same structure constants."""
         if a.basis != "T":
             raise HeckeError("dagger needs a T-basis operand")
-        return self._from_idx("T", self._dagger_idx(self._to_idx(a)))
-
-    def _dagger_idx(self, terms: dict[int, RawPoly]) -> dict[int, RawPoly]:
-        """dagger on ball indices."""
         out: dict[int, RawPoly] = {}
-        for w, p in terms.items():
+        for w, p in a.terms.items():
             for x, q in self._dagger_T(w).items():
                 acc_mul(out.setdefault(x, {}), q, p)
-        return {x: q for x, q in out.items() if q}
+        return HeckeElement("T", out, self.ball)
 
     def _dagger_T(self, i: int) -> dict[int, RawPoly]:
         """dagger(T_x) for x = ball[i], memoized along right descents:

@@ -124,10 +124,6 @@ class LaurentPoly:
     def const(cls, a: Scalar) -> "LaurentPoly":
         return cls._raw({0: a} if a else {})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        return cls._raw({exp: coeff} if coeff else {})
-
     # ---- ring operations ----------------------------------------------
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):

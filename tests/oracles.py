@@ -9,11 +9,16 @@ reaches; what the tests compare it against lives here.
   presentation's own `multiply` and `length`, with no ball table.
 * Torus actions: inversion on the rank-one torus, the trivial action, and
   a brute-force count of a torsion class's fixed components on a grid.
-* Value-type readers the program does not need: `barred` (v -> v^-1 on
-  a LaurentPoly, through the program's raw `bar`), `p_row` (the KL row of
-  one z, relabelled from the orbit row the table holds), `p_poly` and `mu`
-  (a KL polynomial and its v^-1 coefficient, by group element), and `scaled_j`
-  and `scaled_class` (a J element or a graded class times a scalar).
+* Value-type readers the program does not need: `monomial` (c v^e as a
+  LaurentPoly), `barred` (v -> v^-1 on a LaurentPoly, through the
+  program's raw `bar`), `p_row` (the KL row of one z, relabelled from the
+  orbit row the table holds), `p_poly` and `mu` (a KL polynomial and its
+  v^-1 coefficient, by group element), and `scaled_j` and `scaled_class`
+  (a J element or a graded class times a scalar).
+* Hecke elements by group element: the program keys them by ball index
+  with raw polynomial values; `named` reads one as {GroupElement:
+  LaurentPoly}, `hecke_element` builds one from such a dict, and `h_sum`
+  and `h_scaled` add and scale them.
 * Hecke products: `h_constants` recomputes c_x c_y through the T-basis
   product and `t_to_c`, `c_to_t` expands canonical coordinates, and
   `h_to_distinguished` reads the streamed rows against a distinguished
@@ -43,7 +48,7 @@ from heckequot.coxeter import (
 )
 from heckequot.extquot import ExtQuotError, TorusAction, _frac_vec, fixed_locus
 from heckequot.hecke import XI, BallOverflowError, HeckeElement, HeckeError, UncertifiedError
-from heckequot.laurent import LaurentPoly, bar
+from heckequot.laurent import LaurentPoly, acc_mul, acc_scaled, bar, sparse_add
 
 # ---- group presentations -------------------------------------------------------
 
@@ -164,6 +169,11 @@ def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
 # ---- value-type readers ----------------------------------------------------------
 
 
+def monomial(exp: int, coeff=1) -> LaurentPoly:
+    """coeff v^exp."""
+    return LaurentPoly({exp: coeff})
+
+
 def barred(p: LaurentPoly) -> LaurentPoly:
     """p(v^-1)."""
     return LaurentPoly(bar(p.c))
@@ -190,6 +200,36 @@ def mu(hb, y: GroupElement, z: GroupElement):
     return p_poly(hb, y, z).c.get(-1, 0)
 
 
+# ---- Hecke elements by group element --------------------------------------------
+
+
+def named(h: HeckeElement) -> dict[GroupElement, LaurentPoly]:
+    """The terms of h keyed by group element."""
+    return {h.ball.elements[w]: LaurentPoly(p) for w, p in h.terms.items()}
+
+
+def hecke_element(hb, basis: str, terms: dict[GroupElement, LaurentPoly]) -> HeckeElement:
+    """The element of hb's Hecke algebra with these terms; an element outside
+    the ball raises BallOverflowError."""
+    return HeckeElement(basis, {hb._idx(w): dict(p.c) for w, p in terms.items()}, hb.ball)
+
+
+def h_sum(*hs: HeckeElement) -> HeckeElement:
+    """The sum of elements in one basis, over one ball."""
+    if len({h.basis for h in hs}) != 1:
+        raise HeckeError("cannot add elements in different bases")
+    out = {}
+    for h in hs:
+        for w, p in h.terms.items():
+            acc_scaled(out.setdefault(w, {}), p, 1)
+    return HeckeElement(hs[0].basis, out, hs[0].ball)
+
+
+def h_scaled(h: HeckeElement, c: LaurentPoly) -> HeckeElement:
+    """c h."""
+    return HeckeElement(h.basis, {w: acc_mul({}, p, c.c) for w, p in h.terms.items()}, h.ball)
+
+
 # ---- Hecke products --------------------------------------------------------------
 
 
@@ -198,17 +238,15 @@ def h_constants(hb, x: GroupElement, y: GroupElement) -> dict[GroupElement, Laur
     l(x) + l(y) <= radius."""
     if x.length + y.length > hb.radius:
         raise BallOverflowError("pair exceeds the exact-product budget")
-    return dict(hb.t_to_c(hb.mul_T(hb.kl_element(x), hb.kl_element(y))).terms)
+    return named(hb.t_to_c(hb.mul_T(hb.kl_element(x), hb.kl_element(y))))
 
 
 def c_to_t(hb, a: HeckeElement) -> HeckeElement:
     """A canonical-basis element rewritten in the T-basis."""
     if a.basis != "c":
         raise HeckeError("c_to_t needs a c-basis operand")
-    out = HeckeElement("T", {})
-    for w, coeff in a.terms.items():
-        out = out + hb.kl_element(w).scaled(coeff)
-    return out
+    return h_sum(HeckeElement("T", {}, hb.ball),
+                 *(h_scaled(hb.kl_element(w), p) for w, p in named(a).items()))
 
 
 def h_to_distinguished(hb, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
@@ -223,7 +261,7 @@ def h_to_distinguished(hb, x: GroupElement, d: GroupElement) -> dict[GroupElemen
 
 def cdag_coords(J, h: HeckeElement) -> HeckeElement:
     """Coordinates of h in the dagger basis: h = sum coords_x cdag_x."""
-    return J.hb._from_idx("cdag", J._cdag_idx(h))
+    return HeckeElement("cdag", J._cdag_idx(h), J.hb.ball)
 
 
 def scaled_j(a: JElement, c) -> JElement:
@@ -249,7 +287,7 @@ def grade_project(J, h, i, q):
     r = _sqrt_fraction(q)
     hb = J.hb
     out = {}
-    for z, p in cdag_coords(J, h).terms.items():
+    for z, p in named(cdag_coords(J, h)).items():
         az, cert = hb.a_function(z)
         if not cert:
             raise UncertifiedError(f"a({z.key_str()}) is not certified")
@@ -267,11 +305,11 @@ def hecke_grade_action(J, h, f, q, side="left"):
     """h acting on a graded class through multiplication in the Hecke
     algebra, then projection back to the grade."""
     hb = J.hb
-    acc = HeckeElement("T", {})
+    acc = HeckeElement("T", {}, hb.ball)
     for w, cw in f.coords.items():
         cd = hb.dagger(hb.kl_element(hb.ball.elements[w]))
         prod = hb.mul_T(h, cd) if side == "left" else hb.mul_T(cd, h)
-        acc = acc + prod.scaled(LaurentPoly.const(Fraction(cw)))
+        acc = h_sum(acc, h_scaled(prod, LaurentPoly.const(Fraction(cw))))
     return grade_project(J, acc, f.grade, q)
 
 
@@ -292,10 +330,8 @@ def check_jfh_compat(J, j, f, h, q):
 
 def cdag_to_t(hb, coords):
     """Expand dagger-basis coordinates into the T-basis."""
-    out = HeckeElement("T", {})
-    for x, p in coords.terms.items():
-        out = out + hb.dagger(hb.kl_element(x)).scaled(p)
-    return out
+    return h_sum(HeckeElement("T", {}, hb.ball),
+                 *(h_scaled(hb.dagger(hb.kl_element(x)), p) for x, p in named(coords).items()))
 
 
 def t_product_by_words(hb, a, b):
@@ -304,22 +340,21 @@ def t_product_by_words(hb, a, b):
     Group arithmetic goes through the presentation; a product that leaves
     the ball raises BallOverflowError."""
     pres, xi = hb.pres, LaurentPoly(XI)
-    out = HeckeElement("T", {})
-    for w, q in b.terms.items():
+    out = {}
+    for w, q in named(b).items():
         names, omega = reduced_word(pres, w)
-        cur = dict(a.terms)
+        cur = named(a)
         for s in map(pres.generator, names):
-            nxt = HeckeElement("T", {})
+            nxt = {}
             for u, p in cur.items():
                 us = pres.multiply(u, s)
                 if us not in hb.ball:
                     raise BallOverflowError("T-basis product left the ball")
                 # T_u T_s = T_us, plus (v - v^-1) T_u when us < u
-                step = {us: p} if us.length > u.length else {us: p, u: p * xi}
-                nxt = nxt + HeckeElement("T", step)
-            cur = nxt.terms
-        out = out + HeckeElement("T", {pres.multiply(u, omega): p * q for u, p in cur.items()})
-    return out
+                sparse_add(nxt, {us: p} if us.length > u.length else {us: p, u: p * xi})
+            cur = nxt
+        sparse_add(out, {pres.multiply(u, omega): p * q for u, p in cur.items()})
+    return hecke_element(hb, "T", out)
 
 
 def j_mul_from_gamma(J, a, b):

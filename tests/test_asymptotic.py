@@ -15,7 +15,7 @@ import pytest
 
 from heckequot import asymptotic
 from heckequot.coxeter import extended_affine_b2, infinite_dihedral
-from heckequot.hecke import BallOverflowError, HeckeBall, HeckeElement, HeckeError, UncertifiedError
+from heckequot.hecke import BallOverflowError, HeckeBall, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly
 from heckequot.asymptotic import (
     UNDECIDED,
@@ -30,7 +30,11 @@ from oracles import (
     cdag_to_t,
     check_hf_compat,
     check_jfh_compat,
+    h_sum,
+    hecke_element,
     j_mul_from_gamma,
+    monomial,
+    named,
     scaled_class,
     scaled_j,
 )
@@ -313,8 +317,8 @@ def _phi_oracle(J, h):
     basis changes: no memoized dagger coordinates of a T_w.  phi(cdag_x) runs
     in descending ball index, the order in which phi meets them."""
     hb, out = J.hb, JElement({})
-    for x, p in hb.t_to_c(hb.dagger(h)).terms.items():
-        out = out + scaled_j(J.phi(HeckeElement("cdag", {x: LaurentPoly.one()})), p)
+    for x, p in named(hb.t_to_c(hb.dagger(h))).items():
+        out = out + scaled_j(J.phi(hecke_element(hb, "cdag", {x: LaurentPoly.one()})), p)
     return out
 
 
@@ -336,16 +340,16 @@ def test_phi_matches_the_dagger_coordinate_oracle(factory, radius):
     def coeff():
         return LaurentPoly({e: rng.choice([-2, -1, 1, 2]) for e in rng.sample(range(-2, 3), 2)})
 
-    cases = [HeckeElement("T", {w: coeff() for w in rng.sample(pool, rng.randint(1, 4))})
+    cases = [hecke_element(hb, "T", {w: coeff() for w in rng.sample(pool, rng.randint(1, 4))})
              for _ in range(12)]
     # T-expansions of dagger-basis elements: nearly every term cancels in
     # the dagger coordinates, which are those of the cdag input
     for _ in range(6):
-        coords = HeckeElement("cdag", {w: coeff() for w in rng.sample(pool, rng.randint(1, 2))})
+        coords = hecke_element(hb, "cdag", {w: coeff() for w in rng.sample(pool, rng.randint(1, 2))})
         h = cdag_to_t(hb, coords)
         assert cdag_coords(J, h) == coords
         cases.append(h)
-        cases.append(h + HeckeElement("T", {rng.choice(pool): coeff()}))
+        cases.append(h_sum(h, hecke_element(hb, "T", {rng.choice(pool): coeff()})))
     outcomes = [(_outcome(J.phi, h), _outcome(lambda h: _phi_oracle(J, h), h)) for h in cases]
     for got, want in outcomes:
         assert got == want
@@ -365,10 +369,10 @@ def test_phi_leaves_the_dagger_memos_intact():
     def element(ball):  # the same element, over either ball's presentation
         s1, s2 = ball.pres.generator("s1"), ball.pres.generator("s2")
         support = [s1 * s2 * s1, s2 * s1, s1, ball.pres.identity()]
-        return HeckeElement("T", {w: LaurentPoly({i: 1, -i: 1}) for i, w in enumerate(support)})
+        return hecke_element(ball, "T", {w: LaurentPoly({i: 1, -i: 1}) for i, w in enumerate(support)})
 
     def basis(ball):
-        return [HeckeElement("T", {w: LaurentPoly.one()}) for w in element(ball).terms]
+        return [hecke_element(ball, "T", {w: LaurentPoly.one()}) for w in named(element(ball))]
 
     h = element(hb)
     for tw in basis(hb):
@@ -378,7 +382,7 @@ def test_phi_leaves_the_dagger_memos_intact():
     assert first.coeffs
     assert repr(first) == repr(_phi_oracle(JRing(fresh), element(fresh)))
     cdaggers = copy.deepcopy(hb._cdaggers)
-    assert set(cdaggers) == {hb._idx(w) for w in h.terms}
+    assert set(cdaggers) == {hb._idx(w) for w in named(h)}
     assert J.phi(h) == first
     for tw, fw in zip(basis(hb), basis(fresh)):
         assert repr(hb.dagger(tw)) == repr(fresh.dagger(fw))
@@ -403,8 +407,8 @@ def test_bernstein_element_is_central_in_t_basis(ring):
 def test_bernstein_element_terms(ring):
     hb, J = ring
     z = bernstein_central_dihedral(hb)
-    gen = LaurentPoly({1: 1}) - LaurentPoly.monomial(-1)
-    got = {x.key_str(): p for x, p in z.terms.items()}
+    gen = LaurentPoly({1: 1}) - monomial(-1)
+    got = {x.key_str(): p for x, p in named(z).items()}
     assert got["0;0"] == gen * gen
     assert got["0;1"] == -gen
     assert got["1;1"] == -gen

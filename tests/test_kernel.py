@@ -10,13 +10,14 @@ nontrivial Omega part, which the dihedral group does not have.
 """
 
 import contextlib
+import copy
 import functools
 import itertools
 import random
 
 import pytest
 
-from heckequot.asymptotic import UNDECIDED, JElement, JRing, decide
+from heckequot.asymptotic import UNDECIDED, JElement, JRing, bernstein_central_dihedral, decide
 from heckequot.coxeter import (
     extended_affine_b2,
     extended_affine_pgl,
@@ -30,6 +31,8 @@ from oracles import (
     element,
     h_constants,
     h_to_distinguished,
+    hecke_element,
+    named,
     p_row,
     reduced_word,
     right_descents,
@@ -212,9 +215,9 @@ def test_shared_mul_t_matches_the_word_by_word_oracle(factory, radius):
 
     def element(n, longest, shortest=0):
         pool = [w for w in hb.ball if shortest <= w.length <= longest]
-        return HeckeElement("T", {w: coeff() for w in rng.sample(pool, n)})
+        return hecke_element(hb, "T", {w: coeff() for w in rng.sample(pool, n)})
 
-    omegas = [HeckeElement("T", {om: one}) for om in hb.omega_elems]
+    omegas = [hecke_element(hb, "T", {om: one}) for om in hb.omega_elems]
     kl = [hb.kl_element(w) for w in hb.ball if w.length <= 2]
     cases = [(a, b) for a in omegas + kl[:6] for b in omegas + kl[:6]]
     cases += [(element(rng.randint(1, 3), radius // 2), element(rng.randint(1, 4), radius // 2))
@@ -225,7 +228,7 @@ def test_shared_mul_t_matches_the_word_by_word_oracle(factory, radius):
         assert got == want, case
     assert {type(got) if isinstance(got, HeckeElement) else got
             for got, _ in outcomes} == {HeckeElement, BallOverflowError}
-    translated = sum(all(any(w.omega_index() for w in h.terms) for h in case) for case in cases)
+    translated = sum(all(any(w.omega_index() for w in named(h)) for h in case) for case in cases)
     assert bool(translated) == (len(hb.omega_elems) > 1)
 
 
@@ -251,13 +254,47 @@ def test_dagger_kernel_drops_cancelled_terms(b2_12):
     J = JRing(hb)
     cancelled = 0
     for w in short(hb, 3):
-        h = hb.dagger(HeckeElement("T", {w: LaurentPoly.one()}))
-        assert hb._dagger_idx(hb._to_idx(h)) == {hb._idx(w): {0: 1}}
+        h = hb.dagger(hecke_element(hb, "T", {w: LaurentPoly.one()}))
+        assert hb.dagger(h).terms == {hb._idx(w): {0: 1}}
         cancelled += len(h.terms) - 1
         coords = J._cdag_idx(h)
         assert all(coords.values()), w
-        assert hb._from_idx("cdag", coords) == cdag_coords(J, h)
+        assert HeckeElement("cdag", coords, hb.ball) == cdag_coords(J, h)
     assert cancelled > 0
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 12), (extended_affine_b2, 10)],
+    ids=["dihedral-r12", "b2-r10"],
+)
+def test_t_basis_layer_never_writes_into_the_kl_table(factory, radius):
+    # kl_element hands out the KL table's interned polynomial dicts, each
+    # shared by every entry equal to it and by a whole orbit's rows; a write
+    # into one through any operand would change all of them
+    hb = HeckeBall(factory(), radius)
+    lines, table = hb.cache_lines(), copy.deepcopy(hb._p)
+    J = JRing(hb)
+    pool = [x for x in hb.ball if x.length <= 2]
+    assert any(x.omega_index() for x in pool) == (factory is extended_affine_b2)
+    for x in pool:
+        c = hb.kl_element(x)
+        hb.t_to_c(c)
+        hb.dagger(c)
+        for h in (c, HeckeElement("cdag", c.terms, hb.ball)):
+            with contextlib.suppress(*SKIP):
+                J.phi(h)
+        for y in pool[:8]:
+            cy = hb.kl_element(y)
+            hb.t_to_c(hb.mul_T(c, cy))
+            hb.dagger(hb.mul_T(cy, c))
+    central = [hb.kl_element(hb.pres.identity())]
+    if factory is infinite_dihedral:
+        central.append(bernstein_central_dihedral(hb))
+    for z in central:
+        assert all(r["central"] for r in J.center_commutation_check(z, (1, 4)))
+    assert hb.cache_lines() == lines
+    assert hb._p == table
 
 
 def test_phi_hom_with_omega(b2_12):
@@ -377,7 +414,7 @@ def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius, stre
 
 def augmentation(hb):
     """eps(c_w) = sum_y p_{y,w}(1) for each w in W', from c_w at v = 1."""
-    return [int(sum(p.evaluate(1) for p in hb.kl_element(w).terms.values())) for w in hb.wp]
+    return [int(sum(p.evaluate(1) for p in named(hb.kl_element(w)).values())) for w in hb.wp]
 
 
 STREAM_BALLS = pytest.mark.parametrize(
