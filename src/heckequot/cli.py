@@ -153,12 +153,14 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
     """Write the ball's KL table, or compare against what is already there.
     Returns (path, "written" | "hit" | "mismatch")."""
     path = directory / cache_filename(hb.pres.family, hb.radius)
-    text = "\n".join(hb.cache_lines()) + "\n"
+    lines = hb.cache_lines()
     if path.exists():
-        status = "hit" if path.read_text() == text else "mismatch"
+        status = "hit" if path.read_text() == "\n".join(lines) + "\n" else "mismatch"
         return path, status
     directory.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as f:  # in chunks, not as one joined and one encoded copy
+        for i in range(0, len(lines), 2048):
+            f.write("\n".join(lines[i:i + 2048]) + "\n")
     return path, "written"
 
 
@@ -523,8 +525,6 @@ def scen_so5_match(ns):
 def _match_checks(report) -> list[Check]:
     checks = []
     for rec in report.records:
-        verdict = {"pass": "pass", "fail": "fail",
-                   "discrepancy": "discrepancy", "info": "info"}[rec.verdict]
         witness = {
             "dual": None if rec.dual_side is None
             else [str(d) for d in rec.dual_side],
@@ -535,7 +535,7 @@ def _match_checks(report) -> list[Check]:
             witness["note"] = rec.note
         claim = ("dual-side component census equals the quotient-side census"
                  if rec.verdict != "info" else "dual-side component census")
-        checks.append(Check(f"cell[{rec.cell}]", claim, verdict, witness))
+        checks.append(Check(f"cell[{rec.cell}]", claim, rec.verdict, witness))
     checks.append(Check(
         "totals", "total censuses on the two sides",
         "info", {"dual": report.dual_census,

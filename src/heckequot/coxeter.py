@@ -164,7 +164,6 @@ class GroupPresentation:
     pos_roots: list[Vector]
     gen_specs: list[tuple[Vector, int]]
     gen_names: list[str]
-    coxeter_m: dict[tuple[int, int], int | None]
     omega_count: int
     _coset_of: Callable[[Vector], int] = field(repr=False)
     _normalize: Callable[[Vector], Vector] = field(repr=False)
@@ -361,7 +360,6 @@ def infinite_dihedral() -> GroupPresentation:
         pos_roots=[(2,)],
         gen_specs=[((0,), index[refl]), ((1,), index[refl])],
         gen_names=["s1", "s2"],
-        coxeter_m={(0, 1): None},
         omega_count=1,
         _coset_of=lambda t: 0,
         _normalize=lambda t: t,
@@ -386,7 +384,6 @@ def extended_affine_b2() -> GroupPresentation:
         pos_roots=[(1, 0), (0, 1), (1, -1), (1, 1)],
         gen_specs=[((1, 1), index[s_theta]), ((0, 0), index[s1]), ((0, 0), index[s2])],
         gen_names=["s0", "s1", "s2"],
-        coxeter_m={(0, 1): 2, (0, 2): 4, (1, 2): 4},
         omega_count=2,
         _coset_of=lambda t: (t[0] + t[1]) % 2,
         _normalize=lambda t: t,
@@ -418,13 +415,7 @@ def _type_a_data(n: int):
     theta_perm[0], theta_perm[-1] = theta_perm[-1], theta_perm[0]
     s_theta = perm_matrix(theta_perm)
     theta_cov = tuple(1 if k == 0 else (-1 if k == n - 1 else 0) for k in range(n))
-    # Coxeter matrix of the affine diagram: a cycle on s1, ..., s_{n-1} and
-    # the affine node (index n - 1); for n = 2 the two nodes bound no braid
-    m: dict[tuple[int, int], int | None] = {(i, j): 2 for i in range(n) for j in range(i + 1, n)}
-    for i in range(n - 1):
-        m[(i, i + 1)] = 3
-    m[(0, n - 1)] = None if n == 2 else 3
-    return elems, index, pos, adj_gens, s_theta, theta_cov, m
+    return elems, index, pos, adj_gens, s_theta, theta_cov
 
 
 def _type_a_shift(n: int, index) -> tuple[Vector, int]:
@@ -439,7 +430,7 @@ def extended_affine_pgl(n: int) -> GroupPresentation:
     [0, n); root pairings do not see the normalization."""
     if n < 2:
         raise UnsupportedFamily("need n >= 2")
-    elems, index, pos, adj_gens, s_theta, theta_cov, m = _type_a_data(n)
+    elems, index, pos, adj_gens, s_theta, theta_cov = _type_a_data(n)
 
     def normalize(t: Vector) -> Vector:
         c = sum(t) // n
@@ -458,7 +449,6 @@ def extended_affine_pgl(n: int) -> GroupPresentation:
         pos_roots=pos,
         gen_specs=gen_specs,
         gen_names=names,
-        coxeter_m=m,
         omega_count=n,
         _coset_of=lambda t: sum(t) % n,
         _normalize=normalize,

@@ -407,13 +407,11 @@ def sl_dual_torus(n: int) -> TorusAction:
 
 @dataclass
 class FixedLocus:
-    rank: int
     dim: int
     invariant_factors: tuple[int, ...]
     signatures: list[tuple[int, ...]]
     components: list[tuple[Fraction, ...]]
     kernel_basis: list[list[int]]
-    v: Matrix = field(repr=False, default=None)
     v_inv: Matrix = field(repr=False, default=None)
     torsion_positions: tuple[int, ...] = field(repr=False, default=())
 
@@ -449,13 +447,11 @@ def fixed_locus(action: TorusAction, gamma: int) -> FixedLocus:
         components.append(_mod1(_frac_vec(v, y)))
     kernel = [[v[i][j] for i in range(r)] for j in zeros]
     return FixedLocus(
-        rank=r,
         dim=len(zeros),
         invariant_factors=factors,
         signatures=signatures,
         components=components,
         kernel_basis=kernel,
-        v=v,
         v_inv=v_inv,
         torsion_positions=tors,
     )

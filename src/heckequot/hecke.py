@@ -24,8 +24,9 @@ gamma-tables are stored on W' only and extended on demand.  Both kernels
 run on Kronecker-packed ints, at widths that positivity makes sound: the KL
 recursion fills one interned table (one dict per distinct polynomial, one
 row per symmetry orbit), and products c_x c_y are streamed one row at a
-time along right reduced words, from the mu-coefficients of p, at the
-width the augmentation bounds.
+time along right reduced words, at the width the augmentation bounds, from
+generator tables that hold c_z c_s as None for (v + v^-1) c_z, else as
+(target, coefficient) pairs.
 
 On W', conjugation g by Omega and the anti-involution T_w -> T_{w^-1} fix
 both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
@@ -33,8 +34,9 @@ h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
 one z per orbit, and the table holds that row once for the whole orbit:
 each z reads it, and its mu-coefficients, through the g that carries the
 orbit's least element onto z.  Product rows are computed for one x per
-Omega-conjugacy orbit with 2 l(x) <= R, and each is worked once: z's
-degree profile is the max over its orbit, and the gamma table is kept per
+Omega-conjugacy orbit with 2 l(x) <= R, and each is worked once: a(z)
+and its certificate come from the max degree over z's orbit, in two
+columns (budgets <= R - m and above), and the gamma table is kept per
 computed row, relabelled for any other pair when it is looked up (_rep).
 One pass of the rows serves both the a-values and the gamma table; a ball
 that needs only its a-values (for the cells) keeps nothing of the rows.
@@ -138,7 +140,6 @@ class CellPartition:
 @dataclass
 class PropertyCheck:
     name: str
-    passed: bool
     checked: int
     counterexamples: list = field(default_factory=list)
 
@@ -266,10 +267,9 @@ class HeckeBall:
         self._pg: list[list[int]] = []
         self._compute_kl_table()
         self._mus: list[list[tuple[int, int]]] | None = None
-        self._cs: list[list[dict[int, object]] | None] = [None] * ngen
+        self._cs: list[list[tuple[tuple[int, int], ...] | None] | None] = [None] * ngen
         self._a_values: list[int] | None = None
         self._a_cert: list[bool] | None = None
-        self._a_profile: list[list[int]] | None = None
         self._gamma: dict[tuple[int, int], dict[int, int]] | None = None
         self._gamma_tainted: set[tuple[int, int]] = set()
         self._gamma_rows: dict[tuple[int, int], dict[int, int]] = {}  # per ball-index pair
@@ -407,11 +407,13 @@ class HeckeBall:
         return HeckeElement("T", dict(self._kl_terms(self._idx(z))), self.ball)
 
     # ---------------- generator products ---------------------------------
-    def _cs_table(self, s: int) -> list[dict[int, object]]:
-        """Expansion of c_z c_s over W': dict target -> int or RawPoly.
+    def _cs_table(self, s: int) -> list[tuple[tuple[int, int], ...] | None]:
+        """Expansion of c_z c_s over W', for each z: None when z s < z, where
+        c_z c_s = (v + v^-1) c_z; else the (target, int coefficient) pairs of
+        c_{zs} + sum mu(y, z) c_y over the y < z with y s < y, c_{zs} first.
 
-        Entries at the ball boundary with an ascending step are partial
-        (the top term c_{zs} falls outside); they carry the marker key -1."""
+        Rows at the ball boundary with an ascending step are partial (the top
+        term c_{zs} falls outside); their first target is the marker -1."""
         if self._cs[s] is not None:
             return self._cs[s]
         if self._mus is None:  # one scan of the KL table serves every generator
@@ -421,19 +423,18 @@ class HeckeBall:
                     orbit_mus[id(row)] = [(yi, m) for yi, q in row.items() if (m := q.get(-1, 0))]
             self._mus = [orbit_mus[id(row)] for row in self._p]
         ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
-        tbl: list[dict[int, object]] = []
+        tbl: list[tuple[tuple[int, int], ...] | None] = []
         for zi, (mus, g) in enumerate(zip(self._mus, self._pg)):
             zs = wrm[zi * ngen + s]
-            row: dict[int, object] = {}
             if zs >= 0 and wl[zs] < wl[zi]:
-                row[zi] = {1: 1, -1: 1}
-            else:
-                row[zs] = 1  # zs is the overflow marker -1 when c_{zs} is outside
-                for yi, m in mus:
-                    yi = g[yi]
-                    if 0 <= (ys := wrm[yi * ngen + s]) and wl[ys] < wl[yi]:
-                        row[yi] = m
-            tbl.append(row)
+                tbl.append(None)
+                continue
+            row = [(zs, 1)]  # zs is the overflow marker -1 when c_{zs} is outside
+            for yi, m in mus:
+                yi = g[yi]
+                if 0 <= (ys := wrm[yi * ngen + s]) and wl[ys] < wl[yi]:
+                    row.append((yi, m))
+            tbl.append(tuple(row))
         self._cs[s] = tbl
         return tbl
 
@@ -560,14 +561,11 @@ class HeckeBall:
         multiplying by v + v^-1 is (h << k) + (h >> k), exact since the
         exponents of row y stay in -l(y)..l(y).  Then deg h =
         |H|.bit_length() // k - R - 1, and laurent.unpack(P[z], -R - 1, k)
-        decodes it.  _rep gives every other pair in the budget its row."""
+        decodes it.  Row y = y' s is row y' times c_s, read off _cs_table(s)
+        as stored, less the rows of the other terms of c_{y'} c_s.  _rep
+        gives every other pair in the budget its row."""
         budget, wl, n = self.radius, self.wp_len, len(self.wp)
-        k = self._pack_bits()
-        # per generator and z: None when z s < z (c_z c_s = (v + v^-1) c_z),
-        # else the items of the integer row of c_z c_s
-        tbls = [[None if isinstance(row.get(zi), dict) else tuple(row.items())
-                 for zi, row in enumerate(self._cs_table(s))]
-                for s in range(len(self.gens))]
+        k, tbls = self._pack_bits(), [self._cs_table(s) for s in range(len(self.gens))]
         for xi, (head, _) in enumerate(self._heads):  # W' is sorted by (length, key)
             if head != xi:
                 continue
@@ -583,14 +581,14 @@ class HeckeBall:
                 get = acc.get
                 for zi, h in row[pi].items():
                     items = tbl[zi]
-                    if items is None:
+                    if items is None:  # c_z c_s = (v + v^-1) c_z
                         acc[zi] = get(zi, 0) + (h << k) + (h >> k)
                         continue
                     for wi, A in items:
                         if wi < 0:  # pragma: no cover - budget prevents this
                             raise BallOverflowError("product overflowed the ball")
                         acc[wi] = get(wi, 0) + h * A
-                for wi, A in tbl[pi]:  # z s > z here, so the row is integral
+                for wi, A in tbl[pi]:  # l(pi s) = l(y) > l(pi), so the row is not None
                     if wi != yi:
                         for zi, h in row[wi].items():
                             acc[zi] = get(zi, 0) - h * A
@@ -616,17 +614,18 @@ class HeckeBall:
 
     # ---------------- a-function ------------------------------------------
     def _stream_a_values(self, visit: Callable[[int, int, dict[int, int]], None] | None = None) -> None:
-        """One pass of _stream_products that fills the a-value columns, and
-        calls visit(xi, yi, P) on each row after it; then reads a(z), its
-        certificate and its degree profile off the columns."""
+        """One pass of _stream_products that fills the two a-value columns,
+        and calls visit(xi, yi, P) on each row after it; then reads a(z) and
+        its certificate off the columns."""
         n, wl, R, m = len(self.wp), self.wp_len, self.radius, self.margin
         k = self._pack_bits()
-        # cols[rho][z]: the largest |H|.bit_length() over the computed rows
-        # with pair budget l(x) + l(y) = rho, 0 (degree -R-1) if there is none
-        cols = [[0] * n for _ in range(R + 1)]
+        # cols[0][z] (cols[1][z]): the largest |H|.bit_length() over the
+        # computed rows with pair budget l(x) + l(y) <= R - m (> R - m),
+        # 0 (degree -R-1) if there is none
+        cols = [[0] * n, [0] * n]
 
         def fill(xi: int, yi: int, P: dict[int, int]) -> None:
-            col = cols[wl[xi] + wl[yi]]
+            col = cols[wl[xi] + wl[yi] > R - m]
             for zi, d in zip(P, map(int.bit_length, P.values())):  # |H|'s bits
                 if col[zi] < d:
                     col[zi] = d
@@ -635,23 +634,21 @@ class HeckeBall:
 
         self._stream_products(fill)
         # each pair is a computed row's image under a g in _syms (see _rep),
-        # which keeps budgets and degrees: z's profile is the elementwise max
-        # over its orbit, and a(z) and its certificate are the orbit's.
-        # _a_profile[z][rho]: max deg h_{x,y,z} over pairs of budget rho
-        profile: list[list[int] | None] = [None] * n
-        values, certs = [0] * n, [False] * n
+        # which keeps budgets and degrees: a(z) and its certificate are read
+        # off the max over z's orbit.  The max degree over the budgets <= rho
+        # never falls as rho grows, so it is attained identically for budgets
+        # R-m .. R iff the budgets <= R - m attain it already.
+        values: list[int | None] = [None] * n
+        certs = [False] * n
         for zi in range(n):
-            if profile[zi] is not None:
+            if values[zi] is not None:
                 continue
             orbit = {g[zi] for g in self._syms}
-            prof = [max(map(col.__getitem__, orbit)) // k - R - 1 for col in cols]
-            by_budget = list(itertools.accumulate(prof, max))
-            val = by_budget[R]
-            cert = (all(b == val for b in by_budget[R - m:])
-                    and 0 <= val <= self.n_pos_roots and wl[zi] <= R - 2 * m)
+            low, high = (max(map(col.__getitem__, orbit)) // k - R - 1 for col in cols)
+            val = max(low, high)
+            cert = low == val and 0 <= val <= self.n_pos_roots and wl[zi] <= R - 2 * m
             for w in orbit:
-                profile[w], values[w], certs[w] = prof, val, cert
-        self._a_profile = profile
+                values[w], certs[w] = val, cert
         self._a_values = values
         self._a_cert = certs
 
@@ -869,19 +866,22 @@ class HeckeBall:
         self._ensure_a_data()
         elems, inv, rom, nom, wp_inv = self.ball.elements, self._inv, self._rom, self._nom, self.wp_inv
         tbls, nodes = [self._cs_table(s) for s in range(len(self.gens))], range(len(self.wp))
+
+        def support(z: int):  # of all c_z c_s in the ball; a None row is (v + v^-1) c_z
+            return (w for tbl in tbls for w, _ in tbl[z] or ((z, 1),) if w >= 0)
+
         # one node per left Omega-orbit {omega x}, named by its W' element x:
         # T_omega c_x = c_{omega x} and c_x T_omega = c_{x omega}, so each
         # orbit is a cycle of the ball's preorder graphs and contracting it
         # keeps their components and reachability.  left[x] holds the y with
         # y <=_L x in one step, the support of c_s c_x = iota(c_{x^-1} c_s).
-        left = [tuple({wp_inv[w] for tbl in tbls for w in tbl[wp_inv[x]] if w >= 0}) for x in nodes]
+        left = [tuple({wp_inv[w] for w in support(wp_inv[x])}) for x in nodes]
         # T_w -> T_{w^-1} is an anti-involution, so y <=_R x iff y^-1 <=_L x^-1
         # (Kazhdan-Lusztig 1979): one right step is the support of c_x c_s or
         # x omega, which lies in the orbit of omega^-1 x omega.  A component
         # of one node is fixed by these conjugations, so when |Omega| > 1 it has
         # a loop, as the cycle of its orbit gives it in the ball.
-        both = [tuple({*left[x], *(w for tbl in tbls for w in tbl[x] if w >= 0),
-                       *(g[x] for g in self._syms[1:nom])}) for x in nodes]
+        both = [tuple({*left[x], *support(x), *(g[x] for g in self._syms[1:nom])}) for x in nodes]
 
         def ordered(cells: list[list[int]]) -> tuple[list[list[int]], dict[GroupElement, int]]:
             # cells sorted by key, which is ball index order
@@ -960,7 +960,7 @@ class HeckeBall:
 
         # P1: a(z) <= Delta(z), wherever p_{1,z} is nonzero
         bad = [wp[zi] for zi in cert_wp if 0 in self._p[zi] and self._a_values[zi] > -max(self._p[zi][0])]
-        checks.append(PropertyCheck("P1", not bad, len(cert_wp), bad[:5]))
+        checks.append(PropertyCheck("P1", len(cert_wp), bad[:5]))
 
         # gamma_{x,y,.} over W' for every pair of certified elements in the
         # budget, relabelled from its computed row
@@ -981,7 +981,7 @@ class HeckeBall:
                     count += 1
                     if self.wp_inv[xi] != yi:
                         bad.append((self.wp[xi], self.wp[yi], self.wp[di]))
-        checks.append(PropertyCheck("P2", not bad, count, bad[:5]))
+        checks.append(PropertyCheck("P2", count, bad[:5]))
 
         # P3: for each y exactly one d with gamma_{y,y^-1,d} != 0; pairs
         # whose product support leaves the certified region are skipped
@@ -996,7 +996,7 @@ class HeckeBall:
             hits = [zi for zi in row if zi in dset and row[zi]]
             if len(hits) != 1:
                 bad.append((self.wp[yi], len(hits)))
-        checks.append(PropertyCheck("P3", not bad, count, bad[:5]))
+        checks.append(PropertyCheck("P3", count, bad[:5]))
 
         # P4: z' <=_LR z implies a(z') >= a(z), on cells with a defined
         bad = []
@@ -1009,7 +1009,7 @@ class HeckeBall:
             count += 1
             if ci.a_value < cj.a_value:
                 bad.append((i, j, ci.a_value, cj.a_value))
-        checks.append(PropertyCheck("P4", not bad, count, bad[:5]))
+        checks.append(PropertyCheck("P4", count, bad[:5]))
 
         # P5: gamma_{y^-1,y,d} = n_d = +-1
         bad = []
@@ -1023,11 +1023,11 @@ class HeckeBall:
                     nd = self._p[di][0][max(self._p[di][0])]
                     if g != nd or abs(nd) != 1:
                         bad.append((self.wp[yi], self.wp[di], g, nd))
-        checks.append(PropertyCheck("P5", not bad, count, bad[:5]))
+        checks.append(PropertyCheck("P5", count, bad[:5]))
 
         # P6: distinguished involutions square to e
         bad = [wp[di] for di in dist_idx if wp_inv[di] != di]
-        checks.append(PropertyCheck("P6", not bad, len(dist_idx), bad[:5]))
+        checks.append(PropertyCheck("P6", len(dist_idx), bad[:5]))
 
         # P7: gamma_{x,y,z} = gamma_{y,z,x} (cyclic invariance)
         bad = []
@@ -1044,7 +1044,7 @@ class HeckeBall:
                 count += 1
                 if g != g2:
                     bad.append((self.wp[xi], self.wp[yi], self.wp[wi], g, g2))
-        checks.append(PropertyCheck("P7", not bad, count, bad[:5]))
+        checks.append(PropertyCheck("P7", count, bad[:5]))
 
         # P8: gamma_{x,y,z} != 0 implies x ~L y^-1, y ~L z, z^-1 ~L x^-1
         bad = []
@@ -1058,6 +1058,6 @@ class HeckeBall:
                 if not (lid[xi] == lid[wp_inv[yi]] and lid[yi] == lid[zi]
                         and lid[wp_inv[zi]] == lid[wp_inv[xi]]):
                     bad.append((wp[xi], wp[yi], wp[zi]))
-        checks.append(PropertyCheck("P8", not bad, count, bad[:5]))
+        checks.append(PropertyCheck("P8", count, bad[:5]))
 
         return checks

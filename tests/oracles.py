@@ -56,7 +56,7 @@ from heckequot.laurent import LaurentPoly, acc_mul, acc_scaled, bar, sparse_add
 def finite_a(n: int) -> GroupPresentation:
     """Finite Weyl group of type A(n) = S_{n+1}; no affine generator."""
     N = n + 1
-    elems, index, pos, adj_gens, _, _, m = _type_a_data(N)
+    elems, index, pos, adj_gens, _, _ = _type_a_data(N)
     return GroupPresentation(
         family=f"FiniteA({n})",
         rank=N,
@@ -65,8 +65,6 @@ def finite_a(n: int) -> GroupPresentation:
         pos_roots=pos,
         gen_specs=[((0,) * N, index[g]) for g in adj_gens],
         gen_names=[f"s{i}" for i in range(1, N)],
-        # the affine matrix without its affine node
-        coxeter_m={ij: mij for ij, mij in m.items() if ij[1] < N - 1},
         omega_count=1,
         _coset_of=lambda t: 0,
         _normalize=lambda t: t,
@@ -86,7 +84,6 @@ def finite_b2() -> GroupPresentation:
         pos_roots=[(1, 0), (0, 1), (1, -1), (1, 1)],
         gen_specs=[((0, 0), index[s1]), ((0, 0), index[s2])],
         gen_names=["s1", "s2"],
-        coxeter_m={(0, 1): 4},
         omega_count=1,
         _coset_of=lambda t: 0,
         _normalize=lambda t: t,
@@ -151,11 +148,11 @@ def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
     what the normal form predicts.  Only for small rank and torsion."""
     fl = fixed_locus(action, gamma)
     k = lcm(*fl.invariant_factors) if fl.invariant_factors else 1
-    if k ** fl.rank > 50000 or fl.rank > 3 or k > 12:
+    if k ** action.rank > 50000 or action.rank > 3 or k > 12:
         raise ExtQuotError("grid too large for the brute force check")
     m = action.matrices[gamma]
     count = 0
-    for q in itertools.product([Fraction(j, k) for j in range(k)], repeat=fl.rank):
+    for q in itertools.product([Fraction(j, k) for j in range(k)], repeat=action.rank):
         img = _frac_vec(m, q)
         if all((x - y).denominator == 1 for x, y in zip(img, q)):
             count += 1

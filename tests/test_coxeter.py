@@ -5,6 +5,7 @@ first search over the Cayley graph starting from the length-zero coset
 representatives.
 """
 
+import itertools
 from collections import deque
 from dataclasses import replace
 
@@ -191,10 +192,20 @@ def test_b2_omega_is_an_involution_swapping_the_ends():
     gens = b2.generators()
     for i, j in enumerate(table):
         assert tau * gens[i] * tau.inverse() == gens[j]
-    # diagram automorphism: braid orders survive the relabeling
-    for (i, j), m in b2.coxeter_m.items():
+
+    # diagram automorphism: braid orders survive the relabeling; m_ij is the
+    # order of s_i s_j, and the affine B2 diagram has m = 2, 4, 4
+    def order(i, j):
+        x, m = gens[i] * gens[j], 1
+        while x != b2.identity() and m < 12:
+            x, m = x * gens[i] * gens[j], m + 1
+        return m
+
+    cox = {(i, j): order(i, j) for i, j in itertools.combinations(range(3), 2)}
+    assert cox == {(0, 1): 2, (0, 2): 4, (1, 2): 4}
+    for (i, j), m in cox.items():
         a, b = sorted((table[i], table[j]))
-        assert b2.coxeter_m[(a, b)] == m
+        assert cox[(a, b)] == m
 
 
 def test_pgl3_omega_rotates_the_diagram():

@@ -444,7 +444,7 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius, stre
     # a fact about h, not about k: with S the largest L1 norm of a generator
     # row (v + v^-1 counts 2), sum_z |h_{x,y,z}|_1 <= (2S)^l(y), and the
     # same for l(x) by the mirror symmetry
-    S = max(sum(2 if isinstance(A, dict) else abs(A) for A in row.values())
+    S = max(2 if row is None else sum(abs(A) for _, A in row)
             for s in range(len(hb.gens)) for row in hb._cs_table(s))
     top = []
     for (xi, yi), P in streamed_pairs(hb).items():
@@ -458,7 +458,6 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius, stre
     hb._ensure_a_data()
     values, certs = [], []
     for zi, prof in enumerate(profile):
-        assert {rho: d for rho, d in enumerate(hb._a_profile[zi]) if d > -R - 1} == prof
         by_budget = list(itertools.accumulate((prof.get(rho, -R - 1) for rho in range(R + 1)), max))
         values.append(by_budget[R])
         certs.append(all(b == by_budget[R] for b in by_budget[R - m:])
@@ -587,8 +586,9 @@ def test_the_resolver_gives_every_pair_its_gamma_taint_and_h_row(factory, radius
             with pytest.raises(BallOverflowError):
                 lookup()
     assert bool(refused) == (R >= 4 * hb.margin + 1)
-    # the a-value profile is constant on every symmetry orbit
-    assert all(hb._a_profile[g[z]] == hb._a_profile[z] for g in hb._syms for z in range(len(wp)))
+    # the a-values and their certificates are constant on every symmetry orbit
+    assert all((hb._a_values[g[z]], hb._a_cert[g[z]]) == (hb._a_values[z], hb._a_cert[z])
+               for g in hb._syms for z in range(len(wp)))
 
 
 @pytest.mark.parametrize(
@@ -606,10 +606,10 @@ def test_gamma_first_streams_once_and_agrees_with_a_values_first(factory, radius
     fused._ensure_gamma()
     assert len(passes) == 1
     split._ensure_a_data()
-    plain = split._a_values, split._a_cert, split._a_profile
+    plain = split._a_values, split._a_cert
     split._ensure_gamma()
-    assert (fused._a_values, fused._a_cert, fused._a_profile) == plain
-    for name in ("_a_values", "_a_cert", "_a_profile", "_dist_idx", "_gamma", "_gamma_tainted"):
+    assert (fused._a_values, fused._a_cert) == plain
+    for name in ("_a_values", "_a_cert", "_dist_idx", "_gamma", "_gamma_tainted"):
         assert getattr(fused, name) == getattr(split, name), name
     assert split._dist_idx and split._gamma and split._gamma_tainted
 
