@@ -14,9 +14,11 @@ discrepancy was found (a claim that the computation contradicts rather
 than confirms), 3 usage or parameter error.
 
 The cache directory defaults to ~/.cache/heckequot, overridden by
---cache-dir or the HECKEQUOT_CACHE environment variable.  Ball scenarios
-write their KL table (elements and p-polynomials) there on first run;
-later runs require the stored bytes to match recomputation exactly.
+--cache-dir or the HECKEQUOT_CACHE environment variable; one that cannot
+be made is a usage error, before any ball is built.  Ball scenarios
+write their KL table (elements and p-polynomials) there on first run, a
+line at a time; later runs compare it with recomputation line by line
+and require the stored bytes to match exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 from . import asymptotic, coxeter, crossprod, duality, extquot
 from .asymptotic import decide
 from .coxeter import CoxeterError
-from .hecke import HeckeBall, HeckeError
+from .hecke import CACHE_SCHEMA, HeckeBall, HeckeError
 
 REPORT_SCHEMA = "heckequot-report/1"
 
@@ -144,23 +146,23 @@ def _slug(family: str) -> str:
 
 
 def cache_filename(family: str, radius: int) -> str:
-    # each cache schema has its own file name, so files of another schema
-    # (heckequot-ball/1 "_w..." and /2 "_r<R>.txt") are left alone
-    return f"{_slug(family)}_r{radius}_v3.txt"
+    # each cache schema has its own file name, "_v<N>" for heckequot-ball/N,
+    # so files of another schema (/1 "_w...", /2 "_r<R>.txt") are left alone
+    return f"{_slug(family)}_r{radius}_v{CACHE_SCHEMA.rsplit('/', 1)[1]}.txt"
 
 
 def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
-    """Write the ball's KL table, or compare against what is already there.
+    """Write the ball's KL table into an existing directory, or compare it
+    with what is already there, line by line as hb.cache_lines() yields it.
     Returns (path, "written" | "hit" | "mismatch")."""
     path = directory / cache_filename(hb.pres.family, hb.radius)
-    lines = hb.cache_lines()
+    lines = (line + "\n" for line in hb.cache_lines())
     if path.exists():
-        status = "hit" if path.read_text() == "\n".join(lines) + "\n" else "mismatch"
-        return path, status
-    directory.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:  # in chunks, not as one joined and one encoded copy
-        for i in range(0, len(lines), 2048):
-            f.write("\n".join(lines[i:i + 2048]) + "\n")
+        with path.open() as f:  # a missing or an extra line meets None
+            same = all(a == b for a, b in itertools.zip_longest(f, lines))
+        return path, "hit" if same else "mismatch"
+    with path.open("w") as f:
+        f.writelines(lines)
     return path, "written"
 
 
@@ -168,9 +170,14 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
 
 def _ball_scenario(ns, factory, default_radius: int):
     radius = ns.radius if ns.radius is not None else default_radius
+    directory = cache_directory(ns.cache_dir)
+    try:  # before the ball is built, so an unusable directory costs nothing
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use cache directory {directory}: {exc.strerror}") from exc
     hb = HeckeBall(factory(), radius, margin=ns.margin)
     checks: list[Check] = []
-    path, status = cache_store(hb, cache_directory(ns.cache_dir))
+    path, status = cache_store(hb, directory)
     if status == "mismatch":
         checks.append(Check(
             "cache", "the cached KL table is byte-identical to recomputation",

@@ -330,17 +330,6 @@ class Ball:
         return iter(self.elements)
 
 
-# ------------------------------------------------------------- text format
-def dump_element(x: GroupElement, word: tuple[list[str], int]) -> str:
-    """One text line for x, given its left-greedy reduced word as
-    (generator names, Omega index)."""
-    w = ".".join(word[0]) if word[0] else "e"
-    return (
-        f"word={w} omega=w{word[1]} len={x.length} "
-        f"trans=({','.join(map(str, x.trans))}) fin=f{x.fin}"
-    )
-
-
 # ---------------------------------------------------------------- catalog
 def perm_matrix(perm: Sequence[int]) -> Matrix:
     n = len(perm)

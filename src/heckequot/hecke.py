@@ -33,7 +33,8 @@ both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
 h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
 one z per orbit, and the table holds that row once for the whole orbit:
 each z reads it, and its mu-coefficients, through the g that carries the
-orbit's least element onto z.  Product rows are computed for one x per
+orbit's least element onto z; the cache text (cache_lines, a generator)
+holds that row once too.  Product rows are computed for one x per
 Omega-conjugacy orbit with 2 l(x) <= R, and each is worked once: a(z)
 and its certificate come from the max degree over z's orbit, in two
 columns (budgets <= R - m and above), and the gamma table is kept per
@@ -58,9 +59,9 @@ import bisect
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
-from .coxeter import Ball, GroupElement, GroupPresentation, dump_element
+from .coxeter import Ball, GroupElement, GroupPresentation
 from .laurent import LaurentPoly, acc_mul, acc_scaled, pack, unpack
 
 RawPoly = dict  # exponent -> int coefficient, no zeros
@@ -825,39 +826,30 @@ class HeckeBall:
         nom, rom, lo, k = self._nom, self._rom, -self.radius - 1, self._pack_bits()
         return {rom[g[zi] * nom + omx]: unpack(H, lo, k) for zi, H in self._h_for_dist[key].items()}
 
-    # ---------------- cache line format --------------------------------------
-    def cache_header(self) -> str:
-        return (f"# {CACHE_SCHEMA} family={self.pres.family} "
-                f"radius={self.radius} elements={len(self.wp)}")
+    # ---------------- cache text --------------------------------------------
+    def cache_lines(self) -> Iterator[str]:
+        """The KL table as text, yielded one line at a time.
 
-    def element_lines(self) -> list[str]:
-        names, out = self.pres.gen_names, []
+        One header line; an E line "E i word=.. omega=w.. len=.. trans=(..)
+        fin=f.." per W' element, with its left-greedy reduced word; then a P
+        line "P y z poly" per nonzero p_{y,z}, z the least W' index of its
+        _syms orbit (g gives the rest, p_{g(y),g(z)} = p_{y,z}).  Indices refer
+        to the E lines; each interned polynomial is formatted once.  Order and
+        text are canonical, so two computations of a ball dump the same bytes."""
+        names, p, ident = self.pres.gen_names, self._p, self._syms[0]
+        yield f"# {CACHE_SCHEMA} family={self.pres.family} radius={self.radius} elements={len(self.wp)}"
         for i, x in enumerate(self.wp):
             word, om = self._word(self._rom[i * self._nom])
-            out.append(f"E {i} {dump_element(x, ([names[s] for s in word], om))}")
-        return out
-
-    def p_lines(self) -> list[str]:
-        # the rows the table holds, one per _syms orbit, each written for the
-        # least W' index of its orbit: the z whose g is the identity; the
-        # others are the relabellings p_{gy,gz} = p_{y,z}.  The table is
-        # interned: one dict per distinct polynomial, formatted once.
-        p, ident = self._p, self._syms[0]
-        reps = [zi for zi, g in enumerate(self._pg) if g is ident]
-        polys = {id(q): q for zi in reps for q in p[zi].values()}
-        text = {i: LaurentPoly(q).to_str() for i, q in polys.items()}
-        return [f"P {yi} {zi} {text[id(p[zi][yi])]}" for zi in reps for yi in sorted(p[zi])]
-
-    def cache_lines(self) -> list[str]:
-        """Line-oriented dump of the KL table.
-
-        One header line, then element lines "E i word=..." for every W'
-        element and one P line "P y z poly" per nonzero p_{y,z} with z the
-        least W' index of its _syms orbit; indices refer to the E lines, and
-        g in _syms gives the rest, p_{g(y),g(z)} = p_{y,z}.  The order and the
-        polynomial text are canonical, so two computations of the same ball
-        dump byte-identical text."""
-        return [self.cache_header()] + self.element_lines() + self.p_lines()
+            yield (f"E {i} word={'.'.join(names[s] for s in word) or 'e'} omega=w{om} "
+                   f"len={x.length} trans=({','.join(map(str, x.trans))}) fin=f{x.fin}")
+        text: dict[int, str] = {}  # id of an interned polynomial -> its text
+        for zi, g in enumerate(self._pg):
+            if g is ident:
+                for yi in sorted(p[zi]):
+                    q = p[zi][yi]
+                    if id(q) not in text:
+                        text[id(q)] = LaurentPoly(q).to_str()
+                    yield f"P {yi} {zi} {text[id(q)]}"
 
     # ---------------- cells -------------------------------------------------
     def _ensure_cells(self) -> None:

@@ -421,6 +421,52 @@ def test_cache_ignores_files_of_the_full_table_format(tmp_path):
                 if rec.get("id") == "cache"]
 
 
+def _drop_last_line(text):
+    return text[:text.rindex("\n", 0, -1) + 1]
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_last_line,
+    lambda text: text + text.splitlines()[-1] + "\n",
+    lambda text: text + "\n",
+    lambda text: text[:-1],
+    lambda text: "",
+], ids=["truncated", "extra-line", "extra-blank-line", "no-final-newline", "empty"])
+def test_cache_compare_reads_both_ends_to_the_last_byte(tmp_path, edit):
+    # the dump is compared line by line as it is produced; a file that ends
+    # early or late is a mismatch, not a hit
+    hb = HeckeBall(infinite_dihedral(), 6)
+    path, status = cli.cache_store(hb, tmp_path)
+    text = path.read_text()
+    assert status == "written" and text.splitlines()[-1].startswith("P ")
+    assert _drop_last_line(text) + text.splitlines()[-1] + "\n" == text
+    assert edit(text) != text
+    path.write_text(edit(text))
+    assert cli.cache_store(hb, tmp_path) == (path, "mismatch")
+    path.write_text(text)
+    assert cli.cache_store(hb, tmp_path) == (path, "hit")
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_an_unusable_cache_directory_is_refused_before_the_ball(tmp_path, monkeypatch, via):
+    # a regular file where the cache directory should go: exit 3 at once,
+    # before any KL table is computed
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "sub")
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was built before the cache directory was made")
+
+    monkeypatch.setattr(cli, "HeckeBall", no_ball)
+    monkeypatch.setenv("HECKEQUOT_CACHE", target)
+    rc, out, err = run(["run", "so5-cells"] + (["--cache-dir", target] if via == "flag" else []))
+    assert rc == 3
+    assert err.startswith("usage error") and target in err
+    assert out == ""
+    assert blocker.read_text() == ""
+
+
 def test_cache_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("HECKEQUOT_CACHE", str(tmp_path))
     rc, _, _ = run(["run", "infdihedral-P-properties", "--radius", "6"])

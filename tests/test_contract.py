@@ -25,12 +25,13 @@ import importlib
 import importlib.util
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from heckequot import asymptotic, cli
-from heckequot.coxeter import GroupPresentation, extended_affine_pgl, infinite_dihedral
+from heckequot.coxeter import GroupPresentation, extended_affine_b2, extended_affine_pgl, infinite_dihedral
 from heckequot.hecke import HeckeBall
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +90,25 @@ def test_ball_exposes_what_the_tracer_hooks_read(tmp_path):
     hb = HeckeBall(extended_affine_pgl(3), 8)
     assert len(hb.omega_elems) > 1 and len({id(row) for row in hb._p}) < len(hb.wp)
     assert sum(len(col) for col in hb._p) == sum(len(hb.kl_element(z).terms) for z in hb.wp)
+
+
+def test_the_cache_dump_is_streamed(tmp_path):
+    # cache_lines yields the dump a line at a time, and cache_store writes
+    # and compares the lines as they come, holding neither the list of lines
+    # nor the text: the tracemalloc peak of a B2 r16 write, and of a hit,
+    # stays below half of the 372,226-byte file
+    assert inspect.isgeneratorfunction(HeckeBall.cache_lines)
+    hb = HeckeBall(extended_affine_b2(), 16)
+    for expected in ("written", "hit"):
+        tracemalloc.start()
+        try:
+            path, status = cli.cache_store(hb, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == expected
+        assert path.stat().st_size == 372_226
+        assert peak < 372_226 / 2, (expected, peak)
 
 
 def test_skips_and_the_decided_ratio_count_the_same_exceptions():

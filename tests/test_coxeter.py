@@ -14,7 +14,6 @@ import pytest
 from heckequot.coxeter import (
     CoxeterError,
     close_group,
-    dump_element,
     extended_affine_b2,
     extended_affine_pgl,
     infinite_dihedral,
@@ -22,6 +21,7 @@ from heckequot.coxeter import (
     mat_mul,
     mat_vec,
 )
+from heckequot.hecke import HeckeBall
 from oracles import element, finite_a, finite_b2, reduced_word, right_descents
 
 
@@ -270,10 +270,9 @@ def test_weyl_table_needs_generating_finite_parts():
 # ---- serialization --------------------------------------------------------
 
 
-def _word(x):
-    names, omega = reduced_word(x.pres, x)
-    return names, omega.omega_index()
-
+def _element_lines(hb):
+    """{W' index: text} of the ball's cache E lines "E i <text>"."""
+    return {int(i): text for tag, i, text in (line.split(" ", 2) for line in hb.cache_lines()) if tag == "E"}
 
 
 @pytest.mark.parametrize(
@@ -287,13 +286,15 @@ def _word(x):
     ],
 )
 def test_dump_element_lines_distinct(factory, radius):
-    # cache E lines must identify their element
-    ball = factory().ball(radius)
-    assert len({dump_element(x, _word(x)) for x in ball}) == len(ball)
+    # cache E lines, one per element of W', must identify their element
+    hb = HeckeBall(factory(), radius)
+    lines = _element_lines(hb)
+    assert sorted(lines) == list(range(len(hb.wp)))
+    assert len(set(lines.values())) == len(hb.wp)
 
 
 def test_dump_format():
-    d = infinite_dihedral()
-    s1, s2 = d.generators()
+    hb = HeckeBall(infinite_dihedral(), 6)
+    s1, s2 = hb.pres.generators()
     w = s1 * s2
-    assert dump_element(w, _word(w)) == "word=s1.s2 omega=w0 len=2 trans=(-1) fin=f0"
+    assert _element_lines(hb)[hb.wp_index[w]] == "word=s1.s2 omega=w0 len=2 trans=(-1) fin=f0"
