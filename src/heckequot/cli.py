@@ -158,10 +158,13 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
     path = directory / cache_filename(hb.pres.family, hb.radius)
     lines = (line + "\n" for line in hb.cache_lines())
     if path.exists():
-        with path.open() as f:  # a missing or an extra line meets None
-            same = all(a == b for a, b in itertools.zip_longest(f, lines))
+        try:
+            with path.open(encoding="utf-8") as f:  # a missing or an extra line meets None
+                same = all(a == b for a, b in itertools.zip_longest(f, lines))
+        except UnicodeDecodeError:  # not text this program wrote
+            same = False
         return path, "hit" if same else "mismatch"
-    with path.open("w") as f:
+    with path.open("w", encoding="utf-8") as f:
         f.writelines(lines)
     return path, "written"
 
@@ -175,7 +178,11 @@ def _ball_scenario(ns, factory, default_radius: int):
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot use cache directory {directory}: {exc.strerror}") from exc
-    hb = HeckeBall(factory(), radius, margin=ns.margin)
+    pres = factory()
+    path = directory / cache_filename(pres.family, radius)
+    if path.exists() and not path.is_file():
+        raise UsageError(f"cannot use cache file {path}: it is not a regular file")
+    hb = HeckeBall(pres, radius, margin=ns.margin)
     checks: list[Check] = []
     path, status = cache_store(hb, directory)
     if status == "mismatch":

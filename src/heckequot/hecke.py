@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .coxeter import Ball, GroupElement, GroupPresentation
-from .laurent import LaurentPoly, acc_mul, acc_scaled, pack, unpack
+from .laurent import LaurentPoly, acc_mul, acc_scaled, unpack
 
 RawPoly = dict  # exponent -> int coefficient, no zeros
 XI = {1: 1, -1: -1}  # v - v^-1
@@ -335,60 +335,71 @@ class HeckeBall:
         Kazhdan-Lusztig positivity E[y] = p_{y,z} + mu >= 0 when read, and no
         digit of E exceeds eps(c_{z1} c_s) = 2 eps(c_{z1}) <= 2^l(z) <= 2^R, with
         eps(c_w) = sum_y p_{y,w}(1), which each correction lowers; so k = R + 2
-        decodes every value.  eps also sets _pack_bits.  The table is
-        interned: each distinct polynomial is one dict, shared by every entry
-        equal to it and never mutated in place.  It is held per orbit: the
-        recursion runs for the least z of each _syms orbit, and every member
-        g(z) shares that one row dict, _p[g(z)] = _p[z], with _pg[g(z)] = g
-        (the first such g in _syms; syms[0], the identity, for z itself), so
-        that p_{g(y),g(z)} = _p[g(z)][y].  The parent row and the rows of the
-        corrections are read through their g.  A new value with a digit
-        outside [0, 2^(k-1)), or of degree >= 0 but not p_{z,z} = 1, raises
+        decodes every value.  eps also sets _pack_bits.  While the loop runs
+        the rows hold the packed ints, each distinct value one int object;
+        after it, each distinct value is decoded once and checked, and the
+        rows are interned in place: each distinct polynomial is one dict,
+        shared by every entry equal to it and never mutated.  The table is
+        held per orbit: the recursion runs for the least z of each _syms
+        orbit, and every member g(z) shares that one row dict, _p[g(z)] =
+        _p[z], with _pg[g(z)] = g (the first such g in _syms; syms[0], the
+        identity, for z itself), so that p_{g(y),g(z)} = _p[g(z)][y].  The parent row and the rows of the
+        corrections are read through their g.  Once the loop ends, a value
+        that is zero (p_{y,z} != 0 on [e, z]), has a digit outside
+        [0, 2^(k-1)), or has degree >= 0 but is not p_{z,z} = 1 raises
         HeckeError: the width was too narrow."""
         R, k, ngen, wrm, wl = self.radius, self._kl_bits(), len(self.gens), self._wrm, self.wp_len
         lo, top, half, n = -R - 1, k * R, 1 << (k - 1), len(self.wp)
-        shared, packed = {}, {}  # packed value -> its one dict; id of that dict -> the value
-
-        def intern(H: int) -> RawPoly:
-            if H not in shared:
-                q = shared[H] = unpack(H, lo, k)
-                packed[id(q)] = H
-                if not (all(0 < c < half for c in q.values()) and (max(q) < 0 or q == {0: 1})):
-                    raise HeckeError(f"a KL polynomial overflows the {k}-bit digits")
-            return shared[H]
-
+        shared: dict[int, int | RawPoly] = {}  # packed value -> its one int, then its one dict
+        dedup = shared.setdefault
         syms = self._syms
-        p: list[dict[int, RawPoly] | None] = [None] * n
+        p: list[dict[int, int] | None] = [None] * n  # packed ints until the loop ends
         pg = [syms[0]] * n  # syms[0] is the identity
         eps = [1] * n
-        p[0] = {0: intern(pack({0: 1}, lo, k))}
+        one = 1 << k * (R + 1)
+        p[0] = {0: dedup(one, one)}
+        rows = [p[0]]  # the one dict of each orbit
         for zi in range(1, n):  # W' is sorted by (length, key)
             if p[zi] is not None:
                 continue
             j, s = self.parent[zi]
             g = pg[j]
             E: dict[int, int] = {}
-            for yi, q in p[j].items():  # l(ys) <= l(z), so ys lies in the ball
+            get = E.get
+            for yi, H in p[j].items():  # l(ys) <= l(z), so ys lies in the ball
                 yi = g[yi]
-                H, ysi = packed[id(q)], wrm[yi * ngen + s]
-                E[ysi] = E.get(ysi, 0) + H
+                ysi = wrm[yi * ngen + s]
+                E[ysi] = get(ysi, 0) + H
                 # y s > y: v^-1 T_y; y s < y: T_y T_s = T_{ys} + (v - v^-1) T_y, plus v^-1 T_y
-                E[yi] = E.get(yi, 0) + (H >> k if wl[ysi] > wl[yi] else H << k)
+                E[yi] = get(yi, 0) + (H >> k if wl[ysi] > wl[yi] else H << k)
             ez = 2 * eps[j]
             # supp E is the Bruhat interval [e, z] and a correction from y
-            # reaches only y and shorter keys: fix them in descending index
-            for yi in sorted(E)[-2::-1]:
-                mu = ((E[yi] >> top) + half) >> k  # the digit of v^0, rounded
+            # reaches only y and shorter keys: fix them in descending index,
+            # each final once its own correction is made
+            keys = sorted(E)
+            E[zi] = dedup(E[zi], E[zi])
+            for yi in keys[-2::-1]:
+                H = E[yi]
+                mu = ((H >> top) + half) >> k  # the digit of v^0, rounded
                 if mu:
                     ez -= mu * eps[yi]
                     g = pg[yi]
-                    for y2, q in p[yi].items():
-                        E[g[y2]] -= mu * packed[id(q)]
-            row = {yi: intern(H) for yi, H in E.items() if H}
+                    for y2, Q in p[yi].items():
+                        E[g[y2]] -= mu * Q
+                    H = E[yi]
+                E[yi] = dedup(H, H)
+            rows.append(E)
             for g in syms:
                 eps[g[zi]] = ez
                 if p[g[zi]] is None:
-                    p[g[zi]], pg[g[zi]] = row, g
+                    p[g[zi]], pg[g[zi]] = E, g
+        for H in shared:
+            q = shared[H] = unpack(H, lo, k)
+            if not (q and all(0 < c < half for c in q.values()) and (max(q) < 0 or q == {0: 1})):
+                raise HeckeError(f"a KL polynomial overflows the {k}-bit digits")
+        for row in rows:
+            for yi, H in row.items():
+                row[yi] = shared[H]
         self._p, self._pg = p, pg
         best = list(itertools.accumulate(eps, max))  # best[i] = max(eps[:i + 1])
         M = max(e * best[bisect.bisect_right(wl, R - lx) - 1] for e, lx in zip(eps, wl))
@@ -563,37 +574,44 @@ class HeckeBall:
         exponents of row y stay in -l(y)..l(y).  Then deg h =
         |H|.bit_length() // k - R - 1, and laurent.unpack(P[z], -R - 1, k)
         decodes it.  Row y = y' s is row y' times c_s, read off _cs_table(s)
-        as stored, less the rows of the other terms of c_{y'} c_s.  _rep
-        gives every other pair in the budget its row."""
+        as stored, less the rows of the other terms of c_{y'} c_s.  Every
+        term of row y' times c_s is nonnegative (h >= 0, coefficients 1 or
+        mu > 0), so an entry can cancel only in the subtraction, and only
+        there are zeros deleted: P has no zero value.  _rep gives every
+        other pair in the budget its row."""
         budget, wl, n = self.radius, self.wp_len, len(self.wp)
         k, tbls = self._pack_bits(), [self._cs_table(s) for s in range(len(self.gens))]
         for xi, (head, _) in enumerate(self._heads):  # W' is sorted by (length, key)
             if head != xi:
                 continue
             lx = wl[xi]
-            row: dict[int, dict[int, int]] = {0: {xi: 1 << k * (budget + 1)}}
-            visit(xi, 0, row[0])
+            rows = [{xi: 1 << k * (budget + 1)}]  # rows[y] = c_x c_y
+            visit(xi, 0, rows[0])
             for yi in range(1, n):
                 if lx + wl[yi] > budget:
                     break
                 pi, s = self.parent[yi]
                 tbl = tbls[s]
-                acc: dict[int, int] = {}
-                get = acc.get
-                for zi, h in row[pi].items():
+                P: dict[int, int] = {}
+                get = P.get
+                for zi, h in rows[pi].items():
                     items = tbl[zi]
                     if items is None:  # c_z c_s = (v + v^-1) c_z
-                        acc[zi] = get(zi, 0) + (h << k) + (h >> k)
+                        P[zi] = get(zi, 0) + (h << k) + (h >> k)
                         continue
                     for wi, A in items:
                         if wi < 0:  # pragma: no cover - budget prevents this
                             raise BallOverflowError("product overflowed the ball")
-                        acc[wi] = get(wi, 0) + h * A
+                        P[wi] = get(wi, 0) + (h if A == 1 else h * A)
+                # the one place an entry can cancel
                 for wi, A in tbl[pi]:  # l(pi s) = l(y) > l(pi), so the row is not None
                     if wi != yi:
-                        for zi, h in row[wi].items():
-                            acc[zi] = get(zi, 0) - h * A
-                P = row[yi] = {zi: h for zi, h in acc.items() if h}
+                        for zi, h in rows[wi].items():
+                            if H := get(zi, 0) - (h if A == 1 else h * A):
+                                P[zi] = H
+                            else:
+                                del P[zi]
+                rows.append(P)
                 visit(xi, yi, P)
 
     def _rep(self, a: int, b: int) -> tuple[tuple[int, int], list[int]]:

@@ -447,6 +447,47 @@ def test_cache_compare_reads_both_ends_to_the_last_byte(tmp_path, edit):
     assert cli.cache_store(hb, tmp_path) == (path, "hit")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda data: b"\xff\xfe",
+    lambda data: data + b"\xff\n",
+], ids=["undecodable", "undecodable-tail"])
+def test_a_cache_file_that_is_not_utf8_is_a_mismatch(tmp_path, edit):
+    # bytes no dump can hold are a corrupt cache: the cache check fails with
+    # its delete hint (exit 1), and the file is left as it was
+    td = str(tmp_path)
+    run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
+    path = cache_file(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    before = path.read_bytes()
+    assert cli.cache_store(HeckeBall(infinite_dihedral(), 6), tmp_path) == (path, "mismatch")
+    rc, out, err = run(["run", "infdihedral-P-properties", "--radius", "6",
+                        "--cache-dir", td, "--format", "records"])
+    assert rc == 1 and err == ""
+    checks = {rec["id"]: rec for rec in map(json.loads, out.splitlines())
+              if rec["record"] == "check"}
+    assert checks["cache"]["verdict"] == "fail"
+    assert str(path) in checks["cache"]["witness"]["hint"]
+    assert path.read_bytes() == before
+
+
+def test_a_cache_path_taken_by_a_directory_is_refused_before_the_ball(tmp_path, monkeypatch):
+    # the cache file's name is taken by a directory: exit 3 naming it, before
+    # any KL table is computed, and the directory is left alone
+    taken = tmp_path / "infinitedihedral_r6_v3.txt"
+    (taken / "inside").mkdir(parents=True)
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the ball was built before the cache path was checked")
+
+    monkeypatch.setattr(cli, "HeckeBall", no_ball)
+    rc, out, err = run(["run", "infdihedral-P-properties", "--radius", "6",
+                        "--cache-dir", str(tmp_path)])
+    assert rc == 3
+    assert err.startswith("usage error") and str(taken) in err
+    assert out == ""
+    assert [p.name for p in taken.iterdir()] == ["inside"]
+
+
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_an_unusable_cache_directory_is_refused_before_the_ball(tmp_path, monkeypatch, via):
     # a regular file where the cache directory should go: exit 3 at once,

@@ -378,19 +378,37 @@ def test_h_to_distinguished_refuses_a_wrong_d_as_an_error_not_a_truncation(b2_12
 
 
 @pytest.mark.parametrize(
-    "factory, radius",
-    [(extended_affine_b2, 8), (lambda: extended_affine_pgl(3), 6)],
+    "factory, radius, mu_above_one, cancelled",
+    [(extended_affine_b2, 8, 4, 525), (lambda: extended_affine_pgl(3), 6, 0, 85)],
     ids=["b2-r8", "pgl3-r6"],
 )
-def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius, streamed_pairs):
+def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius, mu_above_one,
+                                                          cancelled, streamed_pairs):
     # rows are computed for the first x of each Omega-conjugacy orbit with
     # 2 l(x) <= radius, and each is visited once; every other pair is
     # resolved by conjugation or as an inverse mirror, and must equal the
     # T-basis route pair by pair
     hb = HeckeBall(factory(), radius)
     pres, wl, n = hb.pres, hb.wp_len, len(hb.wp)
-    visits = []
-    hb._stream_products(lambda xi, yi, P: visits.append((xi, yi)))
+    computed = {}
+    hb._stream_products(lambda xi, yi, P: computed.__setitem__((xi, yi), P))
+    visits = list(computed)
+    # both branches of the row kernel are reached: coefficients above 1 in
+    # c_z c_s, and keys of the sum over row(y') c_s that the mu-rows cancel,
+    # with no zero left in any row
+    tbls = [hb._cs_table(s) for s in range(len(hb.gens))]
+    assert sum(A > 1 for tbl in tbls for items in tbl if items for _, A in items) == mu_above_one
+    assert all(H > 0 for P in computed.values() for H in P.values())
+    gone = 0
+    for (xi, yi), P in computed.items():
+        if yi:
+            pi, s = hb.parent[yi]
+            tbl = tbls[s]
+            added = {wi for zi in computed[(xi, pi)]
+                     for wi in ((zi,) if tbl[zi] is None else (w for w, _ in tbl[zi]))}
+            assert P.keys() <= added
+            gone += len(added - P.keys())
+    assert gone == cancelled
 
     def conj(om, x):
         return pres.multiply(pres.multiply(om, x), pres.inverse(om))
@@ -633,6 +651,8 @@ def test_gamma_first_streams_once_and_agrees_with_a_values_first(factory, radius
 def test_kl_table_holds_one_dict_per_distinct_polynomial(factory, radius, distinct):
     hb = HeckeBall(factory(), radius)
     objects = {id(q): q for row in hb._p for q in row.values()}
+    # the recursion's packed ints are all decoded, checked and interned
+    assert not [q for q in objects.values() if isinstance(q, int)]
     values = {tuple(sorted(q.items())) for q in objects.values()}
     assert len(objects) == len(values) == distinct
 
