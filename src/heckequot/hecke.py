@@ -34,11 +34,13 @@ h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
 one z per orbit, and the table holds that row once for the whole orbit:
 each z reads it, and its mu-coefficients, through the g that carries the
 orbit's least element onto z; the cache text (cache_lines, a generator)
-holds that row once too.  Product rows are computed for one x per
-Omega-conjugacy orbit with 2 l(x) <= R, and each is worked once: a(z)
-and its certificate come from the max degree over z's orbit, in two
-columns (budgets <= R - m and above), and the gamma table is kept per
-computed row, relabelled for any other pair when it is looked up (_rep).
+holds that row once too.  Product rows c_x c_y are computed with the
+longer factor on the left: for one x per Omega-conjugacy orbit and the y
+with l(y) <= min(l(x), R - l(x)), so a pair and its inverse mirror are
+both computed only when l(x) = l(y).  Each row is worked once: a(z) and
+its certificate come from the max degree over z's orbit, in two columns
+(budgets <= R - m and above), and the gamma table is kept per computed
+row, relabelled for any other pair when it is looked up (_rep).
 One pass of the rows serves both the a-values and the gamma table; a ball
 that needs only its a-values (for the cells) keeps nothing of the rows.
 The cells too: T_omega c_x = c_{omega x} and c_x T_omega = c_{x omega}, so
@@ -246,14 +248,14 @@ class HeckeBall:
         # inversion after each of them
         conj = [[self._wpi[self._left_omega(b, k)] for b in wball] for k in range(nom)]
         self._syms = conj + [[self.wp_inv[j] for j in g] for g in conj]
-        # _heads[a] = (x, k) for each a with 2 l(a) <= R: x the least W' index
-        # of its Omega-conjugacy orbit, whose products the stream computes,
-        # and k the least with conj[k][x] = a (W' is sorted by length)
+        # _heads[a] = (x, k) for each a in W': x the least W' index of its
+        # Omega-conjugacy orbit, whose products the stream computes, and k
+        # the least with conj[k][x] = a
         heads: dict[int, tuple[int, int]] = {}
-        for xi in range(bisect.bisect_right(self.wp_len, radius // 2)):
+        for xi in range(len(wball)):
             if xi not in heads:
                 heads.update((conj[k][xi], (xi, k)) for k in reversed(range(nom)))
-        self._heads = [heads[a] for a in range(len(heads))]
+        self._heads = [heads[a] for a in range(len(wball))]
         # right multiplication by generators inside W', on W' indices
         self._wrm = array("i", (-1 if b < 0 else self._wpi[b]
                                 for i in wball for b in self._rm[i * ngen:(i + 1) * ngen]))
@@ -567,11 +569,13 @@ class HeckeBall:
     def _stream_products(self, visit: Callable[[int, int, dict[int, int]], None]) -> None:
         """Call visit(xi, yi, P) once per computed row, P = c_x c_y in
         canonical coordinates: for the least x of each Omega-conjugacy orbit
-        with 2 l(x) <= radius and every y with l(x) + l(y) <= radius, in that
-        order.  P maps z to h_{x,y,z} packed into one int, sum_e c_e B^(e+R+1)
-        with B = 2^k and k = _pack_bits(): adding rows adds polynomials, and
-        multiplying by v + v^-1 is (h << k) + (h >> k), exact since the
-        exponents of row y stay in -l(y)..l(y).  Then deg h =
+        and every y with l(y) <= min(l(x), radius - l(x)), in that order:
+        the prefixes of such a y are shorter still, so row y' is there when
+        row y needs it, and _rep reads every row.  P maps z to h_{x,y,z}
+        packed into one int, sum_e c_e B^(e+R+1) with B = 2^k and k =
+        _pack_bits(): adding rows adds polynomials, and multiplying by
+        v + v^-1 is (h << k) + (h >> k), exact since the exponents of row y
+        stay in -l(y)..l(y).  Then deg h =
         |H|.bit_length() // k - R - 1, and laurent.unpack(P[z], -R - 1, k)
         decodes it.  Row y = y' s is row y' times c_s, read off _cs_table(s)
         as stored, less the rows of the other terms of c_{y'} c_s.  Every
@@ -584,11 +588,11 @@ class HeckeBall:
         for xi, (head, _) in enumerate(self._heads):  # W' is sorted by (length, key)
             if head != xi:
                 continue
-            lx = wl[xi]
+            top = min(wl[xi], budget - wl[xi])
             rows = [{xi: 1 << k * (budget + 1)}]  # rows[y] = c_x c_y
             visit(xi, 0, rows[0])
             for yi in range(1, n):
-                if lx + wl[yi] > budget:
+                if wl[yi] > top:
                     break
                 pi, s = self.parent[yi]
                 tbl = tbls[s]
@@ -617,15 +621,16 @@ class HeckeBall:
     def _rep(self, a: int, b: int) -> tuple[tuple[int, int], list[int]]:
         """The computed row (xi, yi) of _stream_products that gives the W'
         pair (a, b), and the g in _syms with h_{a,b,g(z)} = h_{xi,yi,z}.
-        When 2 l(a) <= radius, g is the least-k Omega-conjugation onto a from
-        the head xi of its orbit, and yi = g^-1(b).  Otherwise 2 l(b) < radius,
-        and since h_{a,b,z} = h_{b^-1,a^-1,z^-1} the pair is the inverse mirror
-        of (b^-1, a^-1), found through wp_inv[b].  A pair over the budget
-        raises BallOverflowError."""
+        When l(b) <= l(a), g is the least-k Omega-conjugation onto a from
+        the head xi of its orbit, and yi = g^-1(b): l(yi) = l(b) <=
+        min(l(a), R - l(a)).  Otherwise l(a) < l(b), and since h_{a,b,z} =
+        h_{b^-1,a^-1,z^-1} the pair is the inverse mirror of (b^-1, a^-1),
+        found through wp_inv[b].  So every computed row is one this reads
+        for some pair.  A pair over the budget raises BallOverflowError."""
         wl, inv, syms = self.wp_len, self.wp_inv, self._syms
         if wl[a] + wl[b] > self.radius:
             raise BallOverflowError("pair exceeds the exact-product budget")
-        if 2 * wl[a] <= self.radius:
+        if wl[b] <= wl[a]:
             xi, k = self._heads[a]
             return (xi, syms[self._om_inv[k]][b]), syms[k]
         xi, k = self._heads[inv[b]]
@@ -638,16 +643,17 @@ class HeckeBall:
         its certificate off the columns."""
         n, wl, R, m = len(self.wp), self.wp_len, self.radius, self.margin
         k = self._pack_bits()
-        # cols[0][z] (cols[1][z]): the largest |H|.bit_length() over the
-        # computed rows with pair budget l(x) + l(y) <= R - m (> R - m),
-        # 0 (degree -R-1) if there is none
+        # cols[0][z] (cols[1][z]): the largest packed H over the computed
+        # rows with pair budget l(x) + l(y) <= R - m (> R - m), 0 (degree
+        # -R-1) if there is none.  Every H is positive, so the largest has
+        # the largest bit length, and the degree
         cols = [[0] * n, [0] * n]
 
         def fill(xi: int, yi: int, P: dict[int, int]) -> None:
             col = cols[wl[xi] + wl[yi] > R - m]
-            for zi, d in zip(P, map(int.bit_length, P.values())):  # |H|'s bits
-                if col[zi] < d:
-                    col[zi] = d
+            for zi, H in P.items():
+                if col[zi] < H:
+                    col[zi] = H
             if visit is not None:
                 visit(xi, yi, P)
 
@@ -663,7 +669,7 @@ class HeckeBall:
             if values[zi] is not None:
                 continue
             orbit = {g[zi] for g in self._syms}
-            low, high = (max(map(col.__getitem__, orbit)) // k - R - 1 for col in cols)
+            low, high = (max(map(col.__getitem__, orbit)).bit_length() // k - R - 1 for col in cols)
             val = max(low, high)
             cert = low == val and 0 <= val <= self.n_pos_roots and wl[zi] <= R - 2 * m
             for w in orbit:
@@ -723,14 +729,15 @@ class HeckeBall:
           with a(d) = Delta(d), and an involution (Lusztig's P6), so it is
           an involution z with p_{1,z} != 0, Delta(z) <= nu and l(z) <=
           R - 2m.  The pass keeps its own packed row (xi, yi) when yi is such
-          a candidate, or when 2 l(y) > R and xi is one: there _rep finds a
-          pair (x, d) with 2 l(x) > R, as the inverse mirror of (d^-1, x^-1)
+          a candidate, or when l(y) < l(x) and xi is one: there _rep finds a
+          pair (x, d) with l(x) < l(d), as the inverse mirror of (d^-1, x^-1)
           = (d, x^-1).  Equal values in the kept rows are made one int (few
           distinct h occur), and _h_dist_idx decodes them on read.
 
         After the pass a(z) and the distinguished set are known: the kept
-        rows are cut down to the distinguished ones, the listed rows give
-        the taint, and gamma is read off the kept top digits."""
+        rows are cut down to the distinguished ones (the same test, with the
+        distinguished set for the candidates), the listed rows give the
+        taint, and gamma is read off the kept top digits."""
         if self._gamma is not None:
             return
         n, wl, R, m, k, p = len(self.wp), self.wp_len, self.radius, self.margin, self._pack_bits(), self._p
@@ -762,7 +769,7 @@ class HeckeBall:
             else:
                 for zi in P:
                     touch[zi].append(key)
-            if yi in cand or (2 * wl[yi] > R and xi in cand):
+            if yi in cand or (wl[yi] < wl[xi] and xi in cand):
                 for zi, H in P.items():  # equal values, not new keys
                     P[zi] = shared.setdefault(H, H)
                 rows[key] = P
@@ -772,7 +779,7 @@ class HeckeBall:
         # each table is read off as soon as it can be, and its input dropped
         dset = set(self._dist_idx)
         self._h_for_dist = {key: P for key, P in rows.items()
-                            if key[1] in dset or (2 * wl[key[1]] > R and key[0] in dset)}
+                            if key[1] in dset or (wl[key[1]] < wl[key[0]] and key[0] in dset)}
         del rows, shared
         for zi, listed in enumerate(touch):
             if not self._a_cert[zi]:

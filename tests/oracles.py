@@ -20,7 +20,8 @@ reaches; what the tests compare it against lives here.
   LaurentPoly}, `hecke_element` builds one from such a dict, and `h_sum`
   and `h_scaled` add and scale them.
 * Hecke products: `h_constants` recomputes c_x c_y through the T-basis
-  product and `t_to_c`, `c_to_t` expands canonical coordinates, and
+  product and `t_to_c`, `stream_rows` lists the pairs the product stream
+  computes, by its rule, `c_to_t` expands canonical coordinates, and
   `h_to_distinguished` reads the streamed rows against a distinguished
   involution with group-element keys.
 * The J layer: the dagger coordinates of a Hecke element, and the
@@ -236,6 +237,19 @@ def h_constants(hb, x: GroupElement, y: GroupElement) -> dict[GroupElement, Laur
     if x.length + y.length > hb.radius:
         raise BallOverflowError("pair exceeds the exact-product budget")
     return named(hb.t_to_c(hb.mul_T(hb.kl_element(x), hb.kl_element(y))))
+
+
+def stream_rows(hb) -> list[tuple[int, int]]:
+    """The W' pairs (x, y) whose rows the product stream computes, in its
+    order, by its rule: x the least W' index of its Omega-conjugacy orbit,
+    conjugated through the presentation's own multiply, and y with l(y) <=
+    min(l(x), R - l(x)).  Every other pair in the budget is one of these up
+    to conjugation, or the inverse mirror (y^-1, x^-1) of one."""
+    pres, wl, R = hb.pres, hb.wp_len, hb.radius
+    first = {min(hb.wp_index[pres.multiply(pres.multiply(om, x), pres.inverse(om))]
+                 for om in hb.omega_elems) for x in hb.wp}
+    return [(x, y) for x in sorted(first) for y in range(len(hb.wp))
+            if wl[y] <= min(wl[x], R - wl[x])]
 
 
 def c_to_t(hb, a: HeckeElement) -> HeckeElement:

@@ -33,6 +33,7 @@ import pytest
 from heckequot import asymptotic, cli
 from heckequot.coxeter import GroupPresentation, extended_affine_b2, extended_affine_pgl, infinite_dihedral
 from heckequot.hecke import HeckeBall
+from oracles import stream_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -137,17 +138,19 @@ def test_the_trace_sees_the_j_layer(tmp_path):
     assert metrics["asymptotic.j_mul.calls"] > 0
 
 
-@pytest.mark.parametrize("argv, pairs", [
-    (["so5-cells"], 3239),
-    (["so5-jc1"], 3239),
-    (["infdihedral-J", "--seed", "21"], 913),
-    (["infdihedral-P-properties"], 113),
+@pytest.mark.parametrize("argv, factory, radius, pairs", [
+    (["so5-cells"], extended_affine_b2, 12, 2231),
+    (["so5-jc1"], extended_affine_b2, 12, 2231),
+    (["infdihedral-J", "--seed", "21"], infinite_dihedral, 24, 625),
+    (["infdihedral-P-properties"], infinite_dihedral, 8, 81),
 ], ids=["so5-cells", "so5-jc1", "infdihedral-J", "infdihedral-P-properties"])
-def test_the_trace_sees_every_product_stream_pass(argv, pairs, tmp_path):
+def test_the_trace_sees_every_product_stream_pass(argv, factory, radius, pairs, tmp_path):
     # every reader of the product rows goes through _stream_products, so the
     # tracer's one wrapper sees it; a scenario streams its ball once, one
     # visit per computed row (B2 r12, dihedral r24 and r8 at their default
-    # radii), whether it needs the a-values only or gamma as well
+    # radii), whether it needs the a-values only or gamma as well; the rows
+    # are those the stream's rule names
+    assert len(stream_rows(HeckeBall(factory(), radius))) == pairs
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.install()

@@ -36,6 +36,7 @@ from oracles import (
     p_row,
     reduced_word,
     right_descents,
+    stream_rows,
     t_product_by_words,
 )
 
@@ -379,17 +380,17 @@ def test_h_to_distinguished_refuses_a_wrong_d_as_an_error_not_a_truncation(b2_12
 
 @pytest.mark.parametrize(
     "factory, radius, mu_above_one, cancelled",
-    [(extended_affine_b2, 8, 4, 525), (lambda: extended_affine_pgl(3), 6, 0, 85)],
+    [(extended_affine_b2, 8, 4, 88), (lambda: extended_affine_pgl(3), 6, 0, 9)],
     ids=["b2-r8", "pgl3-r6"],
 )
 def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius, mu_above_one,
                                                           cancelled, streamed_pairs):
-    # rows are computed for the first x of each Omega-conjugacy orbit with
-    # 2 l(x) <= radius, and each is visited once; every other pair is
-    # resolved by conjugation or as an inverse mirror, and must equal the
-    # T-basis route pair by pair
+    # rows are computed for the first x of each Omega-conjugacy orbit and
+    # every y with l(y) <= min(l(x), radius - l(x)), and each is visited
+    # once; every other pair is resolved by conjugation or as an inverse
+    # mirror, and must equal the T-basis route pair by pair
     hb = HeckeBall(factory(), radius)
-    pres, wl, n = hb.pres, hb.wp_len, len(hb.wp)
+    wl, n = hb.wp_len, len(hb.wp)
     computed = {}
     hb._stream_products(lambda xi, yi, P: computed.__setitem__((xi, yi), P))
     visits = list(computed)
@@ -410,12 +411,8 @@ def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius, mu_a
             gone += len(added - P.keys())
     assert gone == cancelled
 
-    def conj(om, x):
-        return pres.multiply(pres.multiply(om, x), pres.inverse(om))
-
-    first = {min(hb.wp_index[conj(om, x)] for om in hb.omega_elems) for x in hb.wp}
-    assert visits == [(x, y) for x in sorted(first) if 2 * wl[x] <= radius
-                      for y in range(n) if wl[x] + wl[y] <= radius]
+    assert visits == stream_rows(hb)
+    first = {x for x, _ in visits}
     k = hb._pack_bits()
     rows = {pair: {zi: unpack(H, -radius - 1, k) for zi, H in P.items()}
             for pair, P in streamed_pairs(hb).items()}
@@ -425,8 +422,8 @@ def test_stream_visits_each_pair_once_and_relabels_exactly(factory, radius, mu_a
     for (xi, yi), P in rows.items():
         prod = h_constants(hb, hb.wp[xi], hb.wp[yi])
         assert {hb.wp_index[z]: dict(p.c) for z, p in prod.items()} == P, (xi, yi)
-        mirrored += 2 * wl[xi] > radius
-        conjugated += 2 * wl[xi] <= radius and xi not in first
+        mirrored += wl[yi] > wl[xi]
+        conjugated += wl[yi] <= wl[xi] and xi not in first
     assert conjugated and mirrored
 
 
@@ -487,8 +484,8 @@ def test_a_values_from_representative_rows_match_all_pairs(factory, radius, stre
 
 @pytest.mark.parametrize(
     "factory, radius, rows, top",
-    [(infinite_dihedral, 10, 171, 2), (extended_affine_b2, 12, 3239, 6),
-     (lambda: extended_affine_pgl(3), 8, 584, 3), (lambda: extended_affine_pgl(4), 6, 698, 2)],
+    [(infinite_dihedral, 10, 121, 2), (extended_affine_b2, 12, 2231, 6),
+     (lambda: extended_affine_pgl(3), 8, 397, 3), (lambda: extended_affine_pgl(4), 6, 445, 2)],
     ids=["dihedral-r10", "b2-r12", "pgl3-r8", "pgl4-r6"],
 )
 def test_streamed_structure_constants_are_nonnegative(factory, radius, rows, top):
@@ -500,7 +497,7 @@ def test_streamed_structure_constants_are_nonnegative(factory, radius, rows, top
     hb._stream_products(lambda xi, yi, P: streamed.append(P))
     coeffs = [c for P in streamed for H in P.values()
               for c in unpack(H, -radius - 1, k).values()]
-    assert len(streamed) == rows
+    assert len(streamed) == rows == len(stream_rows(hb))
     assert min(coeffs) >= 0
     assert max(coeffs) == top
 
@@ -607,6 +604,31 @@ def test_the_resolver_gives_every_pair_its_gamma_taint_and_h_row(factory, radius
     # the a-values and their certificates are constant on every symmetry orbit
     assert all((hb._a_values[g[z]], hb._a_cert[g[z]]) == (hb._a_values[z], hb._a_cert[z])
                for g in hb._syms for z in range(len(wp)))
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 24), (extended_affine_b2, 12)],
+    ids=["dihedral-r24", "b2-r12"],
+)
+def test_h_rows_against_distinguished_involutions_match_the_t_basis_route(factory, radius):
+    # _ensure_gamma keeps the packed rows that _rep resolves each pair (x, d)
+    # to: a row whose right factor is a conjugate of d when l(x) >= l(d),
+    # else the inverse mirror of (d, x^-1), with a conjugate of d on the
+    # left.  Each decoded row is c_x c_d recomputed in the T-basis, for
+    # every ball element x in the budget, and both branches are taken
+    hb = HeckeBall(factory(), radius)
+    dists = [d for d, _ in hb.distinguished_involutions()]
+    direct = mirrored = 0
+    for i, x in enumerate(hb.ball.elements):
+        for d in dists:
+            if x.length + d.length > radius:
+                continue
+            expected = {hb._idx(z): p.c for z, p in h_constants(hb, x, d).items()}
+            assert hb._h_dist_idx(i, hb._idx(d)) == expected, (x, d)
+            direct += x.length >= d.length
+            mirrored += x.length < d.length
+    assert direct and mirrored
 
 
 @pytest.mark.parametrize(
