@@ -57,7 +57,7 @@ from .hecke import (
     RawPoly,
     UncertifiedError,
 )
-from .laurent import LaurentPoly, acc_mul, acc_scaled, sparse_add
+from .laurent import LaurentPoly, acc_apply, acc_mul, acc_scaled
 
 # The truncated ball cannot decide a case that raises one of these.
 UNDECIDED = (UncertifiedError, BallOverflowError)
@@ -103,7 +103,7 @@ class JElement:
         return out
 
     def __add__(self, other: "JElement") -> "JElement":
-        return JElement(sparse_add(dict(self.coeffs), other.coeffs), self.ball or other.ball)
+        return JElement(acc_scaled(dict(self.coeffs), other.coeffs, 1), self.ball or other.ball)
 
     def __sub__(self, other: "JElement") -> "JElement":
         return self + JElement({w: -q for w, q in other.coeffs.items()}, other.ball)
@@ -251,10 +251,6 @@ class JRing:
         out: dict[int, RawPoly] = {}
         for d, _nd in hb.distinguished_involutions():
             di = hb._idx(d)
-            if hb._len[i] + hb._len[di] > hb.radius:
-                raise BallOverflowError(
-                    "phi needs the full row of products against distinguished involutions"
-                )
             ad = hb._a_idx(di)[0]
             for z, h in hb._h_dist_idx(i, di).items():
                 if hb._a_idx(z)[0] == ad:
@@ -272,19 +268,13 @@ class JRing:
         if h.basis == "T":
             # dagger and t_to_c are A-linear: sum h_w t_to_c(dagger(T_w)), keyed
             # in descending index as _t_to_c_idx keys t_to_c(dagger(h))
-            out: dict[int, RawPoly] = {}
-            for w, p in h.terms.items():
-                for x, q in hb._cdagger_T(w).items():
-                    acc_mul(out.setdefault(x, {}), q, p)
+            out = acc_apply({}, hb._cdagger_T, h.terms)
             return {x: out[x] for x in sorted(out, reverse=True) if out[x]}
         raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
 
     def phi(self, h: HeckeElement) -> JElement:
         """phi with Laurent coefficients; accepts T- or dagger-basis input."""
-        out: dict[int, RawPoly] = {}
-        for x, p in self._cdag_idx(h).items():
-            for z, q in self._phi_of_cdagger(x).items():
-                acc_mul(out.setdefault(z, {}), q, p)
+        out = acc_apply({}, self._phi_of_cdagger, self._cdag_idx(h))
         return JElement({z: LaurentPoly._raw(q) for z, q in out.items() if q}, self.hb.ball)
 
     # ---------------- cell modules -----------------------------------------
@@ -304,8 +294,8 @@ class JRing:
             nw = hb._nhat_idx(w)
             for x, cx in a.coeffs.items():
                 row = hb._gamma_row_idx(x, w) if side == "left" else hb._gamma_row_idx(w, x)
-                sparse_add(out, {z: cw * cx * g * nw * hb._nhat_idx(z) for z, g in row.items()
-                                 if hb._a_idx(z)[0] == f.grade})
+                acc_scaled(out, {z: cw * cx * g * nw * hb._nhat_idx(z) for z, g in row.items()
+                                 if hb._a_idx(z)[0] == f.grade}, 1)
         return GradedClass(f.grade, out)
 
     def base_point(self, i: int) -> GradedClass:

@@ -312,7 +312,7 @@ def random_cm4(rng: random.Random, max_deg: int, lo: int, k: int) -> PCM4:
     for f in _FIELDS:
         p = random_poly(rng, max_deg, CM4_BOUND, 0.35)
         if f.startswith("rf"):
-            p = laurent.sparse_add(bar(p), p)
+            p = laurent.acc_scaled(bar(p), p, 1)
             refl.append(rng.randint(-3, 3))
         slots[f] = p
     return pack_cm4(slots, lo, k, (tuple(refl[:2]), tuple(refl[2:])))
@@ -424,7 +424,7 @@ def bottom_block_dim(z) -> int:
     for e in range(-2, 3):
         for x in (crossed_t(e), CrossedElement({}, {e: 1})):
             X = psi_embed(0, pack_crossed(x, -2, k), -2, k)[0]
-            rows.append([sum(c * z ** d for d, c in laurent.unpack(X[i][j], -2, k).items())
+            rows.append([laurent.evaluate(laurent.unpack(X[i][j], -2, k), z)
                          for i, j in ((2, 2), (2, 3), (3, 2), (3, 3))])
     return matrix_rank(rows)
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .coxeter import Ball, GroupElement, GroupPresentation
-from .laurent import LaurentPoly, acc_mul, acc_scaled, unpack
+from .laurent import LaurentPoly, acc_apply, acc_mul, acc_scaled, unpack
 
 RawPoly = dict  # exponent -> int coefficient, no zeros
 XI = {1: 1, -1: -1}  # v - v^-1
@@ -485,11 +485,7 @@ class HeckeBall:
                            else self._t_mul_gen(times(step[0]), step[1]))
             return memo[i]
 
-        out: dict[int, RawPoly] = {}
-        for w, q in b.terms.items():
-            for x, p in times(w).items():
-                acc_mul(out.setdefault(x, {}), p, q)
-        return HeckeElement("T", out, self.ball)
+        return HeckeElement("T", acc_apply({}, times, b.terms), self.ball)
 
     def t_to_c(self, a: HeckeElement) -> HeckeElement:
         """Rewrite a T-basis element in the canonical basis."""
@@ -505,12 +501,12 @@ class HeckeBall:
         while rem:
             # ball indices follow the key order, so this is a longest term
             w = max(rem)
-            coeff = rem.pop(w)
-            out[w] = coeff
+            coeff = out[w] = rem.pop(w)
+            neg = acc_scaled({}, coeff, -1)
             for y, p in self._kl_terms(w):
                 if y != w:
                     acc = rem.setdefault(y, {})
-                    acc_mul(acc, coeff, {e: -c for e, c in p.items()})
+                    acc_mul(acc, neg, p)
                     if not acc:
                         del rem[y]
         return out
@@ -521,11 +517,7 @@ class HeckeBall:
         which has the same structure constants."""
         if a.basis != "T":
             raise HeckeError("dagger needs a T-basis operand")
-        out: dict[int, RawPoly] = {}
-        for w, p in a.terms.items():
-            for x, q in self._dagger_T(w).items():
-                acc_mul(out.setdefault(x, {}), q, p)
-        return HeckeElement("T", out, self.ball)
+        return HeckeElement("T", acc_apply({}, self._dagger_T, a.terms), self.ball)
 
     def _dagger_T(self, i: int) -> dict[int, RawPoly]:
         """dagger(T_x) for x = ball[i], memoized along right descents:

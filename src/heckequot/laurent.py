@@ -4,19 +4,22 @@ Coefficients are Python ints or Fractions; nothing here ever goes through
 floating point.  A polynomial is stored as a dict mapping exponent to a
 nonzero coefficient, so ``3*v^-2 + v`` is ``{-2: 3, 1: 1}``.
 
-The kernels work on such raw dicts with the accumulating helpers below,
-or on Kronecker-packed ints (`pack`/`unpack`).  `bar` is the involution
-v -> v^-1, which negates exponents.  `LaurentPoly` is a thin immutable
-wrapper over one raw dict for reports, cache text and tests.  `decompose`
-splits it into its bar-fixed (balanced) and bar-negated (anti-balanced)
-parts, with exact halves; no scenario calls it, and it stays only because
-the benchmark's tracer counts its calls.
+The kernels work on such raw dicts with one set of helpers: `acc_scaled`
+(acc += c*p), `acc_mul` (acc += p*q), `acc_apply` (acc += the image of a
+vector under an A-linear map given by its columns) and `evaluate` (the
+exact value at a nonzero rational); or on Kronecker-packed ints
+(`pack`/`unpack`).  `bar` is the involution v -> v^-1, which negates
+exponents.  `LaurentPoly` is a thin immutable wrapper over one raw dict
+for reports, cache text and tests.  `decompose` splits it into its
+bar-fixed (balanced) and bar-negated (anti-balanced) parts, with exact
+halves; no scenario calls it, and it stays only because the benchmark's
+tracer counts its calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -29,27 +32,16 @@ class LaurentError(ValueError):
 # A raw polynomial is a dict exponent -> nonzero coefficient; the
 # accumulating helpers work in place, drop the zeros they create and
 # return their first argument.
-def sparse_add(acc: dict, terms: Mapping) -> dict:
-    """acc += terms for any sparse dict whose values form a ring (ints,
-    Fractions, LaurentPolys); a key absent from acc counts as zero."""
-    for k, a in terms.items():
-        s = acc[k] + a if k in acc else a
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
-    return acc
-
-
-def acc_scaled(acc: dict, p: Mapping, c: Scalar) -> dict:
-    """acc += c * p for raw polynomials and a scalar c."""
+def acc_scaled(acc: dict, p: Mapping, c) -> dict:
+    """acc += c * p for any sparse dict whose values form a ring (ints,
+    Fractions, LaurentPolys) and a c in it; a plain sum passes c = 1."""
     if c:
         for e, a in p.items():
-            s = acc.get(e, 0) + a * c
+            s = acc[e] + a * c if e in acc else a * c
             if s:
                 acc[e] = s
-            elif e in acc:
-                del acc[e]
+            else:
+                acc.pop(e, None)
     return acc
 
 
@@ -64,6 +56,29 @@ def acc_mul(acc: dict, p: Mapping, q: Mapping) -> dict:
             elif e in acc:
                 del acc[e]
     return acc
+
+
+def acc_apply(acc: dict, col: Callable[[object], Mapping], vec: Mapping) -> dict:
+    """acc += sum_w vec[w] * col(w), vec and each column col(w) dicts of raw
+    polynomials; a key whose sum cancels is left holding an empty dict."""
+    for w, p in vec.items():
+        for x, q in col(w).items():
+            acc_mul(acc.setdefault(x, {}), q, p)
+    return acc
+
+
+def evaluate(p: Mapping, x: Scalar) -> Fraction:
+    """p(x) for a raw polynomial p, exactly, at a nonzero rational x."""
+    x = Fraction(x)
+    if x == 0:
+        raise LaurentError("cannot evaluate a Laurent polynomial at 0")
+    n, m = x.numerator, x.denominator
+    lo, hi = min(p, default=0), max(p, default=0)
+    # x^e = n^e / m^e, so times n^-lo * m^hi every term is an integer
+    # multiple of its coefficient
+    s = sum(a * n ** (e - lo) * m ** (hi - e) for e, a in p.items())
+    return Fraction(s * n ** max(lo, 0) * m ** max(-hi, 0),
+                    n ** max(-lo, 0) * m ** max(hi, 0))
 
 
 def bar(p: Mapping) -> dict:
@@ -130,7 +145,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly._raw(sparse_add(dict(self.c), other.c))
+        return LaurentPoly._raw(acc_scaled(dict(self.c), other.c, 1))
 
     __radd__ = __add__
 
@@ -178,33 +193,20 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            if len(self.c) != len(other.c):
-                return False
-            for e, a in self.c.items():
-                if other.c.get(e) != a:
-                    return False
-            return True
+            return self.c == other.c
         if isinstance(other, (int, Fraction)):
             return self == LaurentPoly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its value, so it hashes as its value
+        if not self.c.keys() - {0}:
+            return hash(self.c.get(0, 0))
         return hash(frozenset(self.c.items()))
 
     def evaluate(self, x: Scalar) -> Scalar:
         """Exact evaluation at a nonzero rational point."""
-        x = Fraction(x)
-        if x == 0:
-            raise LaurentError("cannot evaluate a Laurent polynomial at 0")
-        if not self.c:
-            return Fraction(0)
-        c, n, m = self.c, x.numerator, x.denominator
-        lo, hi = min(c), max(c)
-        # x^e = n^e / m^e, so times n^-lo * m^hi every term is an integer
-        # multiple of its coefficient
-        s = sum(a * n ** (e - lo) * m ** (hi - e) for e, a in c.items())
-        return Fraction(s * n ** max(lo, 0) * m ** max(-hi, 0),
-                        n ** max(-lo, 0) * m ** max(hi, 0))
+        return evaluate(self.c, x)
 
     # ---- text form -------------------------------------------------------
     def to_str(self, var: str = "v") -> str:

@@ -49,7 +49,7 @@ from heckequot.coxeter import (
 )
 from heckequot.extquot import ExtQuotError, TorusAction, _frac_vec, fixed_locus
 from heckequot.hecke import XI, BallOverflowError, HeckeElement, HeckeError, UncertifiedError
-from heckequot.laurent import LaurentPoly, acc_mul, acc_scaled, bar, sparse_add
+from heckequot.laurent import LaurentPoly, acc_mul, acc_scaled, bar
 
 # ---- group presentations -------------------------------------------------------
 
@@ -362,9 +362,9 @@ def t_product_by_words(hb, a, b):
                 if us not in hb.ball:
                     raise BallOverflowError("T-basis product left the ball")
                 # T_u T_s = T_us, plus (v - v^-1) T_u when us < u
-                sparse_add(nxt, {us: p} if us.length > u.length else {us: p, u: p * xi})
+                acc_scaled(nxt, {us: p} if us.length > u.length else {us: p, u: p * xi}, 1)
             cur = nxt
-        sparse_add(out, {pres.multiply(u, omega): p * q for u, p in cur.items()})
+        acc_scaled(out, {pres.multiply(u, omega): p * q for u, p in cur.items()}, 1)
     return hecke_element(hb, "T", out)
 
 

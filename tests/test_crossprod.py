@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from heckequot import crossprod, laurent
-from heckequot.laurent import LaurentError, LaurentPoly, sparse_add
+from heckequot.laurent import LaurentError, LaurentPoly, acc_scaled
 from heckequot.crossprod import (
     CrossedElement,
     CrossProdError,
@@ -451,7 +451,7 @@ def test_census_rows_match_the_packed_spanning_set(z):
     expect = []
     for f in crossprod._FIELDS:
         if f.startswith("rf"):
-            values = [sparse_add({k: 1}, {-k: 1}) for k in range(3)]
+            values = [acc_scaled({k: 1}, {-k: 1}, 1) for k in range(3)]
         else:
             values = [{k: 1} for k in range(-2, 3)]
         for v in values:

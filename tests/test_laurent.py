@@ -10,7 +10,10 @@ from heckequot.laurent import (
     BalancedPair,
     LaurentError,
     LaurentPoly,
+    acc_apply,
+    acc_scaled,
     decompose,
+    evaluate,
     pack,
     unpack,
 )
@@ -37,6 +40,17 @@ def test_zero_strips_and_normalizes():
     assert LaurentPoly({1: 2}) == LaurentPoly({1: Fraction(2)})
     assert hash(LaurentPoly({1: 2})) == hash(LaurentPoly({1: Fraction(2)}))
     assert len({LaurentPoly({1: 2}), LaurentPoly({1: Fraction(2)})}) == 1
+
+
+def test_a_constant_hashes_as_the_value_it_equals():
+    # == holds between a constant and its value, so hash must agree too
+    for a in (3, -1, Fraction(1, 2), Fraction(4, 2), Fraction(0), 0):
+        assert LaurentPoly.const(a) == a
+        assert hash(LaurentPoly.const(a)) == hash(a)
+        assert len({a, LaurentPoly.const(a)}) == 1
+    assert len({3, LaurentPoly.const(3), LaurentPoly({0: Fraction(3)})}) == 1
+    assert len({0, LaurentPoly(), LaurentPoly({2: 0})}) == 1
+    assert len({3, LaurentPoly({1: 3})}) == 2
 
 
 def test_constructors():
@@ -197,6 +211,69 @@ small_polys = st.dictionaries(
 def test_to_str_injective(p, q):
     # reports and cache P lines identify a polynomial by its text
     assert (p.to_str() == q.to_str()) == (p == q)
+
+
+# ---- raw sparse helpers -----------------------------------------------------
+
+raw_polys = st.dictionaries(
+    st.integers(min_value=-6, max_value=6), coeffs.filter(bool), max_size=6)
+# few exponents and coefficients, so that terms cancel often
+tiny_raw = st.dictionaries(
+    st.integers(min_value=-1, max_value=1), st.sampled_from([-2, -1, 1, 2]), max_size=3)
+
+
+@given(raw_polys, raw_polys, st.sampled_from([-1, 0, 1, 2, Fraction(1, 2)]))
+def test_acc_scaled_is_the_termwise_sum(p, q, c):
+    acc = dict(p)
+    assert acc_scaled(acc, q, c) is acc
+    expect = {e: p.get(e, 0) + c * q.get(e, 0) for e in [*p, *q]}
+    assert acc == {e: a for e, a in expect.items() if a}
+    # kept keys stay in place, new ones follow in q's order
+    assert list(acc) == [e for e in expect if expect[e]]
+
+
+def test_acc_scaled_sums_sparse_dicts_of_polynomials():
+    acc = {1: LaurentPoly({1: 1}), 3: LaurentPoly.one()}
+    acc_scaled(acc, {1: LaurentPoly({1: -1}), 2: LaurentPoly({-1: 2})}, 1)
+    assert acc == {3: LaurentPoly.one(), 2: LaurentPoly({-1: 2})}
+
+
+def _naive_apply(acc, cols, vec):
+    out = {x: dict(q) for x, q in acc.items()}
+    for w, p in vec.items():
+        for x, q in cols[w].items():
+            d = out.setdefault(x, {})
+            for e1, a1 in q.items():
+                for e2, a2 in p.items():
+                    d[e1 + e2] = d.get(e1 + e2, 0) + a1 * a2
+    return {x: {e: a for e, a in d.items() if a} for x, d in out.items()}
+
+
+@given(st.dictionaries(st.integers(0, 3), tiny_raw, max_size=3),
+       st.lists(st.dictionaries(st.integers(0, 3), tiny_raw, max_size=3), min_size=4, max_size=4),
+       st.dictionaries(st.integers(0, 3), tiny_raw, max_size=4))
+def test_acc_apply_is_the_double_sum(acc, cols, vec):
+    # keys whose sum cancels are kept as empty dicts, for the caller to drop
+    expect = _naive_apply(acc, cols, vec)
+    acc = {x: dict(q) for x, q in acc.items()}
+    assert acc_apply(acc, cols.__getitem__, vec) is acc
+    assert acc == expect
+
+
+def test_acc_apply_keeps_a_cancelled_key_empty():
+    cols = {0: {5: {1: 1}, 6: {0: 1}}, 1: {5: {1: -1}}}
+    assert acc_apply({}, cols.__getitem__, {0: {0: 1}, 1: {0: 1}}) == {5: {}, 6: {0: 1}}
+    assert acc_apply({6: {0: 2}}, cols.__getitem__, {0: {-1: 3}}) == {6: {0: 2, -1: 3}, 5: {0: 3}}
+
+
+@given(raw_polys, coeffs.filter(bool))
+def test_evaluate_matches_the_method_and_a_power_sum(p, x):
+    value = evaluate(p, x)
+    assert type(value) is Fraction
+    assert value == LaurentPoly(p).evaluate(x)
+    assert value == sum(Fraction(a) * Fraction(x) ** e for e, a in p.items())
+    with pytest.raises(LaurentError):
+        evaluate(p, 0)
 
 
 # ---- Kronecker packing ------------------------------------------------------
