@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import asymptotic, coxeter, crossprod, duality, extquot
+from . import asymptotic, crossprod, duality, extquot
 from .asymptotic import decide
 from .coxeter import CoxeterError
 from .hecke import CACHE_SCHEMA, HeckeBall, HeckeError
@@ -171,14 +171,14 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
 
 # ---------------- scenario helpers ----------------------------------------------
 
-def _ball_scenario(ns, factory, default_radius: int):
+def _ball_scenario(ns, family: str, default_radius: int):
     radius = ns.radius if ns.radius is not None else default_radius
     directory = cache_directory(ns.cache_dir)
     try:  # before the ball is built, so an unusable directory costs nothing
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot use cache directory {directory}: {exc.strerror}") from exc
-    pres = factory()
+    pres = duality.FAMILIES[family].presentation()
     path = directory / cache_filename(pres.family, radius)
     if path.exists() and not path.is_file():
         raise UsageError(f"cannot use cache file {path}: it is not a regular file")
@@ -203,7 +203,7 @@ def _q_list(ns) -> list[Fraction]:
 # ---------------- scenarios -----------------------------------------------------
 
 def scen_sl2_extquot(ns):
-    comps = extquot.extended_quotient(extquot.sl_dual_torus(2))
+    comps = extquot.extended_quotient(duality.FAMILIES["sl2"].torus(None))
     rows = extquot.census(comps)
     expected = [(0, "point", 2), (1, "line/inv", 1)]
     checks = [Check(
@@ -290,7 +290,7 @@ _CLOSED_FORM_CLAIM = (
 
 
 def scen_infdihedral_cells(ns):
-    hb, params, checks = _ball_scenario(ns, coxeter.infinite_dihedral, 10)
+    hb, params, checks = _ball_scenario(ns, "sl2", 10)
     bad = []
     idx = hb.ball.index
     for z in hb.wp:
@@ -348,7 +348,7 @@ _P_CLAIMS = {
 
 
 def scen_infdihedral_p_properties(ns):
-    hb, params, checks = _ball_scenario(ns, coxeter.infinite_dihedral, 8)
+    hb, params, checks = _ball_scenario(ns, "sl2", 8)
     for pc in hb.check_properties():
         checks.append(_tally(
             pc.name, _P_CLAIMS.get(pc.name, pc.name), pc.checked, 0,
@@ -365,7 +365,7 @@ def scen_infdihedral_j(ns):
         raise UsageError(f"radius {radius} leaves no certified interior to sample "
                          f"pairs from at margin {ns.margin}; it must be at least "
                          f"2*margin + 1 = {2 * ns.margin + 1}")
-    hb, params, checks = _ball_scenario(ns, coxeter.infinite_dihedral, radius)
+    hb, params, checks = _ball_scenario(ns, "sl2", radius)
     jr = asymptotic.JRing(hb)
     samples = ns.samples if ns.samples is not None else 50
     params.update({"samples": samples, "seed": ns.seed,
@@ -434,7 +434,7 @@ def scen_infdihedral_j(ns):
 
 
 def scen_so5_cells(ns):
-    hb, params, checks = _ball_scenario(ns, coxeter.extended_affine_b2, 12)
+    hb, params, checks = _ball_scenario(ns, "so5", 12)
     part = hb.cell_partition()
     cert = part.certified_cells()
     ok = len(cert) == 4 and {c.a_value for c in cert} == {0, 1, 2, 4}
@@ -469,7 +469,7 @@ def scen_so5_cells(ns):
 
 
 def scen_so5_extquot(ns):
-    action = extquot.so5_weyl_on_torus()
+    action = duality.FAMILIES["so5"].torus(None)
     rows = extquot.census(extquot.extended_quotient(action))
     expected = [(0, "point", 5), (1, "line/inv", 3),
                 (2, "torus(2)/W(B2)", 1)]
@@ -495,7 +495,7 @@ def scen_so5_extquot(ns):
 
 
 def scen_so5_jc1(ns):
-    hb, params, checks = _ball_scenario(ns, coxeter.extended_affine_b2, 12)
+    hb, params, checks = _ball_scenario(ns, "so5", 12)
     jr = asymptotic.JRing(hb)
     cells = [c for c in hb.cell_partition().certified_cells()
              if c.a_value == 1]
@@ -521,7 +521,7 @@ def scen_so5_jc1(ns):
         {"unit_support": len(res["unit"].coeffs),
          "checked": res["unit_checked"], "skipped": res["unit_skipped"],
          "failures": [_plain(w) for w in res["unit_failures"][:5]]}))
-    census = duality.rep_ring_descriptor(dict(duality.SO5_CATALOG)["c_1"])
+    census = duality.rep_ring_descriptor(duality.centralizer_reductive("so5", "c_1"))
     checks.append(Check(
         "module-census",
         "the matching dual-side centralizer census: one extra point plus "
@@ -557,23 +557,23 @@ def _match_checks(report) -> list[Check]:
     return checks
 
 
-# --n of the linear families, bounded as their coordinate permutation
-# actions are: the whole S_n on a rank-n torus, or on its rank n-1 subtorus
-RANKS = {"gl": (1, 6), "pgl": (2, 6)}
-
-
-def _rank(ns, family: str, default: int, what: str) -> int:
-    """--n of a linear family, default when absent, checked before any action is built."""
+def _rank(ns, family: str, default: int, what: str) -> int | None:
+    """--n of a family, default when absent, checked before any action is
+    built; None for a family that takes no rank, where --n is refused."""
+    ranks = duality.FAMILIES[family].ranks
+    if ranks is None:
+        if ns.n is not None:
+            raise UsageError(f"{what} takes no --n")
+        return None
     n = ns.n if ns.n is not None else default
-    lo, hi = RANKS[family]
-    if not lo <= n <= hi:
-        raise UsageError(f"{what} needs {lo} <= n <= {hi}")
+    if n not in ranks:
+        raise UsageError(f"{what} needs {ranks[0]} <= n <= {ranks[-1]}")
     return n
 
 
 def scen_pgl_iwahori(ns):
     n = _rank(ns, "pgl", 2, "pgl-iwahori")
-    action = extquot.sl_dual_torus(n)
+    action = duality.FAMILIES["pgl"].torus(n)
     cls = [c for c in action.conjugacy_classes() if c.cycle == (n,)]
     orbits = extquot.torsion_orbit_census(action, cls[0].rep)
     singleton = all(o["size"] == 1 for o in orbits)
@@ -639,17 +639,11 @@ def scen_gl_bernstein_point(ns):
 
 def scen_lowest_cell(ns):
     group = ns.group or "so5"
-    if group in ("gl", "pgl"):
-        n = _rank(ns, group, 3, f"lowest-cell --group {group}")
-        res = duality.lowest_cell_check(group, n)
-        params = {"group": group, "n": n}
-    elif group in ("sl2", "so5"):
-        if ns.n is not None:
-            raise UsageError(f"lowest-cell --group {group} takes no --n")
-        res = duality.lowest_cell_check(group)
-        params = {"group": group}
-    else:
-        raise UsageError("lowest-cell needs --group sl2|so5|gl|pgl")
+    if group not in duality.FAMILIES:
+        raise UsageError(f"lowest-cell needs --group {'|'.join(duality.FAMILIES)}")
+    n = _rank(ns, group, 3, f"lowest-cell --group {group}")
+    res = duality.lowest_cell_check(group, n)
+    params = {"group": group} if n is None else {"group": group, "n": n}
     checks = [Check(
         "lowest-cell",
         "the full dual group's representation-ring census equals the "
@@ -741,7 +735,7 @@ def build_parser() -> _Parser:
     run.add_argument("--n", type=int, default=None,
                      help="rank parameter for the linear families")
     run.add_argument("--group", default=None,
-                     help="family for lowest-cell: sl2|so5|gl|pgl")
+                     help="family for lowest-cell: " + "|".join(duality.FAMILIES))
     run.add_argument("--blocks", default="2,1",
                      help="block sizes for gl-bernstein-point, e.g. 2,1")
     run.add_argument("--torsions", default=None,

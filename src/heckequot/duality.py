@@ -1,6 +1,7 @@
 """Dual-side bookkeeping: partitions, reductive centralizer catalogs,
-their representation-ring censuses, and the matcher that compares those
-censuses against the torus-quotient censuses computed exactly.
+their representation-ring censuses, the matcher that compares those
+censuses against the torus-quotient censuses computed exactly, and
+`FAMILIES`, one `Family` record per family the conjecture is checked on.
 
 Every centralizer is one `Centralizer` value: name, component-group
 order, census.  Three constructors build those of the linear families
@@ -12,22 +13,21 @@ the rank-two symplectic catalog lists its four values literally.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
-from . import crossprod, extquot
+from . import coxeter, crossprod, extquot
 from .extquot import (
     LINE,
     LINE_INV,
     POINT,
     Descriptor,
+    ExtQuotComponent,
     TorusAction,
     census,
     extended_quotient,
-    sl_dual_torus,
-    so5_weyl_on_torus,
     sym_product,
-    symmetric_on_torus,
     torus_mod,
 )
 
@@ -140,25 +140,25 @@ SO5_CATALOG: list[tuple[str, Centralizer]] = [
 ]
 
 
-def centralizer_reductive(family: str, key) -> Centralizer:
-    """Reductive part of the dual-side centralizer attached to a cell of
-    a linear family (SO5_CATALOG holds those of so5).
+def _in_gl(lam) -> Centralizer:
+    return gl_product(extquot._sym_parts(dual_partition(lam)))
 
-    The key is the partition labelling the cell; the centralizer is read
-    off the transpose partition: one general linear factor per distinct
-    part, of size its multiplicity."""
-    if family not in ("gl", "pgl"):
-        raise DualityError(f"unknown family {family!r}")
-    lam = tuple(key)
-    n = sum(lam)
+
+def _in_sl(lam) -> Centralizer:
+    lam = tuple(lam)
     mu = dual_partition(lam)
-    mults = extquot._sym_parts(mu)  # distinct parts taken largest first
-    if family == "gl":
-        return gl_product(mults)
-    if lam == (1,) * n:
-        # regular case: the centralizer is exactly the center
-        return cyclic(n)
-    return gl_product_in_sl(mults, tuple(sorted(set(mu), reverse=True)))
+    if lam == (1,) * len(lam):  # regular case: the centralizer is exactly the center
+        return cyclic(len(lam))
+    return gl_product_in_sl(extquot._sym_parts(mu), tuple(sorted(set(mu), reverse=True)))
+
+
+def centralizer_reductive(family: str, key) -> Centralizer:
+    """Reductive part of the dual-side centralizer attached to a cell, by
+    the family's rule.  A cell of so5 is keyed by its SO5_CATALOG name.  A
+    cell of a linear family is keyed by its partition, and its centralizer
+    is read off the transpose: one general linear factor per distinct part,
+    of size its multiplicity, cut down by a weighted determinant in pgl."""
+    return _lookup(family).centralizer(key)
 
 
 def rep_ring_descriptor(rd: Centralizer) -> list[Descriptor]:
@@ -207,55 +207,39 @@ def _compare(cell: str, dual: list[Descriptor], quot: list[Descriptor]) -> Match
     return MatchRecord(cell, dual, quot, "fail", "component censuses differ")
 
 
-def _dual_torus(tag: str, n: int | None) -> TorusAction:
-    """The Weyl group action on the dual torus of each family."""
-    if tag == "sl2":
-        return sl_dual_torus(2)
-    if tag == "so5":
-        return so5_weyl_on_torus()
-    if tag not in ("gl", "pgl"):
-        raise DualityError(f"unknown family {tag!r}")
-    if n is None:
-        raise DualityError("the linear families need the rank")
-    return symmetric_on_torus(n) if tag == "gl" else sl_dual_torus(n)
+def _match_whole(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> MatchReport:
+    """The torus census against the crossed-product census."""
+    quot = [c.descriptor for c in comps]
+    dual = crossprod.prim_census()
+    rec = _compare("whole algebra", dual, quot)
+    return MatchReport([rec], "PASS" if rec.verdict == "pass" else "FAIL",
+                       census(dual), census(quot))
 
 
-def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
-    """Compare the dual-side censuses with the torus-quotient censuses.
+def _match_totals(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> MatchReport:
+    """The total multisets are compared; there are four cells but five
+    conjugacy classes, so no cell-by-cell pairing is claimed."""
+    quot = [c.descriptor for c in comps]
+    records = []
+    dual: list[Descriptor] = []
+    for cell, rd in SO5_CATALOG:
+        ds = rep_ring_descriptor(rd)
+        dual.extend(ds)
+        records.append(MatchRecord(cell, ds, None, "info", f"centralizer {rd}"))
+    agree = Counter(dual) == Counter(quot)
+    records.append(MatchRecord(
+        "total", dual, quot, "pass" if agree else "fail",
+        "4 cells against 5 classes: only the totals are compared"))
+    return MatchReport(records, "PASS" if agree else "FAIL",
+                       census(dual), census(quot),
+                       note="cell count 4, class count 5")
 
-    gl: one cell per partition, matched through the transpose; the two
+
+def _match_cells(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> MatchReport:
+    """One cell per partition, matched through the transpose; the two
     sides must agree cell by cell and the total count is the number of
-    partitions.  pgl: same pairing on the determinant-one subtorus; a
-    disconnected centralizer is reported as a discrepancy, never forced.
-    so5: the total multisets are compared; there are four cells but five
-    conjugacy classes, so no cell-by-cell pairing is claimed.  sl2: the
-    torus census against the crossed-product census."""
-    comps = extended_quotient(_dual_torus(tag, n))
-    if tag == "sl2":
-        quot = [c.descriptor for c in comps]
-        dual = crossprod.prim_census()
-        rec = _compare("whole algebra", dual, quot)
-        return MatchReport([rec],
-                           "PASS" if rec.verdict == "pass" else "FAIL",
-                           census(dual), census(quot))
-
-    if tag == "so5":
-        quot = [c.descriptor for c in comps]
-        records = []
-        dual: list[Descriptor] = []
-        for cell, rd in SO5_CATALOG:
-            ds = rep_ring_descriptor(rd)
-            dual.extend(ds)
-            records.append(MatchRecord(cell, ds, None, "info",
-                                       f"centralizer {rd}"))
-        agree = Counter(dual) == Counter(quot)
-        records.append(MatchRecord(
-            "total", dual, quot, "pass" if agree else "fail",
-            "4 cells against 5 classes: only the totals are compared"))
-        return MatchReport(records, "PASS" if agree else "FAIL",
-                           census(dual), census(quot),
-                           note="cell count 4, class count 5")
-
+    partitions.  A disconnected centralizer is reported as a
+    discrepancy, never forced."""
     by_cycle: dict[tuple[int, ...], list[Descriptor]] = {}
     for c in comps:
         by_cycle.setdefault(c.cycle, []).append(c.descriptor)
@@ -275,7 +259,7 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
             continue
         seen_cycles.add(mu)
         quot_all.extend(quot)
-        rd = centralizer_reductive(tag, lam)
+        rd = fam.centralizer(lam)
         try:
             dual = rep_ring_descriptor(rd)
         except DisconnectedCentralizer as exc:
@@ -300,20 +284,63 @@ def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
     return MatchReport(records, verdict, census(dual_all), census(quot_all))
 
 
+# ---------------- the family registry ------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """Every fact the program reads about one family of the conjecture."""
+
+    presentation: Callable[..., coxeter.GroupPresentation] | None  # takes the rank if any
+    torus: Callable[[int | None], TorusAction]  # the Weyl action on the dual torus at rank n
+    ranks: range | None  # None for a family that takes no rank
+    centralizer: Callable[[object], Centralizer]  # of the cell with this key
+    lowest: Callable[[int | None], object]  # key of the cell of the full dual group at rank n
+    match: Callable[[Family, list[ExtQuotComponent], int | None], MatchReport]
+
+    def dual_torus(self, n: int | None) -> TorusAction:
+        if self.ranks is not None and n is None:
+            raise DualityError("the linear families need the rank")
+        return self.torus(n)
+
+
+# The torus factories are looked up on extquot when called, so a wrapper put
+# on the module function (as perfbench/tracing.py does) sees every call.
+FAMILIES: dict[str, Family] = {
+    # on the dual side sl2 is pgl at n = 2
+    "sl2": Family(coxeter.infinite_dihedral, lambda n: extquot.sl_dual_torus(2), None,
+                  _in_sl, lambda n: (2,), _match_whole),
+    "so5": Family(coxeter.extended_affine_b2, lambda n: extquot.so5_weyl_on_torus(), None,
+                  lambda key: dict(SO5_CATALOG)[key], lambda n: "c_0", _match_totals),
+    "gl": Family(None, lambda n: extquot.symmetric_on_torus(n), extquot.SYMMETRIC_RANKS,
+                 _in_gl, lambda n: (n,), _match_cells),
+    "pgl": Family(coxeter.extended_affine_pgl, lambda n: extquot.sl_dual_torus(n),
+                  extquot.SL_RANKS, _in_sl, lambda n: (n,), _match_cells),
+}
+
+
+def _lookup(tag: str) -> Family:
+    if tag not in FAMILIES:
+        raise DualityError(f"unknown family {tag!r}")
+    return FAMILIES[tag]
+
+
+def match_conjecture(tag: str, n: int | None = None) -> MatchReport:
+    """Compare the dual-side censuses with the torus-quotient censuses,
+    laid out by the family's match: gl and pgl cell by cell, so5 by
+    totals, sl2 as one whole algebra."""
+    fam = _lookup(tag)
+    return fam.match(fam, extended_quotient(fam.dual_torus(n)), n)
+
+
 # ---------------- whole-group checks and parameter points ----------------------
 
 def lowest_cell_check(family: str, n: int | None = None) -> dict:
     """The cell of the full dual group must reproduce the identity-class
     component of the extended quotient.  For the linear families that
-    cell is lambda = (n); sl2 is pgl at n = 2."""
-    if family == "sl2":
-        family, n = "pgl", 2
-    action = _dual_torus(family, n)
-    if family == "so5":
-        rd = dict(SO5_CATALOG)["c_0"]
-    else:
-        rd = centralizer_reductive(family, (n,))
-    dual = rep_ring_descriptor(rd)
+    cell is lambda = (n)."""
+    fam = _lookup(family)
+    action = fam.dual_torus(n)
+    dual = rep_ring_descriptor(fam.centralizer(fam.lowest(n)))
     ident_name = action.names[action.identity_index()]
     quot = [c.descriptor for c in extended_quotient(action)
             if c.class_tag == ident_name]

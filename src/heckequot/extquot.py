@@ -346,9 +346,14 @@ def _perm_name(p: tuple[int, ...]) -> str:
     return "".join(str(x + 1) for x in p)
 
 
+# the ranks the coordinate permutation actions below are kept to
+SYMMETRIC_RANKS = range(1, 7)
+SL_RANKS = range(2, 7)
+
+
 def symmetric_on_torus(n: int) -> TorusAction:
     """All of S_n permuting the coordinates of a rank-n torus."""
-    if not 1 <= n <= 6:
+    if n not in SYMMETRIC_RANKS:
         raise ExtQuotError("coordinate permutation actions are kept small")
     perms = sorted(itertools.permutations(range(n)))
     mats = [perm_matrix(p) for p in perms]
@@ -365,7 +370,7 @@ def sl_dual_torus(n: int) -> TorusAction:
     """S_n permuting the coordinates of the determinant-one subtorus of
     a rank-n torus.  The restriction to the rank n-1 sublattice happens
     here, before any normal form is taken."""
-    if not 2 <= n <= 6:
+    if n not in SL_RANKS:
         raise ExtQuotError("coordinate permutation actions are kept small")
     perms = sorted(itertools.permutations(range(n)))
     # basis v_i = e_i - e_{i+1} of the sum-zero sublattice

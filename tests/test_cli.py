@@ -256,6 +256,18 @@ def test_lowest_cell_refuses_a_rank_it_cannot_use(args, message):
     assert (rc, out, err) == (3, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (("lowest-cell", "--group", "e8"), "lowest-cell needs --group sl2|so5|gl|pgl"),
+    (("gl-match", "--n", "7"), "gl-match needs 1 <= n <= 6"),
+    (("pgl-iwahori", "--n", "1"), "pgl-iwahori needs 2 <= n <= 6"),
+], ids=["lowest-cell-e8", "gl-match-n7", "pgl-iwahori-n1"])
+def test_a_family_or_rank_the_registry_lacks_is_refused(args, message):
+    # the family names and the rank bounds in the messages are read from
+    # duality.FAMILIES
+    rc, out, err = run(["run", *args])
+    assert (rc, out, err) == (3, "", f"usage error: {message}\n")
+
+
 def test_infdihedral_cells_scenario(tmp_path):
     rc, out, _ = run(
         ["run", "infdihedral-cells", "--radius", "10", "--cache-dir", str(tmp_path), "--format", "records"]

@@ -18,6 +18,9 @@ names the library API the README shows that src/ never reads, and each of
 its names must appear in the README.  Stored state is held to the same
 rule: a self.x attribute or a dataclass field is read by src/ or
 perfbench/, or KEPT_STATE names it.
+
+A family's facts live in its duality.FAMILIES record, so neither duality
+nor cli compares a value with a family's name.
 """
 
 import ast
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from heckequot import asymptotic, cli
+from heckequot import asymptotic, cli, duality
 from heckequot.coxeter import GroupPresentation, extended_affine_b2, extended_affine_pgl, infinite_dihedral
 from heckequot.hecke import HeckeBall
 from oracles import stream_rows
@@ -317,3 +320,32 @@ def test_every_stored_attribute_is_read():
     assert sorted(set(unread) - KEPT_STATE) == []
     # an entry stays only while its attribute exists and is still unread
     assert sorted(KEPT_STATE - set(unread)) == []
+
+
+FAMILY_TAGS = {"sl2", "so5", "gl", "pgl"}
+
+
+def _tags_in(node) -> set[str]:
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {i.value for i in items if isinstance(i, ast.Constant)} & FAMILY_TAGS
+
+
+def family_branches(source: str) -> list[int]:
+    """Lines that compare a value with a family tag by ==, !=, in or not in."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            found.extend(node.lineno for op, a, b in zip(node.ops, operands, operands[1:])
+                         if isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                         and (_tags_in(a) or _tags_in(b)))
+    return sorted(found)
+
+
+def test_no_function_in_duality_or_cli_branches_on_a_family_name():
+    # what a family does differently is a field of its duality.FAMILIES
+    # record; a comparison with its tag would keep a family fact elsewhere
+    found = {name: family_branches((ROOT / "src" / "heckequot" / f"{name}.py").read_text())
+             for name in ("duality", "cli")}
+    assert found == {"duality": [], "cli": []}
+    assert set(duality.FAMILIES) == FAMILY_TAGS

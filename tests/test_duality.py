@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckequot.duality import (
+    FAMILIES,
     SO5_CATALOG,
     DisconnectedCentralizer,
     DualityError,
@@ -163,9 +164,14 @@ def test_pgl4_reports_honest_discrepancy():
     assert all(r.verdict == "pass" for r in others)
 
 
-def test_match_rejects_unknown_tag():
-    with pytest.raises(DualityError):
-        match_conjecture("e8")
+@pytest.mark.parametrize("call", [
+    lambda: match_conjecture("e8"),
+    lambda: lowest_cell_check("e8"),
+    lambda: centralizer_reductive("e8", (1,)),
+], ids=["match_conjecture", "lowest_cell_check", "centralizer_reductive"])
+def test_match_rejects_unknown_tag(call):
+    with pytest.raises(DualityError, match="unknown family 'e8'"):
+        call()
 
 
 @pytest.mark.parametrize("family", ["gl", "pgl"])
@@ -196,6 +202,15 @@ def test_lowest_cell_agreement(family, n, expected):
     assert res["agrees"] is True
     assert [str(d) for d in res["dual"]] == [expected]
     assert [str(d) for d in res["quotient"]] == [expected]
+
+
+@pytest.mark.parametrize("family, n", [
+    (tag, n) for tag, fam in FAMILIES.items() for n in fam.ranks or [None]
+])
+def test_lowest_cell_agrees_for_every_family_and_rank(family, n):
+    res = lowest_cell_check(family, n)
+    assert res["agrees"] is True
+    assert res["dual"] == res["quotient"]
 
 
 # ---- unramified points ------------------------------------------------------------

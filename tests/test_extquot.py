@@ -212,6 +212,14 @@ def test_symmetric_censuses_match_partition_counts():
     ]
 
 
+@pytest.mark.parametrize("factory, n", [
+    (symmetric_on_torus, 0), (symmetric_on_torus, 7), (sl_dual_torus, 1), (sl_dual_torus, 7),
+])
+def test_coordinate_permutation_actions_refuse_a_rank_outside_their_range(factory, n):
+    with pytest.raises(ExtQuotError, match="kept small"):
+        factory(n)
+
+
 def test_trivial_action_single_component():
     assert census(extended_quotient(trivial_on_torus(2))) == [(2, "torus(2)/1", 1)]
 
