@@ -573,7 +573,8 @@ def _rank(ns, family: str, default: int, what: str) -> int | None:
 
 def scen_pgl_iwahori(ns):
     n = _rank(ns, "pgl", 2, "pgl-iwahori")
-    action = duality.FAMILIES["pgl"].torus(n)
+    fam = duality.FAMILIES["pgl"]
+    action = fam.torus(n)  # built once: the census match below reads it too
     cls = [c for c in action.conjugacy_classes() if c.cycle == (n,)]
     orbits = extquot.torsion_orbit_census(action, cls[0].rep)
     singleton = all(o["size"] == 1 for o in orbits)
@@ -587,8 +588,7 @@ def scen_pgl_iwahori(ns):
         "pass" if ok else "fail",
         {"orbits": len(orbits),
          "ambient": [[str(Fraction(c)) for c in pt] for pt in ambient]})]
-    report = duality.match_conjecture("pgl", n)
-    checks.extend(_match_checks(report))
+    checks.extend(_match_checks(fam.match(fam, extquot.extended_quotient(action), n)))
     return {"n": n}, checks
 
 

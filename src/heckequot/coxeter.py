@@ -53,12 +53,8 @@ def mat_identity(r: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # inner dimension comes from b; a need not be square
-    r = len(b)
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in cols) for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laurent
+from .coxeter import mat_mul
 from .laurent import LaurentError, bar
 from .extquot import LINE_INV, POINT, Descriptor, matrix_rank, row_reduce
 
@@ -128,12 +129,6 @@ def crossed_mul(x: Packed, y: Packed) -> Packed:
     p2, p2b, q2, q2b = y
     return (p1 * p2 + q1b * q2, p1b * p2b + q1 * q2b,
             p1b * q2 + q1 * p2, p1 * q2b + q1b * p2b)
-
-
-def mat_mul(a: Sheet, b: Sheet) -> Sheet:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                 for row in a)
 
 
 # ---------------- two-by-two matrix model ------------------------------------

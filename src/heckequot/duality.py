@@ -186,7 +186,6 @@ class MatchReport:
     verdict: str
     dual_census: list[tuple[int, str, int]]
     quotient_census: list[tuple[int, str, int]]
-    note: str = ""
 
 
 def _symbolic_only(ds: list[Descriptor]) -> bool:
@@ -230,9 +229,7 @@ def _match_totals(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> 
     records.append(MatchRecord(
         "total", dual, quot, "pass" if agree else "fail",
         "4 cells against 5 classes: only the totals are compared"))
-    return MatchReport(records, "PASS" if agree else "FAIL",
-                       census(dual), census(quot),
-                       note="cell count 4, class count 5")
+    return MatchReport(records, "PASS" if agree else "FAIL", census(dual), census(quot))
 
 
 def _match_cells(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> MatchReport:

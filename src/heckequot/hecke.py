@@ -264,12 +264,9 @@ class HeckeBall:
         self.parent: list[tuple[int, int] | None] = [None] + [
             (self._wpi[desc[b][0]], desc[b][1]) for b in wball[1:]]
 
-        # p_{g(y),z} = _p[z][y] with g = _pg[z]: one row per _syms orbit (see
-        # _compute_kl_table), and _mus[z] lists its (y, mu(g(y), z)), mu != 0
-        self._p: list[dict[int, RawPoly]] = []
-        self._pg: list[list[int]] = []
+        # p_{g(y),z} = _p[z][y] with g = _pg[z]: one row per _syms orbit, and
+        # _mus[z] lists its (y, mu(g(y), z)), mu != 0 (see _compute_kl_table)
         self._compute_kl_table()
-        self._mus: list[list[tuple[int, int]]] | None = None
         self._cs: list[list[tuple[tuple[int, int], ...] | None] | None] = [None] * ngen
         self._a_values: list[int] | None = None
         self._a_cert: list[bool] | None = None
@@ -327,29 +324,41 @@ class HeckeBall:
         """Digit width of the packed KL recursion (see _compute_kl_table)."""
         return self.radius + 2
 
+    def _mu_tail(self, zi: int, s: int) -> Iterator[tuple[int, int]]:
+        """(y, mu(y, z)) over the y < z = wp[zi] with y s < y, mu != 0: the tail
+        of c_z c_s = c_{zs} + sum mu(y, z) c_y when z s > z (Kazhdan-Lusztig
+        1979, (2.3.b)).  Each such y is shorter than z, so y s lies in the ball."""
+        ngen, wrm, wl, g = len(self.gens), self._wrm, self.wp_len, self._pg[zi]
+        for yi, m in self._mus[zi]:
+            yi = g[yi]
+            if wl[wrm[yi * ngen + s]] < wl[yi]:
+                yield yi, m
+
     def _compute_kl_table(self) -> None:
         """Bar-invariant completion along right reduced words, on packed ints.
 
-        For z = z1 s, E = c_{z1} (T_s + v^-1) in T-coordinates; then, for y < z
-        in descending index, E -= mu c_y with mu the v^0 coefficient of E[y].
-        What is left is c_z (_cs_table rebuilds the mu from p).  A value is
-        sum_e c_e B^(e+R+1) with B = 2^k, so v and v^-1 are shifts by k.  By
-        Kazhdan-Lusztig positivity E[y] = p_{y,z} + mu >= 0 when read, and no
-        digit of E exceeds eps(c_{z1} c_s) = 2 eps(c_{z1}) <= 2^l(z) <= 2^R, with
-        eps(c_w) = sum_y p_{y,w}(1), which each correction lowers; so k = R + 2
-        decodes every value.  eps also sets _pack_bits.  While the loop runs
-        the rows hold the packed ints, each distinct value one int object;
-        after it, each distinct value is decoded once and checked, and the
-        rows are interned in place: each distinct polynomial is one dict,
-        shared by every entry equal to it and never mutated.  The table is
-        held per orbit: the recursion runs for the least z of each _syms
-        orbit, and every member g(z) shares that one row dict, _p[g(z)] =
+        For z = z1 s > z1, c_z = c_{z1} (T_s + v^-1) - sum mu(y, z1) c_y over
+        the y < z1 with y s < y (_mu_tail), in T-coordinates.  A value is
+        sum_e c_e B^(e+R+1) with B = 2^k, so v and v^-1 are shifts by k; sums
+        and shifts of packed ints are exact, so only the final p_{y,z} must
+        fit the digits.  By Kazhdan-Lusztig positivity its coefficients are
+        >= 0 and at most eps(c_z) <= 2^l(z) <= 2^R, with eps(c_w) = sum_y
+        p_{y,w}(1), so k = R + 2 decodes every value; eps also sets
+        _pack_bits.  Once a row is finished, mu(y, z) is its digit of v^-1,
+        H >> k R, exact because deg p_{y,z} <= -1 and every digit is >= 0;
+        _mus[z] lists the nonzero ones.  While the loop runs the rows hold
+        the packed ints, each distinct value one int object; after it, each
+        distinct value is decoded once and checked, and the rows are
+        interned in place: each distinct polynomial is one dict, shared by
+        every entry equal to it and never mutated.  The table is held per
+        orbit: the recursion runs for the least z of each _syms orbit, and
+        every member g(z) shares that one row dict and mu list, _p[g(z)] =
         _p[z], with _pg[g(z)] = g (the first such g in _syms; syms[0], the
-        identity, for z itself), so that p_{g(y),g(z)} = _p[g(z)][y].  The parent row and the rows of the
-        corrections are read through their g.  Once the loop ends, a value
-        that is zero (p_{y,z} != 0 on [e, z]), has a digit outside
-        [0, 2^(k-1)), or has degree >= 0 but is not p_{z,z} = 1 raises
-        HeckeError: the width was too narrow."""
+        identity, for z itself), so that p_{g(y),g(z)} = _p[g(z)][y].  The
+        parent row and the rows of the corrections are read through their
+        g.  Once the loop ends, a value that is zero (p_{y,z} != 0 on
+        [e, z]), has a digit outside [0, 2^(k-1)), or has degree >= 0 but
+        is not p_{z,z} = 1 raises HeckeError: the width was too narrow."""
         R, k, ngen, wrm, wl = self.radius, self._kl_bits(), len(self.gens), self._wrm, self.wp_len
         lo, top, half, n = -R - 1, k * R, 1 << (k - 1), len(self.wp)
         shared: dict[int, int | RawPoly] = {}  # packed value -> its one int, then its one dict
@@ -357,6 +366,8 @@ class HeckeBall:
         syms = self._syms
         p: list[dict[int, int] | None] = [None] * n  # packed ints until the loop ends
         pg = [syms[0]] * n  # syms[0] is the identity
+        mus: list[list[tuple[int, int]]] = [[]] * n
+        self._p, self._pg, self._mus = p, pg, mus  # _mu_tail reads them as they fill
         eps = [1] * n
         one = 1 << k * (R + 1)
         p[0] = {0: dedup(one, one)}
@@ -375,26 +386,21 @@ class HeckeBall:
                 # y s > y: v^-1 T_y; y s < y: T_y T_s = T_{ys} + (v - v^-1) T_y, plus v^-1 T_y
                 E[yi] = get(yi, 0) + (H >> k if wl[ysi] > wl[yi] else H << k)
             ez = 2 * eps[j]
-            # supp E is the Bruhat interval [e, z] and a correction from y
-            # reaches only y and shorter keys: fix them in descending index,
-            # each final once its own correction is made
-            keys = sorted(E)
-            E[zi] = dedup(E[zi], E[zi])
-            for yi in keys[-2::-1]:
-                H = E[yi]
-                mu = ((H >> top) + half) >> k  # the digit of v^0, rounded
-                if mu:
-                    ez -= mu * eps[yi]
-                    g = pg[yi]
-                    for y2, Q in p[yi].items():
-                        E[g[y2]] -= mu * Q
-                    H = E[yi]
+            for yi, mu in self._mu_tail(j, s):
+                ez -= mu * eps[yi]
+                g = pg[yi]
+                for y2, Q in p[yi].items():
+                    E[g[y2]] -= mu * Q
+            mu_list = []
+            for yi, H in E.items():
                 E[yi] = dedup(H, H)
+                if (mu := H >> top) and yi != zi:
+                    mu_list.append((yi, mu))
             rows.append(E)
             for g in syms:
                 eps[g[zi]] = ez
                 if p[g[zi]] is None:
-                    p[g[zi]], pg[g[zi]] = E, g
+                    p[g[zi]], pg[g[zi]], mus[g[zi]] = E, g, mu_list
         for H in shared:
             q = shared[H] = unpack(H, lo, k)
             if not (q and all(0 < c < half for c in q.values()) and (max(q) < 0 or q == {0: 1})):
@@ -402,7 +408,6 @@ class HeckeBall:
         for row in rows:
             for yi, H in row.items():
                 row[yi] = shared[H]
-        self._p, self._pg = p, pg
         best = list(itertools.accumulate(eps, max))  # best[i] = max(eps[:i + 1])
         M = max(e * best[bisect.bisect_right(wl, R - lx) - 1] for e, lx in zip(eps, wl))
         self._row_bits = M.bit_length() + 2
@@ -430,25 +435,11 @@ class HeckeBall:
         term c_{zs} falls outside); their first target is the marker -1."""
         if self._cs[s] is not None:
             return self._cs[s]
-        if self._mus is None:  # one scan of the KL table serves every generator
-            orbit_mus: dict[int, list[tuple[int, int]]] = {}  # id of a row -> its mus
-            for row in self._p:
-                if id(row) not in orbit_mus:
-                    orbit_mus[id(row)] = [(yi, m) for yi, q in row.items() if (m := q.get(-1, 0))]
-            self._mus = [orbit_mus[id(row)] for row in self._p]
         ngen, wrm, wl = len(self.gens), self._wrm, self.wp_len
         tbl: list[tuple[tuple[int, int], ...] | None] = []
-        for zi, (mus, g) in enumerate(zip(self._mus, self._pg)):
-            zs = wrm[zi * ngen + s]
-            if zs >= 0 and wl[zs] < wl[zi]:
-                tbl.append(None)
-                continue
-            row = [(zs, 1)]  # zs is the overflow marker -1 when c_{zs} is outside
-            for yi, m in mus:
-                yi = g[yi]
-                if 0 <= (ys := wrm[yi * ngen + s]) and wl[ys] < wl[yi]:
-                    row.append((yi, m))
-            tbl.append(tuple(row))
+        for zi in range(len(self.wp)):
+            zs = wrm[zi * ngen + s]  # the overflow marker -1 when c_{zs} is outside
+            tbl.append(None if zs >= 0 and wl[zs] < wl[zi] else ((zs, 1), *self._mu_tail(zi, s)))
         self._cs[s] = tbl
         return tbl
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heckequot import cli
+from heckequot import cli, extquot
 from heckequot.asymptotic import JRing
 from heckequot.coxeter import infinite_dihedral
 from heckequot.hecke import HeckeBall, HeckeError
@@ -161,6 +161,17 @@ def test_infdihedral_j_computes_each_phi_image_once(tmp_path, monkeypatch):
     hom = [json.loads(ln)["witness"] for ln in out.splitlines() if '"phi-hom-q=' in ln]
     assert [(w["checked"], w["skipped"]) for w in hom] == [(50, 0), (50, 0)]
     assert 0 < len(calls) <= 38 + 17 + 1
+
+
+def test_pgl_iwahori_builds_the_dual_torus_once(monkeypatch):
+    # the scenario's orbit check and its census match read one action
+    calls = []
+    torus = extquot.sl_dual_torus
+    monkeypatch.setattr(extquot, "sl_dual_torus", lambda n: calls.append(n) or torus(n))
+    rc, out, _ = run(["run", "pgl-iwahori", "--n", "4", "--format", "records"])
+    assert (rc, calls) == (2, [4])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4667ae2ae38e869ec595fe9fb297dde4d04550f2d2f863cb1bc1ee843a4c8cec")
 
 
 # ---- report formats ----------------------------------------------------------

@@ -300,6 +300,17 @@ def test_every_src_definition_is_used():
     assert unused == [], unused
 
 
+def test_no_function_or_class_is_defined_in_two_modules():
+    # one definition per top-level function or class name across src/: a
+    # second copy of a helper is imported from the first, not written again
+    where: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "heckequot").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where.setdefault(node.name, []).append(path.stem)
+    assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
+
+
 def test_every_stored_attribute_is_read():
     # each self.x = ... attribute and each dataclass field of a src/ class
     # is read by the program (Class.x, or .x on an object _Reads does not

@@ -686,9 +686,8 @@ def test_kl_table_holds_one_dict_per_distinct_polynomial(factory, radius, distin
 )
 def test_kl_table_holds_one_row_and_one_mu_list_per_symmetry_orbit(factory, radius, orbits):
     # each z reads its orbit's one row through its g in _syms, p_{g(y),z} =
-    # row[y], and the mu list _cs_table scans is shared along the orbit too
+    # row[y], and the recursion's mu list is shared along the orbit too
     hb = HeckeBall(factory(), radius)
-    hb._cs_table(0)
     assert len({id(row) for row in hb._p}) == len({id(mus) for mus in hb._mus}) == orbits
     dumped = [line.split(" ", 3) for line in hb.cache_lines() if line.startswith("P ")]
     assert len({z for _, _, z, _ in dumped}) == orbits
