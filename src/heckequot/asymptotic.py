@@ -259,17 +259,12 @@ class JRing:
         return self._phi[i]
 
     def _cdag_idx(self, h: HeckeElement) -> dict[int, RawPoly]:
-        """Dagger-basis coordinates of h on ball indices: h = sum coords_x cdag_x.
-        The dagger map is an A-linear algebra involution, so they are the
-        c-basis coordinates of dagger(h)."""
-        hb = self.hb
+        """Dagger-basis coordinates of h on ball indices: h = sum coords_x
+        cdag_x, read off HeckeBall._cdag_coords for T-basis input."""
         if h.basis == "cdag":
             return h.terms
         if h.basis == "T":
-            # dagger and t_to_c are A-linear: sum h_w t_to_c(dagger(T_w)), keyed
-            # in descending index as _t_to_c_idx keys t_to_c(dagger(h))
-            out = acc_apply({}, hb._cdagger_T, h.terms)
-            return {x: out[x] for x in sorted(out, reverse=True) if out[x]}
+            return self.hb._cdag_coords(h.terms)
         raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
 
     def phi(self, h: HeckeElement) -> JElement:

@@ -183,7 +183,6 @@ class MatchRecord:
 @dataclass
 class MatchReport:
     records: list[MatchRecord]
-    verdict: str
     dual_census: list[tuple[int, str, int]]
     quotient_census: list[tuple[int, str, int]]
 
@@ -210,9 +209,7 @@ def _match_whole(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> M
     """The torus census against the crossed-product census."""
     quot = [c.descriptor for c in comps]
     dual = crossprod.prim_census()
-    rec = _compare("whole algebra", dual, quot)
-    return MatchReport([rec], "PASS" if rec.verdict == "pass" else "FAIL",
-                       census(dual), census(quot))
+    return MatchReport([_compare("whole algebra", dual, quot)], census(dual), census(quot))
 
 
 def _match_totals(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> MatchReport:
@@ -225,11 +222,10 @@ def _match_totals(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> 
         ds = rep_ring_descriptor(rd)
         dual.extend(ds)
         records.append(MatchRecord(cell, ds, None, "info", f"centralizer {rd}"))
-    agree = Counter(dual) == Counter(quot)
     records.append(MatchRecord(
-        "total", dual, quot, "pass" if agree else "fail",
+        "total", dual, quot, "pass" if Counter(dual) == Counter(quot) else "fail",
         "4 cells against 5 classes: only the totals are compared"))
-    return MatchReport(records, "PASS" if agree else "FAIL", census(dual), census(quot))
+    return MatchReport(records, census(dual), census(quot))
 
 
 def _match_cells(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> MatchReport:
@@ -244,7 +240,6 @@ def _match_cells(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> M
     records = []
     dual_all: list[Descriptor] = []
     quot_all: list[Descriptor] = []
-    discrepancy = False
     seen_cycles = set()
     for lam in partitions(n):
         cell = f"lambda={lam}"
@@ -260,7 +255,6 @@ def _match_cells(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> M
         try:
             dual = rep_ring_descriptor(rd)
         except DisconnectedCentralizer as exc:
-            discrepancy = True
             records.append(MatchRecord(
                 cell, None, quot, "discrepancy",
                 f"centralizer {rd} is disconnected (component group of "
@@ -272,13 +266,7 @@ def _match_cells(fam: Family, comps: list[ExtQuotComponent], n: int | None) -> M
     if len(seen_cycles) != len(by_cycle):
         records.append(MatchRecord("coverage", None, None, "fail",
                                    "some classes were never paired"))
-    if discrepancy:
-        verdict = "DISCREPANCY"
-    elif all(r.verdict == "pass" for r in records):
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
-    return MatchReport(records, verdict, census(dual_all), census(quot_all))
+    return MatchReport(records, census(dual_all), census(quot_all))
 
 
 # ---------------- the family registry ------------------------------------------

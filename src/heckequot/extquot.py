@@ -15,9 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coxeter import mat_identity, mat_mul, mat_vec, perm_matrix
-
-Matrix = list[list[int]]
+from .coxeter import Matrix, mat_identity, mat_mul, mat_vec, perm_matrix
 
 
 class ExtQuotError(Exception):
@@ -30,7 +28,7 @@ def _grid(m) -> tuple:
 
 # ---------------- integer linear algebra ------------------------------------
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
     """U, D, V, V^-1 with D = U a V, U and V unimodular, and the diagonal
     of D a nonnegative divisibility chain d1 | d2 | ..."""
     m = len(a)
@@ -145,7 +143,7 @@ def matrix_rank(rows) -> int:
     return len(row_reduce(rows)[1])
 
 
-def _frac_vec(m: Matrix, q: tuple[Fraction, ...]) -> list[Fraction]:
+def _frac_vec(m: Matrix | list[list[int]], q: tuple[Fraction, ...]) -> list[Fraction]:
     return [sum((Fraction(c) * x for c, x in zip(row, q)), Fraction(0))
             for row in m]
 
@@ -239,18 +237,18 @@ class TorusAction:
     cut out by a determinant condition."""
 
     rank: int
-    matrices: list[Matrix]
+    matrices: list[Matrix]  # rows given as lists are made tuples
     names: list[str]
     group_label: str
     perms: list[tuple[int, ...]] | None = None
-    embed: Matrix | None = None
+    embed: list[list[int]] | None = None
 
     def __post_init__(self):
-        keys = [tuple(map(tuple, m)) for m in self.matrices]
-        self._key_index = {k: i for i, k in enumerate(keys)}
-        if len(self._key_index) != len(keys):
+        self.matrices = [tuple(map(tuple, m)) for m in self.matrices]
+        self._key_index = {m: i for i, m in enumerate(self.matrices)}
+        if len(self._key_index) != len(self.matrices):
             raise ExtQuotError("action has repeated matrices")
-        ident = tuple(map(tuple, mat_identity(self.rank)))
+        ident = mat_identity(self.rank)
         if ident not in self._key_index:
             raise ExtQuotError("action has no identity matrix")
         self._id = self._key_index[ident]
@@ -276,7 +274,7 @@ class TorusAction:
             a, b = self.perms[i], self.perms[j]
             k = self._perm_index[tuple(a[b[x]] for x in range(len(b)))]
         else:
-            prod = tuple(map(tuple, mat_mul(self.matrices[i], self.matrices[j])))
+            prod = mat_mul(self.matrices[i], self.matrices[j])
             if prod not in self._key_index:
                 raise ExtQuotError("action is not closed under products")
             k = self._key_index[prod]
@@ -382,7 +380,7 @@ def sl_dual_torus(n: int) -> TorusAction:
         basis.append(col)
     embed = [[basis[j][i] for j in range(n - 1)] for i in range(n)]
 
-    def restrict(p: tuple[int, ...]) -> Matrix:
+    def restrict(p: tuple[int, ...]) -> list[list[int]]:
         amb = perm_matrix(p)
         cols = []
         for j in range(n - 1):
@@ -417,7 +415,7 @@ class FixedLocus:
     signatures: list[tuple[int, ...]]
     components: list[tuple[Fraction, ...]]
     kernel_basis: list[list[int]]
-    v_inv: Matrix = field(repr=False, default=None)
+    v_inv: list[list[int]] = field(repr=False, default=None)
     torsion_positions: tuple[int, ...] = field(repr=False, default=())
 
     def component_count(self) -> int:

@@ -276,7 +276,6 @@ class HeckeBall:
         self._h_for_dist: dict[tuple[int, int], dict[int, int]] = {}  # packed rows
         self._dist_idx: list[int] | None = None
         self._cells: CellPartition | None = None
-        self._daggers: dict[int, dict[int, RawPoly]] = {}
         self._cdaggers: dict[int, dict[int, RawPoly]] = {}
         self._nhats: dict[int, int] = {}
 
@@ -457,10 +456,6 @@ class HeckeBall:
                 acc_mul(out.setdefault(w, {}), p, XI)
         return {w: p for w, p in out.items() if p}
 
-    def _t_mul_omega(self, terms: dict[int, RawPoly], k: int) -> dict[int, RawPoly]:
-        """Right-multiply a T-basis element by T_omega_k."""
-        return {self._right_omega(w, k): p for w, p in terms.items()}
-
     def mul_T(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         """Product in the T-basis.  Errors if the support leaves the ball."""
         if a.basis != "T" or b.basis != "T":
@@ -472,8 +467,8 @@ class HeckeBall:
         def times(i: int) -> dict[int, RawPoly]:
             if i not in memo:
                 step = self._right_descent(i)
-                memo[i] = (self._t_mul_omega(a.terms, self._omi[i]) if step is None
-                           else self._t_mul_gen(times(step[0]), step[1]))
+                memo[i] = ({self._right_omega(w, self._omi[i]): p for w, p in a.terms.items()}
+                           if step is None else self._t_mul_gen(times(step[0]), step[1]))
             return memo[i]
 
         return HeckeElement("T", acc_apply({}, times, b.terms), self.ball)
@@ -505,36 +500,34 @@ class HeckeBall:
     def dagger(self, a: HeckeElement) -> HeckeElement:
         """The A-algebra involution with T_s -> -T_s^{-1} = -T_s + xi_s,
         identity on T_omega.  Canonical elements map to the c-dagger basis,
-        which has the same structure constants."""
+        which has the same structure constants.  dagger(a) = sum_x r_x c_x
+        with r its dagger coordinates (_cdag_coords), expanded through the
+        KL table."""
         if a.basis != "T":
             raise HeckeError("dagger needs a T-basis operand")
-        return HeckeElement("T", acc_apply({}, self._dagger_T, a.terms), self.ball)
+        coords = self._cdag_coords(a.terms)
+        return HeckeElement("T", acc_apply({}, lambda x: dict(self._kl_terms(x)), coords), self.ball)
 
-    def _dagger_T(self, i: int) -> dict[int, RawPoly]:
-        """dagger(T_x) for x = ball[i], memoized along right descents:
-        dagger(T_{ys}) = dagger(T_y) (-T_s + xi_s), dagger(T_omega) = T_omega."""
-        d = self._daggers.get(i)
-        if d is None:
-            step = self._right_descent(i)
-            if step is None:
-                d = {i: {0: 1}}
-            else:
-                prev, s = self._dagger_T(step[0]), step[1]
-                d = {x: {e: -c for e, c in q.items()} for x, q in self._t_mul_gen(prev, s).items()}
-                for x, q in prev.items():
-                    acc_mul(d.setdefault(x, {}), q, XI)
-                d = {x: q for x, q in d.items() if q}
-            self._daggers[i] = d
-        return d
+    def _cdag_coords(self, terms: dict[int, RawPoly]) -> dict[int, RawPoly]:
+        """The dagger coordinates of h = sum_w terms[w] T_w, keyed in
+        descending index: the r with h = sum_x r_x cdag_x, which are the
+        c-basis coordinates of dagger(h).  dagger and t_to_c are A-linear,
+        so r = sum_w h_w _cdagger_T(w)."""
+        out = acc_apply({}, self._cdagger_T, terms)
+        return {x: out[x] for x in sorted(out, reverse=True) if out[x]}
 
     def _cdagger_T(self, i: int) -> dict[int, RawPoly]:
-        """t_to_c(dagger(T_x)) for x = ball[i], memoized: the dagger-basis
-        coordinates of T_x.  _t_to_c_idx consumes the dicts it is given, so it
-        reads a copy of the memoized dagger(T_x).  Callers must not mutate
-        the result."""
+        """t_to_c(dagger(T_x)) for x = ball[i], memoized.  The bar involution
+        (v -> v^-1, T_s -> T_s^-1, T_omega fixed) is a ring map, as dagger
+        is, and dagger(T_s) = -bar(T_s), so dagger(T_x) = (-1)^l(x) bar(T_x).
+        Each c_y is bar-invariant: if T_x = sum_y r_y c_y, then dagger(T_x)
+        = (-1)^l(x) sum_y bar(r_y) c_y, one column of the inverse KL table
+        twisted.  Callers must not mutate the result."""
         d = self._cdaggers.get(i)
         if d is None:
-            d = self._cdaggers[i] = self._t_to_c_idx({x: dict(q) for x, q in self._dagger_T(i).items()})
+            sign = -1 if self._len[i] % 2 else 1
+            d = self._cdaggers[i] = {y: {-e: sign * c for e, c in r.items()}
+                                     for y, r in self._t_to_c_idx({i: {0: 1}}).items()}
         return d
 
     # ---------------- structure constants --------------------------------

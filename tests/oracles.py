@@ -27,9 +27,11 @@ reaches; what the tests compare it against lives here.
 * The J layer: the dagger coordinates of a Hecke element, and the
   graded-module claims no scenario prints: the Hecke action on a graded
   class, through multiplication and projection, against the star action.
-  `cdag_to_t` expands dagger coordinates through the public basis changes.
-  `t_product_by_words` multiplies one generator at a time through the
-  presentation's own group arithmetic, with no ball-index table, and
+  `cdag_to_t` expands dagger coordinates through `kl_element` and
+  `dagger_by_words`.  `t_product_by_words` multiplies one generator at a
+  time through the presentation's own group arithmetic, with no ball-index
+  table; `dagger_by_words` multiplies -T_s + (v - v^-1) out along reduced
+  words through it, with no KL table; and
   `j_mul_from_gamma` sums single gamma constants per pair, deciding its
   refusals from recomputed structure constants rather than a taint flag.
 """
@@ -318,7 +320,7 @@ def hecke_grade_action(J, h, f, q, side="left"):
     hb = J.hb
     acc = HeckeElement("T", {}, hb.ball)
     for w, cw in f.coords.items():
-        cd = hb.dagger(hb.kl_element(hb.ball.elements[w]))
+        cd = dagger_by_words(hb, hb.kl_element(hb.ball.elements[w]))
         prod = hb.mul_T(h, cd) if side == "left" else hb.mul_T(cd, h)
         acc = h_sum(acc, h_scaled(prod, LaurentPoly.const(Fraction(cw))))
     return grade_project(J, acc, f.grade, q)
@@ -340,9 +342,10 @@ def check_jfh_compat(J, j, f, h, q):
 
 
 def cdag_to_t(hb, coords):
-    """Expand dagger-basis coordinates into the T-basis."""
-    return h_sum(HeckeElement("T", {}, hb.ball),
-                 *(h_scaled(hb.dagger(hb.kl_element(x)), p) for x, p in named(coords).items()))
+    """Expand dagger-basis coordinates into the T-basis: dagger of sum_x
+    coords_x c_x, through dagger_by_words."""
+    return dagger_by_words(hb, h_sum(HeckeElement("T", {}, hb.ball),
+                                     *(h_scaled(hb.kl_element(x), p) for x, p in named(coords).items())))
 
 
 def t_product_by_words(hb, a, b):
@@ -366,6 +369,27 @@ def t_product_by_words(hb, a, b):
             cur = nxt
         acc_scaled(out, {pres.multiply(u, omega): p * q for u, p in cur.items()}, 1)
     return hecke_element(hb, "T", out)
+
+
+def dagger_by_words(hb, h, prefixes=None):
+    """dagger(h) with no KL table: for each T_w in h, the product of -T_s + (v
+    - v^-1) over the presentation's reduced word of w, then times T_omega,
+    every product through t_product_by_words.  prefixes, a dict shared by
+    calls on one ball, keeps the product over each word prefix."""
+    pres, one = hb.pres, LaurentPoly.one()
+    e, prefixes = pres.identity(), {} if prefixes is None else prefixes
+    out = HeckeElement("T", {}, hb.ball)
+    for w, q in named(h).items():
+        names, omega = reduced_word(pres, w)
+        cur = hecke_element(hb, "T", {e: one})
+        for k, s in enumerate(names):
+            key = tuple(names[:k + 1])
+            if key not in prefixes:
+                step = hecke_element(hb, "T", {pres.generator(s): -one, e: LaurentPoly(XI)})
+                prefixes[key] = t_product_by_words(hb, cur, step)
+            cur = prefixes[key]
+        out = h_sum(out, h_scaled(t_product_by_words(hb, cur, hecke_element(hb, "T", {omega: one})), q))
+    return out
 
 
 def j_mul_from_gamma(J, a, b):

@@ -301,13 +301,21 @@ def test_every_src_definition_is_used():
 
 
 def test_no_function_or_class_is_defined_in_two_modules():
-    # one definition per top-level function or class name across src/: a
-    # second copy of a helper is imported from the first, not written again
+    # one definition per top-level function, class or assigned name across
+    # src/: a second copy of a helper, constant or type alias is imported
+    # from the first, not written again
     where: dict[str, list[str]] = {}
     for path in sorted((ROOT / "src" / "heckequot").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                where.setdefault(node.name, []).append(path.stem)
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                where.setdefault(name, []).append(path.stem)
     assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
 
 

@@ -22,6 +22,7 @@ from heckequot.laurent import LaurentPoly, unpack
 from oracles import (
     barred,
     c_to_t,
+    dagger_by_words,
     h_constants,
     h_scaled,
     h_sum,
@@ -87,16 +88,19 @@ def test_kl_rows_are_the_canonical_basis(factory, radius):
     # those filled by relabelling an Omega-conjugate or inverse row included:
     # c_z = sum_y p_{y,z} T_y is fixed by bar, where bar(T_y) is
     # (-1)^l(y) dagger(T_y) and bar sends v to v^-1; p_{z,z} = 1 and every
-    # other p_{y,z} lies in v^-1 Z[v^-1]
+    # other p_{y,z} lies in v^-1 Z[v^-1].  The program's dagger reads the KL
+    # table, so the oracle's, along reduced words, stands in for it
     hb = HeckeBall(factory(), radius)
     assert len(hb.omega_elems) > 1
+    prefixes = {}
+    bars = {y: dagger_by_words(hb, hecke_element(hb, "T", {y: LaurentPoly.const((-1) ** y.length)}),
+                               prefixes) for y in hb.wp}
     for z in hb.wp:
         c = hb.kl_element(z)
         terms = named(c)
         assert terms[z] == LaurentPoly.one()
         assert all(max(p.c) <= -1 for y, p in terms.items() if y != z)
-        signed = {y: barred(p) * (-1) ** y.length for y, p in terms.items()}
-        assert hb.dagger(hecke_element(hb, "T", signed)) == c, z
+        assert h_sum(*(h_scaled(bars[y], barred(p)) for y, p in terms.items())) == c, z
 
 
 def test_p_poly_lookup(dih8):
@@ -178,6 +182,23 @@ def test_dagger_is_an_involution(dih8):
     z = dih8.pres.generator("s1") * dih8.pres.generator("s2")
     a = dih8.kl_element(z)
     assert dih8.dagger(dih8.dagger(a)) == a
+
+
+@pytest.mark.parametrize(
+    "factory, radius, top",
+    [(infinite_dihedral, 10, 10), (extended_affine_b2, 10, 7), (lambda: extended_affine_pgl(3), 8, 6)],
+    ids=["dihedral-r10", "b2-r10", "pgl3-r8"],
+)
+def test_dagger_matches_the_word_oracle(factory, radius, top):
+    # dagger(T_w) as the sign-twisted bar of one inverse-KL column, against
+    # -T_s + (v - v^-1) multiplied out along a reduced word, Omega included
+    hb = HeckeBall(factory(), radius)
+    pool = [w for w in hb.ball if w.length <= top]
+    prefixes = {}
+    for w in pool:
+        tw = hecke_element(hb, "T", {w: LaurentPoly.one()})
+        assert hb.dagger(tw) == dagger_by_words(hb, tw, prefixes), w
+    assert any(w.omega_index() for w in pool) == (factory is not infinite_dihedral)
 
 
 def test_h_constants_match_streamed_rows(dih8, streamed_pairs):
