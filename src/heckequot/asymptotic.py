@@ -252,7 +252,7 @@ class JRing:
         for d, _nd in hb.distinguished_involutions():
             di = hb._idx(d)
             ad = hb._a_idx(di)[0]
-            for z, h in hb._h_dist_idx(i, di).items():
+            for z, h in hb._h_xd_idx(i, di).items():
                 if hb._a_idx(z)[0] == ad:
                     acc_scaled(out.setdefault(z, {}), h, hb._nhat_idx(z))
         self._phi[i] = {z: p for z, p in out.items() if p}

@@ -335,24 +335,10 @@ def scen_infdihedral_cells(ns):
     return params, checks
 
 
-_P_CLAIMS = {
-    "P1": "a(z) is bounded by the degree drop of the lowest coefficient",
-    "P2": "nonzero gamma against a distinguished involution forces y = x^-1",
-    "P3": "each y meets exactly one distinguished involution",
-    "P4": "descending in the two-sided preorder never lowers a",
-    "P5": "gamma at (y^-1, y, d) equals the leading sign n_d = +-1",
-    "P6": "distinguished involutions square to the identity",
-    "P7": "gamma is invariant under cyclic rotation of its indices",
-    "P8": "nonzero gamma ties its indices into matching one-sided cells",
-}
-
-
 def scen_infdihedral_p_properties(ns):
     hb, params, checks = _ball_scenario(ns, "sl2", 8)
     for pc in hb.check_properties():
-        checks.append(_tally(
-            pc.name, _P_CLAIMS.get(pc.name, pc.name), pc.checked, 0,
-            [_plain(c) for c in pc.counterexamples]))
+        checks.append(_tally(pc.name, pc.claim, pc.checked, 0, [_plain(c) for c in pc.counterexamples]))
     return params, checks
 
 

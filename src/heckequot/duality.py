@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain, product
 from math import gcd
 
 from . import coxeter, crossprod, extquot
@@ -355,17 +356,8 @@ def bernstein_point_gl(exponents: tuple[int, ...],
     factors = [{"size": e, "parameter": f"q^{r}",
                 "census": [sym_product(parts) for parts in block]}
                for e, r, block in zip(exponents, torsions, blocks)]
-    total: list[tuple[int, ...]] = []
-
-    def cross(i: int, acc: tuple[int, ...]):
-        if i == len(blocks):
-            total.append(tuple(sorted(acc, reverse=True)))
-            return
-        for parts in blocks[i]:
-            cross(i + 1, acc + parts)
-
-    cross(0, ())
-    total.sort(key=lambda parts: (sum(parts), parts))
+    total = sorted((tuple(sorted(chain.from_iterable(pick), reverse=True)) for pick in product(*blocks)),
+                   key=lambda parts: (sum(parts), parts))
     return {
         "factors": factors,
         "census": [sym_product(parts) for parts in total],

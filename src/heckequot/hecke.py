@@ -143,6 +143,7 @@ class CellPartition:
 @dataclass
 class PropertyCheck:
     name: str
+    claim: str
     checked: int
     counterexamples: list = field(default_factory=list)
 
@@ -213,6 +214,8 @@ class HeckeBall:
         self.wp_len = [e.length for e in self.wp]
 
         # integer tables over ball indices; -1 marks a product outside the ball
+        # Omega is cyclic, omega_k the k-th power of its basic shift
+        # (GroupPresentation.omega_rep): omega_a omega_b = omega_{(a + b) % nom}
         nom = self._nom = len(self.omega_elems)
         self._len = array("i", (e.length for e in elems))
         self._rm = rm = self.ball.rm
@@ -238,9 +241,6 @@ class HeckeBall:
         self._rom = [0] * len(elems)
         for i, (j, k) in enumerate(zip(self._wpi, self._omi)):
             self._rom[j * nom + k] = i
-        self._om_mul = [[pres.omega_index(pres.multiply(a, b)) for b in self.omega_elems]
-                        for a in self.omega_elems]
-        self._om_inv = [row.index(0) for row in self._om_mul]
         wball = self._rom[::nom]  # ball index of each W' element
         self.wp_inv = [self._wpi[self._inv[b]] for b in wball]
         # the symmetries of the tables, as maps on W' indices: conjugation by
@@ -274,7 +274,7 @@ class HeckeBall:
         self._gamma_tainted: set[tuple[int, int]] = set()
         self._gamma_rows: dict[tuple[int, int], dict[int, int]] = {}  # per ball-index pair
         self._h_for_dist: dict[tuple[int, int], dict[int, int]] = {}  # packed rows
-        self._dist_idx: list[int] | None = None
+        self._dist: dict[int, int] | None = None  # W' index of each distinguished involution d -> n_d
         self._cells: CellPartition | None = None
         self._cdaggers: dict[int, dict[int, RawPoly]] = {}
         self._nhats: dict[int, int] = {}
@@ -288,12 +288,12 @@ class HeckeBall:
 
     def _right_omega(self, i: int, k: int) -> int:
         """Ball index of ball[i] * omega_k."""
-        return self._rom[self._wpi[i] * self._nom + self._om_mul[self._omi[i]][k]]
+        return self._rom[self._wpi[i] * self._nom + (self._omi[i] + k) % self._nom]
 
     def _left_omega(self, i: int, k: int) -> int:
         """Ball index of omega_k * ball[i] = (ball[i]^-1 omega_k^-1)^-1."""
         inv = self._inv
-        return inv[self._right_omega(inv[i], self._om_inv[k])]
+        return inv[self._right_omega(inv[i], -k % self._nom)]
 
     def _right_descent(self, i: int) -> tuple[int, int] | None:
         """(ball index of x s, s) for the first s with l(x s) < l(x), x = ball[i]."""
@@ -608,9 +608,9 @@ class HeckeBall:
             raise BallOverflowError("pair exceeds the exact-product budget")
         if wl[b] <= wl[a]:
             xi, k = self._heads[a]
-            return (xi, syms[self._om_inv[k]][b]), syms[k]
+            return (xi, syms[-k % self._nom][b]), syms[k]
         xi, k = self._heads[inv[b]]
-        return (xi, syms[self._om_inv[k]][inv[a]]), syms[self._nom + k]
+        return (xi, syms[-k % self._nom][inv[a]]), syms[self._nom + k]
 
     # ---------------- a-function ------------------------------------------
     def _stream_a_values(self, visit: Callable[[int, int, dict[int, int]], None] | None = None) -> None:
@@ -652,6 +652,10 @@ class HeckeBall:
                 values[w], certs[w] = val, cert
         self._a_values = values
         self._a_cert = certs
+        # the distinguished involutions: certified z with a(z) = Delta(z), each
+        # with n_z, where the leading term of p_{1,z} is n_z v^{-Delta(z)}
+        self._dist = {zi: row[0][max(row[0])] for zi, row in enumerate(self._p)
+                      if certs[zi] and 0 in row and -max(row[0]) == values[zi]}
 
     def _ensure_a_data(self) -> None:
         if self._a_values is None:
@@ -676,11 +680,8 @@ class HeckeBall:
     def distinguished_involutions(self) -> list[tuple[GroupElement, int]]:
         """Certified z in W' with a(z) = Delta(z), paired with n_z, where the
         leading term of p_{1,z} is n_z v^{-Delta(z)}."""
-        if self._dist_idx is None:
-            self._ensure_a_data()
-            self._dist_idx = [zi for zi, row in enumerate(self._p) if self._a_cert[zi]
-                              and 0 in row and -max(row[0]) == self._a_values[zi]]
-        return [(self.wp[zi], self._p[zi][0][max(self._p[zi][0])]) for zi in self._dist_idx]
+        self._ensure_a_data()
+        return [(self.wp[zi], nd) for zi, nd in self._dist.items()]
 
     # ---------------- gamma table ------------------------------------------
     def _ensure_gamma(self) -> None:
@@ -708,7 +709,7 @@ class HeckeBall:
           a candidate, or when l(y) < l(x) and xi is one: there _rep finds a
           pair (x, d) with l(x) < l(d), as the inverse mirror of (d^-1, x^-1)
           = (d, x^-1).  Equal values in the kept rows are made one int (few
-          distinct h occur), and _h_dist_idx decodes them on read.
+          distinct h occur), and _h_xd_idx decodes them on read.
 
         After the pass a(z) and the distinguished set are known: the kept
         rows are cut down to the distinguished ones (the same test, with the
@@ -751,11 +752,10 @@ class HeckeBall:
                 rows[key] = P
 
         self._stream_a_values(visit)
-        self.distinguished_involutions()  # sets _dist_idx
         # each table is read off as soon as it can be, and its input dropped
-        dset = set(self._dist_idx)
+        dist = self._dist
         self._h_for_dist = {key: P for key, P in rows.items()
-                            if key[1] in dset or (wl[key[1]] < wl[key[0]] and key[0] in dset)}
+                            if key[1] in dist or (wl[key[1]] < wl[key[0]] and key[0] in dist)}
         del rows, shared
         for zi, listed in enumerate(touch):
             if not self._a_cert[zi]:
@@ -778,7 +778,7 @@ class HeckeBall:
         xi, omx = self._wp_coset(x)
         yi, omy = self._wp_coset(y)
         zi, omz = self._wp_coset(z)
-        if self._om_mul[omx][omy] != omz:
+        if (omx + omy) % self._nom != omz:
             return 0
         yti = self._syms[omx][yi]  # the W' part of omega_x y omega_x^-1
         for idx in (xi, yti, zi):
@@ -807,12 +807,12 @@ class HeckeBall:
         key, g = self._rep(xi, yti)
         if key in self._gamma_tainted:
             raise UncertifiedError("product support touches uncertified elements")
-        om, nom, rom = self._om_mul[omx][self._omi[j]], self._nom, self._rom
+        om, nom, rom = (omx + self._omi[j]) % self._nom, self._nom, self._rom
         row = self._gamma_rows[(i, j)] = {rom[g[zi] * nom + om]: c
                                           for zi, c in self._gamma.get(key, {}).items()}
         return row
 
-    def _h_dist_idx(self, i: int, di: int) -> dict[int, RawPoly]:
+    def _h_xd_idx(self, i: int, di: int) -> dict[int, RawPoly]:
         """h_{x,d,.} on ball indices, for x = ball[i] and a distinguished
         involution d = ball[di], decoded from the packed row _ensure_gamma
         kept."""
@@ -821,7 +821,7 @@ class HeckeBall:
         xi, omx = self._wpi[i], self._omi[i]
         if self._omi[di]:
             raise HeckeError("distinguished involutions lie in W'")
-        if self._wpi[di] not in self._dist_idx:  # a wrong argument, not a truncation
+        if self._wpi[di] not in self._dist:  # a wrong argument, not a truncation
             raise HeckeError("h_{x,d,.} needs a distinguished involution d")
         key, g = self._rep(xi, self._syms[omx][self._wpi[di]])
         nom, rom, lo, k = self._nom, self._rom, -self.radius - 1, self._pack_bits()
@@ -929,9 +929,9 @@ class HeckeBall:
         if self._cells is None:  # a traced stage: enter it only to build
             self._ensure_cells()
         if i not in self._nhats:
-            lid = self._cells.left_id
+            lid, wp = self._cells.left_id, self.wp
             target = lid[self.ball.elements[self._inv[i]]]
-            hits = [nd for d, nd in self.distinguished_involutions() if lid[d] == target]
+            hits = [nd for di, nd in self._dist.items() if lid[wp[di]] == target]
             if len(hits) != 1:
                 raise UncertifiedError(
                     f"expected one distinguished involution in the left cell, found {len(hits)}"
@@ -941,116 +941,89 @@ class HeckeBall:
 
     # ---------------- Lusztig properties ---------------------------------
     def check_properties(self) -> list[PropertyCheck]:
-        """P1-P8 on the certified region; exhaustive, with counterexamples."""
+        """P1-P8 on the certified region; exhaustive, with counterexamples.
+
+        Each property is one row of the table below: its name, its claim and
+        a generator of its cases, which yields None for a case that holds
+        and the case's witness for one that fails.  tally counts the cases
+        and keeps the first five witnesses."""
         self._ensure_gamma()
         self._ensure_cells()
-        cert_wp = [zi for zi in range(len(self.wp)) if self._a_cert[zi]]
-        cert_set = set(cert_wp)
-        dist_idx = self._dist_idx  # every one certified
-        dset = set(dist_idx)
-        wp, wp_inv = self.wp, self.wp_inv
-        checks = []
-
-        # P1: a(z) <= Delta(z), wherever p_{1,z} is nonzero
-        bad = [wp[zi] for zi in cert_wp if 0 in self._p[zi] and self._a_values[zi] > -max(self._p[zi][0])]
-        checks.append(PropertyCheck("P1", len(cert_wp), bad[:5]))
+        wp, inv, p, a, dist, cells = self.wp, self.wp_inv, self._p, self._a_values, self._dist, self._cells
+        cert = [zi for zi in range(len(wp)) if self._a_cert[zi]]
+        cert_set = set(cert)
+        lid = [cells.left_id[x] for x in wp]
 
         # gamma_{x,y,.} over W' for every pair of certified elements in the
-        # budget, relabelled from its computed row
+        # budget, relabelled from its computed row; every entry is >= 1, the
+        # top digit of a packed h
         R, wl, rows = self.radius, self.wp_len, {}
-        for xi in cert_wp:
-            for yi in cert_wp:
+        for xi in cert:
+            for yi in cert:
                 if wl[xi] + wl[yi] <= R:
                     key, g = self._rep(xi, yi)
                     rows[(xi, yi)] = {g[zi]: c for zi, c in self._gamma.get(key, {}).items()}
 
-        # P2: gamma_{x,y,d} != 0 with d distinguished forces x = y^-1
-        bad = []
-        count = 0
-        for (xi, yi), row in rows.items():
-            for di in dset:
-                # symbol gamma_{x,y,d} is the coefficient of t_{d^-1} = t_d
-                if row.get(di, 0):
-                    count += 1
-                    if self.wp_inv[xi] != yi:
-                        bad.append((self.wp[xi], self.wp[yi], self.wp[di]))
-        checks.append(PropertyCheck("P2", count, bad[:5]))
+        def p1():  # wherever p_{1,z} is nonzero
+            for zi in cert:
+                yield wp[zi] if 0 in p[zi] and a[zi] > -max(p[zi][0]) else None
 
-        # P3: for each y exactly one d with gamma_{y,y^-1,d} != 0; pairs
-        # whose product support leaves the certified region are skipped
-        bad = []
-        count = 0
-        for yi in cert_wp:
-            pair = (yi, self.wp_inv[yi])
-            if pair not in rows or self._rep(*pair)[0] in self._gamma_tainted:
-                continue
-            count += 1
-            row = rows[pair]
-            hits = [zi for zi in row if zi in dset and row[zi]]
-            if len(hits) != 1:
-                bad.append((self.wp[yi], len(hits)))
-        checks.append(PropertyCheck("P3", count, bad[:5]))
+        def p2():  # the symbol gamma_{x,y,d} is the coefficient of t_{d^-1} = t_d
+            for (xi, yi), row in rows.items():
+                for di in dist:
+                    if di in row:
+                        yield None if inv[xi] == yi else (wp[xi], wp[yi], wp[di])
 
-        # P4: z' <=_LR z implies a(z') >= a(z), on cells with a defined
-        bad = []
-        count = 0
-        cells = self._cells
-        for i, j in cells.lr_order_pairs:
-            ci, cj = cells.two_sided[i], cells.two_sided[j]
-            if ci.a_value is None or cj.a_value is None:
-                continue
-            count += 1
-            if ci.a_value < cj.a_value:
-                bad.append((i, j, ci.a_value, cj.a_value))
-        checks.append(PropertyCheck("P4", count, bad[:5]))
+        def p3():  # pairs whose product support leaves the certified region are skipped
+            for yi in cert:
+                pair = (yi, inv[yi])
+                if pair in rows and self._rep(*pair)[0] not in self._gamma_tainted:
+                    hits = sum(zi in dist for zi in rows[pair])
+                    yield None if hits == 1 else (wp[yi], hits)
 
-        # P5: gamma_{y^-1,y,d} = n_d = +-1
-        bad = []
-        count = 0
-        for yi in cert_wp:
-            row = rows.get((self.wp_inv[yi], yi), {})
-            for di in dset:
-                g = row.get(di, 0)
-                if g:
-                    count += 1
-                    nd = self._p[di][0][max(self._p[di][0])]
-                    if g != nd or abs(nd) != 1:
-                        bad.append((self.wp[yi], self.wp[di], g, nd))
-        checks.append(PropertyCheck("P5", count, bad[:5]))
+        def p4():  # on cells with a defined a
+            for i, j in cells.lr_order_pairs:
+                ai, aj = cells.two_sided[i].a_value, cells.two_sided[j].a_value
+                if ai is not None and aj is not None:
+                    yield None if ai >= aj else (i, j, ai, aj)
 
-        # P6: distinguished involutions square to e
-        bad = [wp[di] for di in dist_idx if wp_inv[di] != di]
-        checks.append(PropertyCheck("P6", len(dist_idx), bad[:5]))
+        def p5():
+            for yi in cert:
+                row = rows.get((inv[yi], yi), {})
+                for di, nd in dist.items():
+                    if di in row:
+                        yield None if row[di] == nd and abs(nd) == 1 else (wp[yi], wp[di], row[di], nd)
 
-        # P7: gamma_{x,y,z} = gamma_{y,z,x} (cyclic invariance)
-        bad = []
-        count = 0
-        for (xi, yi), row in rows.items():
-            for zi, g in row.items():
-                if zi not in cert_set:
-                    continue
-                # symbol: gamma_{x,y,w} with w = z^-1; y and w are certified
-                wi = self.wp_inv[zi]
-                if (yi, wi) not in rows:  # over the budget
-                    continue
-                g2 = rows[(yi, wi)].get(self.wp_inv[xi], 0)
-                count += 1
-                if g != g2:
-                    bad.append((self.wp[xi], self.wp[yi], self.wp[wi], g, g2))
-        checks.append(PropertyCheck("P7", count, bad[:5]))
+        def p6():
+            for di in dist:
+                yield None if inv[di] == di else wp[di]
 
-        # P8: gamma_{x,y,z} != 0 implies x ~L y^-1, y ~L z, z^-1 ~L x^-1
-        bad = []
-        count = 0
-        lid = [self._cells.left_id[x] for x in wp]
-        for (xi, yi), row in rows.items():
-            for zi, g in row.items():
-                if not g or zi not in cert_set:
-                    continue
-                count += 1
-                if not (lid[xi] == lid[wp_inv[yi]] and lid[yi] == lid[zi]
-                        and lid[wp_inv[zi]] == lid[wp_inv[xi]]):
-                    bad.append((wp[xi], wp[yi], wp[zi]))
-        checks.append(PropertyCheck("P8", count, bad[:5]))
+        def p7():  # the symbol gamma_{x,y,w} with w = z^-1; a pair (y, w) over the budget is skipped
+            for (xi, yi), row in rows.items():
+                for zi, g in row.items():
+                    if zi in cert_set and (yi, inv[zi]) in rows:
+                        g2 = rows[(yi, inv[zi])].get(inv[xi], 0)
+                        yield None if g == g2 else (wp[xi], wp[yi], wp[inv[zi]], g, g2)
 
-        return checks
+        def p8():
+            for (xi, yi), row in rows.items():
+                for zi in row:
+                    if zi in cert_set:
+                        tied = (lid[xi] == lid[inv[yi]] and lid[yi] == lid[zi]
+                                and lid[inv[zi]] == lid[inv[xi]])
+                        yield None if tied else (wp[xi], wp[yi], wp[zi])
+
+        def tally(name: str, claim: str, cases: Iterator) -> PropertyCheck:
+            cases = list(cases)
+            return PropertyCheck(name, claim, len(cases), [w for w in cases if w is not None][:5])
+
+        return [tally(*prop) for prop in (
+            ("P1", "a(z) is bounded by the degree drop of the lowest coefficient", p1()),
+            ("P2", "nonzero gamma against a distinguished involution forces y = x^-1", p2()),
+            ("P3", "each y meets exactly one distinguished involution", p3()),
+            ("P4", "descending in the two-sided preorder never lowers a", p4()),
+            ("P5", "gamma at (y^-1, y, d) equals the leading sign n_d = +-1", p5()),
+            ("P6", "distinguished involutions square to the identity", p6()),
+            ("P7", "gamma is invariant under cyclic rotation of its indices", p7()),
+            ("P8", "nonzero gamma ties its indices into matching one-sided cells", p8()),
+        )]

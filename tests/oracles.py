@@ -264,9 +264,9 @@ def c_to_t(hb, a: HeckeElement) -> HeckeElement:
 
 def h_to_distinguished(hb, x: GroupElement, d: GroupElement) -> dict[GroupElement, LaurentPoly]:
     """h_{x,d,.} for a distinguished involution d, keyed by group element;
-    refuses what HeckeBall._h_dist_idx refuses."""
+    refuses what HeckeBall._h_xd_idx refuses."""
     elems = hb.ball.elements
-    return {elems[z]: LaurentPoly(h) for z, h in hb._h_dist_idx(hb._idx(x), hb._idx(d)).items()}
+    return {elems[z]: LaurentPoly(h) for z, h in hb._h_xd_idx(hb._idx(x), hb._idx(d)).items()}
 
 
 # ---- the J layer -----------------------------------------------------------------

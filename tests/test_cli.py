@@ -338,8 +338,12 @@ def test_default_records_are_byte_identical_to_the_recorded_ones(scenario, tmp_p
 # which censuses are sorted or on which centralizer rule a cell takes.
 # With --blocks 10,2 sorting the shapes by (dim, text) would differ from
 # the (dim, parts) order the report uses; the lowest-cell runs read the
-# whole dual group's census through the cell rules of each family.
+# whole dual group's census through the cell rules of each family.  The
+# P-properties run at radius 12 pins each property's claim, its checked
+# count and its counterexamples on a ball larger than the default.
 CENSUS_ORDER_RECORDS = {
+    ("infdihedral-P-properties", "--radius", "12"):
+        ("7808bdda3634523547231d5c7f971ddf2ff1d94abac8da476b3b82518f4528c3", 0),
     ("gl-bernstein-point", "--blocks", "10,2"):
         ("a127c36948cf41c5312615a5cd7a07f1bc3a73efe29b206f8b1fbdfae9569630", 0),
     ("gl-match", "--n", "5"):

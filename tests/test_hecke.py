@@ -7,6 +7,7 @@ recomputing every row along an independent multiplication route.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -388,9 +389,103 @@ def test_property_suite_dihedral(dih8):
 
 
 def test_property_suite_b2(b2_12):
-    for c in b2_12.check_properties():
+    checks = {c.name: c for c in b2_12.check_properties()}
+    for c in checks.values():
         assert not c.counterexamples, c.name
-        assert c.checked > 0
+        assert c.claim
+    assert {n: c.checked for n, c in checks.items()} == {
+        "P1": 51, "P2": 49, "P3": 21, "P4": 10, "P5": 49, "P6": 10, "P7": 307, "P8": 307,
+    }
+
+
+# One fault per property, planted in a built dihedral r8 ball.  There W'
+# holds e = wp[0], s0 = wp[1], s1 = wp[2] and wp[3], wp[4] of length 2,
+# inverse to each other; e, s0 and s1 are the distinguished involutions,
+# each with n_d = 1, and the two-sided cells are {e} (a = 0) and the rest
+# (a = 1).  Each fault returns the witnesses it must produce.
+def _a_above_delta(hb):
+    hb._a_values[1] += 1  # a(s0) = 2 > Delta(s0) = 1
+    return [hb.wp[1]]
+
+
+def _gamma_against_d_off_the_inverse(hb):
+    hb._gamma[(3, 2)][0] = 1  # gamma_{x,s1,e} with s1 != x^-1, and its mirror
+    wp = hb.wp
+    return [(wp[2], wp[4], wp[0]), (wp[3], wp[2], wp[0])]
+
+
+def _e_not_distinguished(hb):
+    del hb._dist[0]  # gamma_{e,e,.} meets no d
+    return [(hb.wp[0], 0)]
+
+
+def _a_swapped_between_cells(hb):
+    cells = hb._cells.two_sided
+    cells[0].a_value, cells[1].a_value = cells[1].a_value, cells[0].a_value
+    return [(1, 0, 0, 1)]  # cell 1 lies below cell 0, now with a lower a
+
+
+def _sign_flipped(hb):
+    hb._dist[0] = -1  # n_e = -1, but gamma_{e,e,e} = 1
+    return [(hb.wp[0], hb.wp[0], 1, -1)]
+
+
+def _non_involution_distinguished(hb):
+    hb._dist[3] = 1
+    return [hb.wp[3]]
+
+
+def _gamma_digit_bumped(hb):
+    hb._gamma[(3, 4)][1] += 1  # gamma_{x,x^-1,s0} = 2, its rotations read 1
+    wp = hb.wp
+    return [(wp[1], wp[3], wp[4], 1, 2), (wp[3], wp[4], wp[1], 2, 1)]
+
+
+def _left_cell_remapped(hb):
+    hb._cells.left_id[hb.wp[3]] = -1  # wp[3] alone in a new left cell
+    wp = hb.wp
+    return [(wp[2], wp[4], wp[4]), (wp[3], wp[2], wp[3]), (wp[4], wp[3], wp[2])]
+
+
+PLANTED_FAULTS = {
+    "P1": _a_above_delta, "P2": _gamma_against_d_off_the_inverse, "P3": _e_not_distinguished,
+    "P4": _a_swapped_between_cells, "P5": _sign_flipped, "P6": _non_involution_distinguished,
+    "P7": _gamma_digit_bumped, "P8": _left_cell_remapped,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))
+def test_each_property_reports_a_planted_fault(name):
+    hb = HeckeBall(infinite_dihedral(), 8)
+    assert not {c.name: c for c in hb.check_properties()}[name].counterexamples
+    witnesses = PLANTED_FAULTS[name](hb)  # the tables are built, so the checks read the fault
+    assert {c.name: c for c in hb.check_properties()}[name].counterexamples == witnesses
+
+
+@pytest.mark.parametrize(
+    "factory, radius, without_d",
+    [(extended_affine_b2, 12, 2), (lambda: extended_affine_pgl(3), 10, 3),
+     (lambda: extended_affine_pgl(4), 9, 4), (infinite_dihedral, 16, 0)],
+    ids=["b2-r12", "pgl3-r10", "pgl4-r9", "dihedral-r16"],
+)
+def test_no_left_cell_holds_two_distinguished_involutions(factory, radius, without_d):
+    # Lusztig's P13: each left cell holds exactly one distinguished
+    # involution.  A computed left cell lies inside a true one, so "at most
+    # one" holds on the ball.  Some left cells with a certified element hold
+    # none, and nhat refuses their elements: each holds an involution z with
+    # a(z) = Delta(z) whose a-value is not certified
+    hb = HeckeBall(factory(), radius)
+    cells = hb.cell_partition()
+    lid = cells.left_id
+    per_cell = Counter(lid[hb.wp[di]] for di in hb._dist)
+    assert set(per_cell.values()) == {1}
+    certified = {lid[x] for x in hb.ball if hb.a_function(x)[1]}
+    assert len(certified - set(per_cell)) == without_d
+    p, a = hb._p, hb._a_values
+    for c in certified - set(per_cell):
+        uncertified_d = [zi for zi in map(hb.wp_index.get, cells.left[c]) if zi is not None
+                         and hb.wp_inv[zi] == zi and 0 in p[zi] and -max(p[zi][0]) == a[zi]]
+        assert uncertified_d and not any(hb._a_cert[zi] for zi in uncertified_d)
 
 
 # ---- cache serialization ------------------------------------------------------

@@ -141,11 +141,24 @@ def test_tables_walked_along_the_right_table_match_multiply(factory, radius):
 
 
 def test_omega_tables_match_multiply(hb):
-    pres, oms = hb.pres, hb.omega_elems
+    # Omega is cyclic and indexed by powers of its basic shift, so the
+    # kernel multiplies and inverts Omega indices mod |Omega|
+    pres, oms, nom = hb.pres, hb.omega_elems, hb._nom
     for a, oa in enumerate(oms):
         for b, ob in enumerate(oms):
-            assert oms[hb._om_mul[a][b]] == pres.multiply(oa, ob)
-        assert pres.multiply(oa, oms[hb._om_inv[a]]) == pres.identity()
+            assert oms[(a + b) % nom] == pres.multiply(oa, ob)
+        assert pres.multiply(oa, oms[-a % nom]) == pres.identity()
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_omega_is_cyclic_in_pgl(n):
+    # the same law on the PGL(n) balls the fixture above does not build
+    pres = extended_affine_pgl(n)
+    oms = pres.omega_elements()
+    assert len(oms) == n
+    for a, oa in enumerate(oms):
+        for b, ob in enumerate(oms):
+            assert oms[(a + b) % n] == pres.multiply(oa, ob)
 
 
 @pytest.mark.parametrize(
@@ -568,7 +581,7 @@ def test_the_resolver_gives_every_pair_its_gamma_taint_and_h_row(factory, radius
     hb = HeckeBall(factory(), radius)
     hb._ensure_gamma()
     wp, wl = hb.wp, hb.wp_len
-    a, cert, dset = hb._a_values, hb._a_cert, set(hb._dist_idx)
+    a, cert, dset = hb._a_values, hb._a_cert, hb._dist
     oracle = all_products(hb)
     for x, y in list(oracle)[::97]:
         assert oracle[(x, y)] == {hb.wp_index[z]: dict(p.c)
@@ -625,7 +638,7 @@ def test_h_rows_against_distinguished_involutions_match_the_t_basis_route(factor
             if x.length + d.length > radius:
                 continue
             expected = {hb._idx(z): p.c for z, p in h_constants(hb, x, d).items()}
-            assert hb._h_dist_idx(i, hb._idx(d)) == expected, (x, d)
+            assert hb._h_xd_idx(i, hb._idx(d)) == expected, (x, d)
             direct += x.length >= d.length
             mirrored += x.length < d.length
     assert direct and mirrored
@@ -649,17 +662,17 @@ def test_gamma_first_streams_once_and_agrees_with_a_values_first(factory, radius
     plain = split._a_values, split._a_cert
     split._ensure_gamma()
     assert (fused._a_values, fused._a_cert) == plain
-    for name in ("_a_values", "_a_cert", "_dist_idx", "_gamma", "_gamma_tainted"):
+    for name in ("_a_values", "_a_cert", "_dist", "_gamma", "_gamma_tainted"):
         assert getattr(fused, name) == getattr(split, name), name
-    assert split._dist_idx and split._gamma and split._gamma_tainted
+    assert split._dist and split._gamma and split._gamma_tainted
 
     def h_row(hb, i, di):
         try:
-            return hb._h_dist_idx(i, di)
+            return hb._h_xd_idx(i, di)
         except BallOverflowError:
             return None
 
-    dists = [split._rom[d * split._nom] for d in split._dist_idx]
+    dists = [split._rom[d * split._nom] for d in split._dist]
     rows = [h_row(split, i, di) for i in range(len(split.ball)) for di in dists]
     assert rows == [h_row(fused, i, di) for i in range(len(fused.ball)) for di in dists]
     assert any(rows) and None in rows
