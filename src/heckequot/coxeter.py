@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, mul
 from typing import Callable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -54,7 +54,7 @@ def mat_identity(r: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

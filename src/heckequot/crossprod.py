@@ -21,6 +21,10 @@ The four-by-four algebra has one representation: the tie table saying
 which of ten slots, barred or not, fills each entry, read by both the
 packed sheets and the module census.  Unpacked polynomials are raw dicts,
 as in `laurent`.
+
+The module census evaluates the spanning set at a point z, clears each
+evaluated element to ints once, and takes every rank on ints with the
+fraction-free `extquot.row_reduce`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from . import laurent
 from .coxeter import mat_mul
 from .laurent import LaurentError, bar
-from .extquot import LINE_INV, POINT, Descriptor, matrix_rank, row_reduce
+from .extquot import LINE_INV, POINT, Descriptor, clear_denominators, matrix_rank, row_reduce
 
 
 class CrossProdError(Exception):
@@ -348,27 +352,28 @@ def _spanning_rows(z: Fraction) -> list[list[Fraction]]:
 
 
 def _restricted_rank(mats, basis) -> int:
-    """Rank of the algebra, given as flattened matrices mats, restricted to
-    span(basis): every image m v is solved against the basis in one
-    elimination, and an image outside the span means the subspace is not
-    invariant."""
+    """Rank of the algebra, given as flattened int matrices mats,
+    restricted to span(basis): every image m v is solved against the basis
+    in one elimination, and an image outside the span means the subspace
+    is not invariant.  The eliminator leaves pivot row i scaled by some
+    nonzero l_i, which scales the coordinates against basis[i] by l_i:
+    the rows below the pivots are still zero exactly when every image lies
+    in the span, and scaling columns of the coordinate matrix keeps its
+    rank."""
     n = len(basis)
     imgs = [[sum(m[4 * i + k] * v[k] for k in range(4)) for m in mats for v in basis]
             for i in range(4)]
     work, pivots = row_reduce([[b[i] for b in basis] + imgs[i] for i in range(4)], n)
     if len(pivots) < n or any(x for row in work[n:] for x in row[n:]):
         raise CrossProdError("expected invariant subspaces are not invariant")
-    # rows 0..n-1 of column n + j*n + k: the coordinates of mats[j] basis[k]
+    # rows 0..n-1 of column n + j*n + k: the coordinates of mats[j] basis[k],
+    # row i scaled by l_i
     return matrix_rank([[work[i][n + j * n + k] for k in range(n) for i in range(n)]
                         for j in range(len(mats))])
 
 
-V1_BASIS = [
-    [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
-    [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-    [Fraction(0), Fraction(0), Fraction(1), Fraction(1)],
-]
-V2_BASIS = [[Fraction(0), Fraction(0), Fraction(1), Fraction(-1)]]
+V1_BASIS = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]
+V2_BASIS = [[0, 0, 1, -1]]
 
 
 def evaluate_module(z) -> dict:
@@ -376,7 +381,8 @@ def evaluate_module(z) -> dict:
     class {z, 1/z}: {4} away from the self-inverse points, {3, 1} at
     them, split by the visible invariant subspaces."""
     z = _point(z)
-    mats = _spanning_rows(z)
+    # scaling a spanning element changes neither a rank nor a span
+    mats = [clear_denominators(m) for m in _spanning_rows(z)]
     dim = matrix_rank(mats)
     if z * z != 1:
         if dim != 16:

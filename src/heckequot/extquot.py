@@ -6,7 +6,9 @@ of translates of a subtorus: the free directions span ker(M - I), the
 set of components is the torsion of coker(M - I).  Components carry an
 action of the centralizer, and the pieces of the quotient are recorded
 as exact descriptors.  All arithmetic is integer or Fraction; there are
-no floating point numbers anywhere in this module.
+no floating point numbers anywhere in this module.  Rational elimination
+(`row_reduce`) is fraction-free: it clears its rows to ints once and
+returns int rows, each a nonzero rational multiple of the reduced row.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .coxeter import Matrix, mat_identity, mat_mul, mat_vec, perm_matrix
 
@@ -115,11 +118,25 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], ...]:
 
 # ---------------- rational linear algebra -----------------------------------
 
-def row_reduce(rows, ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination over the rationals: the reduced rows and
-    the pivot column of each leading row, with pivots sought only among
-    the first ncols columns (all of them by default)."""
-    work = [[Fraction(x) for x in row] for row in rows]
+def clear_denominators(row) -> list[int]:
+    """An int or Fraction row times the lcm of its denominators, as a
+    list of ints."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def row_reduce(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: the reduced rows and the
+    pivot column of each leading row, with pivots sought only among the
+    first ncols columns (all of them by default).
+
+    Each input row (ints or Fractions) is cleared of denominators once,
+    and a row meeting the pivot p of row r at c becomes p row - c row_r,
+    divided by its content, so every entry stays an int.  The pivots are
+    those of elimination over the rationals, and each returned row is a
+    nonzero rational multiple of the reduced row there (a zero row stays
+    zero): pivot entries are not scaled to 1."""
+    work = [clear_denominators(row) for row in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -129,12 +146,14 @@ def row_reduce(rows, ncols: int | None = None) -> tuple[list[list[Fraction]], li
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        scale = work[r][col]
-        work[r] = [x / scale for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[r])]
+        top = work[r]
+        p = top[col]
+        for i, row in enumerate(work):
+            c = row[col]
+            if c and i != r:
+                row = [p * x - c * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return work, pivots
 
@@ -144,8 +163,7 @@ def matrix_rank(rows) -> int:
 
 
 def _frac_vec(m: Matrix | list[list[int]], q: tuple[Fraction, ...]) -> list[Fraction]:
-    return [sum((Fraction(c) * x for c, x in zip(row, q)), Fraction(0))
-            for row in m]
+    return [sum((c * x for c, x in zip(row, q) if c), Fraction(0)) for row in m]
 
 
 def _mod1(xs) -> tuple[Fraction, ...]:

@@ -9,6 +9,9 @@ reaches; what the tests compare it against lives here.
   presentation's own `multiply` and `length`, with no ball table.
 * Torus actions: inversion on the rank-one torus, the trivial action, and
   a brute-force count of a torsion class's fixed components on a grid.
+* Rational linear algebra: Gauss-Jordan elimination over `Fraction`s,
+  every pivot scaled to 1, and the rank it gives; the program's
+  eliminator is fraction-free and is checked against it.
 * Value-type readers the program does not need: `monomial` (c v^e as a
   LaurentPoly), `barred` (v -> v^-1 on a LaurentPoly, through the
   program's raw `bar`), `p_row` (the KL row of one z, relabelled from the
@@ -164,6 +167,37 @@ def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
         expected *= f
     return {"order": k, "count": count, "expected": expected,
             "agrees": count == expected}
+
+
+# ---- rational linear algebra -----------------------------------------------------
+
+
+def fraction_row_reduce(rows, ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over the rationals: the reduced rows and
+    the pivot column of each leading row, with pivots sought only among
+    the first ncols columns (all of them by default)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        scale = work[r][col]
+        work[r] = [x / scale for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                c = work[i][col]
+                work[i] = [x - c * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def fraction_rank(rows) -> int:
+    return len(fraction_row_reduce(rows)[1])
 
 
 # ---- value-type readers ----------------------------------------------------------

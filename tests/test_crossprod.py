@@ -35,7 +35,7 @@ from heckequot.crossprod import (
     random_crossed,
     spectrum_map,
 )
-from oracles import barred
+from oracles import barred, fraction_rank, fraction_row_reduce
 
 # a width and lowest exponent for the small hand-made elements below
 K, LO = 8, -4
@@ -417,10 +417,11 @@ def test_ramified_points_split_three_plus_one():
     [[0, 0, 1, 1]],
 ])
 def test_non_invariant_subspace_is_rejected(monkeypatch, v1):
-    monkeypatch.setattr(crossprod, "V1_BASIS", [[Fraction(x) for x in v] for v in v1])
-    for z in (1, -1):
-        with pytest.raises(crossprod.CrossProdError, match="not invariant"):
-            evaluate_module(z)
+    for kind in (int, Fraction):
+        monkeypatch.setattr(crossprod, "V1_BASIS", [[kind(x) for x in v] for v in v1])
+        for z in (1, -1):
+            with pytest.raises(crossprod.CrossProdError, match="not invariant"):
+                evaluate_module(z)
 
 
 def test_reflection_class_module():
@@ -459,6 +460,33 @@ def test_census_rows_match_the_packed_spanning_set(z):
             expect.append([LaurentPoly(laurent.unpack(H, -2, K)).evaluate(z)
                            for row in X for H in row])
     assert crossprod._spanning_rows(Fraction(z)) == expect
+
+
+@pytest.mark.parametrize("z", SCENARIO_POINTS, ids=str)
+def test_census_matches_the_fraction_elimination(monkeypatch, z):
+    # the same census with every rank taken by Gauss-Jordan over Fractions
+    # on Fraction rows and bases, the eliminator's reference
+    fast = evaluate_module(z), bottom_block_dim(z)
+    calls = []
+
+    def oracle_reduce(rows, ncols=None):
+        calls.append(ncols)
+        return fraction_row_reduce(rows, ncols)
+
+    def oracle_rank(rows):
+        calls.append(None)
+        return fraction_rank(rows)
+
+    monkeypatch.setattr(crossprod, "row_reduce", oracle_reduce)
+    monkeypatch.setattr(crossprod, "matrix_rank", oracle_rank)
+    monkeypatch.setattr(crossprod, "clear_denominators", lambda row: [Fraction(x) for x in row])
+    for name in ("V1_BASIS", "V2_BASIS"):
+        monkeypatch.setattr(crossprod, name,
+                            [[Fraction(x) for x in v] for v in getattr(crossprod, name)])
+    assert (evaluate_module(z), bottom_block_dim(z)) == fast
+    # the spanning set and the bottom block, plus at z = +-1 two restricted
+    # ranks of one elimination and one rank each
+    assert len(calls) == (2 if z * z != 1 else 6)
 
 
 def test_prim_census():

@@ -1,8 +1,9 @@
 """Fixed loci and extended quotients of finite torus actions.
 
 Component counts from the analytic route are cross-checked against brute
-force enumeration of torsion points, and the Smith normal form against
-its defining identities under hypothesis.
+force enumeration of torsion points, the Smith normal form against its
+defining identities under hypothesis, and the fraction-free eliminator
+against Gauss-Jordan elimination over Fractions.
 """
 
 from fractions import Fraction
@@ -18,19 +19,26 @@ from heckequot.extquot import (
     TorusAction,
     _sym_parts,
     census,
+    clear_denominators,
     cycle_type,
     extended_quotient,
     fixed_locus,
     full_torus_descriptor,
     sl_dual_torus,
     smith_normal_form,
+    row_reduce,
     so5_weyl_on_torus,
     sym_product,
     symmetric_on_torus,
     torsion_orbit_census,
     torus_mod,
 )
-from oracles import brute_force_component_count, inversion_on_gm, trivial_on_torus
+from oracles import (
+    brute_force_component_count,
+    fraction_row_reduce,
+    inversion_on_gm,
+    trivial_on_torus,
+)
 
 # ---- integer linear algebra -------------------------------------------------
 
@@ -86,6 +94,82 @@ def test_snf_defining_identities(a):
                 assert d[i][j] == 0
     for x, y in zip(diag, diag[1:]):
         assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
+
+
+# ---- rational linear algebra ------------------------------------------------
+
+rationals = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+              st.integers(min_value=1, max_value=6)),
+)
+
+
+@st.composite
+def rational_mats(draw):
+    """Rows of ints and Fractions with mixed denominators, some of them
+    rational combinations of others or zero, and a column cut for the
+    pivot search (None for all columns)."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(rationals, min_size=width, max_size=width), max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if rows and draw(st.booleans()):
+            x, y = (draw(st.sampled_from(rows)) for _ in range(2))
+            a, b = draw(rationals), draw(rationals)
+            new = [a * p + b * q for p, q in zip(x, y)]
+        else:
+            new = [0] * width
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), new)
+    return rows, draw(st.none() | st.integers(min_value=0, max_value=width))
+
+
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == [3, -4, 30]
+    assert clear_denominators([Fraction(4, 2), 0, -1]) == [2, 0, -1]
+    assert clear_denominators([]) == []
+
+
+def test_row_reduce_frozen_example():
+    # pivot rows keep their scale; a combined row is divided by its content
+    assert row_reduce([[2, 4, 6], [1, 2, 4]]) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
+    assert row_reduce([[2, 4, 6], [1, 2, 4]], 2) == ([[2, 4, 6], [0, 0, 1]], [0])
+    assert row_reduce([]) == ([], [])
+    assert row_reduce([], 3) == ([], [])
+
+
+@given(rational_mats())
+def test_row_reduce_matches_the_fraction_elimination(case):
+    rows, ncols = case
+    work, pivots = row_reduce(rows, ncols)
+    want, want_pivots = fraction_row_reduce(rows, ncols)
+    assert pivots == want_pivots
+    assert all(type(x) is int for row in work for x in row)
+    assert len(work) == len(want)
+    for got, ref in zip(work, want):
+        j = next((j for j, x in enumerate(ref) if x), None)
+        if j is None:
+            assert not any(got)
+        else:
+            scale = Fraction(got[j]) / ref[j]
+            assert scale and got == [scale * x for x in ref]
+
+
+def test_row_reduce_builds_no_fraction(monkeypatch):
+    rows = [[Fraction(1, 2), Fraction(2, 3), 1], [Fraction(3, 4), Fraction(1, 5), Fraction(-5, 6)],
+            [Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)]]
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert built  # the counter sees constructions
+    built.clear()
+    assert row_reduce(rows)[1] == [0, 1, 2]
+    assert built == []
 
 
 def test_cycle_type():
