@@ -5,8 +5,10 @@ matrix on the cocharacter lattice.  Its fixed locus is a disjoint union
 of translates of a subtorus: the free directions span ker(M - I), the
 set of components is the torsion of coker(M - I).  Components carry an
 action of the centralizer, and the pieces of the quotient are recorded
-as exact descriptors.  All arithmetic is integer or Fraction; there are
-no floating point numbers anywhere in this module.  Rational elimination
+as exact descriptors.  Components are int signatures, and a centralizer
+element acts on them and on the kernel lattice through one integer
+matrix; Fractions are built only where points are printed.  There are no
+floating point numbers anywhere in this module.  Rational elimination
 (`row_reduce`) is fraction-free: it clears its rows to ints once and
 returns int rows, each a nonzero rational multiple of the reduced row.
 """
@@ -14,9 +16,10 @@ returns int rows, each a nonzero rational multiple of the reduced row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .coxeter import Matrix, mat_identity, mat_mul, mat_vec, perm_matrix
 
@@ -160,14 +163,6 @@ def row_reduce(rows, ncols: int | None = None) -> tuple[list[list[int]], list[in
 
 def matrix_rank(rows) -> int:
     return len(row_reduce(rows)[1])
-
-
-def _frac_vec(m: Matrix | list[list[int]], q: tuple[Fraction, ...]) -> list[Fraction]:
-    return [sum((c * x for c, x in zip(row, q) if c), Fraction(0)) for row in m]
-
-
-def _mod1(xs) -> tuple[Fraction, ...]:
-    return tuple(x - (x.numerator // x.denominator) for x in xs)
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -336,7 +331,7 @@ class TorusAction:
     def ambient_point(self, q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         if self.embed is None:
             return q
-        return _mod1(_frac_vec(self.embed, q))
+        return tuple(sum(map(mul, row, q)) % 1 for row in self.embed)
 
 
 # ---------------- factories --------------------------------------------------
@@ -428,26 +423,58 @@ def sl_dual_torus(n: int) -> TorusAction:
 
 @dataclass
 class FixedLocus:
+    """The fixed locus of gamma, read off one Smith form D = U (M - I) V:
+    q lies on it when every d_i y_i is an integer, y = V^-1 q.  The zero
+    positions (d_i = 0) span the kernel lattice; a component is its
+    signature in the sum of the Z/f_i over the torsion positions
+    (d_i = f_i > 1), the point y_i = sig_i / f_i there and 0 elsewhere.
+    `signatures` lists them in mixed-radix order."""
+
     dim: int
     invariant_factors: tuple[int, ...]
     signatures: list[tuple[int, ...]]
-    components: list[tuple[Fraction, ...]]
-    kernel_basis: list[list[int]]
-    v_inv: list[list[int]] = field(repr=False, default=None)
-    torsion_positions: tuple[int, ...] = field(repr=False, default=())
+    v: list[list[int]]
+    v_inv: list[list[int]]
+    torsion_positions: tuple[int, ...]
+    zero_positions: tuple[int, ...]
 
     def component_count(self) -> int:
-        return len(self.components)
+        return len(self.signatures)
 
-    def signature_of(self, q: tuple[Fraction, ...]) -> tuple[int, ...]:
-        y = _frac_vec(self.v_inv, q)
-        sig = []
-        for pos, f in zip(self.torsion_positions, self.invariant_factors):
-            val = y[pos] * f
-            if val.denominator != 1:
-                raise ExtQuotError("point does not lie on the fixed locus")
-            sig.append(int(val) % f)
-        return tuple(sig)
+    def point(self, sig: tuple[int, ...]) -> tuple[Fraction, ...]:
+        """The component with signature sig as a point V y mod 1, the one
+        place a component becomes Fractions."""
+        e = max(self.invariant_factors, default=1)  # every f_i divides it
+        ey = [s * (e // f) for s, f in zip(sig, self.invariant_factors)]
+        return tuple(Fraction(sum(row[p] * x for p, x in zip(self.torsion_positions, ey)) % e, e)
+                     for row in self.v)
+
+    def action(self, n: Matrix) -> tuple[list[int], list[list[int]]]:
+        """What n does through N = V^-1 n V: the index of each
+        component's image, sig'_p = f_p sum_q N[p][q] sig_q / f_q mod f_p
+        worked on ints over the exponent e of the component group, and
+        N's block on the kernel lattice.  An element commuting with gamma
+        keeps the kernel (N[p][q] = 0 for p not a zero position, q one)
+        and the locus (each sum is integral at d_p = 1); else it raises."""
+        nn = mat_mul(mat_mul(self.v_inv, n), self.v)
+        zeros, tors, factors = self.zero_positions, self.torsion_positions, self.invariant_factors
+        if any(nn[p][q] for p in range(len(nn)) if p not in zeros for q in zeros):
+            raise ExtQuotError("element does not keep the kernel lattice")
+        e = max(factors, default=1)
+        d = dict(zip(tors, factors))
+        # a position with d_p = 1 adds nothing to the index: k * 1 + 0
+        rows = [(d.get(p, 1), [nn[p][q] * (e // g) for q, g in zip(tors, factors)])
+                for p in range(len(nn)) if p not in zeros]
+        images = []
+        for sig in self.signatures:
+            k = 0
+            for f, row in rows:
+                s = f * sum(map(mul, row, sig))
+                if s % e:
+                    raise ExtQuotError("point does not lie on the fixed locus")
+                k = k * f + s // e % f
+            images.append(k)
+        return images, [[nn[p][q] for q in zeros] for p in zeros]
 
 
 def fixed_locus(action: TorusAction, gamma: int) -> FixedLocus:
@@ -457,70 +484,29 @@ def fixed_locus(action: TorusAction, gamma: int) -> FixedLocus:
     _, d, v, v_inv = smith_normal_form(a)
     diag = [d[i][i] for i in range(r)]
     tors = tuple(i for i, x in enumerate(diag) if x > 1)
-    zeros = [i for i, x in enumerate(diag) if x == 0]
+    zeros = tuple(i for i, x in enumerate(diag) if x == 0)
     factors = tuple(diag[i] for i in tors)
-    signatures = [tuple(s) for s in itertools.product(*[range(f) for f in factors])]
-    components = []
-    for sig in signatures:
-        y = [Fraction(0)] * r
-        for pos, j, f in zip(tors, sig, factors):
-            y[pos] = Fraction(j, f)
-        components.append(_mod1(_frac_vec(v, y)))
-    kernel = [[v[i][j] for i in range(r)] for j in zeros]
-    return FixedLocus(
-        dim=len(zeros),
-        invariant_factors=factors,
-        signatures=signatures,
-        components=components,
-        kernel_basis=kernel,
-        v_inv=v_inv,
-        torsion_positions=tors,
-    )
+    return FixedLocus(dim=len(zeros), invariant_factors=factors,
+                      signatures=list(itertools.product(*[range(f) for f in factors])),
+                      v=v, v_inv=v_inv, torsion_positions=tors, zero_positions=zeros)
 
 
 # ---------------- quotient components ----------------------------------------
 
 def _component_orbits(action: TorusAction, fl: FixedLocus, cent: list[int]):
-    """Orbits of the centralizer on the component set, with stabilizers."""
-    index = {s: i for i, s in enumerate(fl.signatures)}
-    perms = {}
+    """Orbits of the centralizer on the component set, each with its
+    stabilizer as {element: its block on the kernel lattice}.  The
+    centralizer is a group, so the images of a component are its orbit."""
+    perms, blocks = {}, {}
     for g in cent:
-        n = action.matrices[g]
-        images = []
-        for q in fl.components:
-            img = _mod1(_frac_vec(n, q))
-            images.append(index[fl.signature_of(img)])
-        perms[g] = images
-    unseen = set(range(len(fl.components)))
-    orbits = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in cent:
-                y = perms[g][x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        unseen -= orbit
-        stab = [g for g in cent if perms[g][start] == start]
-        orbits.append((sorted(orbit), stab))
+        perms[g], blocks[g] = fl.action(action.matrices[g])
+    orbits, seen = [], set()
+    for start in range(fl.component_count()):
+        if start not in seen:
+            orbit = sorted({perms[g][start] for g in cent})
+            seen.update(orbit)
+            orbits.append((orbit, {g: blocks[g] for g in cent if perms[g][start] == start}))
     return orbits
-
-
-def _line_descriptor(action: TorusAction, fl: FixedLocus, stab: list[int]) -> Descriptor:
-    k = tuple(fl.kernel_basis[0])
-    neg = tuple(-x for x in k)
-    inverted = False
-    for g in stab:
-        w = tuple(mat_vec(action.matrices[g], k))
-        if w == neg:
-            inverted = True
-        elif w != k:
-            raise ExtQuotError("stabilizer does not normalize the kernel line")
-    return LINE_INV if inverted else LINE
 
 
 def full_torus_descriptor(action: TorusAction) -> Descriptor:
@@ -565,7 +551,8 @@ def extended_quotient(action: TorusAction) -> list[ExtQuotComponent]:
             if fl.dim == 0:
                 descr = POINT
             elif fl.dim == 1:
-                descr = _line_descriptor(action, fl, stab)
+                # the kernel line is inverted exactly when a block is -1
+                descr = LINE_INV if [[-1]] in stab.values() else LINE
             else:
                 # exact class tracking stops at curves; higher pieces
                 # stay symbolic and are compared by dimension only
@@ -584,7 +571,7 @@ def torsion_orbit_census(action: TorusAction, gamma: int) -> list[dict]:
     cent = action.centralizer(gamma)
     orbits = []
     for members, _ in _component_orbits(action, fl, cent):
-        pts = sorted(fl.components[i] for i in members)
+        pts = sorted(fl.point(fl.signatures[i]) for i in members)
         orbits.append({
             "size": len(pts),
             "points": pts,

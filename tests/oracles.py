@@ -7,8 +7,12 @@ reaches; what the tests compare it against lives here.
   element from its coordinates (normalized, with range checks), right
   descents and the left-greedy reduced word, all through the
   presentation's own `multiply` and `length`, with no ball table.
-* Torus actions: inversion on the rank-one torus, the trivial action, and
-  a brute-force count of a torsion class's fixed components on a grid.
+* Torus actions: inversion on the rank-one torus, the trivial action, a
+  brute-force count of a torsion class's fixed components on a grid, and
+  the Fraction route to the centralizer's orbits on them: each component
+  a point V y mod 1, mapped through every element and its signature read
+  back through V^-1, and the shape of a line by comparing kernel vectors.
+  The program runs the same orbits on int signatures.
 * Rational linear algebra: Gauss-Jordan elimination over `Fraction`s,
   every pivot scaled to 1, and the rank it gives; the program's
   eliminator is fraction-free and is checked against it.
@@ -52,7 +56,14 @@ from heckequot.coxeter import (
     close_group,
     mat_identity,
 )
-from heckequot.extquot import ExtQuotError, TorusAction, _frac_vec, fixed_locus
+from heckequot.extquot import (
+    LINE,
+    LINE_INV,
+    ExtQuotError,
+    TorusAction,
+    fixed_locus,
+    smith_normal_form,
+)
 from heckequot.hecke import XI, BallOverflowError, HeckeElement, HeckeError, UncertifiedError
 from heckequot.laurent import LaurentPoly, acc_mul, acc_scaled, bar
 
@@ -159,7 +170,7 @@ def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
     m = action.matrices[gamma]
     count = 0
     for q in itertools.product([Fraction(j, k) for j in range(k)], repeat=action.rank):
-        img = _frac_vec(m, q)
+        img = frac_vec(m, q)
         if all((x - y).denominator == 1 for x, y in zip(img, q)):
             count += 1
     expected = k ** fl.dim
@@ -167,6 +178,76 @@ def brute_force_component_count(action: TorusAction, gamma: int) -> dict:
         expected *= f
     return {"order": k, "count": count, "expected": expected,
             "agrees": count == expected}
+
+
+def frac_vec(m, q: tuple[Fraction, ...]) -> list[Fraction]:
+    """The int matrix m applied to the Fraction vector q."""
+    return [sum((c * x for c, x in zip(row, q) if c), Fraction(0)) for row in m]
+
+
+def mod1(xs) -> tuple[Fraction, ...]:
+    """Each Fraction reduced into [0, 1)."""
+    return tuple(x - (x.numerator // x.denominator) for x in xs)
+
+
+def fraction_component_orbits(action: TorusAction, gamma: int, cent: list[int]) -> list[tuple]:
+    """The centralizer elements cent on the components of gamma's fixed
+    locus, through Fraction points: (orbit, stabilizer, shape) per orbit,
+    the orbit as sorted component indices in signature order, and the
+    shape LINE or LINE_INV on a one-dimensional locus (None otherwise),
+    by comparing each stabilizer's image of the kernel vector with it and
+    its negative."""
+    m = action.matrices[gamma]
+    r = action.rank
+    _, d, v, v_inv = smith_normal_form([[m[i][j] - (i == j) for j in range(r)] for i in range(r)])
+    diag = [d[i][i] for i in range(r)]
+    tors = [i for i, x in enumerate(diag) if x > 1]
+    factors = [diag[i] for i in tors]
+    signatures = list(itertools.product(*[range(f) for f in factors]))
+    components = []
+    for sig in signatures:
+        y = [Fraction(0)] * r
+        for pos, j, f in zip(tors, sig, factors):
+            y[pos] = Fraction(j, f)
+        components.append(mod1(frac_vec(v, y)))
+
+    def signature_of(q):
+        y = frac_vec(v_inv, q)
+        sig = []
+        for pos, f in zip(tors, factors):
+            val = y[pos] * f
+            if val.denominator != 1:
+                raise ExtQuotError("point does not lie on the fixed locus")
+            sig.append(int(val) % f)
+        return tuple(sig)
+
+    index = {s: i for i, s in enumerate(signatures)}
+    perms = {g: [index[signature_of(mod1(frac_vec(action.matrices[g], q)))] for q in components]
+             for g in cent}
+    kernel = [tuple(v[i][j] for i in range(r)) for j in range(r) if diag[j] == 0]
+    out, seen = [], set()
+    for start in range(len(components)):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for g in cent:
+                if perms[g][x] not in orbit:
+                    orbit.add(perms[g][x])
+                    frontier.append(perms[g][x])
+        seen |= orbit
+        stab = [g for g in cent if perms[g][start] == start]
+        shape = None
+        if len(kernel) == 1:
+            k = kernel[0]
+            images = {tuple(sum(c * x for c, x in zip(row, k)) for row in action.matrices[g])
+                      for g in stab}
+            if not images <= {k, tuple(-x for x in k)}:
+                raise ExtQuotError("stabilizer does not normalize the kernel line")
+            shape = LINE_INV if tuple(-x for x in k) in images else LINE
+        out.append((sorted(orbit), stab, shape))
+    return out
 
 
 # ---- rational linear algebra -----------------------------------------------------

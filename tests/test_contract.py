@@ -21,6 +21,9 @@ perfbench/, or KEPT_STATE names it.
 
 A family's facts live in its duality.FAMILIES record, so neither duality
 nor cli compares a value with a family's name.
+
+Fixed loci and their centralizer orbits run on int signatures: the orbit
+code of extquot names no Fraction and no Fraction point map.
 """
 
 import ast
@@ -368,3 +371,28 @@ def test_no_function_in_duality_or_cli_branches_on_a_family_name():
              for name in ("duality", "cli")}
     assert found == {"duality": [], "cli": []}
     assert set(duality.FAMILIES) == FAMILY_TAGS
+
+
+# the extquot functions and FixedLocus methods that run on int signatures
+# only: FixedLocus.point and TorusAction.ambient_point, which print, are
+# the only places a component becomes Fractions
+ORBIT_CODE = {"fixed_locus", "_component_orbits", "extended_quotient",
+              "torsion_orbit_census", "FixedLocus.component_count", "FixedLocus.action"}
+FRACTION_NAMES = {"Fraction", "_frac_vec", "_mod1"}
+
+
+def test_the_orbit_code_names_no_fraction():
+    defs = {}
+    for node in ast.parse((ROOT / "src" / "heckequot" / "extquot.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+    assert not FRACTION_NAMES & set(defs)
+    assert {name for name in defs if name.startswith("FixedLocus.")} == {
+        name for name in ORBIT_CODE if name.startswith("FixedLocus.")} | {"FixedLocus.point"}
+    for name in sorted(ORBIT_CODE):
+        named = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        named |= {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
+        assert not named & FRACTION_NAMES, name

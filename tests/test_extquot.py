@@ -1,11 +1,13 @@
 """Fixed loci and extended quotients of finite torus actions.
 
 Component counts from the analytic route are cross-checked against brute
-force enumeration of torsion points, the Smith normal form against its
-defining identities under hypothesis, and the fraction-free eliminator
-against Gauss-Jordan elimination over Fractions.
+force enumeration of torsion points, the integer orbits and stabilizers
+on the components against the Fraction route through points, the Smith
+normal form against its defining identities under hypothesis, and the
+fraction-free eliminator against Gauss-Jordan elimination over Fractions.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from heckequot.extquot import (
     POINT,
     ExtQuotError,
     TorusAction,
+    _component_orbits,
     _sym_parts,
     census,
     clear_denominators,
@@ -33,8 +36,10 @@ from heckequot.extquot import (
     torsion_orbit_census,
     torus_mod,
 )
+from heckequot.coxeter import mat_mul
 from oracles import (
     brute_force_component_count,
+    fraction_component_orbits,
     fraction_row_reduce,
     inversion_on_gm,
     trivial_on_torus,
@@ -349,3 +354,91 @@ def test_torsion_orbits_frozen():
     assert orbits[0]["points"] == [(z, z)]
     assert orbits[1]["points"] == [(z, h), (h, z)]
     assert orbits[2]["points"] == [(h, h)]
+
+
+# ---- centralizer orbits on components ------------------------------------------
+
+ORBIT_ACTIONS = [so5_weyl_on_torus, *(lambda n=n: sl_dual_torus(n) for n in range(2, 7))]
+ORBIT_IDS = ["so5", *(f"pgl{n}" for n in range(2, 7))]
+
+
+@pytest.mark.parametrize("factory", ORBIT_ACTIONS, ids=ORBIT_IDS)
+def test_component_orbits_match_the_fraction_route(factory):
+    # on every class of the sl2 (= PGL(2)), so5 and PGL(3)-PGL(6) actions:
+    # the same orbits and stabilizers as mapping Fraction points, and the
+    # line/inv verdict of each dim-1 piece of the quotient as the oracle's
+    # comparison of kernel vectors
+    action = factory()
+    quotient = extended_quotient(action)
+    for cls in action.conjugacy_classes():
+        fl = fixed_locus(action, cls.rep)
+        cent = action.centralizer(cls.rep)
+        got = _component_orbits(action, fl, cent)
+        want = fraction_component_orbits(action, cls.rep, cent)
+        assert [(orbit, sorted(stab)) for orbit, stab in got] == [(o, s) for o, s, _ in want]
+        if fl.dim == 1 and cls.rep != action.identity_index():
+            shapes = sorted(c.descriptor for c in quotient if c.class_tag == cls.name)
+            assert shapes == sorted(shape for _, _, shape in want)
+
+
+def test_the_orbit_code_builds_no_fraction(monkeypatch):
+    action = sl_dual_torus(4)
+    fls = [(fixed_locus(action, c.rep), action.centralizer(c.rep))
+           for c in action.conjugacy_classes()]
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for fl, cent in fls:
+        _component_orbits(action, fl, cent)
+    assert built == []
+
+
+def test_an_element_outside_the_centralizer_is_refused():
+    # the swap gamma2 fixes the line x = y, which gamma3 = (x, -y) does
+    # not keep: every element handed to the orbit code is checked, not
+    # only the stabilizers
+    so5 = so5_weyl_on_torus()
+    g2, g3 = so5.names.index("gamma2"), so5.names.index("gamma3")
+    assert g3 not in so5.centralizer(g2)
+    fl = fixed_locus(so5, g2)
+    assert fl.component_count() == 1
+    with pytest.raises(ExtQuotError, match="kernel"):
+        _component_orbits(so5, fl, [so5.identity_index(), g3])
+    # a shear moves the point (1/2, 1/2) fixed by the quarter turn gamma5
+    # to (0, 1/2), off its fixed locus
+    fl = fixed_locus(so5, so5.names.index("gamma5"))
+    with pytest.raises(ExtQuotError, match="does not lie on the fixed locus"):
+        fl.action(((1, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("factory", [so5_weyl_on_torus, lambda: sl_dual_torus(4)],
+                         ids=["so5", "pgl4"])
+def test_kernel_blocks_multiply_like_the_group(factory):
+    # over each stabilizer, g -> (its block on the kernel lattice) is a
+    # homomorphism: block(g) block(h) = block(gh), the identity to 1
+    action = factory()
+    for cls in action.conjugacy_classes():
+        fl = fixed_locus(action, cls.rep)
+        for _, stab in _component_orbits(action, fl, action.centralizer(cls.rep)):
+            blocks = {g: tuple(map(tuple, b)) for g, b in stab.items()}
+            assert blocks[action.identity_index()] == tuple(
+                tuple(int(i == j) for j in range(fl.dim)) for i in range(fl.dim))
+            for g, h in itertools.product(stab, repeat=2):
+                assert mat_mul(blocks[g], blocks[h]) == blocks[action.mult(g, h)]
+
+
+def test_fixed_locus_points_are_printed_from_signatures():
+    # the regular class of PGL(4) fixes the four points of the center's
+    # 4-torsion, diagonal in the ambient torus
+    action = sl_dual_torus(4)
+    cycle = next(c for c in action.conjugacy_classes() if c.cycle == (4,))
+    fl = fixed_locus(action, cycle.rep)
+    assert (fl.dim, fl.invariant_factors) == (0, (4,))
+    ambient = [action.ambient_point(fl.point(sig)) for sig in fl.signatures]
+    assert sorted(ambient) == [(Fraction(j, 4),) * 4 for j in range(4)]
+    assert all(type(x) is Fraction for pt in ambient for x in pt)
