@@ -7,8 +7,10 @@ set of components is the torsion of coker(M - I).  Components carry an
 action of the centralizer, and the pieces of the quotient are recorded
 as exact descriptors.  Components are int signatures, and a centralizer
 element acts on them and on the kernel lattice through one integer
-matrix; Fractions are built only where points are printed.  There are no
-floating point numbers anywhere in this module.  Rational elimination
+matrix; Fractions are built only where points are printed.  An action
+holds its group law once: on perm tuples when it permutes coordinates,
+else as a Cayley table of its matrices built at construction.  There
+are no floating point numbers anywhere in this module.  Rational elimination
 (`row_reduce`) is fraction-free: it clears its rows to ints once and
 returns int rows, each a nonzero rational multiple of the reduced row.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .coxeter import Matrix, mat_identity, mat_mul, mat_vec, perm_matrix
+from .coxeter import Matrix, mat_identity, mat_mul, perm_matrix
 
 
 class ExtQuotError(Exception):
@@ -243,11 +245,13 @@ class TorusAction:
     """A finite group of unimodular matrices acting on a lattice.
 
     `perms` optionally models the same group as all of S_m permuting m
-    coordinates, listed in the order of `matrices`; group arithmetic then
-    runs on tuples and the conjugacy classes are the cycle types, which is
-    what makes the order-720 cases cheap.  `embed` maps lattice coordinates
-    into ambient torus coordinates when the action lives on a sublattice
-    cut out by a determinant condition."""
+    coordinates, listed in the order of `matrices`; commutation is then
+    tested on the tuples and the classes are the cycle types, so nothing
+    is multiplied, which is what makes the order-720 cases cheap.  Without
+    it, one Cayley table of the matrices, built here and so checked for
+    closure, gives both.  `embed` maps lattice coordinates into ambient
+    torus coordinates when the action lives on a sublattice cut out by a
+    determinant condition."""
 
     rank: int
     matrices: list[Matrix]  # rows given as lists are made tuples
@@ -258,20 +262,27 @@ class TorusAction:
 
     def __post_init__(self):
         self.matrices = [tuple(map(tuple, m)) for m in self.matrices]
-        self._key_index = {m: i for i, m in enumerate(self.matrices)}
-        if len(self._key_index) != len(self.matrices):
+        index = {m: i for i, m in enumerate(self.matrices)}
+        if len(index) != len(self.matrices):
             raise ExtQuotError("action has repeated matrices")
         ident = mat_identity(self.rank)
-        if ident not in self._key_index:
+        if ident not in index:
             raise ExtQuotError("action has no identity matrix")
-        self._id = self._key_index[ident]
+        self._id = index[ident]
+        self._table = None
         if self.perms is not None:
+            if len(self.perms) != len(self.matrices):
+                raise ExtQuotError("perms and matrices list groups of different orders")
             m = len(self.perms[0]) if self.perms else 0
             if sorted(self.perms) != list(itertools.permutations(range(m))):
                 raise ExtQuotError("perms must list all of S_m")
-            self._perm_index = {p: i for i, p in enumerate(self.perms)}
-        self._mult: dict[tuple[int, int], int] = {}
-        self._inv: dict[int, int] = {}
+        else:
+            try:
+                # _table[g][h] is the index of g h
+                self._table = [[index[mat_mul(a, b)] for b in self.matrices]
+                               for a in self.matrices]
+            except KeyError:
+                raise ExtQuotError("action is not closed under products") from None
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -279,28 +290,14 @@ class TorusAction:
     def identity_index(self) -> int:
         return self._id
 
-    def mult(self, i: int, j: int) -> int:
-        got = self._mult.get((i, j))
-        if got is not None:
-            return got
-        if self.perms is not None:
-            a, b = self.perms[i], self.perms[j]
-            k = self._perm_index[tuple(a[b[x]] for x in range(len(b)))]
-        else:
-            prod = mat_mul(self.matrices[i], self.matrices[j])
-            if prod not in self._key_index:
-                raise ExtQuotError("action is not closed under products")
-            k = self._key_index[prod]
-        self._mult[(i, j)] = k
-        return k
-
-    def inverse_of(self, i: int) -> int:
-        if i not in self._inv:
-            self._inv[i] = next(k for k in range(len(self)) if self.mult(i, k) == self._id)
-        return self._inv[i]
-
     def centralizer(self, i: int) -> list[int]:
-        return [g for g in range(len(self)) if self.mult(g, i) == self.mult(i, g)]
+        if self.perms is not None:
+            c = self.perms[i]
+            # p commutes with c when p(c(x)) == c(p(x)) for every x
+            return [g for g, p in enumerate(self.perms)
+                    if [p[y] for y in c] == [c[y] for y in p]]
+        t = self._table
+        return [g for g in range(len(self)) if t[g][i] == t[i][g]]
 
     def conjugacy_classes(self) -> list[ConjClass]:
         if self.perms is not None:
@@ -308,23 +305,14 @@ class TorusAction:
             by_type: dict[tuple[int, ...], list[int]] = {}
             for i, p in enumerate(self.perms):
                 by_type.setdefault(cycle_type(p), []).append(i)
-            classes = [
-                ConjClass(min(v), tuple(sorted(v)), self.names[min(v)], t)
-                for t, v in by_type.items()
-            ]
+            classes = [ConjClass(v[0], tuple(v), self.names[v[0]], t)
+                       for t, v in by_type.items()]
         else:
-            seen: set[int] = set()
-            classes = []
-            for i in range(len(self)):
-                if i in seen:
-                    continue
-                members = {
-                    self.mult(self.mult(g, i), self.inverse_of(g))
-                    for g in range(len(self))
-                }
-                seen |= members
-                rep = min(members)
-                classes.append(ConjClass(rep, tuple(sorted(members)), self.names[rep]))
+            t, n = self._table, len(self)
+            inv = [row.index(self._id) for row in t]
+            # the class of i is {g i g^-1}, its members sorted
+            orbits = {tuple(sorted({t[t[g][i]][inv[g]] for g in range(n)})) for i in range(n)}
+            classes = [ConjClass(c[0], c, self.names[c[0]]) for c in orbits]
         classes.sort(key=lambda c: c.members[0])
         return classes
 
@@ -384,31 +372,12 @@ def sl_dual_torus(n: int) -> TorusAction:
     if n not in SL_RANKS:
         raise ExtQuotError("coordinate permutation actions are kept small")
     perms = sorted(itertools.permutations(range(n)))
-    # basis v_i = e_i - e_{i+1} of the sum-zero sublattice
-    basis = []
-    for i in range(n - 1):
-        col = [0] * n
-        col[i] = 1
-        col[i + 1] = -1
-        basis.append(col)
-    embed = [[basis[j][i] for j in range(n - 1)] for i in range(n)]
-
-    def restrict(p: tuple[int, ...]) -> list[list[int]]:
-        amb = perm_matrix(p)
-        cols = []
-        for j in range(n - 1):
-            img = mat_vec(amb, basis[j])
-            # coefficients against v_i are the partial sums
-            coeffs, run = [], 0
-            for i in range(n - 1):
-                run += img[i]
-                coeffs.append(run)
-            if run + img[n - 1] != 0:
-                raise ExtQuotError("sum-zero sublattice was not preserved")
-            cols.append(coeffs)
-        return [[cols[j][i] for j in range(n - 1)] for i in range(n - 1)]
-
-    mats = [restrict(p) for p in perms]
+    # in the basis v_j = e_j - e_{j+1} of the sum-zero sublattice, p sends
+    # v_j to e_p[j] - e_p[j+1], whose coefficient against v_i is the
+    # partial sum of its first i + 1 coordinates
+    mats = [[[(p[j] <= i) - (p[j + 1] <= i) for j in range(n - 1)] for i in range(n - 1)]
+            for p in perms]
+    embed = [[(i == j) - (i == j + 1) for j in range(n - 1)] for i in range(n)]
     return TorusAction(
         rank=n - 1,
         matrices=mats,

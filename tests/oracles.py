@@ -7,11 +7,14 @@ reaches; what the tests compare it against lives here.
   element from its coordinates (normalized, with range checks), right
   descents and the left-greedy reduced word, all through the
   presentation's own `multiply` and `length`, with no ball table.
-* Torus actions: inversion on the rank-one torus, the trivial action, a
-  brute-force count of a torsion class's fixed components on a grid, and
-  the Fraction route to the centralizer's orbits on them: each component
-  a point V y mod 1, mapped through every element and its signature read
-  back through V^-1, and the shape of a line by comparing kernel vectors.
+* Torus actions: inversion on the rank-one torus, the trivial action,
+  S_n on the sum-zero sublattice by mapping each basis vector through a
+  permutation matrix and reading back partial sums (the program writes
+  the entries in closed form), a brute-force count of a torsion class's
+  fixed components on a grid, and the Fraction route to the
+  centralizer's orbits on them: each component a point V y mod 1, mapped
+  through every element and its signature read back through V^-1, and
+  the shape of a line by comparing kernel vectors.
   The program runs the same orbits on int signatures.
 * Rational linear algebra: Gauss-Jordan elimination over `Fraction`s,
   every pivot scaled to 1, and the rank it gives; the program's
@@ -55,6 +58,8 @@ from heckequot.coxeter import (
     _type_a_data,
     close_group,
     mat_identity,
+    mat_vec,
+    perm_matrix,
 )
 from heckequot.extquot import (
     LINE,
@@ -158,6 +163,38 @@ def trivial_on_torus(rank: int) -> TorusAction:
         names=["1"],
         group_label="1",
     )
+
+
+def sl_restriction(n: int) -> tuple[list[list[list[int]]], list[list[int]]]:
+    """S_n on the sum-zero sublattice of Z^n in the basis v_i = e_i -
+    e_{i+1}, one matrix per permutation in sorted order, and the basis as
+    the columns of the embedding into Z^n.  Each v_j goes through the
+    permutation matrix, and its image is read back as partial sums,
+    refused if it leaves the sublattice."""
+    basis = []
+    for i in range(n - 1):
+        col = [0] * n
+        col[i] = 1
+        col[i + 1] = -1
+        basis.append(col)
+    embed = [[basis[j][i] for j in range(n - 1)] for i in range(n)]
+
+    def restrict(p: tuple[int, ...]) -> list[list[int]]:
+        amb = perm_matrix(p)
+        cols = []
+        for j in range(n - 1):
+            img = mat_vec(amb, basis[j])
+            # coefficients against v_i are the partial sums
+            coeffs, run = [], 0
+            for i in range(n - 1):
+                run += img[i]
+                coeffs.append(run)
+            if run + img[n - 1] != 0:
+                raise ExtQuotError("sum-zero sublattice was not preserved")
+            cols.append(coeffs)
+        return [[cols[j][i] for j in range(n - 1)] for i in range(n - 1)]
+
+    return [restrict(p) for p in sorted(itertools.permutations(range(n)))], embed
 
 
 def brute_force_component_count(action: TorusAction, gamma: int) -> dict:

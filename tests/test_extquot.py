@@ -3,8 +3,10 @@
 Component counts from the analytic route are cross-checked against brute
 force enumeration of torsion points, the integer orbits and stabilizers
 on the components against the Fraction route through points, the Smith
-normal form against its defining identities under hypothesis, and the
-fraction-free eliminator against Gauss-Jordan elimination over Fractions.
+normal form against its defining identities under hypothesis, the
+fraction-free eliminator against Gauss-Jordan elimination over Fractions,
+and each action's centralizers, classes and SL(n) restriction against its
+matrices and the partial-sum route.
 """
 
 import itertools
@@ -42,6 +44,7 @@ from oracles import (
     fraction_component_orbits,
     fraction_row_reduce,
     inversion_on_gm,
+    sl_restriction,
     trivial_on_torus,
 )
 
@@ -208,18 +211,24 @@ def test_sym_parts():
 
 
 def test_torus_action_group_laws():
+    # products are read off the matrices themselves
     so5 = so5_weyl_on_torus()
+    m = so5.matrices
     e = so5.identity_index()
     assert e == 0
     n = len(so5)
     assert n == 8
+
+    def mult(i, j):
+        return m.index(mat_mul(m[i], m[j]))  # raises unless closed
+
     for i in range(n):
-        assert so5.mult(e, i) == i == so5.mult(i, e)
-        assert so5.mult(i, so5.inverse_of(i)) == e
+        assert mult(e, i) == i == mult(i, e)
+        assert any(mult(i, j) == e for j in range(n))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert so5.mult(so5.mult(i, j), k) == so5.mult(i, so5.mult(j, k))
+                assert mult(mult(i, j), k) == mult(i, mult(j, k))
 
 
 def test_perms_must_list_all_of_the_symmetric_group():
@@ -236,6 +245,63 @@ def test_so5_conjugacy_classes():
     members = sorted(i for cl in classes for i in cl.members)
     assert members == list(range(8))
     assert [cl.name for cl in classes][0] == "gamma1"
+
+
+def test_a_matrix_action_not_closed_under_products_is_refused():
+    # the quarter turn squares to -I, which is not listed
+    with pytest.raises(ExtQuotError, match="not closed under products"):
+        TorusAction(rank=2, matrices=[[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
+                    names=["1", "r"], group_label="not a group")
+
+
+def test_perms_and_matrices_must_list_groups_of_one_order():
+    s3 = symmetric_on_torus(3)
+    with pytest.raises(ExtQuotError, match="different orders"):
+        TorusAction(rank=3, matrices=s3.matrices[:3], names=s3.names[:3],
+                    group_label="S3", perms=s3.perms)
+
+
+GROUP_ACTIONS = {
+    "so5": so5_weyl_on_torus,
+    **{f"s{n}": lambda n=n: symmetric_on_torus(n) for n in range(1, 7)},
+    **{f"pgl{n}": lambda n=n: sl_dual_torus(n) for n in range(2, 7)},
+    "inv": inversion_on_gm,
+    **{f"trivial{r}": lambda r=r: trivial_on_torus(r) for r in range(1, 4)},
+}
+# the conjugation check is cubic in the order: S4 is the largest group it runs on
+SMALL_GROUPS = [k for k in GROUP_ACTIONS if k not in ("s5", "s6", "pgl5", "pgl6")]
+
+
+@pytest.mark.parametrize("key", GROUP_ACTIONS)
+def test_centralizers_are_the_matrix_commutants(key):
+    # a perms action tests commutation on its tuples, a matrix action on
+    # its Cayley table; either must agree with the matrices
+    action = GROUP_ACTIONS[key]()
+    m = action.matrices
+    for cls in action.conjugacy_classes():
+        i = cls.rep
+        assert action.centralizer(i) == [
+            g for g, x in enumerate(m) if mat_mul(x, m[i]) == mat_mul(m[i], x)]
+
+
+@pytest.mark.parametrize("key", SMALL_GROUPS)
+def test_classes_are_the_matrix_conjugacy_classes(key):
+    action = GROUP_ACTIONS[key]()
+    m = action.matrices
+    ident = m[action.identity_index()]
+    inv = [next(h for h, y in enumerate(m) if mat_mul(x, y) == ident) for x in m]
+    by_matrices = {tuple(sorted({m.index(mat_mul(mat_mul(m[g], m[i]), m[inv[g]]))
+                                 for g in range(len(m))}))
+                   for i in range(len(m))}
+    assert sorted(c.members for c in action.conjugacy_classes()) == sorted(by_matrices)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sl_restriction_matches_the_partial_sum_route(n):
+    mats, embed = sl_restriction(n)
+    action = sl_dual_torus(n)
+    assert action.matrices == [tuple(map(tuple, x)) for x in mats]
+    assert action.embed == embed
 
 
 # ---- extended quotients -----------------------------------------------------
@@ -429,7 +495,8 @@ def test_kernel_blocks_multiply_like_the_group(factory):
             assert blocks[action.identity_index()] == tuple(
                 tuple(int(i == j) for j in range(fl.dim)) for i in range(fl.dim))
             for g, h in itertools.product(stab, repeat=2):
-                assert mat_mul(blocks[g], blocks[h]) == blocks[action.mult(g, h)]
+                gh = action.matrices.index(mat_mul(action.matrices[g], action.matrices[h]))
+                assert mat_mul(blocks[g], blocks[h]) == blocks[gh]
 
 
 def test_fixed_locus_points_are_printed_from_signatures():
