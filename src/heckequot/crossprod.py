@@ -8,9 +8,10 @@ matrix model sends the variable to a symmetric companion pair and A to
 diag(1, -1); its image is exactly the set of two-by-two matrices whose
 diagonal is balanced and whose off-diagonal is anti-balanced.
 
-The homomorphism checks run on Kronecker-packed ints.  A sampled
-polynomial p becomes the pair (P, Pb) = laurent.pack of p and of bar(p), so
-a product is an int multiplication, bar swaps the pair, p is balanced when
+The homomorphism checks run on Kronecker-packed ints.  Each sampled
+polynomial p is drawn straight into the pair (P, Pb) packing p and bar(p),
+by the draws rng.randint made, so that a seed names the same samples.  A
+product is an int multiplication, bar swaps the pair, p is balanced when
 P == Pb and anti-balanced when P == -Pb, and t - 1/t packs as B^2 - 1
 (B = 2^k, one exponent lower), an exact divisor of anti-balanced entries.
 The two-by-two model is doubled to make its entries integral; a matrix is
@@ -62,24 +63,39 @@ CROSSED_BOUND = 3  # coefficient bound of a sampled crossed component
 CM4_BOUND = 2      # coefficient bound of a sampled four-by-four entry
 
 
-def random_poly(rng: random.Random, max_deg: int, bound: int, density: float) -> dict[int, int]:
-    """Integer coefficients in [-bound, bound]: one rng.random() per
-    exponent in [-max_deg, max_deg], then one rng.randint() per kept one."""
-    c = {e: rng.randint(-bound, bound)
-         for e in range(-max_deg, max_deg + 1) if rng.random() < density}
-    return {e: a for e, a in c.items() if a}
-
-
-def random_crossed(rng: random.Random, max_deg: int) -> CrossedElement:
-    return CrossedElement(random_poly(rng, max_deg, CROSSED_BOUND, 0.4),
-                          random_poly(rng, max_deg, CROSSED_BOUND, 0.4))
-
-
 # ---------------- packed maps --------------------------------------------------
 
 Packed = tuple[int, int, int, int]   # (P, Pb, Q, Qb) of p + A q
 Sheet = tuple[tuple[int, ...], ...]  # a square matrix of packed entries
 PMat = tuple[Sheet, Sheet]           # (M, Mb), Mb the entrywise bar of M
+
+
+def draw(rng: random.Random, bound: int) -> int:
+    """rng.randint(-bound, bound) as CPython 3.10-3.13 draws it, minus its frames."""
+    n = 2 * bound + 1
+    w = n.bit_length()
+    r = rng.getrandbits(w)
+    while r >= n:
+        r = rng.getrandbits(w)
+    return r - bound
+
+
+def sample_pair(rng: random.Random, max_deg: int, bound: int, density: float,
+                k: int) -> tuple[int, int]:
+    """(P, Pb) of a polynomial in [-bound, bound] at lowest exponent -max_deg:
+    one rng.random() per exponent e, then one draw per kept one."""
+    P = Pb = 0
+    for e in range(-max_deg, max_deg + 1):
+        if rng.random() < density:
+            c = draw(rng, bound)
+            P += c << k * (e + max_deg)
+            Pb += c << k * (max_deg - e)
+    return P, Pb
+
+
+def sample_crossed(rng: random.Random, max_deg: int, k: int) -> Packed:
+    return (sample_pair(rng, max_deg, CROSSED_BOUND, 0.4, k)
+            + sample_pair(rng, max_deg, CROSSED_BOUND, 0.4, k))
 
 
 def _bits(norm: int) -> int:
@@ -117,13 +133,9 @@ def hom_bits(max_deg: int) -> dict[str, int]:
             "cm4": _bits(32 * m ** 3)}
 
 
-def pack_pair(p: Mapping[int, int], lo: int, k: int) -> tuple[int, int]:
-    """(P, Pb): p and bar(p) packed at lowest exponent lo and width k."""
-    return laurent.pack(p, lo, k), laurent.pack(bar(p), lo, k)
-
-
 def pack_crossed(x: CrossedElement, lo: int, k: int) -> Packed:
-    return pack_pair(x.p, lo, k) + pack_pair(x.q, lo, k)
+    """(P, Pb, Q, Qb): p, bar(p), q and bar(q) packed at lowest exponent lo."""
+    return tuple(laurent.pack(f, lo, k) for g in (x.p, x.q) for f in (g, bar(g)))
 
 
 def crossed_mul(x: Packed, y: Packed) -> Packed:
@@ -186,11 +198,10 @@ def spectrum_map(m: PMat, lo: int, k: int) -> tuple[PMat, int, int]:
 
 def check_realization_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     rng = random.Random(seed)
-    k, lo = hom_bits(max_deg)["realization"], -max_deg
+    k = hom_bits(max_deg)["realization"]
     failures = 0
     for _ in range(pairs):
-        x = pack_crossed(random_crossed(rng, max_deg), lo, k)
-        y = pack_crossed(random_crossed(rng, max_deg), lo, k)
+        x, y = sample_crossed(rng, max_deg, k), sample_crossed(rng, max_deg, k)
         lhs = matrix_realization(tuple(2 * v for v in crossed_mul(x, y)))  # 2 2M(xy)
         rhs = mat2_mul(matrix_realization(x), matrix_realization(y))
         failures += lhs != rhs or not constrained2(lhs)
@@ -202,8 +213,8 @@ def check_spectrum_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dic
     k, lo = hom_bits(max_deg)["spectrum"], -max_deg
     failures = 0
     for _ in range(pairs):
-        x = matrix_realization(pack_crossed(random_crossed(rng, max_deg), lo, k))
-        y = matrix_realization(pack_crossed(random_crossed(rng, max_deg), lo, k))
+        x = matrix_realization(sample_crossed(rng, max_deg, k))
+        y = matrix_realization(sample_crossed(rng, max_deg, k))
         mx, px, nx = spectrum_map(x, lo, k)
         my, py, ny = spectrum_map(y, lo, k)
         mz, pz, nz = spectrum_map(mat2_mul(x, y), 2 * lo, k)
@@ -247,12 +258,10 @@ _SOURCE.update({ij: (f"a{pi}{pj}", True) for ij, (pi, pj) in _PARTNER.items()})
 PCM4 = tuple[Sheet, Sheet, Sheet]  # (X, Xb, R): entries, their bars, reflection scalars
 
 
-def pack_cm4(slots: Mapping[str, Mapping[int, int]], lo: int, k: int,
-             refl: Sheet = ((0, 0), (0, 0))) -> PCM4:
+def pack_cm4(pairs: Mapping[str, tuple[int, int]], refl: Sheet = ((0, 0), (0, 0))) -> PCM4:
     """X holds every entry packed, a class function by its pair-class line,
     Xb their bars, and R = refl the reflection scalars of the upper left
-    block.  slots maps a field to its raw polynomial; a missing one is 0."""
-    pairs = {f: pack_pair(slots.get(f, {}), lo, k) for f in _FIELDS}
+    block.  pairs maps each field to its packed pair (P, Pb)."""
     flat = [[pairs[f][side ^ barred] for f, barred in _SOURCE.values()] for side in (0, 1)]
     X, Xb = (tuple(tuple(v[i:i + 4]) for i in range(0, 16, 4)) for v in flat)
     return X, Xb, refl
@@ -294,35 +303,33 @@ def check_psi_hom(pairs: int = 100, max_deg: int = 8, seed: int = 0) -> dict:
     k, lo = hom_bits(max_deg)["psi"], -max_deg
     failures = 0
     for _ in range(pairs):
-        lam1 = rng.randint(-4, 4)
-        lam2 = rng.randint(-4, 4)
-        x = pack_crossed(random_crossed(rng, max_deg), lo, k)
-        y = pack_crossed(random_crossed(rng, max_deg), lo, k)
+        lam1, lam2 = draw(rng, 4), draw(rng, 4)
+        x, y = sample_crossed(rng, max_deg, k), sample_crossed(rng, max_deg, k)
         lhs = psi_embed(lam1 * lam2, crossed_mul(x, y), 2 * lo, k)
         rhs = cm4_mul(psi_embed(lam1, x, lo, k), psi_embed(lam2, y, lo, k))
         failures += lhs != rhs
     return {"checked": pairs, "failures": failures}
 
 
-def random_cm4(rng: random.Random, max_deg: int, lo: int, k: int) -> PCM4:
-    """Draw the ten slots in _FIELDS order, a class function as p + bar p
-    followed by its reflection scalar, and pack them at lo and width k."""
-    slots, refl = {}, []
+def random_cm4(rng: random.Random, max_deg: int, k: int) -> PCM4:
+    """Draw the ten slots in _FIELDS order at lowest exponent -max_deg, a
+    class function as p + bar p followed by its reflection scalar."""
+    pairs, refl = {}, []
     for f in _FIELDS:
-        p = random_poly(rng, max_deg, CM4_BOUND, 0.35)
+        P, Pb = sample_pair(rng, max_deg, CM4_BOUND, 0.35, k)
         if f.startswith("rf"):
-            p = laurent.acc_scaled(bar(p), p, 1)
-            refl.append(rng.randint(-3, 3))
-        slots[f] = p
-    return pack_cm4(slots, lo, k, (tuple(refl[:2]), tuple(refl[2:])))
+            P = Pb = P + Pb
+            refl.append(draw(rng, 3))
+        pairs[f] = P, Pb
+    return pack_cm4(pairs, (tuple(refl[:2]), tuple(refl[2:])))
 
 
 def check_cm4_associativity(triples: int = 50, max_deg: int = 4, seed: int = 0) -> dict:
     rng = random.Random(seed)
-    k, lo = hom_bits(max_deg)["cm4"], -max_deg
+    k = hom_bits(max_deg)["cm4"]
     failures = 0
     for _ in range(triples):
-        a, b, c = (random_cm4(rng, max_deg, lo, k) for _ in range(3))
+        a, b, c = (random_cm4(rng, max_deg, k) for _ in range(3))
         failures += cm4_mul(cm4_mul(a, b), c) != cm4_mul(a, cm4_mul(b, c))
     return {"checked": triples, "failures": failures}
 

@@ -262,6 +262,8 @@ class TorusAction:
 
     def __post_init__(self):
         self.matrices = [tuple(map(tuple, m)) for m in self.matrices]
+        if len(self.names) != len(self.matrices):
+            raise ExtQuotError("names and matrices list groups of different orders")
         index = {m: i for i, m in enumerate(self.matrices)}
         if len(index) != len(self.matrices):
             raise ExtQuotError("action has repeated matrices")

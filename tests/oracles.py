@@ -19,6 +19,9 @@ reaches; what the tests compare it against lives here.
 * Rational linear algebra: Gauss-Jordan elimination over `Fraction`s,
   every pivot scaled to 1, and the rank it gives; the program's
   eliminator is fraction-free and is checked against it.
+* Crossed-product samplers: `random_poly` and `random_crossed`, the raw
+  dicts the hom checks once drew and then packed; the program draws the
+  same numbers straight into packed pairs and is checked against them.
 * Value-type readers the program does not need: `monomial` (c v^e as a
   LaurentPoly), `barred` (v -> v^-1 on a LaurentPoly, through the
   program's raw `bar`), `p_row` (the KL row of one z, relabelled from the
@@ -47,6 +50,7 @@ reaches; what the tests compare it against lives here.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -61,6 +65,7 @@ from heckequot.coxeter import (
     mat_vec,
     perm_matrix,
 )
+from heckequot.crossprod import CROSSED_BOUND, CrossedElement
 from heckequot.extquot import (
     LINE,
     LINE_INV,
@@ -316,6 +321,22 @@ def fraction_row_reduce(rows, ncols: int | None = None) -> tuple[list[list[Fract
 
 def fraction_rank(rows) -> int:
     return len(fraction_row_reduce(rows)[1])
+
+
+# ---- crossed-product samplers -----------------------------------------------------
+
+
+def random_poly(rng: random.Random, max_deg: int, bound: int, density: float) -> dict[int, int]:
+    """Integer coefficients in [-bound, bound]: one rng.random() per
+    exponent in [-max_deg, max_deg], then one rng.randint() per kept one."""
+    c = {e: rng.randint(-bound, bound)
+         for e in range(-max_deg, max_deg + 1) if rng.random() < density}
+    return {e: a for e, a in c.items() if a}
+
+
+def random_crossed(rng: random.Random, max_deg: int) -> CrossedElement:
+    return CrossedElement(random_poly(rng, max_deg, CROSSED_BOUND, 0.4),
+                          random_poly(rng, max_deg, CROSSED_BOUND, 0.4))
 
 
 # ---- value-type readers ----------------------------------------------------------

@@ -396,3 +396,12 @@ def test_the_orbit_code_names_no_fraction():
         named = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
         named |= {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
         assert not named & FRACTION_NAMES, name
+
+
+def test_crossprod_draws_without_randint():
+    # the hom checks sample through crossprod.draw, which makes randint's
+    # draws without its randrange and _randbelow frames on every coefficient
+    tree = ast.parse((ROOT / "src" / "heckequot" / "crossprod.py").read_text())
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not named & {"randint", "randrange"}

@@ -21,6 +21,7 @@ from heckequot.crossprod import (
     constrained2,
     crossed_mul,
     crossed_t,
+    draw,
     evaluate_module,
     evaluate_reflection_class,
     hom_bits,
@@ -28,14 +29,14 @@ from heckequot.crossprod import (
     matrix_realization,
     pack_cm4,
     pack_crossed,
-    pack_pair,
     prim_census,
     psi_embed,
     random_cm4,
-    random_crossed,
+    sample_crossed,
+    sample_pair,
     spectrum_map,
 )
-from oracles import barred, fraction_rank, fraction_row_reduce
+from oracles import barred, fraction_rank, fraction_row_reduce, random_crossed, random_poly
 
 # a width and lowest exponent for the small hand-made elements below
 K, LO = 8, -4
@@ -61,6 +62,17 @@ def _pmat(rows, lo=LO):
 
 def _double(x):
     return tuple(2 * v for v in x)
+
+
+def pack_pair(p, lo, k):
+    """(P, Pb): p and bar(p) packed at lowest exponent lo and width k."""
+    return laurent.pack(p, lo, k), laurent.pack(laurent.bar(p), lo, k)
+
+
+def _cm4(slots, lo=LO, refl=((0, 0), (0, 0))):
+    """The packed four-by-four element of raw polynomial slots, a missing
+    slot 0."""
+    return pack_cm4({f: pack_pair(slots.get(f, {}), lo, K) for f in crossprod._FIELDS}, refl)
 
 
 # ---- crossed algebra --------------------------------------------------------
@@ -164,19 +176,57 @@ def _decoded(sheet, lo, k):
 def test_samples_equal_the_fraction_built_ones():
     # the report prints only checked/failures, so a changed sample would
     # pass the report's byte check unnoticed
-    k = hom_bits(4)["cm4"]
+    k8, k = hom_bits(8)["psi"], hom_bits(4)["cm4"]  # the narrowest widths
     for seed in range(16):
         rng, ref = random.Random(seed), random.Random(seed)
-        x = random_crossed(rng, 8)
-        assert (LaurentPoly(x.p), LaurentPoly(x.q)) == (
-            _fraction_poly(ref, 8, 3, 0.4), _fraction_poly(ref, 8, 3, 0.4))
-        assert all(type(a) is int and a for p in (x.p, x.q) for a in p.values())
+        x = sample_crossed(rng, 8, k8)
+        p, q = _fraction_poly(ref, 8, 3, 0.4), _fraction_poly(ref, 8, 3, 0.4)
+        assert [LaurentPoly(laurent.unpack(H, -8, k8)) for H in x] == [
+            p, barred(p), q, barred(q)]
+        assert all(type(H) is int for H in x)
         assert rng.getstate() == ref.getstate()
-        X, Xb, R = random_cm4(rng, 4, -4, k)
+        X, Xb, R = random_cm4(rng, 4, k)
         rows, refl = _fraction_cm4(ref, 4)
         assert _decoded(X, -4, k) == rows
         assert _decoded(Xb, -4, k) == [[barred(e) for e in row] for row in rows]
         assert R == refl and all(type(a) is int for row in R for a in row)
+        assert rng.getstate() == ref.getstate()
+
+
+# (max_deg, bound, density): the checks' own, then the corners
+SAMPLER_CASES = [(8, 3, 0.4), (4, 2, 0.35), (0, 3, 0.4), (5, 0, 0.5), (6, 3, 0.0),
+                 (6, 3, 1.0), (0, 0, 1.0), (3, 7, 1.0), (2, 1, 0.0)]
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES, ids=str)
+def test_packed_samples_equal_the_reference_draws(case):
+    # the packed sampler draws exactly what the dict sampler drew: the same
+    # polynomial and its bar, from the same numbers in the same order
+    max_deg, bound, density = case
+    # one bit above the least width holding [-bound, bound], so that a draw
+    # one past the bound still decodes (and unpack never runs at width 1)
+    k = bound.bit_length() + 2
+    for seed in range(64):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            P, Pb = sample_pair(rng, max_deg, bound, density, k)
+            p = random_poly(ref, max_deg, bound, density)
+            assert laurent.unpack(P, -max_deg, k) == p
+            assert laurent.unpack(Pb, -max_deg, k) == laurent.bar(p)
+            assert (P, Pb) == pack_pair(p, -max_deg, k)
+            assert rng.getstate() == ref.getstate()
+        x, y = sample_crossed(rng, max_deg, WIDE), random_crossed(ref, max_deg)
+        assert x == pack_crossed(y, -max_deg, WIDE)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_draw_is_randint():
+    # a seed names the samples rng.randint(-b, b) drew on the running
+    # interpreter; draw must make the same draws without its frames
+    for bound in range(40):
+        rng, ref = random.Random(bound), random.Random(bound)
+        assert [draw(rng, bound) for _ in range(300)] == [
+            ref.randint(-bound, bound) for _ in range(300)]
         assert rng.getstate() == ref.getstate()
 
 
@@ -293,8 +343,7 @@ def test_compared_entries_fit_the_check_widths(seed):
     bits8, bits4 = hom_bits(8), hom_bits(4)
     rng, top = random.Random(seed), 0
     for _ in range(100):
-        x = pack_crossed(random_crossed(rng, 8), -8, WIDE)
-        y = pack_crossed(random_crossed(rng, 8), -8, WIDE)
+        x, y = sample_crossed(rng, 8, WIDE), sample_crossed(rng, 8, WIDE)
         top = max(top, _largest_coefficient(
             matrix_realization(_double(crossed_mul(x, y)))[0],
             mat2_mul(matrix_realization(x), matrix_realization(y))[0]))
@@ -302,8 +351,8 @@ def test_compared_entries_fit_the_check_widths(seed):
 
     rng, top = random.Random(seed), 0
     for _ in range(100):
-        x = matrix_realization(pack_crossed(random_crossed(rng, 8), -8, WIDE))
-        y = matrix_realization(pack_crossed(random_crossed(rng, 8), -8, WIDE))
+        x = matrix_realization(sample_crossed(rng, 8, WIDE))
+        y = matrix_realization(sample_crossed(rng, 8, WIDE))
         xy = mat2_mul(x, y)
         mx, my, mz = (spectrum_map(m, lo, WIDE)[0] for m, lo in ((x, -8), (y, -8), (xy, -16)))
         top = max(top, _largest_coefficient(x[0], y[0], xy[0], mz[0], mat2_mul(mx, my)[0]))
@@ -311,9 +360,8 @@ def test_compared_entries_fit_the_check_widths(seed):
 
     rng, top = random.Random(seed), 0
     for _ in range(100):
-        lam1, lam2 = rng.randint(-4, 4), rng.randint(-4, 4)
-        x = pack_crossed(random_crossed(rng, 8), -8, WIDE)
-        y = pack_crossed(random_crossed(rng, 8), -8, WIDE)
+        lam1, lam2 = draw(rng, 4), draw(rng, 4)
+        x, y = sample_crossed(rng, 8, WIDE), sample_crossed(rng, 8, WIDE)
         lhs = psi_embed(lam1 * lam2, crossed_mul(x, y), -16, WIDE)
         rhs = cm4_mul(psi_embed(lam1, x, -8, WIDE), psi_embed(lam2, y, -8, WIDE))
         top = max(top, _largest_coefficient(lhs[0], rhs[0]))
@@ -321,7 +369,7 @@ def test_compared_entries_fit_the_check_widths(seed):
 
     rng, top = random.Random(seed), 0
     for _ in range(50):
-        a, b, c = (random_cm4(rng, 4, -4, WIDE) for _ in range(3))
+        a, b, c = (random_cm4(rng, 4, WIDE) for _ in range(3))
         ab, bc = cm4_mul(a, b), cm4_mul(b, c)
         top = max(top, _largest_coefficient(ab[0], bc[0], cm4_mul(ab, c)[0], cm4_mul(a, bc)[0]))
     assert top < 1 << bits4["cm4"] - 1
@@ -335,7 +383,7 @@ def test_injectivity_window():
 
 
 def _single(field, value, lo=LO, refl=((0, 0), (0, 0))):
-    return pack_cm4({field: value}, lo, K, refl)
+    return _cm4({field: value}, lo, refl)
 
 
 def _zip_with(op, x, y):
@@ -373,7 +421,7 @@ def test_rf_ring_ops():
 
 def test_cm4_identity_and_partner_ties():
     # the identity packed at lowest exponent 0 keeps products at LO
-    one = pack_cm4({"rf11": {0: 1}, "rf22": {0: 1}, "a33": {0: 1}}, 0, K, ((1, 0), (0, 1)))
+    one = _cm4({"rf11": {0: 1}, "rf22": {0: 1}, "a33": {0: 1}}, 0, ((1, 0), (0, 1)))
     X, Xb, _ = _single("a33", {1: 1})
     assert X[2][2] == laurent.pack({1: 1}, LO, K)
     assert X[3][3] == laurent.pack({-1: 1}, LO, K)
@@ -456,7 +504,7 @@ def test_census_rows_match_the_packed_spanning_set(z):
         else:
             values = [{k: 1} for k in range(-2, 3)]
         for v in values:
-            X = pack_cm4({f: v}, -2, K)[0]
+            X = _cm4({f: v}, -2)[0]
             expect.append([LaurentPoly(laurent.unpack(H, -2, K)).evaluate(z)
                            for row in X for H in row])
     assert crossprod._spanning_rows(Fraction(z)) == expect

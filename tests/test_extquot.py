@@ -261,6 +261,12 @@ def test_perms_and_matrices_must_list_groups_of_one_order():
                     group_label="S3", perms=s3.perms)
 
 
+def test_names_and_matrices_must_list_groups_of_one_order():
+    # a short names list would only fail later, naming the classes
+    with pytest.raises(ExtQuotError, match="names and matrices"):
+        TorusAction(rank=1, matrices=[[[1]], [[-1]]], names=["1"], group_label="x")
+
+
 GROUP_ACTIONS = {
     "so5": so5_weyl_on_torus,
     **{f"s{n}": lambda n=n: symmetric_on_torus(n) for n in range(1, 7)},
