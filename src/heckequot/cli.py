@@ -153,19 +153,20 @@ def cache_filename(family: str, radius: int) -> str:
 
 def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
     """Write the ball's KL table into an existing directory, or compare it
-    with what is already there, line by line as hb.cache_lines() yields it.
+    with what is already there, chunk by chunk as hb.cache_chunks() yields
+    it (one chunk per orbit row), up to the file's last byte.
     Returns (path, "written" | "hit" | "mismatch")."""
     path = directory / cache_filename(hb.pres.family, hb.radius)
-    lines = (line + "\n" for line in hb.cache_lines())
+    chunks = hb.cache_chunks()
     if path.exists():
         try:
-            with path.open(encoding="utf-8") as f:  # a missing or an extra line meets None
-                same = all(a == b for a, b in itertools.zip_longest(f, lines))
+            with path.open(encoding="utf-8") as f:  # the file must end where the dump does
+                same = all(f.read(len(chunk)) == chunk for chunk in chunks) and not f.read(1)
         except UnicodeDecodeError:  # not text this program wrote
             same = False
         return path, "hit" if same else "mismatch"
     with path.open("w", encoding="utf-8") as f:
-        f.writelines(lines)
+        f.writelines(chunks)
     return path, "written"
 
 

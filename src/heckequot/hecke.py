@@ -33,11 +33,11 @@ both tables up to relabelling: p_{y,z} = p_{gy,gz} = p_{y^-1,z^-1} and
 h_{x,y,z} = h_{gx,gy,gz} = h_{y^-1,x^-1,z^-1}.  The KL recursion runs for
 one z per orbit, and the table holds that row once for the whole orbit:
 each z reads it, and its mu-coefficients, through the g that carries the
-orbit's least element onto z; the cache text (cache_lines, a generator)
-holds that row once too.  Product rows c_x c_y are computed with the
-longer factor on the left: for one x per Omega-conjugacy orbit and the y
-with l(y) <= min(l(x), R - l(x)), so a pair and its inverse mirror are
-both computed only when l(x) = l(y).  Each row is worked once: a(z) and
+orbit's least element onto z; the cache text (cache_chunks, a generator)
+holds that row once too, as one chunk.  Product rows c_x c_y are computed
+with the longer factor on the left: for one x per Omega-conjugacy orbit and
+the y with l(y) <= min(l(x), R - l(x)), so a pair and its inverse mirror
+are both computed only when l(x) = l(y).  Each row is worked once: a(z) and
 its certificate come from the max degree over z's orbit, in two columns
 (budgets <= R - m and above), and the gamma table is kept per computed
 row, relabelled for any other pair when it is looked up (_rep).
@@ -302,21 +302,6 @@ class HeckeBall:
             if j >= 0 and ln[j] < ln[i]:
                 return j, s
         return None
-
-    def _word(self, i: int) -> tuple[list[int], int]:
-        """Left-greedy reduced word (s_1, ..., s_m) of x = ball[i], each s_j the
-        first generator that shortens s_{j-1} ... s_1 x from the left, and the k
-        with x = s_1 ... s_m omega_k."""
-        word, ngen, inv, rm, ln = [], len(self.gens), self._inv, self._rm, self._len
-        while ln[i]:
-            for s in range(ngen):
-                # s * x = (x^-1 s)^-1; outside the ball it is longer than x
-                j = rm[inv[i] * ngen + s]
-                if j >= 0 and ln[j] < ln[i]:
-                    word.append(s)
-                    i = inv[j]
-                    break
-        return word, self._omi[i]
 
     # ---------------- Kazhdan-Lusztig recursion -------------------------
     def _kl_bits(self) -> int:
@@ -828,29 +813,49 @@ class HeckeBall:
         return {rom[g[zi] * nom + omx]: unpack(H, lo, k) for zi, H in self._h_for_dist[key].items()}
 
     # ---------------- cache text --------------------------------------------
-    def cache_lines(self) -> Iterator[str]:
-        """The KL table as text, yielded one line at a time.
+    def cache_chunks(self) -> Iterator[str]:
+        """The KL table as text, in newline-terminated chunks.
 
-        One header line; an E line "E i word=.. omega=w.. len=.. trans=(..)
-        fin=f.." per W' element, with its left-greedy reduced word; then a P
-        line "P y z poly" per nonzero p_{y,z}, z the least W' index of its
-        _syms orbit (g gives the rest, p_{g(y),g(z)} = p_{y,z}).  Indices refer
-        to the E lines; each interned polynomial is formatted once.  Order and
-        text are canonical, so two computations of a ball dump the same bytes."""
-        names, p, ident = self.pres.gen_names, self._p, self._syms[0]
-        yield f"# {CACHE_SCHEMA} family={self.pres.family} radius={self.radius} elements={len(self.wp)}"
+        The header line; then an E line "E i word=.. omega=w.. len=..
+        trans=(..) fin=f.." per W' element, with its left-greedy reduced
+        word, 64 lines to a chunk; then one chunk per row of the table, the P
+        lines "P y z poly" of the nonzero p_{y,z}, z the least W' index of its
+        _syms orbit (g gives the rest, p_{g(y),g(z)} = p_{y,z}).  Indices
+        refer to the E lines; each interned polynomial is formatted once.
+        Order and text are canonical, so two computations of a ball dump the
+        same bytes."""
+        names, p, ident, wl = self.pres.gen_names, self._p, self._syms[0], self.wp_len
+        ngen, wrm, wp_inv = len(self.gens), self._wrm, self.wp_inv
+        yield f"# {CACHE_SCHEMA} family={self.pres.family} radius={self.radius} elements={len(self.wp)}\n"
+        # the word of x is s, the first generator with l(s x) < l(x), then the
+        # word of the shorter s x = (x^-1 s)^-1, which W' order puts first; x
+        # lies in W', so its Omega part is the identity
+        words, batch = ["e"], []
         for i, x in enumerate(self.wp):
-            word, om = self._word(self._rom[i * self._nom])
-            yield (f"E {i} word={'.'.join(names[s] for s in word) or 'e'} omega=w{om} "
-                   f"len={x.length} trans=({','.join(map(str, x.trans))}) fin=f{x.fin}")
-        text: dict[int, str] = {}  # id of an interned polynomial -> its text
+            if i:
+                at = wp_inv[i] * ngen
+                for s in range(ngen):  # outside the ball, s x is longer than x
+                    j = wrm[at + s]
+                    if j >= 0 and wl[j] < wl[i]:
+                        break
+                rest = words[wp_inv[j]]
+                words.append(names[s] if rest == "e" else f"{names[s]}.{rest}")
+            batch.append(f"E {i} word={words[i]} omega=w0 len={x.length} "
+                         f"trans=({','.join(map(str, x.trans))}) fin=f{x.fin}\n")
+            if len(batch) == 64 or i == len(wl) - 1:
+                yield "".join(batch)
+                batch.clear()
+        del words  # the rows need none of it, and the dump holds one chunk at a time
+        prefix = [f"P {yi} " for yi in range(len(wl))]
+        text: dict[int, str] = {}  # id of an interned polynomial -> its text, newline included
         for zi, g in enumerate(self._pg):
             if g is ident:
-                for yi in sorted(p[zi]):
-                    q = p[zi][yi]
+                row = p[zi]
+                for q in row.values():
                     if id(q) not in text:
-                        text[id(q)] = LaurentPoly(q).to_str()
-                    yield f"P {yi} {zi} {text[id(q)]}"
+                        text[id(q)] = f"{LaurentPoly._raw(q).to_str()}\n"
+                z = f"{zi} "
+                yield "".join([prefix[yi] + z + text[id(row[yi])] for yi in sorted(row)])
 
     # ---------------- cells -------------------------------------------------
     def _ensure_cells(self) -> None:

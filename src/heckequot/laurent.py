@@ -97,7 +97,12 @@ def pack(c: Mapping[int, int], lo: int, k: int) -> int:
 
 
 def unpack(H: int, lo: int, k: int) -> dict[int, int]:
-    """The raw polynomial packed as H by pack(., lo, k), in balanced digits."""
+    """The raw polynomial packed as H by pack(., lo, k), in balanced digits.
+
+    A width below 2 is refused: at k = 1 the digits are -1 and 0, and the
+    loop would map a positive H onto itself forever."""
+    if k < 2:
+        raise LaurentError(f"cannot unpack at width {k}; it must be at least 2")
     out, e, half, mask = {}, lo, 1 << (k - 1), (1 << k) - 1
     while H:
         c = ((H + half) & mask) - half  # the balanced lowest digit

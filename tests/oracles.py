@@ -25,9 +25,11 @@ reaches; what the tests compare it against lives here.
 * Value-type readers the program does not need: `monomial` (c v^e as a
   LaurentPoly), `barred` (v -> v^-1 on a LaurentPoly, through the
   program's raw `bar`), `p_row` (the KL row of one z, relabelled from the
-  orbit row the table holds), `p_poly` and `mu` (a KL polynomial and its
-  v^-1 coefficient, by group element), and `scaled_j` and `scaled_class`
-  (a J element or a graded class times a scalar).
+  orbit row the table holds), `cache_lines` (the cache text line by line,
+  its words from `reduced_word`; the program writes it in chunks, one per
+  orbit row), `p_poly` and `mu` (a KL polynomial and its v^-1
+  coefficient, by group element), and `scaled_j` and `scaled_class` (a J
+  element or a graded class times a scalar).
 * Hecke elements by group element: the program keys them by ball index
   with raw polynomial values; `named` reads one as {GroupElement:
   LaurentPoly}, `hecke_element` builds one from such a dict, and `h_sum`
@@ -74,7 +76,14 @@ from heckequot.extquot import (
     fixed_locus,
     smith_normal_form,
 )
-from heckequot.hecke import XI, BallOverflowError, HeckeElement, HeckeError, UncertifiedError
+from heckequot.hecke import (
+    CACHE_SCHEMA,
+    XI,
+    BallOverflowError,
+    HeckeElement,
+    HeckeError,
+    UncertifiedError,
+)
 from heckequot.laurent import LaurentPoly, acc_mul, acc_scaled, bar
 
 # ---- group presentations -------------------------------------------------------
@@ -357,6 +366,23 @@ def p_row(hb, zi: int) -> dict:
     table holds for z, relabelled through its g, p_{g(y),z} = row[y]."""
     g = hb._pg[zi]
     return {g[yi]: q for yi, q in hb._p[zi].items()}
+
+
+def cache_lines(hb):
+    """The ball's cache text, one line at a time without its newline, as the
+    program once yielded it: the header, one E line per W' element with its
+    left-greedy reduced word from reduced_word, then one P line per nonzero
+    p_{y,z} of each orbit's row, z its least W' index, y in order."""
+    names, p, ident = hb.pres.gen_names, hb._p, hb._syms[0]
+    yield f"# {CACHE_SCHEMA} family={hb.pres.family} radius={hb.radius} elements={len(hb.wp)}"
+    for i, x in enumerate(hb.wp):
+        word, omega = reduced_word(hb.pres, x)
+        yield (f"E {i} word={'.'.join(word) or 'e'} omega=w{hb.omega_elems.index(omega)} "
+               f"len={x.length} trans=({','.join(map(str, x.trans))}) fin=f{x.fin}")
+    for zi, g in enumerate(hb._pg):
+        if g is ident:
+            for yi in sorted(p[zi]):
+                yield f"P {yi} {zi} {LaurentPoly(p[zi][yi]).to_str()}"
 
 
 def p_poly(hb, y: GroupElement, z: GroupElement) -> LaurentPoly:

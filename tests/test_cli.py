@@ -452,22 +452,61 @@ def _drop_last_line(text):
     return text[:text.rindex("\n", 0, -1) + 1]
 
 
+def _orbit_rows(text):
+    """The P lines of a dump, one list per orbit row (one chunk each)."""
+    rows: dict[str, list[str]] = {}
+    for line in text.splitlines(keepends=True):
+        if line.startswith("P "):
+            rows.setdefault(line.split(" ")[2], []).append(line)
+    return list(rows.values())
+
+
+def _change_a_byte_in_a_middle_row(text):
+    rows = _orbit_rows(text)
+    row = rows[len(rows) // 2]
+    line = row[len(row) // 2]
+    at = text.index(line) + len(line) - 2  # the last character before its newline
+    return text[:at] + ("7" if text[at] != "7" else "8") + text[at + 1:]
+
+
+def _cut_after_the_e_lines(text):
+    return text[:text.index("\nP ") + 1]
+
+
+def _move_a_row_head_onto_the_previous_row(text):
+    # the first P line of one orbit row, relabelled into the row before it,
+    # which it then ends; the two z have as many digits, so the length stays
+    rows = _orbit_rows(text)
+    prev, row = next((a, b) for a, b in zip(rows, rows[1:])
+                     if len(a[0].split(" ")[2]) == len(b[0].split(" ")[2]))
+    tag, y, _, poly = row[0].split(" ", 3)
+    moved = " ".join([tag, y, prev[0].split(" ")[2], poly])
+    return text.replace(row[0], moved, 1)
+
+
 @pytest.mark.parametrize("edit", [
     _drop_last_line,
     lambda text: text + text.splitlines()[-1] + "\n",
     lambda text: text + "\n",
     lambda text: text[:-1],
     lambda text: "",
-], ids=["truncated", "extra-line", "extra-blank-line", "no-final-newline", "empty"])
+    _change_a_byte_in_a_middle_row,
+    _cut_after_the_e_lines,
+    _move_a_row_head_onto_the_previous_row,
+], ids=["truncated", "extra-line", "extra-blank-line", "no-final-newline", "empty",
+        "middle-row-byte", "cut-after-e-lines", "row-head-moved-back"])
 def test_cache_compare_reads_both_ends_to_the_last_byte(tmp_path, edit):
-    # the dump is compared line by line as it is produced; a file that ends
-    # early or late is a mismatch, not a hit
+    # the dump is compared chunk by chunk (one per orbit row) as it is
+    # produced; a file that differs inside a chunk, or ends early or late, is
+    # a mismatch, not a hit
     hb = HeckeBall(infinite_dihedral(), 6)
     path, status = cli.cache_store(hb, tmp_path)
     text = path.read_text()
     assert status == "written" and text.splitlines()[-1].startswith("P ")
     assert _drop_last_line(text) + text.splitlines()[-1] + "\n" == text
     assert edit(text) != text
+    if edit is _move_a_row_head_onto_the_previous_row:
+        assert len(edit(text)) == len(text)
     path.write_text(edit(text))
     assert cli.cache_store(hb, tmp_path) == (path, "mismatch")
     path.write_text(text)

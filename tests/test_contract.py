@@ -100,11 +100,11 @@ def test_ball_exposes_what_the_tracer_hooks_read(tmp_path):
 
 
 def test_the_cache_dump_is_streamed(tmp_path):
-    # cache_lines yields the dump a line at a time, and cache_store writes
-    # and compares the lines as they come, holding neither the list of lines
-    # nor the text: the tracemalloc peak of a B2 r16 write, and of a hit,
-    # stays below half of the 372,226-byte file
-    assert inspect.isgeneratorfunction(HeckeBall.cache_lines)
+    # cache_chunks yields the dump a chunk at a time (one per orbit row),
+    # and cache_store writes and compares the chunks as they come, holding
+    # neither the list of chunks nor the text: the tracemalloc peak of a B2
+    # r16 write, and of a hit, stays below half of the 372,226-byte file
+    assert inspect.isgeneratorfunction(HeckeBall.cache_chunks)
     hb = HeckeBall(extended_affine_b2(), 16)
     for expected in ("written", "hit"):
         tracemalloc.start()

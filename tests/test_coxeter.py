@@ -272,7 +272,8 @@ def test_weyl_table_needs_generating_finite_parts():
 
 def _element_lines(hb):
     """{W' index: text} of the ball's cache E lines "E i <text>"."""
-    return {int(i): text for tag, i, text in (line.split(" ", 2) for line in hb.cache_lines()) if tag == "E"}
+    lines = "".join(hb.cache_chunks()).splitlines()
+    return {int(i): text for tag, i, text in (line.split(" ", 2) for line in lines) if tag == "E"}
 
 
 @pytest.mark.parametrize(

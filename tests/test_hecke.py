@@ -6,7 +6,6 @@ the whole table.  The streamed structure constants are cross-checked by
 recomputing every row along an independent multiplication route.
 """
 
-import itertools
 from collections import Counter
 
 import pytest
@@ -23,6 +22,7 @@ from heckequot.laurent import LaurentPoly, unpack
 from oracles import (
     barred,
     c_to_t,
+    cache_lines,
     dagger_by_words,
     h_constants,
     h_scaled,
@@ -493,14 +493,14 @@ def test_no_left_cell_holds_two_distinguished_involutions(factory, radius, witho
 
 def test_cache_header(dih8):
     assert (
-        next(dih8.cache_lines())
+        "".join(dih8.cache_chunks()).splitlines()[0]
         == f"# {CACHE_SCHEMA} family=InfiniteDihedral radius=8 elements=17"
     )
 
 
 def test_cache_line_counts(dih8):
     # one P row per orbit of w -> w^-1: 105 of the 145 nonzero p_{y,z}
-    lines = list(dih8.cache_lines())
+    lines = "".join(dih8.cache_chunks()).splitlines()
     tags = [line.split(" ", 1)[0] for line in lines]
     assert tags.count("E") == 17
     assert tags.count("P") == 105
@@ -518,7 +518,8 @@ def test_cache_rows_expand_through_the_symmetries_to_the_whole_table(factory, ra
     # _syms gives back every row of the table, each entry with one text
     hb = HeckeBall(factory(), radius)
     # the P lines are all that follow the header and the |W'| E lines
-    dumped = [line.split(" ", 3) for line in itertools.islice(hb.cache_lines(), 1 + len(hb.wp), None)]
+    lines = "".join(hb.cache_chunks()).splitlines()
+    dumped = [line.split(" ", 3) for line in lines[1 + len(hb.wp):]]
     assert {tag for tag, *_ in dumped} == {"P"}
     rows = {int(z) for _, _, z, _ in dumped}
     expanded: dict[tuple[int, int], str] = {}
@@ -533,4 +534,27 @@ def test_cache_rows_expand_through_the_symmetries_to_the_whole_table(factory, ra
 
 def test_cache_lines_deterministic(dih8):
     fresh = HeckeBall(infinite_dihedral(), 8)
-    assert list(fresh.cache_lines()) == list(dih8.cache_lines())
+    assert list(fresh.cache_chunks()) == list(dih8.cache_chunks())
+
+
+@pytest.mark.parametrize(
+    "factory, radius",
+    [(infinite_dihedral, 8), (infinite_dihedral, 24), (extended_affine_b2, 12),
+     (extended_affine_b2, 16), (lambda: extended_affine_pgl(3), 8),
+     (lambda: extended_affine_pgl(4), 9)],
+    ids=["dihedral-r8", "dihedral-r24", "b2-r12", "b2-r16", "pgl3-r8", "pgl4-r9"],
+)
+def test_cache_chunks_are_the_reference_text_one_orbit_row_each(factory, radius):
+    # byte for byte the line-at-a-time dump with words from the group's own
+    # multiplication; after the header and the E lines, each chunk is the
+    # whole row of one orbit's least z (PGL(4) has |Omega| > 1, so rows shared
+    # along an orbit are dumped once)
+    hb = HeckeBall(factory(), radius)
+    chunks = list(hb.cache_chunks())
+    assert "".join(chunks) == "".join(line + "\n" for line in cache_lines(hb))
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    rows = [chunk.splitlines() for chunk in chunks if chunk.startswith("P ")]
+    heads = [zi for zi, g in enumerate(hb._pg) if g is hb._syms[0]]
+    assert [{line.split(" ")[2] for line in row} for row in rows] == [{str(zi)} for zi in heads]
+    assert [len(row) for row in rows] == [len(hb._p[zi]) for zi in heads]
+    assert sum(map(len, rows)) + 1 + len(hb.wp) == sum(chunk.count("\n") for chunk in chunks)

@@ -85,6 +85,7 @@ def hb(request):
 def test_ball_tables_match_multiply(hb):
     pres, elems = hb.pres, hb.ball.elements
     ngen = len(hb.gens)
+    lines = "".join(hb.cache_chunks()).splitlines()
     for i, x in enumerate(elems):
         assert hb._len[i] == x.length == pres.length_of(x.trans, x.fin) == alcove_length(pres, x)
         assert elems[hb._inv[i]] == pres.inverse(x)
@@ -96,8 +97,11 @@ def test_ball_tables_match_multiply(hb):
         for k, om in enumerate(hb.omega_elems):
             assert elems[hb._right_omega(i, k)] == pres.multiply(x, om)
             assert elems[hb._left_omega(i, k)] == pres.multiply(om, x)
-        word, k = hb._word(i)
-        assert ([pres.gen_names[s] for s in word], hb.omega_elems[k]) == reduced_word(pres, x)
+        if x in hb.wp_index:  # its E line in the cache dump, built along the left table
+            word, omega = reduced_word(pres, x)
+            j = hb.wp_index[x]
+            assert lines[1 + j].startswith(
+                f"E {j} word={'.'.join(word) or 'e'} omega=w{hb.omega_elems.index(omega)} ")
 
 
 def test_wprime_tables_match_multiply(hb):
@@ -287,7 +291,7 @@ def test_t_basis_layer_never_writes_into_the_kl_table(factory, radius):
     # shared by every entry equal to it and by a whole orbit's rows; a write
     # into one through any operand would change all of them
     hb = HeckeBall(factory(), radius)
-    lines, table = list(hb.cache_lines()), copy.deepcopy(hb._p)
+    lines, table = "".join(hb.cache_chunks()).splitlines(), copy.deepcopy(hb._p)
     J = JRing(hb)
     pool = [x for x in hb.ball if x.length <= 2]
     assert any(x.omega_index() for x in pool) == (factory is extended_affine_b2)
@@ -307,7 +311,7 @@ def test_t_basis_layer_never_writes_into_the_kl_table(factory, radius):
         central.append(bernstein_central_dihedral(hb))
     for z in central:
         assert all(r["central"] for r in J.center_commutation_check(z, (1, 4)))
-    assert list(hb.cache_lines()) == lines
+    assert "".join(hb.cache_chunks()).splitlines() == lines
     assert hb._p == table
 
 
@@ -702,7 +706,7 @@ def test_kl_table_holds_one_row_and_one_mu_list_per_symmetry_orbit(factory, radi
     # row[y], and the recursion's mu list is shared along the orbit too
     hb = HeckeBall(factory(), radius)
     assert len({id(row) for row in hb._p}) == len({id(mus) for mus in hb._mus}) == orbits
-    dumped = [line.split(" ", 3) for line in hb.cache_lines() if line.startswith("P ")]
+    dumped = [line.split(" ", 3) for line in "".join(hb.cache_chunks()).splitlines() if line.startswith("P ")]
     assert len({z for _, _, z, _ in dumped}) == orbits
     expanded = {(g[int(y)], g[int(z)]): text for _, y, z, text in dumped for g in hb._syms}
     rows = [p_row(hb, zi) for zi in range(len(hb.wp))]

@@ -1,11 +1,16 @@
 """Exact Laurent polynomial arithmetic, bar symmetry, decomposition."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from heckequot import laurent
 from heckequot.laurent import (
     BalancedPair,
     LaurentError,
@@ -294,10 +299,42 @@ def test_pack_matches_the_definition_and_refuses_low_exponents():
 
 @given(int_polys, st.integers(min_value=-9, max_value=0))
 def test_unpack_inverts_pack_at_a_wide_enough_width(p, shift):
-    # balanced digits decode exactly once every coefficient is below 2^(k-1)
-    k = max((abs(a) for a in p.c.values()), default=0).bit_length() + 1
+    # balanced digits decode exactly once every coefficient is below 2^(k-1);
+    # the zero polynomial takes 2, the narrowest width unpack accepts
+    k = max((abs(a) for a in p.c.values()), default=1).bit_length() + 1
     lo = min(p.c, default=0) + shift
     assert unpack(pack(p.c, lo, k), lo, k) == p.c
+
+
+def test_unpack_refuses_a_width_below_two():
+    # at width 1 the balanced digits are -1 and 0, and the digit loop maps
+    # H = 1 onto itself while its dict grows; the refusal is run in a child
+    # with a memory cap and a timeout, so a lost guard fails here and can
+    # neither hang the suite nor fill the machine's memory
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from heckequot.laurent import LaurentError, unpack\n"
+        "for H in (1, 2, 0, -1):\n"
+        "    for k in (1, 0, -3):\n"
+        "        try:\n"
+        "            unpack(H, 0, k)\n"
+        "        except LaurentError:\n"
+        "            continue\n"
+        "        raise SystemExit(f'unpack({H}, 0, {k}) was not refused')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(laurent.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_width_two_round_trips_the_coefficients_minus_two_to_one():
+    # [-2^(k-1), 2^(k-1)) at k = 2, the narrowest width unpack accepts
+    for lo in (-3, 0, 2):
+        for cs in itertools.product(range(-2, 2), repeat=3):
+            c = {lo + i: a for i, a in enumerate(cs) if a}
+            assert unpack(pack(c, lo, 2), lo, 2) == c
 
 
 @given(int_polys, int_polys, widths)
