@@ -15,10 +15,13 @@ than confirms), 3 usage or parameter error.
 
 The cache directory defaults to ~/.cache/heckequot, overridden by
 --cache-dir or the HECKEQUOT_CACHE environment variable; one that cannot
-be made is a usage error, before any ball is built.  Ball scenarios
-write their KL table (elements and p-polynomials) there on first run, a
-line at a time; later runs compare it with recomputation line by line
-and require the stored bytes to match exactly.
+be made is a usage error, before any ball is built, and so is a cache
+file that cannot be written or read.  Ball scenarios write their KL table
+(elements and p-polynomials) there on first run, one chunk per orbit
+row as HeckeBall.cache_chunks() yields it; later runs compare the file
+with recomputation chunk by chunk, up to its last byte, and require the
+stored bytes to match exactly (line ends included: the file is read
+without newline translation).
 """
 
 from __future__ import annotations
@@ -160,12 +163,14 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
     chunks = hb.cache_chunks()
     if path.exists():
         try:
-            with path.open(encoding="utf-8") as f:  # the file must end where the dump does
+            # newline="": line ends are written and compared untranslated,
+            # and the file must end where the dump does
+            with path.open(encoding="utf-8", newline="") as f:
                 same = all(f.read(len(chunk)) == chunk for chunk in chunks) and not f.read(1)
         except UnicodeDecodeError:  # not text this program wrote
             same = False
         return path, "hit" if same else "mismatch"
-    with path.open("w", encoding="utf-8") as f:
+    with path.open("w", encoding="utf-8", newline="") as f:
         f.writelines(chunks)
     return path, "written"
 
@@ -185,7 +190,10 @@ def _ball_scenario(ns, family: str, default_radius: int):
         raise UsageError(f"cannot use cache file {path}: it is not a regular file")
     hb = HeckeBall(pres, radius, margin=ns.margin)
     checks: list[Check] = []
-    path, status = cache_store(hb, directory)
+    try:
+        path, status = cache_store(hb, directory)
+    except OSError as exc:
+        raise UsageError(f"cannot use cache file {path}: {exc.strerror}") from exc
     if status == "mismatch":
         checks.append(Check(
             "cache", "the cached KL table is byte-identical to recomputation",
@@ -696,6 +704,7 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+@functools.cache  # parse_args never changes the parser: one per process
 def build_parser() -> _Parser:
     p = _Parser(prog="heckequot", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -349,11 +349,12 @@ def _spanning_rows(z: Fraction) -> list[list[Fraction]]:
     z^k at its entry and z^-k at its bar partner; a class-function slot
     holding t^k + t^-k gives z^k + z^-k.  The reflection units vanish at z
     and would only add zero rows, which change no rank."""
+    zk = {k: z ** k for k in range(-2, 3)}  # each power once
+    slot = [(zk[k], zk[-k]) for k in range(-2, 3)]
+    class_fn = [(zk[k] + zk[-k],) * 2 for k in range(3)]
     rows = []
     for f in _FIELDS:
-        rf = f.startswith("rf")
-        for k in range(3) if rf else range(-2, 3):
-            at = (z ** k + z ** -k,) * 2 if rf else (z ** k, z ** -k)
+        for at in class_fn if f.startswith("rf") else slot:
             rows.append([at[barred] if g == f else 0 for g, barred in _SOURCE.values()])
     return rows
 

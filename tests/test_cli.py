@@ -1,9 +1,12 @@
 """Command line interface: exit codes, report schema, determinism, cache."""
 
+import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,6 +148,53 @@ def test_samples_default_and_smallest_value_parse():
     parse = cli.build_parser().parse_args
     assert parse(["run", "infdihedral-J"]).samples is None
     assert parse(["run", "infdihedral-J", "--samples", "1"]).samples == 1
+
+
+# ---- one parser per process -------------------------------------------------
+
+
+def _parsed(monkeypatch):
+    """Run cli.main without running the scenario; returns the namespaces."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda ns, out: seen.append(ns) or 0)
+    return seen
+
+
+def test_a_flag_given_once_is_not_kept_for_the_next_call(monkeypatch):
+    seen = _parsed(monkeypatch)
+    assert cli.main(["run", "sl2-crossprod", "--samples", "1"]) == 0
+    assert cli.main(["run", "sl2-crossprod"]) == 0
+    assert cli.main(["run", "infdihedral-J", "--q", "4"]) == 0
+    assert cli.main(["run", "infdihedral-J"]) == 0
+    assert [ns.samples for ns in seen[:2]] == [1, None]
+    assert [cli._q_list(ns) for ns in seen[2:]] == [[Fraction(4)], [Fraction(1), Fraction(4)]]
+
+
+def test_a_usage_error_leaves_the_next_call_as_it_would_be_alone():
+    rc, out, err = run(["run", "sl2-crossprod", "--samples", "0"])
+    assert (rc, out) == (3, "") and "at least 1" in err
+    rc, out, err = run(["run", "sl2-crossprod", "--format", "records"])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_RECORDS_SHA256["sl2-crossprod"]
+
+
+def test_three_calls_construct_the_parsers_once(monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    _parsed(monkeypatch)
+    for args in (["run", "sl2-extquot"], ["run", "so5-match", "--seed", "2"], ["scenarios"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(args) == 0
+    assert cli.build_parser() is cli.build_parser()
+    # the top-level parser and its two subcommand parsers
+    assert made == ["heckequot", "heckequot run", "heckequot scenarios"]
 
 
 def test_infdihedral_j_computes_each_phi_image_once(tmp_path, monkeypatch):
@@ -493,12 +543,14 @@ def _move_a_row_head_onto_the_previous_row(text):
     _change_a_byte_in_a_middle_row,
     _cut_after_the_e_lines,
     _move_a_row_head_onto_the_previous_row,
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace("\n", "\r"),
 ], ids=["truncated", "extra-line", "extra-blank-line", "no-final-newline", "empty",
-        "middle-row-byte", "cut-after-e-lines", "row-head-moved-back"])
+        "middle-row-byte", "cut-after-e-lines", "row-head-moved-back", "crlf", "cr"])
 def test_cache_compare_reads_both_ends_to_the_last_byte(tmp_path, edit):
     # the dump is compared chunk by chunk (one per orbit row) as it is
-    # produced; a file that differs inside a chunk, or ends early or late, is
-    # a mismatch, not a hit
+    # produced, with no newline translation; a file that differs inside a
+    # chunk, in its line ends, or ends early or late, is a mismatch, not a hit
     hb = HeckeBall(infinite_dihedral(), 6)
     path, status = cli.cache_store(hb, tmp_path)
     text = path.read_text()
@@ -534,6 +586,28 @@ def test_a_cache_file_that_is_not_utf8_is_a_mismatch(tmp_path, edit):
     assert checks["cache"]["verdict"] == "fail"
     assert str(path) in checks["cache"]["witness"]["hint"]
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["write", "read"])
+def test_a_cache_file_that_cannot_be_opened_is_a_usage_error(tmp_path, monkeypatch, existing):
+    # an OSError on the cache file ends the run with exit 3 and a message
+    # naming the file, not a traceback and exit 1 ("some check failed")
+    td = str(tmp_path)
+    if existing:
+        run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
+    path = tmp_path / "infinitedihedral_r6_v3.txt"
+    assert path.exists() is existing
+    opened = Path.open
+
+    def refuse(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return opened(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse)
+    rc, out, err = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
+    assert (rc, out) == (3, "")
+    assert err == f"usage error: cannot use cache file {path}: Permission denied\n"
 
 
 def test_a_cache_path_taken_by_a_directory_is_refused_before_the_ball(tmp_path, monkeypatch):

@@ -511,6 +511,20 @@ def test_census_rows_match_the_packed_spanning_set(z):
 
 
 @pytest.mark.parametrize("z", SCENARIO_POINTS, ids=str)
+def test_census_rows_match_the_direct_formula(z):
+    # the rows read each power of z once; the formula takes z^k and z^-k
+    # afresh for every slot and every row
+    z = Fraction(z)
+    expect = []
+    for f in crossprod._FIELDS:
+        rf = f.startswith("rf")
+        for k in range(3) if rf else range(-2, 3):
+            at = (z ** k + z ** -k,) * 2 if rf else (z ** k, z ** -k)
+            expect.append([at[b] if g == f else 0 for g, b in crossprod._SOURCE.values()])
+    assert crossprod._spanning_rows(z) == expect
+
+
+@pytest.mark.parametrize("z", SCENARIO_POINTS, ids=str)
 def test_census_matches_the_fraction_elimination(monkeypatch, z):
     # the same census with every rank taken by Gauss-Jordan over Fractions
     # on Fraction rows and bases, the eliminator's reference
