@@ -12,10 +12,14 @@ with Laurent coefficients:
     phi(cdag_x) = sum over d distinguished, a(z) = a(d) of
                   h_{x,d,z} nhat_z t_z
 
-and is an algebra homomorphism.  Its images do not depend on q: phi is
-computed once with Laurent coefficients, and `specialize` sends v to a
-rational square root of q: phi_q = specialize(phi(.), q) maps into J with
-rational coefficients.  Cell modules carry the star action
+and is an algebra homomorphism.  It is A-linear: on the T-basis it sums
+h_w phi(T_w) over images memoized once per w, each with the dagger
+coordinates of T_w at the x whose phi(cdag_x) the ball cannot decide
+kept beside it; where those do not cancel, phi raises at the largest such
+x.  Its images do not depend on q: phi is computed once with Laurent
+coefficients, and `specialize` sends v to a rational square root of q:
+phi_q = specialize(phi(.), q) maps into J with rational coefficients,
+each integral one an int.  Cell modules carry the star action
 
     t_x * [w] = sum over z with a(z) = a(w) of
                 gamma(x, w, z) nhat_w nhat_z [z]
@@ -57,7 +61,7 @@ from .hecke import (
     RawPoly,
     UncertifiedError,
 )
-from .laurent import LaurentPoly, acc_apply, acc_mul, acc_scaled
+from .laurent import LaurentPoly, acc_apply, acc_mul, acc_scaled, evaluate
 
 # The truncated ball cannot decide a case that raises one of these.
 UNDECIDED = (UncertifiedError, BallOverflowError)
@@ -121,9 +125,11 @@ class JElement:
 
 def specialize(a: JElement, q) -> JElement:
     """Laurent coefficients evaluated at v = sqrt(q); q must be the square
-    of a rational."""
+    of a rational.  An integral value is stored as an int (every value at
+    q = 1 is one), so products of specialized elements run on ints."""
     r = _sqrt_fraction(q)
-    return JElement({w: p.evaluate(r) for w, p in a.coeffs.items()}, a.ball)
+    vals = {w: evaluate(p.c, r) for w, p in a.coeffs.items()}
+    return JElement({w: c.numerator if c.denominator == 1 else c for w, c in vals.items()}, a.ball)
 
 
 @functools.cache
@@ -165,6 +171,7 @@ class JRing:
         hb._ensure_gamma()  # one product stream gives the a-values and gamma
         self.hb = hb
         self._phi: dict[int, dict[int, RawPoly]] = {}
+        self._phi_T: dict[int, tuple[dict[int, RawPoly], dict[int, RawPoly]]] = {}
         self._acert: list[int | None] | None = None  # certified a(ball[i]), or None
 
     def basis_element(self, w: GroupElement, coeff=1) -> JElement:
@@ -258,19 +265,40 @@ class JRing:
         self._phi[i] = {z: p for z, p in out.items() if p}
         return self._phi[i]
 
-    def _cdag_idx(self, h: HeckeElement) -> dict[int, RawPoly]:
-        """Dagger-basis coordinates of h on ball indices: h = sum coords_x
-        cdag_x, read off HeckeBall._cdag_coords for T-basis input."""
-        if h.basis == "cdag":
-            return h.terms
-        if h.basis == "T":
-            return self.hb._cdag_coords(h.terms)
-        raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
+    def _phi_of_T(self, i: int) -> tuple[dict[int, RawPoly], dict[int, RawPoly]]:
+        """(phi(T_w), refused) for w = ball[i], computed once per w: with
+        r = HeckeBall._cdagger_T(i), phi(T_w) sums r_x phi(cdag_x) over the
+        x the ball decides, and refused maps every other x to r_x."""
+        memo = self._phi_T.get(i)
+        if memo is None:
+            img, refused = {}, {}
+            for x, r in self.hb._cdagger_T(i).items():
+                try:
+                    col = self._phi_of_cdagger(x)
+                except UNDECIDED:
+                    refused[x] = r
+                    continue
+                for z, p in col.items():
+                    acc_mul(img.setdefault(z, {}), p, r)
+            memo = self._phi_T[i] = ({z: p for z, p in img.items() if p}, refused)
+        return memo
 
     def phi(self, h: HeckeElement) -> JElement:
-        """phi with Laurent coefficients; accepts T- or dagger-basis input."""
-        out = acc_apply({}, self._phi_of_cdagger, self._cdag_idx(h))
-        return JElement({z: LaurentPoly._raw(q) for z, q in out.items() if q}, self.hb.ball)
+        """phi with Laurent coefficients; accepts T- or dagger-basis input.
+        A T-basis h sums h_w phi(T_w); where the refused coordinates do not
+        cancel, it raises what phi(cdag_x) raises at the largest such x, the
+        first its dagger coordinates meet in descending ball index."""
+        if h.basis == "cdag":
+            out = acc_apply({}, self._phi_of_cdagger, h.terms)
+        elif h.basis == "T":
+            col = self._phi_of_T
+            refused = acc_apply({}, lambda w: col(w)[1], h.terms)
+            if live := [x for x, r in refused.items() if r]:
+                self._phi_of_cdagger(max(live))  # a refusal is not memoized: it raises again
+            out = acc_apply({}, lambda w: col(w)[0], h.terms)
+        else:
+            raise HeckeError(f"phi needs a T- or cdag-basis operand, not {h.basis}")
+        return JElement._of({z: LaurentPoly._raw(q) for z, q in out.items() if q}, self.hb.ball)
 
     # ---------------- cell modules -----------------------------------------
     def star_action(self, a: JElement, f: GradedClass, side: str = "left") -> GradedClass:

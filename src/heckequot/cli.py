@@ -18,10 +18,11 @@ The cache directory defaults to ~/.cache/heckequot, overridden by
 be made is a usage error, before any ball is built, and so is a cache
 file that cannot be written or read.  Ball scenarios write their KL table
 (elements and p-polynomials) there on first run, one chunk per orbit
-row as HeckeBall.cache_chunks() yields it; later runs compare the file
-with recomputation chunk by chunk, up to its last byte, and require the
-stored bytes to match exactly (line ends included: the file is read
-without newline translation).
+row as HeckeBall.cache_chunks() yields it, under a temporary name renamed
+into place after the last chunk, so a write cut short leaves no file;
+later runs compare the file with recomputation chunk by chunk, up to its
+last byte, and require the stored bytes to match exactly (line ends
+included: the file is read without newline translation).
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
     """Write the ball's KL table into an existing directory, or compare it
     with what is already there, chunk by chunk as hb.cache_chunks() yields
     it (one chunk per orbit row), up to the file's last byte.
-    Returns (path, "written" | "hit" | "mismatch")."""
+    A file is written whole, under a temporary name renamed into place,
+    or not at all.  Returns (path, "written" | "hit" | "mismatch")."""
     path = directory / cache_filename(hb.pres.family, hb.radius)
     chunks = hb.cache_chunks()
     if path.exists():
@@ -170,8 +172,14 @@ def cache_store(hb: HeckeBall, directory: Path) -> tuple[Path, str]:
         except UnicodeDecodeError:  # not text this program wrote
             same = False
         return path, "hit" if same else "mismatch"
-    with path.open("w", encoding="utf-8", newline="") as f:
-        f.writelines(chunks)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path, "written"
 
 

@@ -39,7 +39,9 @@ reaches; what the tests compare it against lives here.
   computes, by its rule, `c_to_t` expands canonical coordinates, and
   `h_to_distinguished` reads the streamed rows against a distinguished
   involution with group-element keys.
-* The J layer: the dagger coordinates of a Hecke element, and the
+* The J layer: the dagger coordinates of a Hecke element (`cdag_idx`),
+  phi summed through them afresh per call (`phi_by_cdag_coords`, the
+  route the program's memoized images of T_w replace), and the
   graded-module claims no scenario prints: the Hecke action on a graded
   class, through multiplication and projection, against the star action.
   `cdag_to_t` expands dagger coordinates through `kl_element` and
@@ -84,7 +86,7 @@ from heckequot.hecke import (
     HeckeError,
     UncertifiedError,
 )
-from heckequot.laurent import LaurentPoly, acc_mul, acc_scaled, bar
+from heckequot.laurent import LaurentPoly, acc_apply, acc_mul, acc_scaled, bar
 
 # ---- group presentations -------------------------------------------------------
 
@@ -471,9 +473,27 @@ def h_to_distinguished(hb, x: GroupElement, d: GroupElement) -> dict[GroupElemen
 # ---- the J layer -----------------------------------------------------------------
 
 
+def cdag_idx(hb, h: HeckeElement) -> dict:
+    """Dagger-basis coordinates of h on ball indices: h = sum coords_x
+    cdag_x, read off HeckeBall._cdag_coords for T-basis input."""
+    if h.basis == "cdag":
+        return h.terms
+    if h.basis == "T":
+        return hb._cdag_coords(h.terms)
+    raise HeckeError(f"cannot read {h.basis}-basis input as dagger coordinates")
+
+
 def cdag_coords(J, h: HeckeElement) -> HeckeElement:
     """Coordinates of h in the dagger basis: h = sum coords_x cdag_x."""
-    return HeckeElement("cdag", J._cdag_idx(h), J.hb.ball)
+    return HeckeElement("cdag", cdag_idx(J.hb, h), J.hb.ball)
+
+
+def phi_by_cdag_coords(J, h: HeckeElement) -> JElement:
+    """phi through the dagger coordinates of h, computed afresh per call:
+    sum_x coords_x phi(cdag_x), meeting phi(cdag_x) in descending ball
+    index for a T-basis h, so it raises where the first of them does."""
+    out = acc_apply({}, J._phi_of_cdagger, cdag_idx(J.hb, h))
+    return JElement({z: LaurentPoly(q) for z, q in out.items() if q}, J.hb.ball)
 
 
 def scaled_j(a: JElement, c) -> JElement:

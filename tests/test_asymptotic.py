@@ -16,7 +16,7 @@ import pytest
 from heckequot import asymptotic
 from heckequot.coxeter import extended_affine_b2, infinite_dihedral
 from heckequot.hecke import BallOverflowError, HeckeBall, HeckeError, UncertifiedError
-from heckequot.laurent import LaurentPoly
+from heckequot.laurent import LaurentPoly, evaluate
 from heckequot.asymptotic import (
     UNDECIDED,
     JElement,
@@ -35,6 +35,7 @@ from oracles import (
     j_mul_from_gamma,
     monomial,
     named,
+    phi_by_cdag_coords,
     scaled_class,
     scaled_j,
 )
@@ -375,6 +376,10 @@ def test_phi_leaves_the_dagger_memos_intact():
     def basis(ball):
         return [hecke_element(ball, "T", {w: LaurentPoly.one()}) for w in named(element(ball))]
 
+    def refused(ball):  # T_w for a w of length 12: phi(cdag_w) overflows
+        return [hecke_element(ball, "T", {w: LaurentPoly.one()}) for w in ball.wp if w.length == 12]
+
+    table = copy.deepcopy(hb._p)
     h = element(hb)
     for tw in basis(hb):
         hb.dagger(tw)
@@ -383,11 +388,84 @@ def test_phi_leaves_the_dagger_memos_intact():
     assert repr(first) == repr(_phi_oracle(JRing(fresh), element(fresh)))
     cdaggers = copy.deepcopy(hb._cdaggers)
     assert set(cdaggers) == {hb._idx(w) for w in named(h)}
+    assert set(J._phi_T) == set(cdaggers)
+    for bad in refused(hb):
+        with pytest.raises(BallOverflowError):
+            J.phi(bad)
+    memos = copy.deepcopy((J._phi, J._phi_T, hb._cdaggers))
     assert J.phi(h) == first
+    for bad in refused(hb):
+        with pytest.raises(BallOverflowError):
+            J.phi(h_sum(bad, h))
     for tw, fw in zip(basis(hb), basis(fresh)):
         assert repr(hb.dagger(tw)) == repr(fresh.dagger(fw))
         assert repr(hb.t_to_c(hb.dagger(tw))) == repr(fresh.t_to_c(fresh.dagger(fw)))
-    assert hb._cdaggers == cdaggers
+    assert (J._phi, J._phi_T, hb._cdaggers) == memos
+    assert {w: r for w, r in hb._cdaggers.items() if w in cdaggers} == cdaggers
+    assert hb._p == table
+
+
+@pytest.mark.parametrize("factory, radius, kind", [
+    (infinite_dihedral, 12, BallOverflowError),
+    (extended_affine_b2, 8, UncertifiedError),
+    (extended_affine_b2, 8, BallOverflowError),
+], ids=["dihedral-r12-overflow", "b2-r8-uncertified", "b2-r8-overflow"])
+def test_a_refused_phi_raises_again_on_every_call(factory, radius, kind):
+    # the memoized image of T_w keeps a refused coordinate beside the image,
+    # never in place of one: each call raises what the first one raised
+    hb = HeckeBall(factory(), radius)
+    J = JRing(hb)
+    for w in hb.ball:
+        h = hecke_element(hb, "T", {w: LaurentPoly.one()})
+        if _outcome(J.phi, h) is kind:
+            break
+    else:
+        pytest.fail(f"no T_w refuses phi with {kind.__name__}")
+    refusals = {x for _, refused in J._phi_T.values() for x in refused}
+    assert refusals and not refusals & set(J._phi)
+    for _ in range(3):
+        with pytest.raises(kind):
+            J.phi(h)
+    assert not refusals & set(J._phi)
+
+
+def test_t_basis_phi_reads_no_dagger_coordinates(monkeypatch):
+    # phi of a T-basis element sums the memoized images of its T_w; it
+    # never reads the dagger coordinates of the element itself
+    hb = HeckeBall(infinite_dihedral(), 12)
+    J = JRing(hb)
+    pool = [w for w in hb.ball if w.length <= 6]
+    rng = random.Random(3)
+    cases = [hecke_element(hb, "T", {w: LaurentPoly({rng.randint(-2, 2): rng.choice([-1, 1, 2])})
+                                     for w in rng.sample(pool, rng.randint(1, 4))})
+             for _ in range(10)] + [hb.mul_T(hb.kl_element(x), hb.kl_element(y))
+                                    for x, y in zip(pool[:5], pool[5:10])]
+    want = [phi_by_cdag_coords(J, h) for h in cases]
+
+    def refuse(self, terms):
+        raise AssertionError("phi read the dagger coordinates of a T-basis element")
+
+    monkeypatch.setattr(HeckeBall, "_cdag_coords", refuse)
+    assert [J.phi(h) for h in cases] == want
+    assert all(j.coeffs for j in want)
+
+
+def test_specialize_stores_integral_values_as_ints(ring):
+    # laurent.evaluate gives a Fraction; an integral value is stored as an
+    # int, and at q = 1 every value is one, so j_mul runs on ints there
+    hb, J = ring
+    imgs = [J.phi(hb.kl_element(x)) for x in hb.wp if x.length <= 3]
+    imgs.append(J.phi(bernstein_central_dihedral(hb)))
+    for q in (1, 4, Fraction(9, 4), Fraction(1, 4)):
+        r = asymptotic._sqrt_fraction(q)
+        kinds = set()
+        for img in imgs:
+            got = specialize(img, q).coeffs
+            assert got == {w: c for w, p in img.coeffs.items() if (c := evaluate(p.c, r))}
+            for c in got.values():
+                assert type(c) is (int if c.denominator == 1 else Fraction), (q, c)
+                kinds.add(type(c))
+        assert kinds == ({int} if q == 1 else {int, Fraction}), q
 
 
 # ---- central elements ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, report schema, determinism, cache."""
 
 import argparse
+import collections
 import contextlib
 import errno
 import hashlib
@@ -211,6 +212,24 @@ def test_infdihedral_j_computes_each_phi_image_once(tmp_path, monkeypatch):
     hom = [json.loads(ln)["witness"] for ln in out.splitlines() if '"phi-hom-q=' in ln]
     assert [(w["checked"], w["skipped"]) for w in hom] == [(50, 0), (50, 0)]
     assert 0 < len(calls) <= 38 + 17 + 1
+
+
+def test_infdihedral_j_computes_each_phi_of_a_dagger_element_once(tmp_path, monkeypatch):
+    # phi of a T-basis element sums memoized images of its T_w, each built
+    # once from the phi(cdag_x) it needs: over the phi-hom sample and the
+    # central element, no phi(cdag_x) is computed twice, refused or not
+    computed = collections.Counter()
+    phi_x = JRing._phi_of_cdagger
+
+    def counting(self, i):
+        if i not in self._phi:
+            computed[i] += 1
+        return phi_x(self, i)
+
+    monkeypatch.setattr(JRing, "_phi_of_cdagger", counting)
+    rc, _, _ = run(["run", "infdihedral-J", "--seed", "0", "--cache-dir", str(tmp_path)])
+    assert rc == 0
+    assert computed and max(computed.values()) == 1
 
 
 def test_pgl_iwahori_builds_the_dual_torus_once(monkeypatch):
@@ -599,8 +618,8 @@ def test_a_cache_file_that_cannot_be_opened_is_a_usage_error(tmp_path, monkeypat
     assert path.exists() is existing
     opened = Path.open
 
-    def refuse(self, *args, **kwargs):
-        if self == path:
+    def refuse(self, *args, **kwargs):  # the file, or the name it is written under
+        if self.name.startswith(path.name):
             raise PermissionError(errno.EACCES, "Permission denied", str(self))
         return opened(self, *args, **kwargs)
 
@@ -608,6 +627,34 @@ def test_a_cache_file_that_cannot_be_opened_is_a_usage_error(tmp_path, monkeypat
     rc, out, err = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
     assert (rc, out) == (3, "")
     assert err == f"usage error: cannot use cache file {path}: Permission denied\n"
+
+
+def test_a_cache_write_cut_short_leaves_no_file(tmp_path, monkeypatch):
+    # a write that fails after its first chunk (a full disk) is a usage
+    # error and leaves neither the cache file nor its temporary behind, so
+    # the next run writes the file afresh instead of failing the cache check
+    td = str(tmp_path)
+    chunks = HeckeBall.cache_chunks
+
+    def first_chunk_then_full(self):
+        it = chunks(self)
+        yield next(it)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(HeckeBall, "cache_chunks", first_chunk_then_full)
+        rc, out, err = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
+    path = tmp_path / "infinitedihedral_r6_v3.txt"
+    assert (rc, out) == (3, "")
+    assert err == f"usage error: cannot use cache file {path}: No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+    stores = []
+    store = cli.cache_store
+    monkeypatch.setattr(cli, "cache_store", lambda *a: stores.append(store(*a)) or stores[-1])
+    rc, _, _ = run(["run", "infdihedral-P-properties", "--radius", "6", "--cache-dir", td])
+    assert rc == 0 and stores == [(path, "written")]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text() == "".join(HeckeBall(infinite_dihedral(), 6).cache_chunks())
 
 
 def test_a_cache_path_taken_by_a_directory_is_refused_before_the_ball(tmp_path, monkeypatch):

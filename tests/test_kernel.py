@@ -275,7 +275,7 @@ def test_dagger_kernel_drops_cancelled_terms(b2_12):
         h = hb.dagger(hecke_element(hb, "T", {w: LaurentPoly.one()}))
         assert hb.dagger(h).terms == {hb._idx(w): {0: 1}}
         cancelled += len(h.terms) - 1
-        coords = J._cdag_idx(h)
+        coords = hb._cdag_coords(h.terms)
         assert all(coords.values()), w
         assert HeckeElement("cdag", coords, hb.ball) == cdag_coords(J, h)
     assert cancelled > 0
